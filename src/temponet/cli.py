@@ -247,6 +247,9 @@ def cmd_stars(args) -> int:
     )
     graphs = []
     for path in paths:
+        if not os.path.isfile(path):
+            print(f"notice: skipping {path}: not a regular file", file=sys.stderr)
+            continue
         try:
             # zero-base every network so horizon grids align across the set
             graphs.append(normalize_times(_load_graph(path)))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .metrics import k_stars_number, k_stars_vector
 from .temporal_graph import TemporalGraph
@@ -61,13 +60,11 @@ def jrc(g: TemporalGraph, interval: int) -> Jrc:
         return Jrc(samples=[(0, 0.0), (0, 1.0)], t_max=0)
     t0 = g.t_min
     n = g.n_vertices
-    joins = g.join_times  # non-decreasing by construction
+    joins = np.array(g.join_times, dtype=np.int64)  # non-decreasing by construction
     steps = span // interval + 1
-    samples = []
-    for k in range(steps + 1):
-        t = k * interval
-        count = int(np.searchsorted(joins, t0 + t, side="left"))
-        samples.append((t, count / n))
+    grid = np.arange(steps + 1, dtype=np.int64) * interval
+    counts = np.searchsorted(joins, t0 + grid, side="left")
+    samples = [(t, c / n) for t, c in zip(grid.tolist(), counts.tolist())]
     return Jrc(samples=samples, t_max=samples[-1][0])
 
 
@@ -126,6 +123,23 @@ def join_time_diff_prob(g: TemporalGraph, bin_width: int = 1) -> list[tuple[int,
     ]
 
 
+def _average_ranks(values: Sequence[float]) -> np.ndarray:
+    """1-based ranks with each tie group given its mean rank (the
+    ``average`` method of ``scipy.stats.rankdata``); all NaN when any
+    input is NaN."""
+    a = np.asarray(values)
+    if np.isnan(a).any():
+        return np.full(len(a), np.nan)
+    order = np.argsort(a, kind="stable")
+    ordered = a[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(a)]
+    group = np.repeat(np.arange(len(starts)), ends - starts)
+    ranks = np.empty(len(a))
+    ranks[order] = ((starts + ends + 1) / 2)[group]
+    return ranks
+
+
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float | None:
     """Spearman rank correlation: Pearson correlation of average ranks,
     with ties receiving their mean rank. ``None`` when either input is
@@ -134,8 +148,8 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float | None:
         raise ValueError("inputs must have equal length")
     if len(xs) < 2:
         raise ValueError("need at least 2 observations")
-    rx = rankdata(xs, method="average")
-    ry = rankdata(ys, method="average")
+    rx = _average_ranks(xs)
+    ry = _average_ranks(ys)
     if rx.std() == 0 or ry.std() == 0:
         return None
     return float(np.corrcoef(rx, ry)[0, 1])

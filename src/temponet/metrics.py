@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -120,16 +121,30 @@ def _mean_bfs_distance(adj: sp.csr_matrix) -> float:
     return total / count
 
 
+def _top_k(degrees: np.ndarray, k: int) -> np.ndarray:
+    """Ids of the ``min(k, len(degrees))`` highest-degree vertices, ties
+    broken toward the smaller id.
+
+    Ids follow join order, so ranking by ``(-degree, id)`` equals ranking
+    by ``(-degree, join time, id)``. The score ``degree * nv + (nv - 1 -
+    id)`` is unique per vertex and orders exactly that way, so a partial
+    sort picks the set a full sort would.
+    """
+    if k <= 0:
+        raise ValueError("k must be positive")
+    nv = len(degrees)
+    if k >= nv:
+        return np.arange(nv)
+    score = degrees * nv + np.arange(nv - 1, -1, -1)
+    return np.argpartition(score, nv - k)[nv - k :]
+
+
 def k_stars_set(s: Snapshot, k: int) -> set[int]:
     """The ``min(k, |V|)`` vertices with the highest degree at the
     snapshot horizon. Ties break toward earlier join time, then smaller
     id, which keeps star vectors reproducible."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    degrees = s.degrees()
-    joins = s.parent.join_times
-    order = sorted(s.vertices(), key=lambda v: (-degrees[v], joins[v], v))
-    return set(order[:k])
+    degrees = np.array(s.degrees(), dtype=np.int64)
+    return set(_top_k(degrees, k).tolist())
 
 
 def k_stars_vector(g: TemporalGraph, horizons: Sequence[int], k: int) -> list[int]:
@@ -144,12 +159,34 @@ def k_stars_vector(g: TemporalGraph, horizons: Sequence[int], k: int) -> list[in
         if prev is not None and t <= prev:
             raise ValueError("horizons must be strictly increasing")
         prev = t
-    seen = k_stars_set(g.snapshot_at(0), k)
+    # One sweep over first-link events in time order: the degree of v at
+    # t counts v's events at or before t. Built per call, not kept on the
+    # graph, so the arrays live only while the vector is computed.
+    firsts = g._first_link_times
+    n = len(firsts)
+    sizes = np.fromiter(map(len, firsts), dtype=np.int64, count=n)
+    ev_t = np.fromiter(chain.from_iterable(firsts), dtype=np.int64, count=int(sizes.sum()))
+    order = np.argsort(ev_t, kind="stable")
+    ev_t = ev_t[order]
+    ev_v = np.repeat(np.arange(n), sizes)[order]
+    points = np.array([0, *horizons], dtype=np.int64)
+    ends = np.searchsorted(ev_t, points, side="right").tolist()
+    present = np.searchsorted(np.array(g.join_times, dtype=np.int64), points, side="right").tolist()
+
+    degrees = np.zeros(n, dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
+    done = 0
     vector = []
-    for t in horizons:
-        stars = k_stars_set(g.snapshot_at(t), k)
-        vector.append(len(stars - seen))
-        seen |= stars
+    for i, (end, nv) in enumerate(zip(ends, present)):
+        # end drops below done only at horizons below 0, where no vertex
+        # has joined, so the time-0 degrees kept there are never read
+        if end > done:
+            degrees += np.bincount(ev_v[done:end], minlength=n)
+            done = end
+        stars = _top_k(degrees[:nv], k)
+        if i:
+            vector.append(int(np.count_nonzero(~seen[stars])))
+        seen[stars] = True
     return vector
 
 

@@ -249,6 +249,13 @@ class TestStars:
             for r, a in zip(class_rows, ref[1]):
                 assert float(r["avg"]) == pytest.approx(a)
 
+    def test_subdirectory_is_skipped_with_notice(self, tmp_path, capsys):
+        d = self.make_network_dir(tmp_path, [("one", [10] * 5, 1)])
+        os.mkdir(os.path.join(d, "sub"))
+        assert run(["stars", "--dir", d, "--k", "1", "--w", "1",
+                    "--interval", "1", "--out", str(tmp_path / "s.csv")]) == 0
+        assert f"notice: skipping {os.path.join(d, 'sub')}: not a regular file" in capsys.readouterr().err
+
     def test_w_exceeding_count_fails(self, tmp_path):
         d = self.make_network_dir(tmp_path, [("one", [10] * 5, 1)])
         assert run(["stars", "--dir", d, "--k", "1", "--w", "5",

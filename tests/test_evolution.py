@@ -1,8 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import rankdata
 
 from temponet import (
     NetworkCollection,
@@ -21,6 +23,7 @@ from temponet import (
     vibrancy,
     w_max_time,
 )
+from temponet.evolution import _average_ranks
 
 from oracles import pair_prob_brute, spearman_brute, stars_aggregate_brute, w_max_brute
 
@@ -168,6 +171,18 @@ class TestSpearman:
         xs = [1.0, 2.0, 2.0, 3.0, 4.0, 4.0]
         ys = [3.0, 3.0, 1.0, 5.0, 5.0, 2.0]
         assert spearman(xs, ys) == pytest.approx(spearman_brute(xs, ys), abs=1e-12)
+
+    def test_average_ranks_match_scipy_with_heavy_ties(self):
+        rng = np.random.default_rng(5)
+        for size in (1, 2, 7, 50, 400):
+            for distinct in (1, 2, 5, 40):
+                values = rng.integers(0, distinct, size)
+                for xs in (values, values / 3, values.tolist()):
+                    ranks = _average_ranks(xs)
+                    assert ranks.dtype == np.float64
+                    assert np.array_equal(ranks, rankdata(xs, method="average"))
+        with_nan = [1.0, math.nan, 1.0]
+        assert np.array_equal(_average_ranks(with_nan), rankdata(with_nan), equal_nan=True)
 
     def test_constant_input_is_undefined(self):
         assert spearman([1, 1, 1], [1, 2, 3]) is None

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from temponet import (
+    IngestConfig,
     TemporalGraph,
     TimeDiffFn,
     TpaParams,
@@ -17,6 +18,7 @@ from temponet import (
     k_stars_set,
     k_stars_vector,
     power_law_gamma,
+    read_edge_stream,
     tpa_generate,
 )
 
@@ -161,6 +163,55 @@ class TestKStars:
         g = TemporalGraph([0, 1], [(0, 1, 1)])
         with pytest.raises(ValueError):
             k_stars_vector(g, [2, 1], 1)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_non_positive_k(self, k):
+        g = TemporalGraph([0, 1], [(0, 1, 1)])
+        with pytest.raises(ValueError):
+            k_stars_vector(g, [1], k)
+        with pytest.raises(ValueError):
+            k_stars_set(g.snapshot_at(1), k)
+
+    @pytest.mark.parametrize("model", ["ba", "tpa", "ff"])
+    def test_vector_and_set_match_oracle_on_random_graphs(self, model):
+        rng = random.Random(7)
+        for seed in range(4):
+            if model == "tpa":
+                schedule = [rng.randint(2, 8) for _ in range(6)]
+                g = tpa_generate(TpaParams(m=2, schedule=schedule, f=TimeDiffFn.exp_base(2), seed=seed))
+            else:
+                params = {"m": 2} if model == "ba" else {"p_forward": 0.4}
+                g = baseline_generate(model, 30, seed=seed, **params)
+            joins, edges = list(g.join_times), list(g.edges)
+            horizons = list(range(1, g.t_end + 1))
+            for k in (1, 3, 8):
+                assert k_stars_vector(g, horizons, k) == k_stars_vector_brute(joins, edges, horizons, k)
+                for t in (0, g.t_end // 2, g.t_end):
+                    assert k_stars_set(g.snapshot_at(t), k) == k_stars_brute(joins, edges, t, k)
+
+    def test_vector_matches_oracle_on_ingested_multigraph(self):
+        # duplicates and self-loops kept; horizons start below 0 (before
+        # the time-0 star set the sweep begins with) and run past t_end;
+        # k up to and beyond the vertex count
+        rng = random.Random(11)
+        lines = ["0 1 0", "0 1 0", "2 2 0", "2 2 4"]
+        lines += [f"{rng.randrange(20)} {rng.randrange(20)} {rng.randint(0, 30)}" for _ in range(150)]
+        g = read_edge_stream(lines, IngestConfig(allow_self_loops=True, dedupe=False))
+        joins, edges = list(g.join_times), list(g.edges)
+        assert any(u == v for u, v, _ in edges)
+        assert len({(min(u, v), max(u, v)) for u, v, _ in edges}) < len(edges)
+        horizons = list(range(-3, g.t_end + 4))
+        for k in (1, 2, 5, g.n_vertices, g.n_vertices + 3):
+            assert k_stars_vector(g, horizons, k) == k_stars_vector_brute(joins, edges, horizons, k)
+
+    def test_vector_matches_oracle_without_time_zero_stars(self):
+        g = baseline_generate("ba", 30, seed=2, m=2)
+        late = TemporalGraph([t + 5 for t in g.join_times], [(u, v, t + 5) for u, v, t in g.edges])
+        assert late.snapshot_at(0).n_vertices == 0
+        joins, edges = list(late.join_times), list(late.edges)
+        horizons = [-1, 0, *range(5, late.t_end + 1, 3)]
+        for k in (1, 4):
+            assert k_stars_vector(late, horizons, k) == k_stars_vector_brute(joins, edges, horizons, k)
 
     def test_number_sums_entries(self):
         assert k_stars_number([5, 0, 0]) == 5
