@@ -14,7 +14,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .evolution import NetworkCollection, classify_vibrancy, jrc, stars_aggregate, vibrancy, w_max_time
@@ -186,7 +185,7 @@ def _setting_features(setting: dict, seed: int, interval: int) -> dict:
     graph = _generate_graph(merged["model"], merged)
     x_min = merged.get("xmin") or merged.get("m") or 2
     features = compute_features(graph.snapshot_at(graph.t_end), gamma_x_min=x_min).to_dict()
-    horizons = [s.horizon for s in graph.snapshot_series(interval)]
+    horizons = graph.horizons(interval)
     for k in (1, 5):
         features[f"stars_k{k}"] = k_stars_number(k_stars_vector(graph, horizons, k))
     features["vibrancy"] = vibrancy(jrc(graph, interval))
@@ -199,10 +198,8 @@ def cmd_compare(args) -> int:
     if not isinstance(settings, list) or not settings:
         print("error: settings file must hold a non-empty JSON list", file=sys.stderr)
         return 1
-    threads = int(os.environ.get("TEMPONET_THREADS", "1"))
-
-    def run_row(indexed):
-        idx, setting = indexed
+    rows = []
+    for idx, setting in enumerate(settings):
         label = setting.get("label", f"setting_{idx}")
         try:
             per_seed = [
@@ -211,21 +208,13 @@ def cmd_compare(args) -> int:
             ]
         except (ValueError, KeyError) as exc:
             print(f"warning: {label} aborted: {exc}", file=sys.stderr)
-            return None
+            continue
         keys = [k for k, v in per_seed[0].items() if isinstance(v, (int, float)) or v is None]
         row = {"setting": label, "repeats": args.repeats}
         for key in keys:
             values = [p[key] for p in per_seed if p[key] is not None]
             row[key] = sum(values) / len(values) if values else None
-        return row
-
-    indexed = list(enumerate(settings))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_row, indexed))
-    else:
-        results = [run_row(item) for item in indexed]
-    rows = [r for r in results if r is not None]
+        rows.append(row)
     _write_rows(rows, args.out, args.format)
     _write_manifest(
         args.out,

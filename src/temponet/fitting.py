@@ -58,16 +58,23 @@ def r_squared(ys: Sequence[float], predictions: Sequence[float]) -> float | None
     return 1.0 - ss_res / ss_tot
 
 
-def polyfit(xs: Sequence[float], ys: Sequence[float], degree: int) -> SeriesFit:
-    """Least-squares polynomial fit, coefficients in ascending order."""
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
+def _as_series(xs, ys, min_points: int, count: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Float arrays of equal length holding at least ``min_points``
+    points; ``count`` names that minimum in the error message."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if len(xs) != len(ys):
         raise ValueError("inputs must have equal length")
-    if len(xs) < degree + 1:
-        raise ValueError("need at least degree + 1 points")
+    if len(xs) < min_points:
+        raise ValueError(f"need at least {count or min_points} points")
+    return xs, ys
+
+
+def polyfit(xs: Sequence[float], ys: Sequence[float], degree: int) -> SeriesFit:
+    """Least-squares polynomial fit, coefficients in ascending order."""
+    if degree < 0:
+        raise ValueError("degree must be non-negative")
+    xs, ys = _as_series(xs, ys, degree + 1, "degree + 1")
     if len(np.unique(xs)) != len(xs):
         raise ValueError("x values must be distinct")
     vander = np.vander(xs, degree + 1, increasing=True)
@@ -126,6 +133,19 @@ def _gauss_newton(
     return x, False
 
 
+def _nonlinear_fit(family: str, ys: np.ndarray, residual, jacobian, start, accept) -> SeriesFit:
+    """Refine ``start`` by :func:`_gauss_newton` and score the result."""
+    params, converged = _gauss_newton(residual, jacobian, start, accept)
+    resid = residual(params)
+    return SeriesFit(
+        family=family,
+        coefficients=[float(v) for v in params],
+        r_squared=r_squared(ys, ys - resid),
+        residual_norm=float(np.linalg.norm(resid)),
+        converged=converged,
+    )
+
+
 def fit_exp_decay(xs: Sequence[float], ys: Sequence[float]) -> SeriesFit:
     """Fit ``a * exp(-t / b)`` in the original data space.
 
@@ -134,12 +154,7 @@ def fit_exp_decay(xs: Sequence[float], ys: Sequence[float]) -> SeriesFit:
     the step tolerance (for example on non-decaying data, where ``b``
     runs away) is returned with ``converged=False``.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if len(xs) != len(ys):
-        raise ValueError("inputs must have equal length")
-    if len(xs) < 3:
-        raise ValueError("need at least 3 points")
+    xs, ys = _as_series(xs, ys, 3)
     if np.any(ys <= 0):
         raise ValueError("exponential-decay fitting requires positive values")
 
@@ -157,20 +172,13 @@ def fit_exp_decay(xs: Sequence[float], ys: Sequence[float]) -> SeriesFit:
         e = np.exp(-xs / b)
         return np.vstack([e, a * xs / (b * b) * e]).T
 
-    params, converged = _gauss_newton(
-        residual, jacobian, np.array([a0, b0]), accept=lambda p: p[1] > 0
+    fit = _nonlinear_fit(
+        "exp_decay", ys, residual, jacobian, np.array([a0, b0]), accept=lambda p: p[1] > 0
     )
     span = float(xs.max() - xs.min())
-    if params[1] > 1e6 * max(span, 1.0):
-        converged = False  # decay scale far beyond the window: no decay found
-    resid = residual(params)
-    return SeriesFit(
-        family="exp_decay",
-        coefficients=[float(params[0]), float(params[1])],
-        r_squared=r_squared(ys, ys - resid),
-        residual_norm=float(np.linalg.norm(resid)),
-        converged=converged,
-    )
+    if fit.coefficients[1] > 1e6 * max(span, 1.0):
+        fit.converged = False  # decay scale far beyond the window: no decay found
+    return fit
 
 
 def fit_rational_power(
@@ -179,12 +187,7 @@ def fit_rational_power(
     """Fit ``(a - b * t**q) / (c + t**q)`` with the exponent ``q`` held
     fixed; freeing it would make the problem nonlinear in the exponent
     and need a different strategy. Coefficients are ``[a, b, c]``."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if len(xs) != len(ys):
-        raise ValueError("inputs must have equal length")
-    if len(xs) < 4:
-        raise ValueError("need at least 4 points")
+    xs, ys = _as_series(xs, ys, 4)
     s = xs**exponent
 
     # Linearized start: a - b*s - c*y = y*s
@@ -200,30 +203,15 @@ def fit_rational_power(
         den = c + s
         return np.vstack([1 / den, -s / den, -(a - b * s) / den**2]).T
 
-    params, converged = _gauss_newton(
-        residual,
-        jacobian,
-        start,
+    return _nonlinear_fit(
+        "rational_power", ys, residual, jacobian, start,
         accept=lambda p: np.all(np.abs(p[2] + s) > 1e-12),
-    )
-    resid = residual(params)
-    return SeriesFit(
-        family="rational_power",
-        coefficients=[float(v) for v in params],
-        r_squared=r_squared(ys, ys - resid),
-        residual_norm=float(np.linalg.norm(resid)),
-        converged=converged,
     )
 
 
 def fit_rational_quadratic(xs: Sequence[float], ys: Sequence[float]) -> SeriesFit:
     """Fit ``(a + b*t) / (1 + c*t + d*t**2)``; coefficients ``[a, b, c, d]``."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if len(xs) != len(ys):
-        raise ValueError("inputs must have equal length")
-    if len(xs) < 5:
-        raise ValueError("need at least 5 points")
+    xs, ys = _as_series(xs, ys, 5)
 
     # Linearized start: a + b*t - c*t*y - d*t^2*y = y
     design = np.vstack([np.ones_like(xs), xs, -xs * ys, -(xs**2) * ys]).T
@@ -241,17 +229,7 @@ def fit_rational_quadratic(xs: Sequence[float], ys: Sequence[float]) -> SeriesFi
             [1 / den, xs / den, -num * xs / den**2, -num * xs**2 / den**2]
         ).T
 
-    params, converged = _gauss_newton(
-        residual,
-        jacobian,
-        start,
+    return _nonlinear_fit(
+        "rational_quadratic", ys, residual, jacobian, start,
         accept=lambda p: np.all(np.abs(1 + p[2] * xs + p[3] * xs**2) > 1e-12),
-    )
-    resid = residual(params)
-    return SeriesFit(
-        family="rational_quadratic",
-        coefficients=[float(v) for v in params],
-        r_squared=r_squared(ys, ys - resid),
-        residual_norm=float(np.linalg.norm(resid)),
-        converged=converged,
     )

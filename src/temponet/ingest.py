@@ -3,7 +3,9 @@
 Accepts whitespace- or comma-delimited text with three integer columns
 ``source target timestamp``; ``#``-prefixed lines are comments. Records
 need not be time-ordered. A vertex's join time is the earliest
-timestamp of any record mentioning it.
+timestamp of any record mentioning it. The grammar and the join rule are
+the ones :func:`temponet.temporal_graph.read_edge_list` applies to a
+sidecar-backed file.
 """
 
 from __future__ import annotations
@@ -11,15 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .temporal_graph import TemporalGraph
-
-
-class EdgeStreamParseError(ValueError):
-    """A line failed to parse; carries the 1-based line number."""
-
-    def __init__(self, line_no: int, line: str, reason: str):
-        super().__init__(f"line {line_no}: {reason}: {line!r}")
-        self.line_no = line_no
+from .temporal_graph import EdgeStreamParseError, TemporalGraph, _first_seen, _parse_records
 
 
 class StreamRejected(RuntimeError):
@@ -50,34 +44,15 @@ def read_edge_stream(source: Iterable[str], config: IngestConfig | None = None) 
     records keep their endpoint as a vertex even when loops themselves
     are disallowed. Raw vertex ids are remapped to dense ids in join
     order (ties broken by first appearance), which leaves conforming
-    streams unchanged. Raises :class:`StreamRejected` when fewer than
+    streams unchanged. Raises :class:`EdgeStreamParseError` naming the
+    first malformed line, and :class:`StreamRejected` when fewer than
     ``config.min_edges`` edges survive.
     """
     config = config or IngestConfig()
-    records = []
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split(",") if "," in line else line.split()
-        if len(fields) != 3:
-            raise EdgeStreamParseError(line_no, line, "expected 3 fields")
-        try:
-            u, v, t = (int(x) for x in fields)
-        except ValueError:
-            raise EdgeStreamParseError(line_no, line, "fields must be integers") from None
-        if t < 0:
-            raise EdgeStreamParseError(line_no, line, "negative timestamp")
-        records.append((u, v, t))
+    records = _parse_records(source)
     if not records:
         raise ValueError("empty edge stream")
-
-    join: dict[int, int] = {}
-    first_pos: dict[int, int] = {}
-    for pos, (u, v, t) in enumerate(records):
-        for x in (u, v):
-            join[x] = min(join.get(x, t), t)
-            first_pos.setdefault(x, pos)
+    join = _first_seen(records)
 
     edges: list[tuple[int, int, int]] = []
     stamp: dict[tuple[int, int], int] = {}
@@ -109,7 +84,6 @@ def read_edge_stream(source: Iterable[str], config: IngestConfig | None = None) 
         edges = [(u, v, t) for u, v, t in edges if u not in dropped and v not in dropped]
         for x in dropped:
             del join[x]
-            del first_pos[x]
         if not join:
             raise StreamRejected("max-degree filter removed every vertex")
 
@@ -118,7 +92,8 @@ def read_edge_stream(source: Iterable[str], config: IngestConfig | None = None) 
             f"{len(edges)} edges after filtering, below the {config.min_edges} threshold"
         )
 
-    ranked = sorted(join, key=lambda x: (join[x], first_pos[x]))
+    # stable sort over first-appearance order breaks join-time ties
+    ranked = sorted(join, key=join.__getitem__)
     remap = {raw_id: new_id for new_id, raw_id in enumerate(ranked)}
     join_times = [join[raw_id] for raw_id in ranked]
     edges = [(remap[u], remap[v], t) for u, v, t in edges]

@@ -139,22 +139,19 @@ class TemporalGraph:
         ne = bisect_right(self._edge_times_sorted, t)
         return Snapshot(self, t, nv, ne)
 
-    def snapshot_series(self, interval: int) -> list["Snapshot"]:
-        """Snapshots at ``interval, 2*interval, ...`` measured from the
-        first event, keeping a final shorter interval when the active
-        time does not divide evenly."""
+    def horizons(self, interval: int) -> list[int]:
+        """Snapshot times ``t_min + interval, t_min + 2*interval, ...``,
+        ending at ``t_end`` with a final shorter interval when the span
+        does not divide evenly; empty for an empty graph."""
         if interval <= 0:
             raise ValueError("interval must be positive")
         if self.n_vertices == 0:
             return []
-        horizons = []
-        t = self.t_min + interval
-        while t < self.t_end:
-            horizons.append(t)
-            t += interval
-        if not horizons or horizons[-1] != self.t_end:
-            horizons.append(self.t_end)
-        return [self.snapshot_at(h) for h in horizons]
+        return [*range(self.t_min + interval, self.t_end, interval), self.t_end]
+
+    def snapshot_series(self, interval: int) -> list["Snapshot"]:
+        """Snapshots at every time of :meth:`horizons`."""
+        return [self.snapshot_at(h) for h in self.horizons(interval)]
 
     def degree_at(self, v: int, t: int) -> int:
         """Number of distinct vertices linked to ``v`` by time ``t``,
@@ -210,6 +207,46 @@ class Snapshot:
 # -- serialization -----------------------------------------------------
 
 
+class EdgeStreamParseError(ValueError):
+    """A line failed to parse; carries the 1-based line number."""
+
+    def __init__(self, line_no: int, line: str, reason: str):
+        super().__init__(f"line {line_no}: {reason}: {line!r}")
+        self.line_no = line_no
+
+
+def _parse_records(lines: Iterable[str]) -> list[Edge]:
+    """The ``source target timestamp`` records of an edge list: three
+    integer fields split by commas or whitespace, timestamps
+    non-negative; blank and ``#``-prefixed lines are skipped."""
+    records = []
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split(",") if "," in line else line.split()
+        if len(fields) != 3:
+            raise EdgeStreamParseError(line_no, line, "expected 3 fields")
+        try:
+            u, v, t = (int(x) for x in fields)
+        except ValueError:
+            raise EdgeStreamParseError(line_no, line, "fields must be integers") from None
+        if t < 0:
+            raise EdgeStreamParseError(line_no, line, "negative timestamp")
+        records.append((u, v, t))
+    return records
+
+
+def _first_seen(records: Iterable[Edge]) -> dict[int, int]:
+    """A vertex joins at the earliest timestamp of any record naming it.
+    Keys are in order of first appearance, source before target."""
+    first: dict[int, int] = {}
+    for u, v, t in records:
+        first[u] = min(first.get(u, t), t)
+        first[v] = min(first.get(v, t), t)
+    return first
+
+
 def write_edge_list(graph: TemporalGraph, path) -> None:
     """Write ``source,target,timestamp`` lines plus a JSON metadata
     sidecar at ``<path>.meta.json``.
@@ -221,11 +258,8 @@ def write_edge_list(graph: TemporalGraph, path) -> None:
     """
     path = str(path)
     lines = ["# source,target,timestamp"]
-    first_seen: dict[int, int] = {}
-    for u, v, t in graph.edges:
-        lines.append(f"{u},{v},{t}")
-        first_seen[u] = min(first_seen.get(u, t), t)
-        first_seen[v] = min(first_seen.get(v, t), t)
+    lines.extend(f"{u},{v},{t}" for u, v, t in graph.edges)
+    first_seen = _first_seen(graph.edges)
     explicit = {
         str(v): jt
         for v, jt in enumerate(graph.join_times)
@@ -246,29 +280,28 @@ def write_edge_list(graph: TemporalGraph, path) -> None:
 
 
 def read_edge_list(path) -> TemporalGraph:
-    """Read a graph written by :func:`write_edge_list`."""
+    """Read a graph written by :func:`write_edge_list`.
+
+    Records follow the edge-stream grammar and keep their ids as
+    written. Raises :class:`EdgeStreamParseError` on a malformed line
+    and ``ValueError`` when the sidecar lacks a required key or an id
+    below the largest has neither a record nor an explicit join time.
+    """
     path = str(path)
     with open(path + _META_SUFFIX) as fh:
         meta = json.load(fh)
-    edges: list[Edge] = []
-    joins: dict[int, int] = {}
+    for key in ("directed", "allow_self_loops"):
+        if key not in meta:
+            raise ValueError(f"{path}{_META_SUFFIX} lacks {key!r}")
     with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split(",") if "," in line else line.split()
-            u, v, t = (int(x) for x in fields)
-            edges.append((u, v, t))
-            joins[u] = min(joins.get(u, t), t)
-            joins[v] = min(joins.get(v, t), t)
+        edges = _parse_records(fh)
+    joins = _first_seen(edges)
     for key, jt in meta.get("explicit_join_times", {}).items():
         joins[int(key)] = int(jt)
-    if joins:
-        n = max(joins) + 1
-        join_times = [joins[v] for v in range(n)]
-    else:
-        join_times = []
+    try:
+        join_times = [joins[v] for v in range(max(joins, default=-1) + 1)]
+    except KeyError as exc:
+        raise ValueError(f"vertex {exc.args[0]} has no record and no explicit join time") from None
     return TemporalGraph(
         join_times,
         edges,

@@ -17,6 +17,27 @@ def run(argv):
     return main(argv)
 
 
+# Sidecar-backed edge lists that read_edge_list must refuse.
+_META = {"directed": False, "allow_self_loops": False, "time_unit_label": ""}
+MALFORMED = {
+    "float_time": ("0,1,1.5\n", _META),
+    "two_fields": ("0,1\n", _META),
+    "negative_time": ("0,1,-4\n", _META),
+    "id_gap": ("0,5,1\n", _META),
+    "no_directed": ("0,1,1\n", {"allow_self_loops": False}),
+}
+
+
+def write_malformed(directory, name):
+    records, meta = MALFORMED[name]
+    path = os.path.join(str(directory), f"{name}.csv")
+    with open(path, "w") as fh:
+        fh.write("# source,target,timestamp\n" + records)
+    with open(path + ".meta.json", "w") as fh:
+        json.dump(meta, fh)
+    return path
+
+
 class TestGenerate:
     def test_worked_example_file(self, tmp_path, capsys):
         out = str(tmp_path / "tpa.csv")
@@ -125,6 +146,15 @@ class TestAnalyze:
     def test_unreadable_input_nonzero_exit(self, tmp_path):
         assert run(["analyze", "--in", str(tmp_path / "missing.csv"),
                     "--interval", "1", "--out", str(tmp_path / "o.csv")]) == 1
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_sidecar_file_is_a_one_line_error(self, tmp_path, capsys, name):
+        path = write_malformed(tmp_path, name)
+        assert run(["analyze", "--in", path, "--interval", "1",
+                    "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestCompare:
@@ -255,6 +285,14 @@ class TestStars:
         assert run(["stars", "--dir", d, "--k", "1", "--w", "1",
                     "--interval", "1", "--out", str(tmp_path / "s.csv")]) == 0
         assert f"notice: skipping {os.path.join(d, 'sub')}: not a regular file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_sidecar_file_is_skipped_with_notice(self, tmp_path, capsys, name):
+        d = self.make_network_dir(tmp_path, [("one", [10] * 5, 1)])
+        path = write_malformed(d, name)
+        assert run(["stars", "--dir", d, "--k", "1", "--w", "1",
+                    "--interval", "1", "--out", str(tmp_path / "s.csv")]) == 0
+        assert f"notice: skipping {path}: " in capsys.readouterr().err
 
     def test_w_exceeding_count_fails(self, tmp_path):
         d = self.make_network_dir(tmp_path, [("one", [10] * 5, 1)])

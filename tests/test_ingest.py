@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import random
 import tempfile
@@ -79,9 +80,10 @@ class TestReadEdgeStream:
 
     def test_sparse_ids_are_remapped_in_join_order(self):
         g = read_edge_stream(stream("17 99 10\n5 17 4\n"))
-        # joins: 5 -> 4, 17 -> 4, 99 -> 10; dense ids follow join order
+        # joins: 5 -> 4, 17 -> 4, 99 -> 10; dense ids follow join order,
+        # and 17 precedes 5 because it appears first
         assert list(g.join_times) == [4, 4, 10]
-        assert g.n_edges == 2
+        assert g.edges == ((0, 2, 10), (1, 0, 4))
 
     def test_directed_keeps_opposite_arcs(self):
         cfg = IngestConfig(directed=True)
@@ -100,6 +102,32 @@ class TestReadEdgeStream:
             path = os.path.join(tmp, "g.csv")
             write_edge_list(g, path)
             assert read_edge_list(path).time_unit == "weeks"
+
+
+class TestReadEdgeList:
+    META = {"directed": False, "allow_self_loops": False, "time_unit_label": ""}
+
+    def write(self, tmp_path, records, meta=META):
+        path = tmp_path / "g.csv"
+        path.write_text("# source,target,timestamp\n" + records)
+        (tmp_path / "g.csv.meta.json").write_text(json.dumps(meta))
+        return str(path)
+
+    @pytest.mark.parametrize("bad", ["0,1,1.5", "0,1", "0,1,-4"])
+    def test_parse_error_carries_line_number(self, tmp_path, bad):
+        path = self.write(tmp_path, f"0,1,1\n\n{bad}\n")
+        with pytest.raises(EdgeStreamParseError) as err:
+            read_edge_list(path)
+        assert err.value.line_no == 4
+
+    def test_id_gap_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="vertex 1 has no record"):
+            read_edge_list(self.write(tmp_path, "0,5,1\n"))
+
+    def test_sidecar_without_directed_is_rejected(self, tmp_path):
+        meta = {"allow_self_loops": False}
+        with pytest.raises(ValueError, match="'directed'"):
+            read_edge_list(self.write(tmp_path, "0,1,1\n", meta))
 
 
 class TestNormalizeTimes:

@@ -70,24 +70,30 @@ class TestSnapshots:
     def test_series_even_division(self):
         g = TemporalGraph([0, 12], [])
         assert [s.horizon for s in g.snapshot_series(4)] == [4, 8, 12]
+        assert g.horizons(4) == [4, 8, 12]
 
     def test_series_final_partial_interval(self):
         g = TemporalGraph([0, 10], [])
         assert [s.horizon for s in g.snapshot_series(4)] == [4, 8, 10]
+        assert g.horizons(4) == [4, 8, 10]
 
     def test_series_single_short_interval(self):
         g = TemporalGraph([0, 3], [])
         assert [s.horizon for s in g.snapshot_series(4)] == [3]
+        assert g.horizons(4) == [3]
 
     def test_series_rejects_zero_interval(self):
         g = TemporalGraph([0, 3], [])
         with pytest.raises(ValueError):
             g.snapshot_series(0)
+        with pytest.raises(ValueError):
+            g.horizons(0)
 
     def test_series_covers_late_edges(self):
         # edge created after the last vertex joined still lands in the series
         g = TemporalGraph([0, 2], [(0, 1, 9)])
         assert [s.horizon for s in g.snapshot_series(4)] == [4, 8, 9]
+        assert g.horizons(4) == [4, 8, 9]
 
 
 class TestDegree:
@@ -132,15 +138,20 @@ class TestDegree:
 def temporal_graphs(draw):
     n = draw(st.integers(min_value=0, max_value=7))
     joins = sorted(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)))
+    directed = draw(st.booleans())
+    loops = draw(st.booleans())
+    # a vertex with a lag, or with no edge, joins before its first record
+    # shows it, so the writer must keep its join time in the sidecar
+    lags = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     edges = []
     for u in range(n):
-        for v in range(u, n):
-            if u == v:
+        for v in range(n) if directed else range(u, n):
+            if u == v and not loops:
                 continue
             if draw(st.booleans()):
                 offset = draw(st.integers(0, 4))
-                edges.append((u, v, max(joins[u], joins[v]) + offset))
-    return TemporalGraph(joins, edges)
+                edges.append((u, v, max(joins[u] + lags[u], joins[v] + lags[v]) + offset))
+    return TemporalGraph(joins, edges, directed=directed, allow_self_loops=loops)
 
 
 class TestProperties:
@@ -162,6 +173,7 @@ class TestProperties:
             path = os.path.join(tmp, "graph.csv")
             write_edge_list(g, path)
             back = read_edge_list(path)
+        assert (back.directed, back.allow_self_loops) == (g.directed, g.allow_self_loops)
         assert back.join_times == g.join_times
         assert back.edges == g.edges
         for t in range(0, 12):
