@@ -170,6 +170,7 @@ def tpa_generate(params: TpaParams) -> TemporalGraph:
     exhausted the retry limit is reported in ``info["skipped_edges"]``.
     """
     rng = random.Random(params.seed)
+    random_, randrange = rng.random, rng.randrange  # bound once: hot loop
     m = params.m
     join_times: list[int] = []
     adjacency: list[set[int]] = []
@@ -198,23 +199,25 @@ def tpa_generate(params: TpaParams) -> TemporalGraph:
         if total <= 0:
             raise ValueError("degenerate distribution: all group weights are zero")
 
+        own_bag = bags[i]
         for v in ids:
+            linked = adjacency[v]
             for _ in range(m):
-                r = bisect(cum_weights, rng.random() * total)
+                r = bisect(cum_weights, random_() * total)
                 bag = bags[r]
                 if group_sizes[r] == 1 and r == i:
                     # own group holds nobody but v itself
                     skipped += 1
                     continue
                 for _attempt in range(params.retry_limit):
-                    u = bag[rng.randrange(len(bag))]
-                    if u == v or u in adjacency[v]:
+                    u = bag[randrange(len(bag))]
+                    if u == v or u in linked:
                         continue
-                    adjacency[v].add(u)
+                    linked.add(u)
                     adjacency[u].add(v)
                     edges.append((v, u, i))
-                    bags[r].append(u)
-                    bags[i].append(v)
+                    bag.append(u)
+                    own_bag.append(v)
                     break
                 else:
                     skipped += 1

@@ -54,36 +54,39 @@ class TemporalGraph:
         self.directed = bool(directed)
         self.allow_self_loops = bool(allow_self_loops)
         self.time_unit = time_unit
-        self.join_times = tuple(int(t) for t in join_times)
-        self.edges = tuple((int(u), int(v), int(t)) for u, v, t in edges)
+        self.join_times = tuple(map(int, join_times))
+        self.edges = tuple([(int(u), int(v), int(t)) for u, v, t in edges])
         self.info = dict(info) if info else {}
         self._validate(simple)
         # Edges sorted by creation time; a snapshot's edge set is a prefix.
         self._edges_by_time = tuple(sorted(self.edges, key=lambda e: e[2]))
-        self._edge_times_sorted = tuple(e[2] for e in self._edges_by_time)
+        self._edge_times_sorted = tuple([e[2] for e in self._edges_by_time])
         self._first_link_times = self._index_first_links()
 
     def _validate(self, simple: bool) -> None:
-        n = len(self.join_times)
-        prev = None
-        for t in self.join_times:
+        # The first fault in input order is reported; attributes are
+        # bound once, as this loop runs for every edge of every graph.
+        joins, directed, loops_ok = self.join_times, self.directed, self.allow_self_loops
+        n = len(joins)
+        prev = 0
+        for t in joins:
             if t < 0:
                 raise ValueError("join times must be non-negative")
-            if prev is not None and t < prev:
+            if t < prev:
                 raise ValueError("vertex ids must be assigned in join order")
             prev = t
         seen: set[tuple[int, int]] = set()
         for u, v, t in self.edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) references unknown vertex")
-            if self.join_times[u] > t or self.join_times[v] > t:
+            if joins[u] > t or joins[v] > t:
                 raise ValueError(
                     f"edge ({u}, {v}) created at {t} before an endpoint joined"
                 )
-            if u == v and not self.allow_self_loops:
+            if u == v and not loops_ok:
                 raise ValueError("self-loops are not allowed in this graph")
             if simple:
-                key = (u, v) if self.directed else (min(u, v), max(u, v))
+                key = (u, v) if directed or u <= v else (v, u)
                 if key in seen:
                     raise ValueError(f"duplicate edge ({u}, {v}) in simple graph")
                 seen.add(key)
@@ -91,14 +94,16 @@ class TemporalGraph:
     def _index_first_links(self) -> tuple[tuple[int, ...], ...]:
         # For each vertex, the sorted times of first contact with each
         # distinct neighbour; degree_at is then a bisect. A self-loop
-        # contributes the vertex itself once.
+        # contributes the vertex itself once. Edges come in time order,
+        # so each dict's values are already sorted.
         firsts: list[dict[int, int]] = [dict() for _ in self.join_times]
         for u, v, t in self._edges_by_time:
-            if v not in firsts[u]:
-                firsts[u][v] = t
-            if u not in firsts[v]:
-                firsts[v][u] = t
-        return tuple(tuple(sorted(d.values())) for d in firsts)
+            fu, fv = firsts[u], firsts[v]
+            if v not in fu:
+                fu[v] = t
+            if u not in fv:
+                fv[u] = t
+        return tuple([tuple(d.values()) for d in firsts])
 
     # -- basic facts ---------------------------------------------------
 
@@ -254,9 +259,14 @@ def write_edge_list(graph: TemporalGraph, path) -> None:
     Join times that cannot be recovered from the edge records (isolated
     vertices, or vertices that joined before their first edge) are kept
     in the sidecar so that reading the files back reproduces identical
-    snapshots at every horizon.
+    snapshots at every horizon. A graph with a repeated pair is marked
+    ``"simple": false`` so that it reads back as a multigraph.
     """
     path = str(path)
+    # the pair set is dropped before the lines are built
+    repeats = len(
+        {(u, v) if graph.directed or u <= v else (v, u) for u, v, _ in graph.edges}
+    ) < graph.n_edges
     lines = ["# source,target,timestamp"]
     lines.extend(f"{u},{v},{t}" for u, v, t in graph.edges)
     first_seen = _first_seen(graph.edges)
@@ -272,6 +282,8 @@ def write_edge_list(graph: TemporalGraph, path) -> None:
     }
     if explicit:
         meta["explicit_join_times"] = explicit
+    if repeats:
+        meta["simple"] = False
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     with open(path + _META_SUFFIX, "w") as fh:
@@ -284,20 +296,36 @@ def read_edge_list(path) -> TemporalGraph:
 
     Records follow the edge-stream grammar and keep their ids as
     written. Raises :class:`EdgeStreamParseError` on a malformed line
-    and ``ValueError`` when the sidecar lacks a required key or an id
-    below the largest has neither a record nor an explicit join time.
+    and ``ValueError`` when the sidecar lacks a required key, holds a
+    value of the wrong type, or an id below the largest has neither a
+    record nor an explicit join time.
     """
     path = str(path)
-    with open(path + _META_SUFFIX) as fh:
+    sidecar = path + _META_SUFFIX
+    with open(sidecar) as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{sidecar} is not a JSON object")
     for key in ("directed", "allow_self_loops"):
         if key not in meta:
-            raise ValueError(f"{path}{_META_SUFFIX} lacks {key!r}")
+            raise ValueError(f"{sidecar} lacks {key!r}")
+    for key in ("directed", "allow_self_loops", "simple"):
+        if not isinstance(meta.get(key, True), bool):
+            raise ValueError(f"{sidecar}: {key!r} must be true or false")
+    explicit = meta.get("explicit_join_times", {})
+    if not isinstance(explicit, dict):
+        raise ValueError(f"{sidecar}: 'explicit_join_times' must be an object")
+    for key, jt in explicit.items():
+        if not (key.isascii() and key.isdigit()) or type(jt) is not int or jt < 0:
+            raise ValueError(
+                f"{sidecar}: explicit_join_times entry {key!r}: {jt!r} is not"
+                " a vertex id with a non-negative integer join time"
+            )
     with open(path) as fh:
         edges = _parse_records(fh)
     joins = _first_seen(edges)
-    for key, jt in meta.get("explicit_join_times", {}).items():
-        joins[int(key)] = int(jt)
+    for key, jt in explicit.items():
+        joins[int(key)] = jt
     try:
         join_times = [joins[v] for v in range(max(joins, default=-1) + 1)]
     except KeyError as exc:
@@ -307,5 +335,6 @@ def read_edge_list(path) -> TemporalGraph:
         edges,
         directed=meta["directed"],
         allow_self_loops=meta["allow_self_loops"],
+        simple=meta.get("simple", True),
         time_unit=meta.get("time_unit_label", ""),
     )

@@ -2,12 +2,14 @@
 
 Everything here is written for clarity over speed and stays deliberately
 separate from the library code paths it checks: plain loops over edge
-lists, Floyd-Warshall distances, full sorts. Inputs are primitive lists
-so the oracles cannot accidentally reuse library indexing.
+lists, Floyd-Warshall and queue-based BFS distances, full sorts. Inputs
+are primitive lists so the oracles cannot accidentally reuse library
+indexing.
 """
 
 import itertools
 import math
+from collections import deque
 
 
 def degree_brute(edges, v, t):
@@ -85,6 +87,42 @@ def avg_sp_brute(n, edges):
     members = sorted(comp)
     values = [dist[i][j] for i, j in itertools.combinations(members, 2)]
     return sum(values) / len(values)
+
+
+def avg_sp_bfs(n, edges):
+    """Mean BFS distance over the largest component, the one holding
+    the smallest id on a tie; one queue BFS per source, so it reaches
+    sizes where Floyd-Warshall is too slow."""
+    if n < 2:
+        return None
+    neighbours = [[] for _ in range(n)]
+    for a, b in undirected_simple(edges):
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+
+    def distances(source):
+        dist = {source: 0}
+        queue = deque([source])
+        while queue:
+            v = queue.popleft()
+            for w in neighbours[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        return dist
+
+    best, seen = {}, set()
+    for v in range(n):
+        if v in seen:
+            continue
+        comp = distances(v)
+        seen.update(comp)
+        if len(comp) > len(best):  # strict: an equal later one loses
+            best = comp
+    if len(best) < 2:
+        return None
+    total = sum(sum(distances(s).values()) for s in best)
+    return total / (len(best) * (len(best) - 1))
 
 
 def k_stars_brute(joins, edges, t, k):

@@ -25,6 +25,18 @@ MALFORMED = {
     "negative_time": ("0,1,-4\n", _META),
     "id_gap": ("0,5,1\n", _META),
     "no_directed": ("0,1,1\n", {"allow_self_loops": False}),
+    "directed_string": ("0,1,1\n", {**_META, "directed": "false"}),
+    "loops_null": ("0,1,1\n", {**_META, "allow_self_loops": None}),
+    "simple_string": ("0,1,1\n", {**_META, "simple": "no"}),
+    "join_null": ("0,1,1\n", {**_META, "explicit_join_times": {"0": None}}),
+    "join_string": ("0,1,1\n", {**_META, "explicit_join_times": {"0": "0"}}),
+    "join_list": ("0,1,1\n", {**_META, "explicit_join_times": {"0": [0]}}),
+    "join_bool": ("0,1,1\n", {**_META, "explicit_join_times": {"0": True}}),
+    "join_negative": ("0,1,1\n", {**_META, "explicit_join_times": {"0": -1}}),
+    "join_key_negative": ("0,1,1\n", {**_META, "explicit_join_times": {"-1": 0}}),
+    "join_key_not_id": ("0,1,1\n", {**_META, "explicit_join_times": {"a": 0}}),
+    "joins_not_object": ("0,1,1\n", {**_META, "explicit_join_times": [0]}),
+    "sidecar_not_object": ("0,1,1\n", [_META]),
 }
 
 

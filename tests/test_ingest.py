@@ -165,20 +165,26 @@ class TestFixedPoint:
                     v = rng.randrange(n)
                     lines.append(f"{u} {v} {rng.randint(0, 30)}")
                 text = "\n".join(lines) + "\n"
-                cfg = IngestConfig(allow_self_loops=True)
-                try:
-                    g1 = read_edge_stream(stream(text), cfg)
-                except ValueError:
-                    continue
-                p1 = os.path.join(tmp, f"a{case}.csv")
-                p2 = os.path.join(tmp, f"b{case}.csv")
-                write_edge_list(g1, p1)
-                g2 = read_edge_list(p1)
-                write_edge_list(g2, p2)
-                with open(p1, "rb") as fa, open(p2, "rb") as fb:
-                    assert fa.read() == fb.read()
-                with open(p1 + ".meta.json", "rb") as fa, open(p2 + ".meta.json", "rb") as fb:
-                    assert fa.read() == fb.read()
+                for dedupe in (True, False):
+                    cfg = IngestConfig(allow_self_loops=True, dedupe=dedupe)
+                    try:
+                        g1 = read_edge_stream(stream(text), cfg)
+                    except ValueError:
+                        continue
+                    p1 = os.path.join(tmp, f"a{case}{dedupe}.csv")
+                    p2 = os.path.join(tmp, f"b{case}{dedupe}.csv")
+                    write_edge_list(g1, p1)
+                    g2 = read_edge_list(p1)
+                    write_edge_list(g2, p2)
+                    with open(p1, "rb") as fa, open(p2, "rb") as fb:
+                        assert fa.read() == fb.read()
+                    with open(p1 + ".meta.json", "rb") as fa, open(p2 + ".meta.json", "rb") as fb:
+                        meta = fa.read()
+                        assert meta == fb.read()
+                    # only a graph with a repeated pair is marked, so the
+                    # sidecars of simple graphs stay as they were
+                    pairs = {(min(u, v), max(u, v)) for u, v, _ in g1.edges}
+                    assert (b'"simple":false' in meta) == (len(pairs) < g1.n_edges)
 
     def test_snapshot_counts_match_replay_oracle(self):
         rng = random.Random(33)

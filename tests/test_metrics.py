@@ -23,6 +23,7 @@ from temponet import (
 )
 
 from oracles import (
+    avg_sp_bfs,
     avg_sp_brute,
     clustering_brute,
     density_brute,
@@ -101,10 +102,44 @@ class TestShortestPath:
             s = g.snapshot_at(g.t_end)
             mine = avg_shortest_path(s)
             ref = avg_sp_brute(g.n_vertices, list(g.edges))
-            if ref is None:
-                assert mine is None
-            else:
-                assert mine == pytest.approx(ref, abs=1e-9)
+            assert mine == ref
+            assert avg_sp_bfs(g.n_vertices, list(g.edges)) == ref
+
+    # 64 sources share a word and 512 a block: sizes either side of both
+    @pytest.mark.parametrize("n", [63, 64, 65, 511, 512, 513])
+    @pytest.mark.parametrize("shape", ["path", "star", "random"])
+    def test_matches_bfs_oracle_at_word_and_block_boundaries(self, n, shape):
+        rng = random.Random(n)
+        if shape == "path":
+            pairs = [(v - 1, v) for v in range(1, n)]
+        elif shape == "star":
+            pairs = [(0, v) for v in range(1, n)]
+        else:  # a random tree, so every vertex is in the giant, plus chords
+            pairs = [(rng.randrange(v), v) for v in range(1, n)]
+            pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(n // 4)]
+        edges = [(u, v, 0) for u, v in pairs]
+        g = TemporalGraph([0] * n, edges, simple=False, allow_self_loops=True)
+        assert avg_shortest_path(g.snapshot_at(0)) == avg_sp_bfs(n, edges)
+
+    def test_matches_bfs_oracle_on_random_multi_component_graphs(self):
+        rng = random.Random(5)
+        for n in (40, 130, 600):
+            for _ in range(3):
+                edges = [(rng.randrange(n), rng.randrange(n), 0) for _ in range(n)]
+                g = TemporalGraph([0] * n, edges, simple=False, allow_self_loops=True)
+                assert avg_shortest_path(g.snapshot_at(0)) == avg_sp_bfs(n, edges)
+
+    @pytest.mark.parametrize("path_first", [True, False])
+    def test_equal_largest_components_smaller_id_wins(self, path_first):
+        # a 4-vertex path (mean 5/3) and a 4-vertex star (mean 3/2) on
+        # interleaved ids; the component holding vertex 0 is measured
+        evens, odds = [0, 2, 4, 6], [1, 3, 5, 7]
+        path_ids, star_ids = (evens, odds) if path_first else (odds, evens)
+        edges = [(a, b, 0) for a, b in zip(path_ids, path_ids[1:])]
+        edges += [(star_ids[0], v, 0) for v in star_ids[1:]]
+        expected = 5 / 3 if path_first else 3 / 2
+        assert avg_shortest_path(snap([0] * 8, edges)) == expected
+        assert avg_sp_bfs(8, edges) == expected
 
 
 class TestKStars:

@@ -43,6 +43,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="join order"):
             TemporalGraph([3, 1], [])
 
+    def test_first_fault_in_input_order_wins(self):
+        # joins are checked position by position, edges one at a time
+        with pytest.raises(ValueError, match="join order"):
+            TemporalGraph([5, 3, -1], [])
+        with pytest.raises(ValueError, match="duplicate"):
+            TemporalGraph([0, 0], [(0, 1, 0), (0, 1, 0), (0, 5, 0)])
+
 
 class TestSnapshots:
     def test_empty_graph(self):
@@ -151,7 +158,12 @@ def temporal_graphs(draw):
             if draw(st.booleans()):
                 offset = draw(st.integers(0, 4))
                 edges.append((u, v, max(joins[u] + lags[u], joins[v] + lags[v]) + offset))
-    return TemporalGraph(joins, edges, directed=directed, allow_self_loops=loops)
+    # a multigraph repeats some pairs later, undirected ones reversed
+    simple = draw(st.booleans()) or not edges
+    if not simple:
+        for u, v, t in draw(st.lists(st.sampled_from(edges), max_size=3)):
+            edges.append((u, v, t + 1) if directed else (v, u, t + 1))
+    return TemporalGraph(joins, edges, directed=directed, allow_self_loops=loops, simple=simple)
 
 
 class TestProperties:
