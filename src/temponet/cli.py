@@ -100,11 +100,7 @@ def cmd_generate(args) -> int:
         print("error: tpa needs --m, --schedule and --f", file=sys.stderr)
         return 2
 
-    try:
-        graph = _generate_graph(model, merged)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    graph = _generate_graph(model, merged)
     write_edge_list(graph, args.out)
 
     params = {k: v for k, v in merged.items() if k not in ("seed", "f")}
@@ -193,11 +189,12 @@ def _setting_features(setting: dict, seed: int, interval: int) -> dict:
 
 
 def cmd_compare(args) -> int:
+    if args.repeats <= 0:
+        raise ValueError("repeats must be positive")
     with open(args.settings) as fh:
         settings = json.load(fh)
-    if not isinstance(settings, list) or not settings:
-        print("error: settings file must hold a non-empty JSON list", file=sys.stderr)
-        return 1
+    if not (isinstance(settings, list) and settings and all(isinstance(s, dict) for s in settings)):
+        raise ValueError("settings file must hold a non-empty JSON list of objects")
     rows = []
     for idx, setting in enumerate(settings):
         label = setting.get("label", f"setting_{idx}")
@@ -265,7 +262,7 @@ def cmd_stars(args) -> int:
         if args.w > len(members):
             print(f"error: w={args.w} exceeds {label} class size {len(members)}", file=sys.stderr)
             return 1
-        collection = NetworkCollection.from_graphs(members, args.interval, args.threshold)
+        collection = NetworkCollection.from_graphs(members, args.interval)
         cap = w_max_time(collection, args.w)
         horizons = list(range(args.interval, cap + 1, args.interval))
         if not horizons:
@@ -346,7 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, KeyError, OverflowError, StreamRejected) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

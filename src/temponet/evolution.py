@@ -106,16 +106,13 @@ def join_time_diff_prob(g: TemporalGraph, bin_width: int = 1) -> list[tuple[int,
         pairs[0] += c1 * (c1 - 1) // 2
         for t2 in times[i + 1 :]:
             pairs[(t2 - t1) // bin_width] += c1 * counts[t2]
-    connected: Counter = Counter()
-    seen: set[tuple[int, int]] = set()
-    for u, v, _ in g.edges:
-        if u == v:
-            continue
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            continue
-        seen.add(key)
-        connected[abs(g.join_times[u] - g.join_times[v]) // bin_width] += 1
+    # each connected pair is the one first-link event with v < w
+    _, v, w = g.first_links()
+    pair = v < w
+    joins = g.join_times
+    connected = Counter(
+        abs(joins[a] - joins[b]) // bin_width for a, b in zip(v[pair].tolist(), w[pair].tolist())
+    )
     return [
         (b * bin_width, connected.get(b, 0) / p)
         for b, p in sorted(pairs.items())
@@ -166,12 +163,9 @@ class NetworkCollection:
     """
 
     networks: list[tuple[TemporalGraph, list[int]]]
-    vibrancy_threshold: float = 0.5
 
     @classmethod
-    def from_graphs(
-        cls, graphs: Sequence[TemporalGraph], interval: int, vibrancy_threshold: float = 0.5
-    ) -> "NetworkCollection":
+    def from_graphs(cls, graphs: Sequence[TemporalGraph], interval: int) -> "NetworkCollection":
         """Build aligned horizon series ``interval, 2*interval, ...`` up
         to each network's own active time."""
         if interval <= 0:
@@ -180,7 +174,7 @@ class NetworkCollection:
         for g in graphs:
             horizons = list(range(interval, g.active_time + 1, interval))
             entries.append((g, horizons))
-        return cls(entries, vibrancy_threshold)
+        return cls(entries)
 
     def __len__(self) -> int:
         return len(self.networks)

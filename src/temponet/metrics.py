@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,16 +44,15 @@ class FeatureVector:
 
 def _undirected_simple_csr(s: Snapshot) -> sp.csr_matrix:
     """Boolean adjacency of the snapshot's undirected projection with
-    self-loops dropped and parallel edges collapsed."""
+    self-loops dropped and parallel edges collapsed: the first-link
+    events up to the horizon, one per ordered pair, minus the loops. An
+    edge never precedes its endpoints' join, so every id is below
+    ``s.n_vertices``."""
     n = s.n_vertices
-    pairs = {(u, v) if u < v else (v, u) for u, v, _ in s.edges() if u != v}
-    if not pairs or n == 0:
-        return sp.csr_matrix((n, n), dtype=bool)
-    arr = np.array(sorted(pairs), dtype=np.int64)
-    rows = np.concatenate([arr[:, 0], arr[:, 1]])
-    cols = np.concatenate([arr[:, 1], arr[:, 0]])
-    data = np.ones(len(rows), dtype=bool)
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    _, v, w = s.parent.first_links(s.horizon)
+    link = v != w
+    data = np.ones(int(np.count_nonzero(link)), dtype=bool)
+    return sp.csr_matrix((data, (v[link], w[link])), shape=(n, n))
 
 
 def density(s: Snapshot) -> float | None:
@@ -172,15 +170,9 @@ def k_stars_vector(g: TemporalGraph, horizons: Sequence[int], k: int) -> list[in
             raise ValueError("horizons must be strictly increasing")
         prev = t
     # One sweep over first-link events in time order: the degree of v at
-    # t counts v's events at or before t. Built per call, not kept on the
-    # graph, so the arrays live only while the vector is computed.
-    firsts = g._first_link_times
-    n = len(firsts)
-    sizes = np.fromiter(map(len, firsts), dtype=np.int64, count=n)
-    ev_t = np.fromiter(chain.from_iterable(firsts), dtype=np.int64, count=int(sizes.sum()))
-    order = np.argsort(ev_t, kind="stable")
-    ev_t = ev_t[order]
-    ev_v = np.repeat(np.arange(n), sizes)[order]
+    # t counts v's events at or before t.
+    ev_t, ev_v, _ = g.first_links()
+    n = g.n_vertices
     points = np.array([0, *horizons], dtype=np.int64)
     ends = np.searchsorted(ev_t, points, side="right").tolist()
     present = np.searchsorted(np.array(g.join_times, dtype=np.int64), points, side="right").tolist()

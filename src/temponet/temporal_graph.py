@@ -13,6 +13,8 @@ import json
 from bisect import bisect_right
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 Edge = tuple[int, int, int]  # (source, target, created)
 
 _META_SUFFIX = ".meta.json"
@@ -37,7 +39,7 @@ class TemporalGraph:
         "info",
         "_edges_by_time",
         "_edge_times_sorted",
-        "_first_link_times",
+        "_first_links",
     )
 
     def __init__(
@@ -61,7 +63,7 @@ class TemporalGraph:
         # Edges sorted by creation time; a snapshot's edge set is a prefix.
         self._edges_by_time = tuple(sorted(self.edges, key=lambda e: e[2]))
         self._edge_times_sorted = tuple([e[2] for e in self._edges_by_time])
-        self._first_link_times = self._index_first_links()
+        self._first_links = None  # filled by first_links; a rebuild gives equal arrays
 
     def _validate(self, simple: bool) -> None:
         # The first fault in input order is reported; attributes are
@@ -90,20 +92,6 @@ class TemporalGraph:
                 if key in seen:
                     raise ValueError(f"duplicate edge ({u}, {v}) in simple graph")
                 seen.add(key)
-
-    def _index_first_links(self) -> tuple[tuple[int, ...], ...]:
-        # For each vertex, the sorted times of first contact with each
-        # distinct neighbour; degree_at is then a bisect. A self-loop
-        # contributes the vertex itself once. Edges come in time order,
-        # so each dict's values are already sorted.
-        firsts: list[dict[int, int]] = [dict() for _ in self.join_times]
-        for u, v, t in self._edges_by_time:
-            fu, fv = firsts[u], firsts[v]
-            if v not in fu:
-                fu[v] = t
-            if u not in fv:
-                fv[u] = t
-        return tuple([tuple(d.values()) for d in firsts])
 
     # -- basic facts ---------------------------------------------------
 
@@ -158,16 +146,45 @@ class TemporalGraph:
         """Snapshots at every time of :meth:`horizons`."""
         return [self.snapshot_at(h) for h in self.horizons(interval)]
 
+    def first_links(self, t: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """First-link events up to time ``t`` (all of them when ``None``)
+        as arrays ``(times, v, w)``, sorted by time: vertex ``v[i]`` first
+        touched its distinct neighbour ``w[i]`` at ``times[i]``, by an edge
+        in either direction. A pair of distinct vertices gives two events
+        at the same time, one per endpoint; a self-loop gives one. Every
+        snapshot's undirected simple projection is thus a prefix.
+
+        ``times`` is int64 and ``v``, ``w`` are int32. The index is built
+        on first use, so a graph whose raw timestamps do not fit in 64
+        bits can still be normalized; indexing it raises ``OverflowError``.
+        """
+        if self._first_links is None:
+            e = np.array(self._edges_by_time, dtype=np.int64).reshape(-1, 3)
+            lo, hi = e[:, :2].min(axis=1), e[:, :2].max(axis=1)
+            # the earliest record of each unordered pair, in time order
+            first = np.sort(np.unique(lo * self.n_vertices + hi, return_index=True)[1])
+            u, v, times = e[first].T
+            keep = np.repeat(u != v, 2)
+            keep[::2] = True  # a self-loop is one event
+            self._first_links = (
+                np.repeat(times, 2)[keep],
+                np.column_stack([u, v]).ravel()[keep].astype(np.int32),
+                np.column_stack([v, u]).ravel()[keep].astype(np.int32),
+            )
+        times, v, w = self._first_links
+        end = len(times) if t is None else int(np.searchsorted(times, t, side="right"))
+        return times[:end], v[:end], w[:end]
+
     def degree_at(self, v: int, t: int) -> int:
         """Number of distinct vertices linked to ``v`` by time ``t``,
         counting both edge directions; a self-loop contributes 1."""
         if not (0 <= v < self.n_vertices):
             raise KeyError(f"unknown vertex {v}")
-        return bisect_right(self._first_link_times[v], t)
+        return int(np.count_nonzero(self.first_links(t)[1] == v))
 
     def degrees_at(self, t: int) -> list[int]:
         """Degree of every vertex at time ``t`` (0 for not-yet-joined)."""
-        return [bisect_right(first, t) for first in self._first_link_times]
+        return np.bincount(self.first_links(t)[1], minlength=self.n_vertices).tolist()
 
     def __repr__(self) -> str:  # pragma: no cover
         kind = "directed" if self.directed else "undirected"
@@ -191,16 +208,8 @@ class Snapshot:
     def directed(self) -> bool:
         return self.parent.directed
 
-    def vertices(self) -> range:
-        return range(self.n_vertices)
-
     def edges(self) -> Iterator[Edge]:
         return iter(self.parent._edges_by_time[: self.n_edges])
-
-    def degree(self, v: int) -> int:
-        if not (0 <= v < self.n_vertices):
-            raise KeyError(f"vertex {v} not present at horizon {self.horizon}")
-        return self.parent.degree_at(v, self.horizon)
 
     def degrees(self) -> list[int]:
         return self.parent.degrees_at(self.horizon)[: self.n_vertices]

@@ -25,6 +25,19 @@ def degree_brute(edges, v, t):
     return len(neighbours)
 
 
+def first_links_brute(edges, t):
+    """Sorted ``(time, v, w)``: v first touched its distinct neighbour w
+    at time, by an edge in either direction created by t; a self-loop
+    gives one event."""
+    first = {}
+    for a, b, created in edges:
+        if created > t:
+            continue
+        for key in {(a, b), (b, a)}:
+            first[key] = min(first.get(key, created), created)
+    return sorted((created, v, w) for (v, w), created in first.items())
+
+
 def density_brute(n, edges, directed):
     if n < 2:
         return None

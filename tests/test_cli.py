@@ -40,6 +40,32 @@ MALFORMED = {
 }
 
 
+def path_stream(offset):
+    """A 30-record path whose timestamps count up from ``offset``."""
+    return "".join(f"{i} {i + 1} {offset + i}\n" for i in range(30))
+
+
+GRAPH = "0 1 0\n1 2 1\n0 2 2\n"
+ANALYZE = "analyze --in {d}/g.txt --out {d}/o.csv --interval "
+# Invocations that must end in one `error:` line and exit 1: the files
+# to write into a fresh directory {d}, then the arguments.
+ONE_LINE_ERRORS = {
+    "analyze_interval_zero": ({"g.txt": GRAPH}, ANALYZE + "0"),
+    "analyze_k_zero": ({"g.txt": GRAPH}, ANALYZE + "1 --k 0"),
+    "analyze_out_in_missing_dir": ({"g.txt": GRAPH},
+                                   "analyze --in {d}/g.txt --out {d}/no/o.csv --interval 1"),
+    "analyze_time_past_int64": ({"g.txt": "0 1 5\n1 2 18446744073709551616\n"}, ANALYZE + "1"),
+    "analyze_offset_past_int64": ({"g.txt": path_stream(2**64)}, ANALYZE + "1"),
+    "compare_missing_settings": ({}, "compare --settings {d}/s.json --out {d}/o.csv"),
+    "compare_repeats_zero": ({"s.json": '[{"model": "ba", "m": 2, "n": 20}]'},
+                             "compare --settings {d}/s.json --repeats 0 --out {d}/o.csv"),
+    "compare_setting_not_object": ({"s.json": "[1]"}, "compare --settings {d}/s.json --out {d}/o.csv"),
+    "generate_missing_config": ({}, "generate --model ba --config {d}/c.json --out {d}/o.csv"),
+    "generate_unknown_model": ({}, "generate --model xx --n 10 --out {d}/o.csv"),
+    "stars_missing_dir": ({}, "stars --dir {d}/nets --k 1 --w 1 --interval 1 --out {d}/o.csv"),
+}
+
+
 def write_malformed(directory, name):
     records, meta = MALFORMED[name]
     path = os.path.join(str(directory), f"{name}.csv")
@@ -48,6 +74,17 @@ def write_malformed(directory, name):
     with open(path + ".meta.json", "w") as fh:
         json.dump(meta, fh)
     return path
+
+
+@pytest.mark.parametrize("name", sorted(ONE_LINE_ERRORS))
+def test_failure_is_a_one_line_error(tmp_path, capsys, name):
+    files, argv = ONE_LINE_ERRORS[name]
+    for file_name, text in files.items():
+        (tmp_path / file_name).write_text(text)
+    assert run([arg.format(d=tmp_path) for arg in argv.split()]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestGenerate:
@@ -324,6 +361,19 @@ class TestStars:
             rows = list(csv.DictReader(fh))
         assert [int(r["t"]) for r in rows] == [2, 4, 6]
         assert sum(int(r["total"]) for r in rows) > 0
+
+    def test_timestamps_past_int64_are_normalized(self, tmp_path):
+        # analyze refuses this stream; zero-basing brings it into range
+        rows = []
+        for name, offset in (("huge", 2**64), ("plain", 0)):
+            d = tmp_path / name
+            d.mkdir()
+            (d / "raw.txt").write_text(path_stream(offset))
+            out = str(tmp_path / f"{name}.csv")
+            assert run(["stars", "--dir", str(d), "--k", "2", "--w", "1",
+                        "--interval", "1", "--out", out]) == 0
+            rows.append(read_bytes(out))
+        assert rows[0] == rows[1] and rows[0].count(b"\n") == 30
 
     def test_slow_class_front_loads_emergence(self, tmp_path):
         # polynomial growth is fast (vibrancy 0.73), its reversal slow (0.27);

@@ -303,4 +303,4 @@ class TestCollections:
 
     def test_empty_collection_rejected(self):
         with pytest.raises(ValueError):
-            stars_aggregate(NetworkCollection([], 0.5), 1, 1, [1])
+            stars_aggregate(NetworkCollection([]), 1, 1, [1])

@@ -4,7 +4,9 @@ import os
 import random
 import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from temponet import (
     EdgeStreamParseError,
@@ -212,3 +214,37 @@ class TestFixedPoint:
             s = g.snapshot_at(horizon)
             assert s.n_vertices == expected_v
             assert s.n_edges == expected_e
+
+
+@st.composite
+def raw_streams(draw):
+    """Unsorted records over sparse raw ids, with self-loops and pairs
+    repeated at other times (reversed half the time)."""
+    ids = draw(st.lists(st.integers(0, 40), min_size=1, max_size=6, unique=True))
+    records = draw(st.lists(
+        st.tuples(st.sampled_from(ids), st.sampled_from(ids), st.integers(0, 9)),
+        min_size=1, max_size=15,
+    ))
+    for u, v, _ in draw(st.lists(st.sampled_from(records), max_size=4)):
+        t = draw(st.integers(0, 9))
+        records.append((v, u, t) if draw(st.booleans()) else (u, v, t))
+    return "".join(f"{u} {v} {t}\n" for u, v, t in draw(st.permutations(records)))
+
+
+class TestRoundTripProperty:
+    @given(raw_streams(), st.booleans(), st.booleans(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_ingest_write_read_keeps_every_horizon(self, text, directed, loops, dedupe):
+        cfg = IngestConfig(directed=directed, allow_self_loops=loops, dedupe=dedupe)
+        g = read_edge_stream(stream(text), cfg)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "g.csv")
+            write_edge_list(g, path)
+            back = read_edge_list(path)
+        assert back.join_times == g.join_times
+        for t in range(-1, g.t_end + 2):
+            a, b = g.snapshot_at(t), back.snapshot_at(t)
+            assert (a.n_vertices, a.n_edges) == (b.n_vertices, b.n_edges)
+            assert back.degrees_at(t) == g.degrees_at(t)
+            for x, y in zip(g.first_links(t), back.first_links(t)):
+                assert np.array_equal(x, y)

@@ -2,12 +2,14 @@ import os
 import random
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from temponet import TemporalGraph, read_edge_list, write_edge_list, tpa_generate, TpaParams, TimeDiffFn
+from temponet.metrics import _undirected_simple_csr
 
-from oracles import degree_brute
+from oracles import degree_brute, first_links_brute, undirected_simple
 
 
 def star_graph():
@@ -192,3 +194,27 @@ class TestProperties:
             a, b = g.snapshot_at(t), back.snapshot_at(t)
             assert (a.n_vertices, a.n_edges) == (b.n_vertices, b.n_edges)
             assert list(a.edges()) == list(b.edges())
+
+
+class TestFirstLinks:
+    @given(temporal_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_every_horizon_matches_brute_force(self, g):
+        # directed graphs with both arcs, self-loops, repeated pairs and
+        # isolated vertices all come from the strategy
+        edges = list(g.edges)
+        times, v, w = g.first_links()
+        assert (times.dtype, v.dtype, w.dtype) == (np.int64, np.int32, np.int32)
+        assert (np.diff(times) >= 0).all()
+        for t in range(-1, g.t_end + 2):
+            times, v, w = g.first_links(t)
+            assert sorted(zip(times.tolist(), v.tolist(), w.tolist())) == first_links_brute(edges, t)
+            degrees = [degree_brute(edges, x, t) for x in range(g.n_vertices)]
+            assert g.degrees_at(t) == degrees
+            assert [g.degree_at(x, t) for x in range(g.n_vertices)] == degrees
+            s = g.snapshot_at(t)
+            adj = _undirected_simple_csr(s)
+            pairs = undirected_simple([e for e in edges if e[2] <= t])
+            rows, cols = adj.nonzero()
+            assert adj.shape == (s.n_vertices, s.n_vertices)
+            assert set(zip(rows.tolist(), cols.tolist())) == pairs | {(b, a) for a, b in pairs}
