@@ -20,7 +20,10 @@ from .evolution import NetworkCollection, classify_vibrancy, jrc, stars_aggregat
 from .generators import TimeDiffFn, TpaParams, baseline_generate, make_schedule, tpa_generate
 from .ingest import IngestConfig, StreamRejected, normalize_times, read_edge_stream
 from .metrics import compute_features, k_stars_number, k_stars_vector
-from .temporal_graph import TemporalGraph, read_edge_list, write_edge_list
+from .temporal_graph import TemporalGraph, _replacing, read_edge_list, write_edge_list
+
+_INT_KEYS = ("m", "n", "k", "seed", "retry_limit")
+_REAL_KEYS = ("p", "p_triangle", "p_forward")
 
 
 def _parse_schedule(text: str) -> list[int]:
@@ -39,7 +42,7 @@ def _write_manifest(out_path: str, command: str, params: dict, seed, outputs: li
         "tool_version": __version__,
         "outputs": outputs,
     }
-    with open(out_path + ".manifest.json", "w") as fh:
+    with _replacing(out_path + ".manifest.json") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -49,6 +52,33 @@ def _load_graph(path: str) -> TemporalGraph:
         return read_edge_list(path)
     with open(path) as fh:
         return read_edge_stream(fh, IngestConfig())
+
+
+def _resolve_setting(setting, **overrides) -> dict:
+    """One generator setting, for ``generate`` and ``compare`` alike: a
+    JSON object, updated by ``overrides``, whose integer and real
+    parameters have those types (bools excluded) and whose ``schedule``
+    and ``f`` are parsed from their string or object forms."""
+    if not isinstance(setting, dict):
+        raise ValueError("a generator setting must be a JSON object")
+    merged = {**setting, **overrides}
+    if not isinstance(merged.get("model", ""), str):
+        raise ValueError("model must be a string")
+    for key in _INT_KEYS:
+        if key in merged and type(merged[key]) is not int:
+            raise ValueError(f"{key} must be an integer, not {merged[key]!r}")
+    for key in _REAL_KEYS:
+        if key in merged and type(merged[key]) not in (int, float):
+            raise ValueError(f"{key} must be a number, not {merged[key]!r}")
+    if "schedule" in merged:
+        schedule = merged["schedule"]
+        if isinstance(schedule, str):
+            merged["schedule"] = _parse_schedule(schedule)
+        elif not (isinstance(schedule, list) and all(type(x) is int for x in schedule)):
+            raise ValueError(f"schedule must be a string or a list of integers, not {schedule!r}")
+    if "f" in merged:
+        merged["f"] = TimeDiffFn.from_config(merged["f"])
+    return merged
 
 
 def _generate_graph(model: str, args_dict: dict) -> TemporalGraph:
@@ -77,23 +107,16 @@ def cmd_generate(args) -> int:
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
-    model = args.model or cfg.get("model")
+    flags = {
+        key: getattr(args, key)
+        for key in ("model", *_INT_KEYS, *_REAL_KEYS, "schedule", "f")
+        if getattr(args, key) is not None
+    }
+    merged = _resolve_setting(cfg, **flags)
+    model = merged.get("model")
     if not model:
         print("error: --model is required (flag or config)", file=sys.stderr)
         return 2
-    merged = dict(cfg)
-    for key in ("m", "n", "k", "p", "p_triangle", "p_forward", "seed", "retry_limit"):
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    if args.schedule:
-        merged["schedule"] = _parse_schedule(args.schedule)
-    elif isinstance(merged.get("schedule"), str):
-        merged["schedule"] = _parse_schedule(merged["schedule"])
-    if args.f:
-        merged["f"] = TimeDiffFn.from_config(args.f)
-    elif merged.get("f") is not None:
-        merged["f"] = TimeDiffFn.from_config(merged["f"])
     merged.setdefault("seed", 0)
 
     if model.lower() == "tpa" and (merged.get("m") is None or not merged.get("schedule") or merged.get("f") is None):
@@ -104,7 +127,6 @@ def cmd_generate(args) -> int:
     write_edge_list(graph, args.out)
 
     params = {k: v for k, v in merged.items() if k not in ("seed", "f")}
-    params["model"] = model
     if "f" in merged:
         params["f"] = merged["f"].to_config()
     _write_manifest(args.out, "generate", params, merged["seed"],
@@ -137,11 +159,11 @@ def _analysis_rows(graph: TemporalGraph, interval: int, k_values: list[int], x_m
 
 def _write_rows(rows: list[dict], out: str, fmt: str):
     if fmt == "json":
-        with open(out, "w") as fh:
+        with _replacing(out) as fh:
             json.dump(rows, fh, sort_keys=True, indent=2)
             fh.write("\n")
         return
-    with open(out, "w", newline="") as fh:
+    with _replacing(out, newline="") as fh:
         if not rows:
             return
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
@@ -171,13 +193,7 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _setting_features(setting: dict, seed: int, interval: int) -> dict:
-    merged = dict(setting)
-    merged["seed"] = seed
-    if isinstance(merged.get("schedule"), str):
-        merged["schedule"] = _parse_schedule(merged["schedule"])
-    if merged.get("f") is not None and not isinstance(merged["f"], TimeDiffFn):
-        merged["f"] = TimeDiffFn.from_config(merged["f"])
+def _setting_features(merged: dict, interval: int) -> dict:
     graph = _generate_graph(merged["model"], merged)
     x_min = merged.get("xmin") or merged.get("m") or 2
     features = compute_features(graph.snapshot_at(graph.t_end), gamma_x_min=x_min).to_dict()
@@ -195,12 +211,18 @@ def cmd_compare(args) -> int:
         settings = json.load(fh)
     if not (isinstance(settings, list) and settings and all(isinstance(s, dict) for s in settings)):
         raise ValueError("settings file must hold a non-empty JSON list of objects")
-    rows = []
+    resolved = []
     for idx, setting in enumerate(settings):
+        try:
+            resolved.append(_resolve_setting(setting))
+        except ValueError as exc:
+            raise ValueError(f"setting {idx}: {exc}") from None
+    rows = []
+    for idx, (setting, merged) in enumerate(zip(settings, resolved)):
         label = setting.get("label", f"setting_{idx}")
         try:
             per_seed = [
-                _setting_features(setting, args.seed + r, args.interval)
+                _setting_features({**merged, "seed": args.seed + r}, args.interval)
                 for r in range(args.repeats)
             ]
         except (ValueError, KeyError) as exc:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .metrics import k_stars_number, k_stars_vector
-from .temporal_graph import TemporalGraph
+from .temporal_graph import TemporalGraph, _replacing
 
 
 @dataclass
@@ -33,7 +33,7 @@ class Jrc:
         return [t for t, _ in self.samples]
 
     def to_csv(self, path) -> None:
-        with open(str(path), "w") as fh:
+        with _replacing(str(path)) as fh:
             fh.write("t,value\n")
             for t, value in self.samples:
                 fh.write(f"{t},{value!r}\n")

@@ -6,7 +6,9 @@ creates ``m`` edges by first sampling a time group with probability
 proportional to a decreasing weight function of the group-index
 difference, then sampling a target inside that group with probability
 proportional to degree. Five classic baseline models are provided for
-comparison batteries.
+comparison batteries; four of them are ports of networkx generators that
+replay the same ``random.Random`` draws, so a seed gives networkx's
+graph, edge order included.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ import random
 from bisect import bisect
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-import networkx as nx
 
 from .temporal_graph import TemporalGraph
 
@@ -79,6 +79,8 @@ class TimeDiffFn:
                 _, a, r = s.split(":")
                 return cls.geometric(float(a), float(r))
             raise ValueError(f"unrecognized time-difference function: {cfg!r}")
+        if not isinstance(cfg, dict):
+            raise ValueError(f"a time-difference function is a string or an object, not {cfg!r}")
         form = cfg["form"]
         if form == "exp_base":
             return cls.exp_base(cfg["b"])
@@ -151,11 +153,22 @@ def group_probabilities(f: TimeDiffFn, current_group: int) -> list[float]:
     ``f(current_group - j)``, normalized over all existing groups."""
     if current_group < 0:
         raise ValueError("current_group must be non-negative")
-    weights = [f(current_group - j) for j in range(current_group + 1)]
-    total = sum(weights)
+    total = _cumulative_weights(f, current_group)[-1]
+    return [f(current_group - j) / total for j in range(current_group + 1)]
+
+
+def _cumulative_weights(f: TimeDiffFn, current_group: int) -> list[float]:
+    """Running sums of the group weights ``f(current_group - j)`` for
+    ``j = 0 .. current_group``, added left to right; the last entry is
+    the total, which must be positive."""
+    cum_weights: list[float] = []
+    total = 0.0
+    for j in range(current_group + 1):
+        total += f(current_group - j)
+        cum_weights.append(total)
     if total <= 0:
         raise ValueError("degenerate distribution: all group weights are zero")
-    return [w / total for w in weights]
+    return cum_weights
 
 
 def tpa_generate(params: TpaParams) -> TemporalGraph:
@@ -191,13 +204,8 @@ def tpa_generate(params: TpaParams) -> TemporalGraph:
         bags.append(list(ids))
         group_sizes.append(size)
 
-        cum_weights: list[float] = []
-        total = 0.0
-        for j in range(i + 1):
-            total += params.f(i - j)
-            cum_weights.append(total)
-        if total <= 0:
-            raise ValueError("degenerate distribution: all group weights are zero")
+        cum_weights = _cumulative_weights(params.f, i)
+        total = cum_weights[-1]
 
         own_bag = bags[i]
         for v in ids:
@@ -235,35 +243,36 @@ def baseline_generate(model: str, n: int, seed: int = 0, **model_params) -> Temp
     """Generate one of the five comparison baselines as a TemporalGraph.
 
     ``ba(m)`` and ``hk(m, p_triangle)`` grow one vertex per step, so
-    join time equals insertion index; ``ff(p_forward)`` likewise.
-    ``ws(k, p)`` and ``nw(k, p)`` are static small-world models whose
-    vertices all carry join time 0.
+    join time equals insertion index and an edge appears when its later
+    endpoint joins; ``ff(p_forward)`` likewise. ``ws(k, p)`` and
+    ``nw(k, p)`` are static small-world models whose vertices all carry
+    join time 0.
     """
     model = model.lower()
+    rng = random.Random(seed)
     try:
-        if model == "ba":
+        if model in ("ba", "hk"):
             m = int(model_params["m"])
+            if m < 1:
+                raise ValueError(f"{model} model needs m >= 1")
             if n <= m:
-                raise ValueError("ba model needs n > m")
-            g = nx.barabasi_albert_graph(n, m, seed=seed)
-            return _growing_to_temporal(g, n, "ba")
-        if model == "hk":
-            m = int(model_params["m"])
-            p_t = float(model_params["p_triangle"])
-            if n <= m:
-                raise ValueError("hk model needs n > m")
-            g = nx.powerlaw_cluster_graph(n, m, p_t, seed=seed)
-            return _growing_to_temporal(g, n, "hk")
+                raise ValueError(f"{model} model needs n > m")
+            if model == "ba":
+                adj = _barabasi_albert(n, m, rng)
+            else:
+                p_t = float(model_params["p_triangle"])
+                if not (0 <= p_t <= 1):
+                    raise ValueError("hk triangle probability must be in [0, 1]")
+                adj = _holme_kim(n, m, p_t, rng)
+            edges = [(u, v, v) for u, v in _graph_edges(adj)]  # v > u joins later
+            return TemporalGraph(list(range(n)), edges, directed=False, info={"model": model})
         if model in ("ws", "nw"):
             k = int(model_params["k"])
             p = float(model_params["p"])
             if n <= k:
                 raise ValueError(f"{model} model needs n > k")
-            if model == "ws":
-                g = nx.watts_strogatz_graph(n, k, p, seed=seed)
-            else:
-                g = nx.newman_watts_strogatz_graph(n, k, p, seed=seed)
-            edges = [(u, v, 0) for u, v in g.edges()]
+            sampler = _watts_strogatz if model == "ws" else _newman_watts_strogatz
+            edges = [(u, v, 0) for u, v in _graph_edges(sampler(n, k, p, rng))]
             return TemporalGraph(
                 [0] * n, edges, directed=False, info={"model": model}
             )
@@ -273,17 +282,135 @@ def baseline_generate(model: str, n: int, seed: int = 0, **model_params) -> Temp
                 raise ValueError("ff forward probability must be in [0, 1)")
             if n < 1:
                 raise ValueError("ff model needs n >= 1")
-            return _forest_fire(n, p_f, random.Random(seed))
+            return _forest_fire(n, p_f, rng)
     except KeyError as exc:
         raise ValueError(f"model {model!r} is missing parameter {exc}") from exc
     raise ValueError(f"unknown baseline model: {model!r}")
 
 
-def _growing_to_temporal(g: nx.Graph, n: int, model: str) -> TemporalGraph:
-    # Nodes 0..n-1 are inserted in id order, so an edge appears when its
-    # later endpoint joins.
-    edges = [(u, v, max(u, v)) for u, v in g.edges()]
-    return TemporalGraph(list(range(n)), edges, directed=False, info={"model": model})
+# The four ports below follow networkx 3's generators draw for draw. A
+# graph is a list of insertion-ordered neighbour dicts, as in nx.Graph,
+# so neighbour scans and the final edge order match networkx's.
+
+Adjacency = list[dict[int, None]]
+
+
+def _link(adj: Adjacency, u: int, v: int) -> None:
+    # an existing edge keeps its place, as in nx.Graph.add_edge
+    adj[u][v] = adj[v][u] = None
+
+
+def _graph_edges(adj: Adjacency) -> list[tuple[int, int]]:
+    """Edges in ``nx.Graph.edges()`` order: vertices ascending, each with
+    its later neighbours in insertion order."""
+    return [(u, v) for u, nbrs in enumerate(adj) for v in nbrs if v > u]
+
+
+def _random_subset(seq: list[int], m: int, rng: random.Random) -> set[int]:
+    # the set's iteration order feeds later draws, so it is kept a set
+    targets: set[int] = set()
+    while len(targets) < m:
+        targets.add(rng.choice(seq))
+    return targets
+
+
+def _barabasi_albert(n: int, m: int, rng: random.Random) -> Adjacency:
+    """``nx.barabasi_albert_graph``: a star on ``0 .. m`` centred at 0,
+    then each new vertex links to ``m`` distinct targets drawn with
+    weight equal to their degree."""
+    adj: Adjacency = [dict.fromkeys(range(1, m + 1))]
+    adj += [{0: None} for _ in range(m)] + [{} for _ in range(m + 1, n)]
+    repeated = [0] * m + list(range(1, m + 1))
+    for source in range(m + 1, n):
+        targets = _random_subset(repeated, m, rng)
+        for t in targets:
+            _link(adj, source, t)
+        repeated.extend(targets)
+        repeated.extend([source] * m)
+    return adj
+
+
+def _holme_kim(n: int, m: int, p: float, rng: random.Random) -> Adjacency:
+    """``nx.powerlaw_cluster_graph`` (Holme & Kim, PRE 2002): growth from
+    ``m`` isolated vertices where, after a first preferential link, each
+    of the other ``m - 1`` links closes a triangle with probability ``p``
+    through a neighbour of the last preferential target, if one is free."""
+    adj: Adjacency = [{} for _ in range(n)]
+    repeated = list(range(m))
+    for source in range(m, n):
+        targets = _random_subset(repeated, m, rng)
+        target = targets.pop()
+        _link(adj, source, target)
+        repeated.append(target)
+        count = 1
+        while count < m:
+            if rng.random() < p:
+                mine = adj[source]
+                free = [w for w in adj[target] if w not in mine and w != source]
+                if free:
+                    w = rng.choice(free)
+                    _link(adj, source, w)
+                    repeated.append(w)
+                    count += 1
+                    continue
+            # an earlier triangle step may have linked this target already
+            target = targets.pop()
+            _link(adj, source, target)
+            repeated.append(target)
+            count += 1
+        repeated.extend([source] * m)
+    return adj
+
+
+def _ring_lattice(n: int, k: int) -> Adjacency:
+    # each vertex linked to its k // 2 successors, one distance at a time
+    adj: Adjacency = [{} for _ in range(n)]
+    for j in range(1, k // 2 + 1):
+        for u in range(n):
+            _link(adj, u, (u + j) % n)
+    return adj
+
+
+def _fresh_neighbour(adj: Adjacency, u: int, nodes: list[int], rng: random.Random) -> int | None:
+    """A uniform vertex that is neither ``u`` nor linked to it, redrawn
+    until found; ``None`` once ``u`` is linked to every other vertex."""
+    w = rng.choice(nodes)
+    while w == u or w in adj[u]:
+        w = rng.choice(nodes)
+        if len(adj[u]) >= len(nodes) - 1:
+            return None
+    return w
+
+
+def _watts_strogatz(n: int, k: int, p: float, rng: random.Random) -> Adjacency:
+    """``nx.watts_strogatz_graph``: a ring lattice whose edges, by
+    distance then by vertex, move their far end to a fresh neighbour
+    with probability ``p``."""
+    adj = _ring_lattice(n, k)
+    nodes = list(range(n))
+    for j in range(1, k // 2 + 1):
+        for u in nodes:
+            if rng.random() < p:
+                w = _fresh_neighbour(adj, u, nodes, rng)
+                if w is not None:
+                    v = (u + j) % n
+                    del adj[u][v], adj[v][u]
+                    _link(adj, u, w)
+    return adj
+
+
+def _newman_watts_strogatz(n: int, k: int, p: float, rng: random.Random) -> Adjacency:
+    """``nx.newman_watts_strogatz_graph``: a ring lattice where each
+    lattice edge ``(u, v)`` adds a shortcut from ``u`` to a fresh
+    neighbour with probability ``p``."""
+    adj = _ring_lattice(n, k)
+    nodes = list(range(n))
+    for u, _ in _graph_edges(adj):
+        if rng.random() < p:
+            w = _fresh_neighbour(adj, u, nodes, rng)
+            if w is not None:
+                _link(adj, u, w)
+    return adj
 
 
 def _forest_fire(n: int, p_forward: float, rng: random.Random) -> TemporalGraph:

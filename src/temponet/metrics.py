@@ -5,9 +5,18 @@ projection even for directed graphs; density treats each undirected
 edge as two directed links. Undefined values are returned as ``None``
 and serialize to JSON null.
 
-The mean shortest path comes from a bit-packed multi-source BFS over
-the giant component, 64 sources per ``uint64`` word (numpy 2.0 or later
-for ``np.bitwise_count``); its path-length sum is exact.
+Both run on the snapshot adjacency, a pair ``(indptr, indices)`` of
+numpy arrays in compressed-row form: the neighbours of vertex ``v`` are
+``indices[indptr[v]:indptr[v + 1]]``, in no particular order. It is cut
+from the graph's first-link events up to the horizon, which hold each
+undirected pair once per endpoint, so both directions are present.
+
+Triangles are counted by the degree-ordered forward algorithm; the giant
+component comes from min-label propagation, each component labelled by
+its smallest id; the mean shortest path is a bit-packed multi-source
+BFS over the giant, 64 sources per ``uint64`` word (numpy 2.0 or later
+for ``np.bitwise_count``). Triangle counts and the path-length sum are
+exact integers.
 """
 
 from __future__ import annotations
@@ -17,8 +26,6 @@ from dataclasses import dataclass, asdict
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .temporal_graph import Snapshot, TemporalGraph
 
@@ -42,17 +49,18 @@ class FeatureVector:
         return asdict(self)
 
 
-def _undirected_simple_csr(s: Snapshot) -> sp.csr_matrix:
-    """Boolean adjacency of the snapshot's undirected projection with
-    self-loops dropped and parallel edges collapsed: the first-link
-    events up to the horizon, one per ordered pair, minus the loops. An
-    edge never precedes its endpoints' join, so every id is below
-    ``s.n_vertices``."""
-    n = s.n_vertices
+def _undirected_simple_csr(s: Snapshot) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` adjacency of the snapshot's undirected
+    projection with self-loops dropped and parallel edges collapsed: the
+    first-link events up to the horizon, one per ordered pair, minus the
+    loops, grouped by source. An edge never precedes its endpoints'
+    join, so every id is below ``s.n_vertices``."""
     _, v, w = s.parent.first_links(s.horizon)
     link = v != w
-    data = np.ones(int(np.count_nonzero(link)), dtype=bool)
-    return sp.csr_matrix((data, (v[link], w[link])), shape=(n, n))
+    v, w = v[link], w[link]
+    indptr = np.zeros(s.n_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(v, minlength=s.n_vertices), out=indptr[1:])
+    return indptr, w[np.argsort(v, kind="stable")]
 
 
 def density(s: Snapshot) -> float | None:
@@ -75,42 +83,97 @@ def avg_clustering(s: Snapshot) -> float | None:
     n = s.n_vertices
     if n == 0:
         return None
-    adj = _undirected_simple_csr(s).astype(np.int32)  # counts, not booleans
-    deg = np.asarray(adj.sum(axis=1)).ravel().astype(np.int64)
-    # (A @ A) masked by A counts, per row, ordered neighbour pairs that
-    # close a triangle; each triangle at v is counted twice.
-    closed = np.asarray((adj @ adj).multiply(adj).sum(axis=1)).ravel()
+    indptr, indices = _undirected_simple_csr(s)
+    deg = np.diff(indptr)
+    closed = 2 * _triangles_per_vertex(indptr, indices)  # ordered neighbour pairs
     possible = np.maximum(deg * (deg - 1), 1)
     return float((closed / possible).mean())
 
 
+def _triangles_per_vertex(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    # Degree-ordered forward algorithm (Schank & Wagner, WEA 2005): each
+    # edge points from the lower to the higher (degree, id) rank, so a
+    # triangle is found once, as a pair of out-neighbours of its lowest
+    # vertex that are linked; out-degrees stay below sqrt(2 * edges).
+    n = len(indptr) - 1
+    deg = np.diff(indptr)
+    rows = np.repeat(np.arange(n), deg)
+    rank = deg * n + np.arange(n)  # unique, ordered by (degree, id)
+    forward = rank[rows] < rank[indices]
+    src, dst = rows[forward], indices[forward].astype(np.int64)  # grouped by src
+    out_end = np.cumsum(np.bincount(src, minlength=n))[src]
+    # every out-edge pairs with the out-edges after it in its row
+    pos = np.arange(len(src))
+    later = out_end - pos - 1
+    first = np.repeat(pos, later)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    a, b = dst[first], dst[second]
+    upper = rows < indices
+    keys = np.sort(rows[upper] * n + indices[upper])  # each edge once, as lo * n + hi
+    wedge = np.minimum(a, b) * n + np.maximum(a, b)
+    # clipped so a key above every edge still indexes; no edge means no wedge
+    hit = keys[np.minimum(np.searchsorted(keys, wedge), len(keys) - 1)] == wedge
+    return (
+        np.bincount(src[first[hit]], minlength=n)
+        + np.bincount(a[hit], minlength=n)
+        + np.bincount(b[hit], minlength=n)
+    )
+
+
 def avg_shortest_path(s: Snapshot) -> float | None:
     """Mean pairwise distance over the largest connected component of
-    the undirected projection; ``None`` when no component has 2+
-    vertices."""
+    the undirected projection, the one holding the smallest id among
+    equal largest; ``None`` when no component has 2+ vertices."""
     if s.n_vertices < 2:
         return None
-    adj = _undirected_simple_csr(s)
-    if adj.nnz == 0:
+    indptr, indices = _undirected_simple_csr(s)
+    members = _giant_component(indptr, indices)
+    size = int(np.count_nonzero(members))
+    if size < 2:
         return None
-    _, labels = connected_components(adj, directed=False)
-    giant = np.argmax(np.bincount(labels))
-    idx = np.where(labels == giant)[0]
-    if len(idx) < 2:
-        return None
-    sub = sp.csr_matrix(adj[idx][:, idx])
-    return _mean_bfs_distance(sub)
+    # the giant's rows, renumbered in id order; no edge leaves it
+    deg = np.diff(indptr)
+    sub_indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(deg[members], out=sub_indptr[1:])
+    new_id = np.cumsum(members) - 1
+    return _mean_bfs_distance(sub_indptr, new_id[indices[np.repeat(members, deg)]])
 
 
-def _mean_bfs_distance(adj: sp.csr_matrix) -> float:
+def _giant_component(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Mask of the largest connected component, the one holding the
+    smallest id among equal largest.
+
+    Min-label hooking with pointer jumping (Shiloach & Vishkin, J.
+    Algorithms 1982): ``label[v]`` always names a vertex of ``v``'s
+    component no larger than ``v``. Each round hooks the root of every
+    edge's one end under the other end's label where that is smaller,
+    then jumps pointers until every label is a root; once no edge joins
+    two labels, each component's label is its smallest id.
+    """
+    n = len(indptr) - 1
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    label = np.arange(n)
+    while True:
+        np.minimum.at(label, label[rows], label[indices])
+        while True:
+            jumped = label[label]
+            if (jumped == label).all():
+                break
+            label = jumped
+        if (label[rows] == label[indices]).all():
+            # argmax takes the first of equal counts: the smaller label
+            return label == np.bincount(label).argmax()
+
+
+def _mean_bfs_distance(indptr: np.ndarray, indices: np.ndarray) -> float:
     # Bit-parallel multi-source BFS (Then et al., "The More the Merrier",
     # VLDB 2014): each block of up to _SP_BLOCK sources is a bit column
     # in (n, words) uint64 arrays, so one level ORs the frontier words of
     # every CSR row's neighbours with ``reduceat``; no row is empty, as
     # the graph is one component of 2+ vertices. The path-length sum is
     # an exact Python int over all n * (n - 1) ordered pairs.
-    n = adj.shape[0]
-    indices, row_starts = adj.indices, adj.indptr[:-1]
+    n = len(indptr) - 1
+    row_starts = indptr[:-1]
     total = 0
     for start in range(0, n, _SP_BLOCK):
         b = min(_SP_BLOCK, n - start)

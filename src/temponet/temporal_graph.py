@@ -10,7 +10,9 @@ iteration indices); the toolkit never converts calendar units.
 from __future__ import annotations
 
 import json
+import os
 from bisect import bisect_right
+from contextlib import contextmanager
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -261,6 +263,26 @@ def _first_seen(records: Iterable[Edge]) -> dict[int, int]:
     return first
 
 
+@contextmanager
+def _replacing(path: str, newline: str | None = None) -> Iterator:
+    """Open a text file that takes the place of ``path`` only once it is
+    fully written: the text goes to a temporary file in the same
+    directory, which ``os.replace`` moves over ``path`` on success and
+    which is removed on any error, so ``path`` is never half written."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, "w", newline=newline)
+    except OSError as exc:  # name the file the caller asked for
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def write_edge_list(graph: TemporalGraph, path) -> None:
     """Write ``source,target,timestamp`` lines plus a JSON metadata
     sidecar at ``<path>.meta.json``.
@@ -293,9 +315,9 @@ def write_edge_list(graph: TemporalGraph, path) -> None:
         meta["explicit_join_times"] = explicit
     if repeats:
         meta["simple"] = False
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         fh.write("\n".join(lines) + "\n")
-    with open(path + _META_SUFFIX, "w") as fh:
+    with _replacing(path + _META_SUFFIX) as fh:
         json.dump(meta, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 

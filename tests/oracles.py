@@ -2,14 +2,19 @@
 
 Everything here is written for clarity over speed and stays deliberately
 separate from the library code paths it checks: plain loops over edge
-lists, Floyd-Warshall and queue-based BFS distances, full sorts. Inputs
-are primitive lists so the oracles cannot accidentally reuse library
-indexing.
+lists, Floyd-Warshall and queue-based BFS distances, full sorts, and
+scipy's sparse matrices and graph routines where the library has its
+own array code. Inputs are primitive lists so the oracles cannot
+accidentally reuse library indexing.
 """
 
 import itertools
 import math
 from collections import deque
+
+import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 
 def degree_brute(edges, v, t):
@@ -70,6 +75,36 @@ def clustering_brute(n, edges):
         )
         total += 2.0 * links / (d * (d - 1))
     return total / n
+
+
+def _sparse_adjacency(n, edges):
+    pairs = sorted(undirected_simple(edges))
+    rows = [a for a, _ in pairs] + [b for _, b in pairs]
+    cols = [b for _, b in pairs] + [a for a, _ in pairs]
+    return sp.csr_matrix((np.ones(len(rows), dtype=np.int32), (rows, cols)), shape=(n, n))
+
+
+def clustering_sparse(n, edges):
+    """Mean local clustering from the sparse product ``A @ A`` masked by
+    ``A``, whose row sums count each triangle at a vertex twice."""
+    if n == 0:
+        return None
+    adj = _sparse_adjacency(n, edges)
+    deg = np.asarray(adj.sum(axis=1)).ravel().astype(np.int64)
+    closed = np.asarray((adj @ adj).multiply(adj).sum(axis=1)).ravel()
+    possible = np.maximum(deg * (deg - 1), 1)
+    return float((closed / possible).mean())
+
+
+def giant_sparse(n, edges):
+    """Sorted ids of the largest component by scipy's
+    ``connected_components``, the one with the smaller smallest id on a
+    tie."""
+    _, labels = connected_components(_sparse_adjacency(n, edges), directed=False)
+    comps = {}
+    for v, c in enumerate(labels.tolist()):
+        comps.setdefault(c, []).append(v)
+    return max(comps.values(), key=lambda c: (len(c), -c[0]))
 
 
 def avg_sp_brute(n, edges):

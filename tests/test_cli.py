@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from temponet import cli
 from temponet.cli import main
 from temponet import TemporalGraph, read_edge_list, write_edge_list
 
@@ -60,7 +61,23 @@ ONE_LINE_ERRORS = {
     "compare_repeats_zero": ({"s.json": '[{"model": "ba", "m": 2, "n": 20}]'},
                              "compare --settings {d}/s.json --repeats 0 --out {d}/o.csv"),
     "compare_setting_not_object": ({"s.json": "[1]"}, "compare --settings {d}/s.json --out {d}/o.csv"),
+    "compare_n_string": ({"s.json": '[{"model": "ba", "m": 3, "n": "10"}]'},
+                         "compare --settings {d}/s.json --out {d}/o.csv"),
     "generate_missing_config": ({}, "generate --model ba --config {d}/c.json --out {d}/o.csv"),
+    "generate_config_not_object": ({"c.json": "[1, 2]"}, "generate --config {d}/c.json --out {d}/o.csv"),
+    "generate_n_string": ({"c.json": '{"model": "ba", "m": 3, "n": "10"}'},
+                          "generate --config {d}/c.json --out {d}/o.csv"),
+    "generate_seed_bool": ({"c.json": '{"model": "ba", "m": 3, "n": 10, "seed": true}'},
+                           "generate --config {d}/c.json --out {d}/o.csv"),
+    "generate_p_string": ({"c.json": '{"model": "ws", "k": 2, "n": 10, "p": "0.1"}'},
+                          "generate --config {d}/c.json --out {d}/o.csv"),
+    "generate_model_number": ({"c.json": '{"model": 5, "n": 10}'}, "generate --config {d}/c.json --out {d}/o.csv"),
+    "generate_schedule_strings": ({"c.json": '{"model": "tpa", "m": 2, "schedule": ["5"], "f": "exp2"}'},
+                                  "generate --config {d}/c.json --out {d}/o.csv"),
+    "generate_f_number": ({"c.json": '{"model": "tpa", "m": 2, "schedule": "5,5", "f": 5}'},
+                          "generate --config {d}/c.json --out {d}/o.csv"),
+    "generate_ba_m_zero": ({}, "generate --model ba --m 0 --n 10 --out {d}/o.csv"),
+    "generate_hk_p_above_one": ({}, "generate --model hk --m 2 --n 10 --p-triangle 1.5 --out {d}/o.csv"),
     "generate_unknown_model": ({}, "generate --model xx --n 10 --out {d}/o.csv"),
     "stars_missing_dir": ({}, "stars --dir {d}/nets --k 1 --w 1 --interval 1 --out {d}/o.csv"),
 }
@@ -247,6 +264,19 @@ class TestCompare:
             rows = list(csv.DictReader(fh))
         assert [r["setting"] for r in rows] == ["good"]
 
+    def test_every_setting_is_checked_before_any_is_generated(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "settings.json"
+        path.write_text(json.dumps([
+            {"label": "good", "model": "ba", "m": 2, "n": 50},
+            {"label": "bad", "model": "ba", "m": 2, "n": 50.0},
+        ]))
+        generated = []
+        monkeypatch.setattr(cli, "_generate_graph", lambda *a: generated.append(a))
+        out = tmp_path / "table.csv"
+        assert run(["compare", "--settings", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: setting 1: n must be an integer, not 50.0\n"
+        assert generated == [] and not out.exists()
+
     def test_repeat_one_matches_single_run(self, tmp_path):
         out = str(tmp_path / "t.csv")
         assert run(["compare", "--settings", self.settings_file(tmp_path),
@@ -407,3 +437,60 @@ def _class_of(g):
     from temponet import classify_vibrancy, jrc, vibrancy
 
     return classify_vibrancy(vibrancy(jrc(g, 1)), 0.5)
+
+
+class TestAtomicWrites:
+    """An output write that fails midway leaves no partial file behind
+    and an older file of the same name as it was."""
+
+    @staticmethod
+    def broken_dump(obj, fh, **kwargs):
+        fh.write("[partial")
+        raise OSError("disk full")
+
+    @staticmethod
+    def broken_writerow(self, row):
+        raise OSError("disk full")
+
+    @pytest.mark.parametrize("old", [None, "old contents\n"])
+    @pytest.mark.parametrize("target, fmt, breaks", [
+        ("o.json", "json", "dump"),  # rows as json
+        ("o.csv", "csv", "writerow"),  # rows as csv, after the header
+        ("o.csv.manifest.json", "csv", "dump"),  # the manifest, after the rows
+    ])
+    def test_failed_write_keeps_target(self, tmp_path, monkeypatch, capsys, old, target, fmt, breaks):
+        (tmp_path / "g.txt").write_text(GRAPH)
+        if old is not None:
+            (tmp_path / target).write_text(old)
+        before = sorted(os.listdir(tmp_path))
+        if breaks == "dump":
+            monkeypatch.setattr(cli.json, "dump", self.broken_dump)
+        else:
+            monkeypatch.setattr(csv.DictWriter, "writerow", self.broken_writerow)
+        out = tmp_path / ("o." + fmt)
+        assert run(["analyze", "--in", str(tmp_path / "g.txt"), "--interval", "1",
+                    "--format", fmt, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        if old is None:
+            assert not (tmp_path / target).exists()
+        else:
+            assert (tmp_path / target).read_text() == old
+        # only a completed rows file is new; no temporary file is left
+        finished = ["o.csv"] if target == "o.csv.manifest.json" else []
+        assert sorted(os.listdir(tmp_path)) == sorted(set(before) | set(finished))
+
+
+def test_cli_imports_neither_scipy_nor_networkx():
+    # numpy is the one runtime dependency; scipy and networkx are test oracles
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import temponet
+
+    src = str(Path(temponet.__file__).resolve().parents[1])
+    code = ("import sys, temponet.cli; "
+            "print(sorted(m for m in ('scipy', 'networkx') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -199,6 +199,47 @@ class TestTpaGenerate:
             TpaParams(m=1, schedule=(0, 5), f=exp2())
 
 
+NETWORKX = {
+    "ba": lambda n, seed, m, p: nx.barabasi_albert_graph(n, m, seed=seed),
+    "hk": lambda n, seed, m, p: nx.powerlaw_cluster_graph(n, m, p, seed=seed),
+    "ws": lambda n, seed, k, p: nx.watts_strogatz_graph(n, k, p, seed=seed),
+    "nw": lambda n, seed, k, p: nx.newman_watts_strogatz_graph(n, k, p, seed=seed),
+}
+
+
+class TestNetworkxOracles:
+    """The native ba, hk, ws and nw replay networkx's draws: same seed,
+    same edges in ``nx.Graph.edges()`` order."""
+
+    @pytest.mark.parametrize("model", sorted(NETWORKX))
+    def test_edges_equal_networkx_in_order(self, model):
+        growing = model in ("ba", "hk")
+        # (m or k, n): n = m + 1 and n = k + 1 first, then larger graphs
+        sizes = ((1, 2), (3, 4), (2, 40), (5, 120)) if growing else ((2, 3), (6, 7), (3, 30), (4, 120))
+        probabilities = (None,) if model == "ba" else (0.0, 0.3, 1.0)
+        for seed in range(20):
+            for size, n in sizes:
+                for p in probabilities:
+                    if growing:
+                        params = {"m": size, "p_triangle": p} if model == "hk" else {"m": size}
+                    else:
+                        params = {"k": size, "p": p}
+                    g = baseline_generate(model, n, seed=seed, **params)
+                    expected = list(NETWORKX[model](n, seed, size, p).edges())
+                    assert [(u, v) for u, v, _ in g.edges] == expected, (seed, size, n, p)
+                    assert [t for _, _, t in g.edges] == [v if growing else 0 for _, v in expected]
+
+    @pytest.mark.parametrize("model, params", [
+        ("ba", {"m": 0}),
+        ("hk", {"m": 0, "p_triangle": 0.5}),
+        ("hk", {"m": 2, "p_triangle": 1.5}),
+        ("hk", {"m": 2, "p_triangle": -0.1}),
+    ])
+    def test_parameters_networkx_rejects_are_value_errors(self, model, params):
+        with pytest.raises(ValueError):
+            baseline_generate(model, 10, seed=0, **params)
+
+
 class TestBaselines:
     def test_ba_edge_count_identity(self):
         g = baseline_generate("ba", 700, seed=7, m=3)

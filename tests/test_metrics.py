@@ -2,6 +2,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from temponet import (
@@ -22,10 +23,14 @@ from temponet import (
     tpa_generate,
 )
 
+from temponet.metrics import _giant_component, _undirected_simple_csr
+
 from oracles import (
     avg_sp_bfs,
     avg_sp_brute,
     clustering_brute,
+    clustering_sparse,
+    giant_sparse,
     density_brute,
     k_stars_brute,
     k_stars_vector_brute,
@@ -82,6 +87,52 @@ class TestClustering:
         value = avg_clustering(snap([0] * 4, edges))
         assert value == pytest.approx(clustering_brute(4, edges))
         assert value == pytest.approx(7 / 12)
+
+
+def oracle_graphs():
+    """Generated graphs of every model plus random multigraphs with
+    self-loops, many components and isolated vertices."""
+    rng = random.Random(11)
+    f = TimeDiffFn.exp_base(2)
+    yield tpa_generate(TpaParams(m=3, schedule=(20, 40, 80), f=f, seed=1))
+    yield tpa_generate(TpaParams(m=1, schedule=(3,) * 30, f=f, seed=2))
+    for seed in range(2):
+        yield baseline_generate("ba", 150, seed=seed, m=2)
+        yield baseline_generate("hk", 150, seed=seed, m=3, p_triangle=0.8)
+        yield baseline_generate("ws", 80, seed=seed, k=4, p=0.2)
+        yield baseline_generate("ff", 150, seed=seed, p_forward=0.5)
+    for n in (1, 2, 9, 70, 200):
+        joins = sorted(rng.randrange(4) for _ in range(n))
+        edges = []
+        for _ in range(rng.randrange(2 * n)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            edges.append((u, v, max(joins[u], joins[v]) + rng.randrange(3)))
+        yield TemporalGraph(joins, edges, simple=False, allow_self_loops=True)
+
+
+class TestSparseOracles:
+    def test_clustering_equals_sparse_product(self):
+        for g in oracle_graphs():
+            for t in range(g.t_min, g.t_end + 1, max(1, g.t_end // 5)):
+                s = g.snapshot_at(t)
+                edges = [e for e in g.edges if e[2] <= t]
+                assert avg_clustering(s) == clustering_sparse(s.n_vertices, edges)
+
+    def test_giant_equals_connected_components(self):
+        for g in oracle_graphs():
+            for t in range(g.t_min, g.t_end + 1, max(1, g.t_end // 5)):
+                s = g.snapshot_at(t)
+                edges = [e for e in g.edges if e[2] <= t]
+                members = _giant_component(*_undirected_simple_csr(s))
+                assert np.flatnonzero(members).tolist() == giant_sparse(s.n_vertices, edges)
+
+    @pytest.mark.parametrize("path_first", [True, False])
+    def test_giant_of_equal_largest_holds_smaller_id(self, path_first):
+        evens, odds = [0, 2, 4, 6], [1, 3, 5, 7]
+        a, b = (evens, odds) if path_first else (odds, evens)
+        edges = [(x, y, 0) for x, y in zip(a, a[1:])] + [(b[0], y, 0) for y in b[1:]]
+        members = _giant_component(*_undirected_simple_csr(snap([0] * 8, edges)))
+        assert np.flatnonzero(members).tolist() == evens == giant_sparse(8, edges)
 
 
 class TestShortestPath:

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from temponet import TemporalGraph, read_edge_list, write_edge_list, tpa_generate, TpaParams, TimeDiffFn
+from temponet import temporal_graph
 from temponet.metrics import _undirected_simple_csr
+from temponet.temporal_graph import _replacing
 
 from oracles import degree_brute, first_links_brute, undirected_simple
 
@@ -213,8 +215,50 @@ class TestFirstLinks:
             assert g.degrees_at(t) == degrees
             assert [g.degree_at(x, t) for x in range(g.n_vertices)] == degrees
             s = g.snapshot_at(t)
-            adj = _undirected_simple_csr(s)
+            indptr, cols = _undirected_simple_csr(s)
             pairs = undirected_simple([e for e in edges if e[2] <= t])
-            rows, cols = adj.nonzero()
-            assert adj.shape == (s.n_vertices, s.n_vertices)
+            assert len(indptr) == s.n_vertices + 1 and indptr[-1] == len(cols) == 2 * len(pairs)
+            rows = np.repeat(np.arange(s.n_vertices), np.diff(indptr))
             assert set(zip(rows.tolist(), cols.tolist())) == pairs | {(b, a) for a, b in pairs}
+
+
+class TestAtomicWrite:
+    """``write_edge_list`` replaces its files whole or not at all."""
+
+    def test_failed_sidecar_write_keeps_old_sidecar(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "g.csv")
+        write_edge_list(star_graph(), path)
+        sidecar = tmp_path / "g.csv.meta.json"
+        old_meta = sidecar.read_text()
+
+        def broken_dump(obj, fh, **kwargs):
+            fh.write('{"partial"')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(temporal_graph.json, "dump", broken_dump)
+        with pytest.raises(OSError, match="disk full"):
+            write_edge_list(TemporalGraph([0, 5], [(0, 1, 6)]), path)
+        assert sidecar.read_text() == old_meta
+        assert sorted(os.listdir(tmp_path)) == ["g.csv", "g.csv.meta.json"]
+
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_failure_midway_leaves_no_partial_file(self, tmp_path, exists):
+        path = tmp_path / "out.txt"
+        if exists:
+            path.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with _replacing(str(path)) as fh:
+                fh.write("half a line")
+                raise RuntimeError("interrupted")
+        if exists:
+            assert path.read_text() == "old\n"
+        else:
+            assert not path.exists()
+        assert os.listdir(tmp_path) == (["out.txt"] if exists else [])
+
+    def test_open_error_names_the_target(self, tmp_path):
+        path = str(tmp_path / "missing" / "out.txt")
+        with pytest.raises(FileNotFoundError) as info:
+            with _replacing(path):
+                pass
+        assert info.value.filename == path
