@@ -24,7 +24,6 @@ from .metrics import (
 )
 from .evolution import (
     Jrc,
-    NetworkCollection,
     classify_vibrancy,
     join_time_diff_prob,
     jrc,
@@ -65,7 +64,6 @@ __all__ = [
     "k_stars_vector",
     "power_law_gamma",
     "Jrc",
-    "NetworkCollection",
     "classify_vibrancy",
     "join_time_diff_prob",
     "jrc",

@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import __version__
-from .evolution import NetworkCollection, classify_vibrancy, jrc, stars_aggregate, vibrancy, w_max_time
+from .evolution import classify_vibrancy, jrc, stars_aggregate, vibrancy, w_max_time
 from .generators import TimeDiffFn, TpaParams, baseline_generate, make_schedule, tpa_generate
 from .ingest import IngestConfig, StreamRejected, normalize_times, read_edge_stream
 from .metrics import compute_features, k_stars_number, k_stars_vector
@@ -228,9 +228,8 @@ def cmd_compare(args) -> int:
         except (ValueError, KeyError) as exc:
             print(f"warning: {label} aborted: {exc}", file=sys.stderr)
             continue
-        keys = [k for k, v in per_seed[0].items() if isinstance(v, (int, float)) or v is None]
         row = {"setting": label, "repeats": args.repeats}
-        for key in keys:
+        for key in per_seed[0]:
             values = [p[key] for p in per_seed if p[key] is not None]
             row[key] = sum(values) / len(values) if values else None
         rows.append(row)
@@ -284,13 +283,11 @@ def cmd_stars(args) -> int:
         if args.w > len(members):
             print(f"error: w={args.w} exceeds {label} class size {len(members)}", file=sys.stderr)
             return 1
-        collection = NetworkCollection.from_graphs(members, args.interval)
-        cap = w_max_time(collection, args.w)
-        horizons = list(range(args.interval, cap + 1, args.interval))
+        horizons = list(range(args.interval, w_max_time(members, args.w) + 1, args.interval))
         if not horizons:
             print(f"notice: {label} networks too short for interval", file=sys.stderr)
             continue
-        total, avg, norm_avg = stars_aggregate(collection, args.k, args.w, horizons)
+        total, avg, norm_avg = stars_aggregate(members, args.k, args.w, horizons)
         for i, t in enumerate(horizons):
             rows.append({
                 "class": label, "t": t, "networks": len(members),

@@ -1,10 +1,11 @@
-"""Temporal analyses across a network's life and across collections.
+"""Temporal analyses across a network's life and across many networks.
 
 Join-rate curves track the cumulative fraction of the final population
 present over time; vibrancy compresses a curve into one number (near 1
 for networks whose mass arrives late, near 0 for front-loaded ones).
-Collection-level helpers aggregate star-emergence vectors across many
-networks on a shared horizon grid.
+:func:`w_max_time` and :func:`stars_aggregate` take a plain sequence of
+normalized networks and aggregate their star-emergence vectors on one
+shared horizon grid.
 """
 
 from __future__ import annotations
@@ -152,57 +153,32 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float | None:
     return float(np.corrcoef(rx, ry)[0, 1])
 
 
-@dataclass
-class NetworkCollection:
-    """A set of networks analyzed on aligned horizon grids.
-
-    Every network carries its own horizon series; series across the
-    collection must share the same step so that entry ``i`` refers to
-    the same elapsed time in every network. Networks are assumed
-    normalized (first arrival at time 0).
-    """
-
-    networks: list[tuple[TemporalGraph, list[int]]]
-
-    @classmethod
-    def from_graphs(cls, graphs: Sequence[TemporalGraph], interval: int) -> "NetworkCollection":
-        """Build aligned horizon series ``interval, 2*interval, ...`` up
-        to each network's own active time."""
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        entries = []
-        for g in graphs:
-            horizons = list(range(interval, g.active_time + 1, interval))
-            entries.append((g, horizons))
-        return cls(entries)
-
-    def __len__(self) -> int:
-        return len(self.networks)
-
-
-def w_max_time(c: NetworkCollection, w: int) -> int:
-    """The largest horizon at which at least ``w`` networks in the
-    collection are still active: the w-th largest active time."""
-    if not (1 <= w <= len(c)):
-        raise ValueError(f"w must be in [1, {len(c)}]")
-    spans = sorted((g.active_time for g, _ in c.networks), reverse=True)
+def w_max_time(graphs: Sequence[TemporalGraph], w: int) -> int:
+    """The largest horizon at which at least ``w`` of the networks are
+    still active: the w-th largest active time."""
+    if not (1 <= w <= len(graphs)):
+        raise ValueError(f"w must be in [1, {len(graphs)}]")
+    spans = sorted((g.active_time for g in graphs), reverse=True)
     return spans[w - 1]
 
 
 def stars_aggregate(
-    c: NetworkCollection, k: int, w: int, horizons: Sequence[int]
+    graphs: Sequence[TemporalGraph], k: int, w: int, horizons: Sequence[int]
 ) -> tuple[list[int], list[float], list[float]]:
-    """Aggregate star emergence across a collection.
+    """Aggregate star emergence across a sequence of networks.
 
-    For each horizon ``t_i``: ``total[i]`` sums the new-star counts of
-    every network still active at ``t_i``; ``avg[i]`` divides by the
-    number of such networks; ``norm_avg[i]`` averages each network's
-    new-star count normalized by its own total star number, skipping
-    networks that never produced a star.
+    The networks are assumed normalized (first arrival at time 0), so
+    one horizon grid ``t_i`` means the same elapsed time in each; every
+    network is cut to the horizons within its own active time. For each
+    horizon: ``total[i]`` sums the new-star counts of every network
+    still active at ``t_i``; ``avg[i]`` divides by the number of such
+    networks; ``norm_avg[i]`` averages each network's new-star count
+    normalized by its own total star number, skipping networks that
+    never produced a star. The grid may not pass the w-max time.
     """
-    if not len(c):
-        raise ValueError("empty collection")
-    cap = w_max_time(c, w)
+    if not graphs:
+        raise ValueError("no networks to aggregate")
+    cap = w_max_time(graphs, w)
     horizons = list(horizons)
     if not horizons:
         raise ValueError("horizons must be non-empty")
@@ -215,12 +191,8 @@ def stars_aggregate(
     active = [0] * m
     norm_sum = [0.0] * m
     norm_n = [0] * m
-    for g, series in c.networks:
-        local = [t for t in horizons if t <= g.active_time]
-        for i, t in enumerate(local):
-            if i < len(series) and series[i] != t:
-                raise ValueError("network horizon series is not aligned with horizons")
-        vec = k_stars_vector(g, local, k)
+    for g in graphs:
+        vec = k_stars_vector(g, [t for t in horizons if t <= g.active_time], k)
         number = k_stars_number(vec)
         for i, value in enumerate(vec):
             total[i] += value

@@ -191,7 +191,6 @@ def tpa_generate(params: TpaParams) -> TemporalGraph:
     # One bag per group holding each member once plus once per incident
     # edge end, so a uniform draw selects with weight degree + 1.
     bags: list[list[int]] = []
-    group_sizes: list[int] = []
     skipped = 0
     next_id = 0
 
@@ -202,7 +201,6 @@ def tpa_generate(params: TpaParams) -> TemporalGraph:
             join_times.append(i)
             adjacency.append(set())
         bags.append(list(ids))
-        group_sizes.append(size)
 
         cum_weights = _cumulative_weights(params.f, i)
         total = cum_weights[-1]
@@ -213,7 +211,7 @@ def tpa_generate(params: TpaParams) -> TemporalGraph:
             for _ in range(m):
                 r = bisect(cum_weights, random_() * total)
                 bag = bags[r]
-                if group_sizes[r] == 1 and r == i:
+                if r == i and size == 1:
                     # own group holds nobody but v itself
                     skipped += 1
                     continue

@@ -55,25 +55,21 @@ def read_edge_stream(source: Iterable[str], config: IngestConfig | None = None) 
     join = _first_seen(records)
 
     edges: list[tuple[int, int, int]] = []
-    stamp: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
+    # pair key -> (u, v, earliest t): the first record's orientation and
+    # first-appearance position, the earliest timestamp of any record
+    first: dict[tuple[int, int], tuple[int, int, int]] = {}
     for u, v, t in records:
         if u == v and not config.allow_self_loops:
             continue  # the vertex stays; only the loop edge is dropped
         if config.dedupe:
             key = (u, v) if config.directed or u <= v else (v, u)
-            if key in stamp:
-                stamp[key] = min(stamp[key], t)
-            else:
-                stamp[key] = t
-                order.append((u, v))
+            u0, v0, t0 = first.setdefault(key, (u, v, t))
+            if t < t0:
+                first[key] = (u0, v0, t)
         else:
             edges.append((u, v, t))
     if config.dedupe:
-        edges = [
-            (u, v, stamp[(u, v) if config.directed or u <= v else (v, u)])
-            for u, v in order
-        ]
+        edges = list(first.values())
 
     if config.max_degree is not None:
         neighbours: dict[int, set[int]] = {x: set() for x in join}

@@ -39,7 +39,6 @@ class TemporalGraph:
         "join_times",
         "edges",
         "info",
-        "_edges_by_time",
         "_edge_times_sorted",
         "_first_links",
     )
@@ -62,9 +61,8 @@ class TemporalGraph:
         self.edges = tuple([(int(u), int(v), int(t)) for u, v, t in edges])
         self.info = dict(info) if info else {}
         self._validate(simple)
-        # Edges sorted by creation time; a snapshot's edge set is a prefix.
-        self._edges_by_time = tuple(sorted(self.edges, key=lambda e: e[2]))
-        self._edge_times_sorted = tuple([e[2] for e in self._edges_by_time])
+        # a snapshot holds the edges whose time is in a prefix of these
+        self._edge_times_sorted = sorted([t for _, _, t in self.edges])
         self._first_links = None  # filled by first_links; a rebuild gives equal arrays
 
     def _validate(self, simple: bool) -> None:
@@ -161,7 +159,8 @@ class TemporalGraph:
         bits can still be normalized; indexing it raises ``OverflowError``.
         """
         if self._first_links is None:
-            e = np.array(self._edges_by_time, dtype=np.int64).reshape(-1, 3)
+            e = np.array(self.edges, dtype=np.int64).reshape(-1, 3)
+            e = e[np.argsort(e[:, 2], kind="stable")]
             lo, hi = e[:, :2].min(axis=1), e[:, :2].max(axis=1)
             # the earliest record of each unordered pair, in time order
             first = np.sort(np.unique(lo * self.n_vertices + hi, return_index=True)[1])
@@ -211,7 +210,9 @@ class Snapshot:
         return self.parent.directed
 
     def edges(self) -> Iterator[Edge]:
-        return iter(self.parent._edges_by_time[: self.n_edges])
+        """The parent's edges created by ``horizon``, in input order."""
+        horizon = self.horizon
+        return (e for e in self.parent.edges if e[2] <= horizon)
 
     def degrees(self) -> list[int]:
         return self.parent.degrees_at(self.horizon)[: self.n_vertices]
@@ -315,11 +316,13 @@ def write_edge_list(graph: TemporalGraph, path) -> None:
         meta["explicit_join_times"] = explicit
     if repeats:
         meta["simple"] = False
-    with _replacing(path) as fh:
+    # both files are written out before either replaces its target, so
+    # a failure leaves the old pair whole
+    with _replacing(path) as fh, _replacing(path + _META_SUFFIX) as meta_fh:
         fh.write("\n".join(lines) + "\n")
-    with _replacing(path + _META_SUFFIX) as fh:
-        json.dump(meta, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.flush()
+        json.dump(meta, meta_fh, sort_keys=True, separators=(",", ":"))
+        meta_fh.write("\n")
 
 
 def read_edge_list(path) -> TemporalGraph:

@@ -12,7 +12,6 @@ import pytest
 
 from temponet import (
     IngestConfig,
-    NetworkCollection,
     TemporalGraph,
     TimeDiffFn,
     TpaParams,
@@ -272,7 +271,7 @@ def test_criterion_7_oracle_equivalence():
         count = rng.randint(1, 8)
         spans = [rng.randint(1, 20) for _ in range(count)]
         graphs = [TemporalGraph([0, sp], []) for sp in spans]
-        c = NetworkCollection.from_graphs(graphs, 1)
+        c = graphs
         w = rng.randint(1, count)
         passed &= w_max_time(c, w) == w_max_brute(spans, w)
         checks += 1
@@ -284,7 +283,7 @@ def test_criterion_7_oracle_equivalence():
             g, joins, edges = _random_small_graph(rng)
             graphs.append(g)
             triples.append((joins, edges, g.active_time))
-        c = NetworkCollection.from_graphs(graphs, 1)
+        c = graphs
         w = rng.randint(1, count)
         cap = w_max_time(c, w)
         if cap < 1:

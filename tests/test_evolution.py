@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import rankdata
 
 from temponet import (
-    NetworkCollection,
     TemporalGraph,
     TimeDiffFn,
     TpaParams,
@@ -233,14 +232,14 @@ def toy_network(span, peak_shift, seed=0):
 class TestCollections:
     def test_w_max_time_examples(self):
         graphs = [TemporalGraph([0, s], []) for s in (10, 20, 30)]
-        c = NetworkCollection.from_graphs(graphs, 5)
+        c = graphs
         assert w_max_time(c, 2) == 20
         assert w_max_time(c, 1) == 30
         assert w_max_time(c, 3) == 10
 
     def test_w_max_time_uniform(self):
         graphs = [TemporalGraph([0, 12], []) for _ in range(4)]
-        c = NetworkCollection.from_graphs(graphs, 4)
+        c = graphs
         for w in range(1, 5):
             assert w_max_time(c, w) == 12
 
@@ -249,12 +248,12 @@ class TestCollections:
         for _ in range(50):
             spans = [rng.randint(1, 40) for _ in range(rng.randint(1, 6))]
             graphs = [TemporalGraph([0, s], []) for s in spans]
-            c = NetworkCollection.from_graphs(graphs, 1)
+            c = graphs
             for w in range(1, len(spans) + 1):
                 assert w_max_time(c, w) == w_max_brute(spans, w)
 
     def test_w_out_of_range(self):
-        c = NetworkCollection.from_graphs([TemporalGraph([0, 5], [])], 1)
+        c = [TemporalGraph([0, 5], [])]
         with pytest.raises(ValueError):
             w_max_time(c, 2)
         with pytest.raises(ValueError):
@@ -262,7 +261,7 @@ class TestCollections:
 
     def test_singleton_reduction(self):
         g = toy_network(6, 2, seed=3)
-        c = NetworkCollection.from_graphs([g], 1)
+        c = [g]
         horizons = list(range(1, w_max_time(c, 1) + 1))
         total, avg, norm = stars_aggregate(c, 2, 1, horizons)
         vec = k_stars_vector(g, horizons, 2)
@@ -274,7 +273,7 @@ class TestCollections:
     def test_two_identical_networks(self):
         g1 = toy_network(5, 2, seed=4)
         g2 = toy_network(5, 2, seed=4)
-        c = NetworkCollection.from_graphs([g1, g2], 1)
+        c = [g1, g2]
         horizons = list(range(1, w_max_time(c, 2) + 1))
         total, avg, _ = stars_aggregate(c, 2, 2, horizons)
         vec = k_stars_vector(g1, horizons, 2)
@@ -283,7 +282,7 @@ class TestCollections:
 
     def test_staggered_toys_match_spreadsheet(self):
         graphs = [toy_network(4, 1, seed=1), toy_network(7, 2, seed=2), toy_network(9, 3, seed=3)]
-        c = NetworkCollection.from_graphs(graphs, 1)
+        c = graphs
         w = 2
         horizons = list(range(1, w_max_time(c, w) + 1))
         got = stars_aggregate(c, 2, w, horizons)
@@ -297,10 +296,10 @@ class TestCollections:
         assert got[2] == pytest.approx(ref[2], abs=1e-12)
 
     def test_horizons_beyond_w_max_rejected(self):
-        c = NetworkCollection.from_graphs([TemporalGraph([0, 4], []), TemporalGraph([0, 9], [])], 1)
+        c = [TemporalGraph([0, 4], []), TemporalGraph([0, 9], [])]
         with pytest.raises(ValueError):
             stars_aggregate(c, 1, 2, list(range(1, 10)))
 
     def test_empty_collection_rejected(self):
         with pytest.raises(ValueError):
-            stars_aggregate(NetworkCollection([]), 1, 1, [1])
+            stars_aggregate([], 1, 1, [1])

@@ -229,7 +229,7 @@ class TestAtomicWrite:
         path = str(tmp_path / "g.csv")
         write_edge_list(star_graph(), path)
         sidecar = tmp_path / "g.csv.meta.json"
-        old_meta = sidecar.read_text()
+        old_csv, old_meta = (tmp_path / "g.csv").read_text(), sidecar.read_text()
 
         def broken_dump(obj, fh, **kwargs):
             fh.write('{"partial"')
@@ -239,6 +239,7 @@ class TestAtomicWrite:
         with pytest.raises(OSError, match="disk full"):
             write_edge_list(TemporalGraph([0, 5], [(0, 1, 6)]), path)
         assert sidecar.read_text() == old_meta
+        assert (tmp_path / "g.csv").read_text() == old_csv  # the pair stays matched
         assert sorted(os.listdir(tmp_path)) == ["g.csv", "g.csv.meta.json"]
 
     @pytest.mark.parametrize("exists", [False, True])
