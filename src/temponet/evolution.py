@@ -61,7 +61,7 @@ def jrc(g: TemporalGraph, interval: int) -> Jrc:
         return Jrc(samples=[(0, 0.0), (0, 1.0)], t_max=0)
     t0 = g.t_min
     n = g.n_vertices
-    joins = np.array(g.join_times, dtype=np.int64)  # non-decreasing by construction
+    joins = np.asarray(g.join, dtype=np.int64)  # non-decreasing by construction
     steps = span // interval + 1
     grid = np.arange(steps + 1, dtype=np.int64) * interval
     counts = np.searchsorted(joins, t0 + grid, side="left")

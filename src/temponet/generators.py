@@ -13,12 +13,23 @@ graph, edge order included.
 
 from __future__ import annotations
 
+import math
+import numbers
 import random
 from bisect import bisect
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .temporal_graph import TemporalGraph
+
+
+def _real(name: str, x) -> float:
+    """``x`` when it is a real number other than a bool or NaN."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or math.isnan(x):
+        raise ValueError(f"{name} must be a real number, not {x!r}")
+    return x
 
 
 class TimeDiffFn:
@@ -39,21 +50,23 @@ class TimeDiffFn:
 
     @classmethod
     def exp_base(cls, b: float) -> "TimeDiffFn":
-        if b < 1:
+        if not _real("exp_base b", b) >= 1:
             raise ValueError("exp_base requires b >= 1 to be non-increasing")
         return cls("exp_base", lambda t: b ** (-1 - t), {"b": b})
 
     @classmethod
     def geometric(cls, a: float, r: float) -> "TimeDiffFn":
-        if not (0 < a <= 1):
+        if not (0 < _real("geometric a", a) <= 1):
             raise ValueError("geometric weight a must be in (0, 1]")
-        if not (0 <= r <= 1):
+        if not (0 <= _real("geometric r", r) <= 1):
             raise ValueError("geometric ratio r must be in [0, 1]")
         return cls("geometric", lambda t: a * r**t, {"a": a, "r": r})
 
     @classmethod
     def tabulated(cls, values: Sequence[float]) -> "TimeDiffFn":
-        values = [float(x) for x in values]
+        if not isinstance(values, (list, tuple)):
+            raise ValueError(f"tabulated weights must be a list of numbers, not {values!r}")
+        values = [float(_real("a tabulated weight", x)) for x in values]
         if not values or values[0] <= 0:
             raise ValueError("tabulated weights need a positive first entry")
         for i, x in enumerate(values):
@@ -187,7 +200,7 @@ def tpa_generate(params: TpaParams) -> TemporalGraph:
     m = params.m
     join_times: list[int] = []
     adjacency: list[set[int]] = []
-    edges: list[tuple[int, int, int]] = []
+    edges: list[int] = []  # source, target, created of each edge in turn
     # One bag per group holding each member once plus once per incident
     # edge end, so a uniform draw selects with weight degree + 1.
     bags: list[list[int]] = []
@@ -221,7 +234,7 @@ def tpa_generate(params: TpaParams) -> TemporalGraph:
                         continue
                     linked.add(u)
                     adjacency[u].add(v)
-                    edges.append((v, u, i))
+                    edges += (v, u, i)
                     bag.append(u)
                     own_bag.append(v)
                     break
@@ -230,7 +243,7 @@ def tpa_generate(params: TpaParams) -> TemporalGraph:
 
     return TemporalGraph(
         join_times,
-        edges,
+        np.array(edges, dtype=np.int64).reshape(-1, 3),
         directed=False,
         time_unit="iteration",
         info={"skipped_edges": skipped, "model": "tpa"},

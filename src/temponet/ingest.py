@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .temporal_graph import EdgeStreamParseError, TemporalGraph, _first_seen, _parse_records
 
 
@@ -113,8 +115,8 @@ def normalize_times(g: TemporalGraph) -> TemporalGraph:
     if shift == 0:
         return g
     return TemporalGraph(
-        [t - shift for t in g.join_times],
-        [(u, v, t - shift) for u, v, t in g.edges],
+        g.join - shift,
+        np.column_stack([g.u, g.v, g.t - shift]),
         directed=g.directed,
         allow_self_loops=g.allow_self_loops,
         simple=False,  # validated at first construction

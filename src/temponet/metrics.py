@@ -72,7 +72,8 @@ def density(s: Snapshot) -> float | None:
     if s.directed:
         count = s.n_edges
     else:
-        loops = sum(1 for u, v, _ in s.edges() if u == v)
+        p = s.parent
+        loops = int(np.count_nonzero((p.u == p.v) & (p.t <= s.horizon)))
         count = 2 * (s.n_edges - loops) + loops
     return count / (n * (n - 1))
 
@@ -238,7 +239,7 @@ def k_stars_vector(g: TemporalGraph, horizons: Sequence[int], k: int) -> list[in
     n = g.n_vertices
     points = np.array([0, *horizons], dtype=np.int64)
     ends = np.searchsorted(ev_t, points, side="right").tolist()
-    present = np.searchsorted(np.array(g.join_times, dtype=np.int64), points, side="right").tolist()
+    present = np.searchsorted(np.asarray(g.join, dtype=np.int64), points, side="right").tolist()
 
     degrees = np.zeros(n, dtype=np.int64)
     seen = np.zeros(n, dtype=bool)

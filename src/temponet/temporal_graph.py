@@ -1,17 +1,19 @@
 """Core data model: networks whose vertices and edges carry arrival times.
 
-A :class:`TemporalGraph` stores one join time per vertex and a list of
-timestamped edges. It is immutable after construction, so any number of
-readers may take :class:`Snapshot` views concurrently. Timestamps are
-opaque non-negative integers in caller-defined units (weeks, years,
-iteration indices); the toolkit never converts calendar units.
+A :class:`TemporalGraph` stores its vertices' join times and its
+timestamped edges as integer numpy columns, int64 when every value fits
+and Python ints otherwise; the ``join_times`` and ``edges`` tuples are
+built from them on first read. It is immutable after construction, so
+any number of readers may take :class:`Snapshot` views concurrently.
+Timestamps are opaque non-negative integers in caller-defined units
+(weeks, years, iteration indices); the toolkit never converts calendar
+units.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from bisect import bisect_right
 from contextlib import contextmanager
 from typing import Iterable, Iterator, Sequence
 
@@ -22,6 +24,37 @@ Edge = tuple[int, int, int]  # (source, target, created)
 _META_SUFFIX = ".meta.json"
 
 
+def _int_column(values) -> np.ndarray:
+    """``values`` as an int64 array when every value fits, else as an
+    array of Python ints (dtype ``object``)."""
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+    elif values.dtype != np.int64:
+        values = values.tolist()  # a cast would wrap uint64 values past the int64 range
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.frompyfunc(int, 1, 1)(np.array(values, dtype=object))
+
+
+def _pair_keys(u: np.ndarray, v: np.ndarray, n: int, directed: bool) -> np.ndarray:
+    """One integer per edge of an ``n``-vertex graph, equal for the edges
+    that join the same pair, ordered only when ``directed``."""
+    if directed:
+        return u * n + v
+    return np.minimum(u, v) * n + np.maximum(u, v)
+
+
+def _repeated(keys: np.ndarray) -> np.ndarray:
+    """True at each position whose key occurs at an earlier position."""
+    repeat = np.zeros(len(keys), dtype=bool)
+    ranked = np.sort(keys)
+    if (ranked[1:] == ranked[:-1]).any():  # a stable sort costs more
+        order = np.argsort(keys, kind="stable")
+        repeat[order[1:][np.diff(keys[order]) == 0]] = True
+    return repeat
+
+
 class TemporalGraph:
     """An append-only network frozen at construction time.
 
@@ -29,24 +62,37 @@ class TemporalGraph:
     so ``join_times`` must be non-decreasing. Every edge endpoint must
     have joined no later than the edge was created. In simple mode
     (default) duplicate edges are rejected; self-loops are rejected
-    unless ``allow_self_loops`` is set.
+    unless ``allow_self_loops`` is set. ``edges`` is an iterable of
+    ``(source, target, created)`` triples or an ``(E, 3)`` integer array.
+
+    The graph is held in four read-only numpy columns: ``join``, the
+    join time of each vertex id, and ``u``, ``v``, ``t``, the source,
+    target and creation time of each edge in input order. ``u`` and
+    ``v`` are int64; ``join`` and ``t`` are int64 when every value fits
+    and hold Python ints (dtype ``object``) otherwise, so timestamps of
+    2**63 and above are kept exactly. The tuples ``join_times`` and
+    ``edges`` are built from the columns on first read.
     """
 
     __slots__ = (
         "directed",
         "allow_self_loops",
         "time_unit",
-        "join_times",
-        "edges",
         "info",
-        "_edge_times_sorted",
+        "join",
+        "u",
+        "v",
+        "t",
+        "_t_sorted",
+        "_join_times",
+        "_edges",
         "_first_links",
     )
 
     def __init__(
         self,
-        join_times: Sequence[int],
-        edges: Iterable[Edge],
+        join_times: Sequence[int] | np.ndarray,
+        edges: Iterable[Edge] | np.ndarray,
         *,
         directed: bool = False,
         allow_self_loops: bool = False,
@@ -57,61 +103,91 @@ class TemporalGraph:
         self.directed = bool(directed)
         self.allow_self_loops = bool(allow_self_loops)
         self.time_unit = time_unit
-        self.join_times = tuple(map(int, join_times))
-        self.edges = tuple([(int(u), int(v), int(t)) for u, v, t in edges])
         self.info = dict(info) if info else {}
+        self.join = _int_column(join_times)
+        e = _int_column(edges)
+        if e.size and e.shape[1:] != (3,):
+            raise ValueError("an edge is a (source, target, created) triple")
+        self.u, self.v, self.t = e.reshape(-1, 3).T
         self._validate(simple)
+        # every id is known now, so it fits
+        self.u, self.v = self.u.astype(np.int64, copy=False), self.v.astype(np.int64, copy=False)
         # a snapshot holds the edges whose time is in a prefix of these
-        self._edge_times_sorted = sorted([t for _, _, t in self.edges])
-        self._first_links = None  # filled by first_links; a rebuild gives equal arrays
+        self._t_sorted = np.sort(self.t)
+        for column in (self.join, self.u, self.v, self.t, self._t_sorted):
+            column.flags.writeable = False
+        # built on first read; a rebuild gives equal values
+        self._join_times = self._edges = self._first_links = None
 
     def _validate(self, simple: bool) -> None:
-        # The first fault in input order is reported; attributes are
-        # bound once, as this loop runs for every edge of every graph.
-        joins, directed, loops_ok = self.join_times, self.directed, self.allow_self_loops
-        n = len(joins)
-        prev = 0
-        for t in joins:
-            if t < 0:
+        # One fault mask per check finds the first faulty position in
+        # input order; the checks then run on that position alone, in the
+        # order an edge-by-edge loop would run them, so the message is
+        # the one that loop would raise first.
+        join, u, v, t = self.join, self.u, self.v, self.t
+        n = len(join)
+        bad = join < 0
+        bad[1:] |= join[1:] < join[:-1]
+        if bad.any():
+            if join[int(bad.argmax())] < 0:
                 raise ValueError("join times must be non-negative")
-            if t < prev:
-                raise ValueError("vertex ids must be assigned in join order")
-            prev = t
-        seen: set[tuple[int, int]] = set()
-        for u, v, t in self.edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) references unknown vertex")
-            if joins[u] > t or joins[v] > t:
-                raise ValueError(
-                    f"edge ({u}, {v}) created at {t} before an endpoint joined"
-                )
-            if u == v and not loops_ok:
-                raise ValueError("self-loops are not allowed in this graph")
-            if simple:
-                key = (u, v) if directed or u <= v else (v, u)
-                if key in seen:
-                    raise ValueError(f"duplicate edge ({u}, {v}) in simple graph")
-                seen.add(key)
+            raise ValueError("vertex ids must be assigned in join order")
+        known = (0 <= u) & (u < n) & (0 <= v) & (v < n)
+        # the masks below look only at edges before the first unknown id
+        end = len(known) if known.all() else int(known.argmin())
+        a, b, c = u[:end].astype(np.int64, copy=False), v[:end].astype(np.int64, copy=False), t[:end]
+        bad = (join[a] > c) | (join[b] > c)
+        if not self.allow_self_loops:
+            bad |= a == b
+        if simple:
+            bad |= _repeated(_pair_keys(a, b, n, self.directed))
+        i = int(bad.argmax()) if bad.any() else end
+        if i == len(known):
+            return
+        x, y, z = int(u[i]), int(v[i]), int(t[i])
+        if not (0 <= x < n and 0 <= y < n):
+            raise ValueError(f"edge ({x}, {y}) references unknown vertex")
+        if join[x] > z or join[y] > z:
+            raise ValueError(f"edge ({x}, {y}) created at {z} before an endpoint joined")
+        if x == y and not self.allow_self_loops:
+            raise ValueError("self-loops are not allowed in this graph")
+        raise ValueError(f"duplicate edge ({x}, {y}) in simple graph")
+
+    @property
+    def join_times(self) -> tuple[int, ...]:
+        """The join time of each vertex id, built from ``join`` on first
+        read."""
+        if self._join_times is None:
+            self._join_times = tuple(self.join.tolist())
+        return self._join_times
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """``(source, target, created)`` per edge in input order, built
+        from ``u``, ``v`` and ``t`` on first read."""
+        if self._edges is None:
+            self._edges = tuple(zip(self.u.tolist(), self.v.tolist(), self.t.tolist()))
+        return self._edges
 
     # -- basic facts ---------------------------------------------------
 
     @property
     def n_vertices(self) -> int:
-        return len(self.join_times)
+        return len(self.join)
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.t)
 
     @property
     def t_min(self) -> int:
         """Join time of the first vertex (0 for an empty graph)."""
-        return self.join_times[0] if self.join_times else 0
+        return int(self.join[0]) if len(self.join) else 0
 
     @property
     def t_max(self) -> int:
         """Join time of the last vertex (0 for an empty graph)."""
-        return self.join_times[-1] if self.join_times else 0
+        return int(self.join[-1]) if len(self.join) else 0
 
     @property
     def active_time(self) -> int:
@@ -121,15 +197,15 @@ class TemporalGraph:
     @property
     def t_end(self) -> int:
         """Latest event in the graph, vertex join or edge creation."""
-        last_edge = self._edge_times_sorted[-1] if self.edges else 0
+        last_edge = int(self._t_sorted[-1]) if len(self.t) else 0
         return max(self.t_max, last_edge)
 
     # -- snapshots -----------------------------------------------------
 
     def snapshot_at(self, t: int) -> "Snapshot":
         """Restrict the graph to activity up to time ``t`` (inclusive)."""
-        nv = bisect_right(self.join_times, t)
-        ne = bisect_right(self._edge_times_sorted, t)
+        nv = int(np.searchsorted(self.join, t, side="right"))
+        ne = int(np.searchsorted(self._t_sorted, t, side="right"))
         return Snapshot(self, t, nv, ne)
 
     def horizons(self, interval: int) -> list[int]:
@@ -159,12 +235,12 @@ class TemporalGraph:
         bits can still be normalized; indexing it raises ``OverflowError``.
         """
         if self._first_links is None:
-            e = np.array(self.edges, dtype=np.int64).reshape(-1, 3)
-            e = e[np.argsort(e[:, 2], kind="stable")]
-            lo, hi = e[:, :2].min(axis=1), e[:, :2].max(axis=1)
+            times = np.asarray(self.t, dtype=np.int64)
+            order = np.argsort(times, kind="stable")
+            u, v, times = self.u[order], self.v[order], times[order]
             # the earliest record of each unordered pair, in time order
-            first = np.sort(np.unique(lo * self.n_vertices + hi, return_index=True)[1])
-            u, v, times = e[first].T
+            first = ~_repeated(_pair_keys(u, v, self.n_vertices, directed=False))
+            u, v, times = u[first], v[first], times[first]
             keep = np.repeat(u != v, 2)
             keep[::2] = True  # a self-loop is one event
             self._first_links = (
@@ -210,9 +286,11 @@ class Snapshot:
         return self.parent.directed
 
     def edges(self) -> Iterator[Edge]:
-        """The parent's edges created by ``horizon``, in input order."""
-        horizon = self.horizon
-        return (e for e in self.parent.edges if e[2] <= horizon)
+        """The parent's edges created by ``horizon``, in input order, as
+        ``(source, target, created)`` tuples read from its columns."""
+        p = self.parent
+        keep = p.t <= self.horizon
+        return zip(p.u[keep].tolist(), p.v[keep].tolist(), p.t[keep].tolist())
 
     def degrees(self) -> list[int]:
         return self.parent.degrees_at(self.horizon)[: self.n_vertices]
@@ -295,17 +373,17 @@ def write_edge_list(graph: TemporalGraph, path) -> None:
     ``"simple": false`` so that it reads back as a multigraph.
     """
     path = str(path)
-    # the pair set is dropped before the lines are built
-    repeats = len(
-        {(u, v) if graph.directed or u <= v else (v, u) for u, v, _ in graph.edges}
-    ) < graph.n_edges
-    lines = ["# source,target,timestamp"]
-    lines.extend(f"{u},{v},{t}" for u, v, t in graph.edges)
-    first_seen = _first_seen(graph.edges)
+    join, u, v, t = graph.join, graph.u, graph.v, graph.t
+    repeats = _repeated(_pair_keys(u, v, graph.n_vertices, graph.directed)).any()
+    body = "%d,%d,%d\n" * len(t) % tuple(np.column_stack([u, v, t]).ravel().tolist())
+    # No record precedes its endpoints' join, so a vertex's earliest
+    # record carries its join time exactly when some record does.
+    implied = np.zeros(len(join), dtype=bool)
+    implied[u[join[u] == t]] = True
+    implied[v[join[v] == t]] = True
     explicit = {
-        str(v): jt
-        for v, jt in enumerate(graph.join_times)
-        if first_seen.get(v) != jt
+        str(x): jt
+        for x, jt in zip(np.flatnonzero(~implied).tolist(), join[~implied].tolist())
     }
     meta = {
         "directed": graph.directed,
@@ -319,7 +397,7 @@ def write_edge_list(graph: TemporalGraph, path) -> None:
     # both files are written out before either replaces its target, so
     # a failure leaves the old pair whole
     with _replacing(path) as fh, _replacing(path + _META_SUFFIX) as meta_fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("# source,target,timestamp\n" + body)
         fh.flush()
         json.dump(meta, meta_fh, sort_keys=True, separators=(",", ":"))
         meta_fh.write("\n")

@@ -9,12 +9,69 @@ accidentally reuse library indexing.
 """
 
 import itertools
+import json
 import math
 from collections import deque
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
+
+
+def validate_brute(join_times, edges, directed=False, allow_self_loops=False, simple=True):
+    """The constructor's checks as one loop over the join times and one
+    over the edges: raises ``ValueError`` for the first fault in input
+    order."""
+    joins, loops_ok = join_times, allow_self_loops
+    n = len(joins)
+    prev = 0
+    for t in joins:
+        if t < 0:
+            raise ValueError("join times must be non-negative")
+        if t < prev:
+            raise ValueError("vertex ids must be assigned in join order")
+        prev = t
+    seen = set()
+    for u, v, t in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) references unknown vertex")
+        if joins[u] > t or joins[v] > t:
+            raise ValueError(
+                f"edge ({u}, {v}) created at {t} before an endpoint joined"
+            )
+        if u == v and not loops_ok:
+            raise ValueError("self-loops are not allowed in this graph")
+        if simple:
+            key = (u, v) if directed or u <= v else (v, u)
+            if key in seen:
+                raise ValueError(f"duplicate edge ({u}, {v}) in simple graph")
+            seen.add(key)
+
+
+def edge_list_text_brute(join_times, edges, directed, allow_self_loops, time_unit=""):
+    """The edge-list file and its JSON sidecar as text: one
+    ``u,v,t`` line per edge in input order; a join time goes to
+    ``explicit_join_times`` unless it equals the earliest record naming
+    the vertex; a repeated pair (unordered when undirected) adds
+    ``"simple": false``."""
+    lines = ["# source,target,timestamp"] + [f"{u},{v},{t}" for u, v, t in edges]
+    first = {}
+    for u, v, t in edges:
+        first[u] = min(first.get(u, t), t)
+        first[v] = min(first.get(v, t), t)
+    meta = {
+        "directed": directed,
+        "allow_self_loops": allow_self_loops,
+        "time_unit_label": time_unit,
+    }
+    explicit = {str(v): jt for v, jt in enumerate(join_times) if first.get(v) != jt}
+    if explicit:
+        meta["explicit_join_times"] = explicit
+    pairs = {(u, v) if directed or u <= v else (v, u) for u, v, _ in edges}
+    if len(pairs) < len(edges):
+        meta["simple"] = False
+    sidecar = json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n"
+    return "\n".join(lines) + "\n", sidecar
 
 
 def degree_brute(edges, v, t):

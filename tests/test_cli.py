@@ -48,6 +48,7 @@ def path_stream(offset):
 
 GRAPH = "0 1 0\n1 2 1\n0 2 2\n"
 ANALYZE = "analyze --in {d}/g.txt --out {d}/o.csv --interval "
+TPA_F = '{"model": "tpa", "m": 2, "schedule": "5,5", "f": %s}'
 # Invocations that must end in one `error:` line and exit 1: the files
 # to write into a fresh directory {d}, then the arguments.
 ONE_LINE_ERRORS = {
@@ -76,6 +77,13 @@ ONE_LINE_ERRORS = {
                                   "generate --config {d}/c.json --out {d}/o.csv"),
     "generate_f_number": ({"c.json": '{"model": "tpa", "m": 2, "schedule": "5,5", "f": 5}'},
                           "generate --config {d}/c.json --out {d}/o.csv"),
+    "generate_f_exp_nan": ({}, "generate --model tpa --m 2 --schedule 5,5 --f expnan --out {d}/o.csv"),
+    "generate_f_b_string": ({"c.json": TPA_F % '{"form": "exp_base", "b": "2"}'},
+                            "generate --config {d}/c.json --out {d}/o.csv"),
+    "generate_f_a_null": ({"c.json": TPA_F % '{"form": "geometric", "a": null, "r": 0.5}'},
+                          "generate --config {d}/c.json --out {d}/o.csv"),
+    "generate_f_values_number": ({"c.json": TPA_F % '{"form": "tabulated", "values": 5}'},
+                                 "generate --config {d}/c.json --out {d}/o.csv"),
     "generate_ba_m_zero": ({}, "generate --model ba --m 0 --n 10 --out {d}/o.csv"),
     "generate_hk_p_above_one": ({}, "generate --model hk --m 2 --n 10 --p-triangle 1.5 --out {d}/o.csv"),
     "generate_unknown_model": ({}, "generate --model xx --n 10 --out {d}/o.csv"),

@@ -8,10 +8,17 @@ from hypothesis import given, settings, strategies as st
 
 from temponet import TemporalGraph, read_edge_list, write_edge_list, tpa_generate, TpaParams, TimeDiffFn
 from temponet import temporal_graph
+from temponet.ingest import normalize_times, read_edge_stream
 from temponet.metrics import _undirected_simple_csr
 from temponet.temporal_graph import _replacing
 
-from oracles import degree_brute, first_links_brute, undirected_simple
+from oracles import (
+    degree_brute,
+    edge_list_text_brute,
+    first_links_brute,
+    undirected_simple,
+    validate_brute,
+)
 
 
 def star_graph():
@@ -53,6 +60,97 @@ class TestConstruction:
             TemporalGraph([5, 3, -1], [])
         with pytest.raises(ValueError, match="duplicate"):
             TemporalGraph([0, 0], [(0, 1, 0), (0, 1, 0), (0, 5, 0)])
+
+
+def random_constructor_input(rng):
+    """Join times and edges that are valid or break the constructor's
+    rules, often more than once: negative and out-of-order joins,
+    unknown and negative ids, edges before a join, loops, and pairs
+    repeated in either orientation."""
+    n = rng.randint(0, 6)
+    joins = sorted(rng.randint(0, 4) for _ in range(n))
+    if n and rng.random() < 0.15:
+        joins[rng.randrange(n)] = rng.choice([-1, -3, 2**64])
+    if n > 1 and rng.random() < 0.15:
+        i = rng.randrange(n - 1)
+        joins[i], joins[i + 1] = joins[i + 1], joins[i]
+    edges = []
+    for _ in range(rng.randint(0, 8)):
+        if edges and rng.random() < 0.2:
+            u, v, t = rng.choice(edges)  # a repeat, maybe reversed
+            edges.append((v, u, t + 1) if rng.random() < 0.5 else (u, v, t))
+            continue
+        bad_id = rng.random() < 0.08
+        u = rng.choice([-1, n, n + 2, 2**64]) if bad_id else rng.randrange(max(n, 1))
+        v = u if rng.random() < 0.15 else rng.randrange(max(n, 1))
+        late = max(joins[x] for x in (u, v) if 0 <= x < n) if 0 <= u < n and 0 <= v < n else 0
+        t = late + rng.randint(-1 if rng.random() < 0.25 else 0, 3)
+        edges.append((u, v, t))
+    flags = dict(
+        directed=rng.random() < 0.5,
+        allow_self_loops=rng.random() < 0.5,
+        simple=rng.random() < 0.7,
+    )
+    return joins, edges, flags
+
+
+def raised(fn, *args, **kwargs):
+    try:
+        fn(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestValidationOracle:
+    def test_messages_match_the_edge_by_edge_checks(self):
+        rng = random.Random(2024)
+        messages = []
+        for _ in range(4000):
+            joins, edges, flags = random_constructor_input(rng)
+            expected = raised(validate_brute, joins, edges, **flags)
+            assert raised(TemporalGraph, joins, edges, **flags) == expected, (joins, edges, flags)
+            messages.append(expected)
+        # every rule fired, and plenty of inputs passed
+        for rule in ("non-negative", "join order", "unknown vertex", "before an endpoint", "self-loops", "duplicate"):
+            assert any(m and rule in m for m in messages), rule
+        assert messages.count(None) > 800
+
+
+class TestInt64Boundary:
+    """Timestamps at and past the int64 limit are kept as Python ints:
+    the graph builds, snapshots and normalizes, and only the int64
+    first-link index refuses them."""
+
+    @pytest.mark.parametrize("big", [2**63 - 1, 2**63, 2**64])
+    def test_edge_time_at_the_limit(self, big):
+        g = TemporalGraph([0, 0], [(0, 1, big)])
+        assert g.edges == ((0, 1, big),) and g.t.dtype == (np.int64 if big < 2**63 else object)
+        assert g.t_end == big
+        if big < 2**64:
+            assert TemporalGraph([0, 0], np.array([[0, 1, big]], dtype=np.uint64)).edges == g.edges
+        assert [g.snapshot_at(t).n_edges for t in (big - 1, big, big + 1)] == [0, 1, 1]
+        assert list(g.snapshot_at(big).edges()) == [(0, 1, big)]
+        late = TemporalGraph([5, big], [(0, 1, big)])
+        assert [late.snapshot_at(t).n_vertices for t in (big - 1, big)] == [1, 2]
+        n = normalize_times(late)
+        assert (n.join_times, n.edges, n.t_end) == ((0, big - 5), ((0, 1, big - 5),), big - 5)
+        if big < 2**63:
+            assert g.first_links()[0].tolist() == [big, big]
+        else:
+            with pytest.raises(OverflowError):
+                g.first_links()
+
+    def test_offset_stream_normalizes_to_the_plain_one(self):
+        graphs = []
+        for offset in (2**63, 0):
+            lines = [f"{i} {i + 1} {offset + i}" for i in range(30)]
+            graphs.append(normalize_times(read_edge_stream(lines)))
+        huge, plain = graphs
+        assert (huge.join_times, huge.edges) == (plain.join_times, plain.edges)
+        assert huge.join.dtype == huge.t.dtype == np.int64
+        for a, b in zip(huge.first_links(), plain.first_links()):
+            assert a.tolist() == b.tolist()
 
 
 class TestSnapshots:
@@ -179,6 +277,7 @@ class TestProperties:
         assert s1.n_vertices <= s2.n_vertices
         assert s1.n_edges <= s2.n_edges
         assert set(s1.edges()) <= set(s2.edges())
+        assert (len(list(s1.edges())), len(list(s2.edges()))) == (s1.n_edges, s2.n_edges)
         for v in range(s1.n_vertices):
             assert g.degree_at(v, t1) <= g.degree_at(v, t2)
 
@@ -196,6 +295,37 @@ class TestProperties:
             a, b = g.snapshot_at(t), back.snapshot_at(t)
             assert (a.n_vertices, a.n_edges) == (b.n_vertices, b.n_edges)
             assert list(a.edges()) == list(b.edges())
+
+    @given(temporal_graphs(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_written_files_match_oracle(self, g, from_array):
+        if from_array:
+            g = TemporalGraph(
+                g.join_times, np.array(g.edges, dtype=np.int64).reshape(-1, 3),
+                directed=g.directed, allow_self_loops=g.allow_self_loops, simple=False,
+            )
+        assert_writes_oracle_text(g)
+
+    @pytest.mark.parametrize("g", [
+        TemporalGraph([], []),
+        TemporalGraph([0, 3, 3], [], directed=True),
+        TemporalGraph([0, 1, 2], np.array([[0, 1, 4], [2, 1, 2], [1, 0, 5]]), directed=True),
+        TemporalGraph([0, 2**64], [(0, 1, 2**64), (1, 1, 2**64 + 3), (1, 0, 2**65)],
+                      allow_self_loops=True, simple=False, time_unit="week"),
+    ], ids=["empty", "isolated", "array", "past_int64"])
+    def test_written_files_match_oracle_on_edge_cases(self, g):
+        assert_writes_oracle_text(g)
+
+
+def assert_writes_oracle_text(g):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "graph.csv")
+        write_edge_list(g, path)
+        with open(path, newline="") as fh, open(path + ".meta.json") as meta:
+            written = fh.read(), meta.read()
+    assert written == edge_list_text_brute(
+        list(g.join_times), list(g.edges), g.directed, g.allow_self_loops, g.time_unit
+    )
 
 
 class TestFirstLinks:
