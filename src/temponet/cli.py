@@ -137,6 +137,7 @@ def cmd_generate(args) -> int:
 
 
 def _analysis_rows(graph: TemporalGraph, interval: int, k_values: list[int], x_min: int) -> list[dict]:
+    graph.first_links()  # every feature reads it; fails first on times past int64
     snapshots = graph.snapshot_series(interval)
     # lead with the activation-time snapshot so every interval has a row
     if snapshots and snapshots[0].horizon > graph.t_min:

@@ -6,6 +6,12 @@ need not be time-ordered. A vertex's join time is the earliest
 timestamp of any record mentioning it. The grammar and the join rule are
 the ones :func:`temponet.temporal_graph.read_edge_list` applies to a
 sidecar-backed file.
+
+The path is columnar: the parser turns the records into one ``(E, 3)``
+integer array, and the loop drop, dedupe, degree cap, ranking and remap
+are numpy operations over dense vertex indices. A malformed stream
+raises for its first faulty line, with the reason a line-by-line reader
+would give it first.
 """
 
 from __future__ import annotations
@@ -15,7 +21,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .temporal_graph import EdgeStreamParseError, TemporalGraph, _first_seen, _parse_records
+from .temporal_graph import EdgeStreamParseError, TemporalGraph
+from .temporal_graph import _distinct, _first_seen, _pair_keys, _parse_records
 
 
 class StreamRejected(RuntimeError):
@@ -42,62 +49,61 @@ def read_edge_stream(source: Iterable[str], config: IngestConfig | None = None) 
     """Parse a line-oriented edge stream into a TemporalGraph.
 
     Duplicate edges (same endpoints, unordered when undirected) collapse
-    to their earliest timestamp when ``config.dedupe`` is set. Self-loop
-    records keep their endpoint as a vertex even when loops themselves
-    are disallowed. Raw vertex ids are remapped to dense ids in join
-    order (ties broken by first appearance), which leaves conforming
-    streams unchanged. Raises :class:`EdgeStreamParseError` naming the
-    first malformed line, and :class:`StreamRejected` when fewer than
+    to one edge when ``config.dedupe`` is set: the first record's
+    orientation and position, stamped with the earliest timestamp of any
+    of them. Self-loop records keep their endpoint as a vertex even when
+    loops themselves are disallowed. Raw vertex ids are remapped to dense
+    ids in join order (ties broken by first appearance), which leaves
+    conforming streams unchanged.
+
+    The records are parsed into integer columns, and every later step
+    (loop drop, dedupe, degree cap, ranking, remap) is a numpy operation
+    over dense vertex indices. Raises :class:`EdgeStreamParseError`
+    naming the first malformed line, with the reason a line-by-line
+    reader would give first, and :class:`StreamRejected` when fewer than
     ``config.min_edges`` edges survive.
     """
     config = config or IngestConfig()
     records = _parse_records(source)
-    if not records:
+    if not len(records):
         raise ValueError("empty edge stream")
-    join = _first_seen(records)
+    ids, join, first, index = _first_seen(records)
+    n = len(ids)
+    u, v, t = index[0::2], index[1::2], records[:, 2]
 
-    edges: list[tuple[int, int, int]] = []
-    # pair key -> (u, v, earliest t): the first record's orientation and
-    # first-appearance position, the earliest timestamp of any record
-    first: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for u, v, t in records:
-        if u == v and not config.allow_self_loops:
-            continue  # the vertex stays; only the loop edge is dropped
-        if config.dedupe:
-            key = (u, v) if config.directed or u <= v else (v, u)
-            u0, v0, t0 = first.setdefault(key, (u, v, t))
-            if t < t0:
-                first[key] = (u0, v0, t)
-        else:
-            edges.append((u, v, t))
+    if not config.allow_self_loops:
+        edge = u != v  # the vertex stays; only the loop edge is dropped
+        u, v, t = u[edge], v[edge], t[edge]
     if config.dedupe:
-        edges = list(first.values())
+        _, firsts, pair = _distinct(_pair_keys(u, v, n, config.directed))
+        stamp = t[firsts]
+        np.minimum.at(stamp, pair, t)
+        order = np.argsort(firsts)
+        u, v, t = u[firsts[order]], v[firsts[order]], stamp[order]
 
+    alive = np.ones(n, dtype=bool)
     if config.max_degree is not None:
-        neighbours: dict[int, set[int]] = {x: set() for x in join}
-        for u, v, _ in edges:
-            neighbours[u].add(v)
-            neighbours[v].add(u)
-        dropped = {x for x, ns in neighbours.items() if len(ns) > config.max_degree}
-        edges = [(u, v, t) for u, v, t in edges if u not in dropped and v not in dropped]
-        for x in dropped:
-            del join[x]
-        if not join:
+        # distinct neighbours in either direction; a self-loop counts once
+        arcs = np.unique(np.concatenate([u * n + v, v * n + u]))
+        alive = np.bincount(arcs // n, minlength=n) <= config.max_degree
+        if not alive.any():
             raise StreamRejected("max-degree filter removed every vertex")
+        edge = alive[u] & alive[v]
+        u, v, t = u[edge], v[edge], t[edge]
 
-    if len(edges) < config.min_edges:
+    if len(t) < config.min_edges:
         raise StreamRejected(
-            f"{len(edges)} edges after filtering, below the {config.min_edges} threshold"
+            f"{len(t)} edges after filtering, below the {config.min_edges} threshold"
         )
 
-    # stable sort over first-appearance order breaks join-time ties
-    ranked = sorted(join, key=join.__getitem__)
-    remap = {raw_id: new_id for new_id, raw_id in enumerate(ranked)}
-    join_times = [join[raw_id] for raw_id in ranked]
-    edges = [(remap[u], remap[v], t) for u, v, t in edges]
+    # join order, ties broken by first appearance
+    survivors = np.flatnonzero(alive)
+    ranked = survivors[np.lexsort((first[survivors], join[survivors]))]
+    remap = np.empty(n, dtype=np.int64)
+    remap[ranked] = np.arange(len(ranked))
     return TemporalGraph(
-        join_times,
-        edges,
+        join[ranked],
+        np.column_stack([remap[u], remap[v], t]),
         directed=config.directed,
         allow_self_loops=config.allow_self_loops,
         simple=config.dedupe,

@@ -235,9 +235,13 @@ class TemporalGraph:
         bits can still be normalized; indexing it raises ``OverflowError``.
         """
         if self._first_links is None:
-            times = np.asarray(self.t, dtype=np.int64)
-            order = np.argsort(times, kind="stable")
-            u, v, times = self.u[order], self.v[order], times[order]
+            if self.t.dtype != np.int64:
+                raise OverflowError(
+                    "edge times pass the int64 range; zero-basing the stream"
+                    " (as `stars` does) brings them into range if its span fits"
+                )
+            order = np.argsort(self.t, kind="stable")
+            u, v, times = self.u[order], self.v[order], self.t[order]
             # the earliest record of each unordered pair, in time order
             first = ~_repeated(_pair_keys(u, v, self.n_vertices, directed=False))
             u, v, times = u[first], v[first], times[first]
@@ -310,36 +314,77 @@ class EdgeStreamParseError(ValueError):
         self.line_no = line_no
 
 
-def _parse_records(lines: Iterable[str]) -> list[Edge]:
-    """The ``source target timestamp`` records of an edge list: three
-    integer fields split by commas or whitespace, timestamps
-    non-negative; blank and ``#``-prefixed lines are skipped."""
-    records = []
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split(",") if "," in line else line.split()
-        if len(fields) != 3:
-            raise EdgeStreamParseError(line_no, line, "expected 3 fields")
+def _parse_records(lines: Iterable[str]) -> np.ndarray:
+    """The ``source target timestamp`` records of an edge list as an
+    ``(E, 3)`` integer array (see :func:`_int_column`): three integer
+    fields split by commas or whitespace, timestamps non-negative; blank
+    and ``#``-prefixed lines are skipped.
+
+    The line loop only splits and counts fields; one ``map(int, ...)``
+    converts every field and one mask tests the timestamps. Only when a
+    check fails does a pass over the kept records run, one by one, so
+    the error names the first faulty line with the reason a line-by-line
+    reader gives it first: a wrong field count, then a non-integer
+    field, then a negative timestamp. A line that cannot be decoded is
+    reported only when no line before it is at fault.
+    """
+    numbers: list[int] = []  # the line number and text of each record
+    kept: list[str] = []
+    fields: list[str] = []  # three per record
+    stop = None  # a wrong field count, or a line that could not be read
+    try:
+        for line_no, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line or line[0] == "#":
+                continue
+            parts = line.split(",") if "," in line else line.split()
+            if len(parts) != 3:
+                stop = EdgeStreamParseError(line_no, line, "expected 3 fields")
+                break
+            numbers.append(line_no)
+            kept.append(line)
+            fields += parts
+    except UnicodeDecodeError as exc:
+        stop = exc
+    # either way, a line before the stop may hold an earlier fault
+    try:
+        records = _int_column(map(int, fields)).reshape(-1, 3)
+    except ValueError:
+        records = None
+    if stop is None and records is not None and not (records[:, 2] < 0).any():
+        return records
+    for i, (line_no, line) in enumerate(zip(numbers, kept)):
         try:
-            u, v, t = (int(x) for x in fields)
+            _, _, t = map(int, fields[3 * i : 3 * i + 3])
         except ValueError:
             raise EdgeStreamParseError(line_no, line, "fields must be integers") from None
         if t < 0:
             raise EdgeStreamParseError(line_no, line, "negative timestamp")
-        records.append((u, v, t))
-    return records
+    raise stop
 
 
-def _first_seen(records: Iterable[Edge]) -> dict[int, int]:
-    """A vertex joins at the earliest timestamp of any record naming it.
-    Keys are in order of first appearance, source before target."""
-    first: dict[int, int] = {}
-    for u, v, t in records:
-        first[u] = min(first.get(u, t), t)
-        first[v] = min(first.get(v, t), t)
-    return first
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What ``np.unique(values, return_index=True, return_inverse=True)``
+    returns: the sorted distinct values, the first position of each, and
+    each position's index into them; without the stable sort that
+    ``return_index`` costs, several times a plain one."""
+    distinct, index = np.unique(values, return_inverse=True)
+    first = np.full(len(distinct), len(values))
+    np.minimum.at(first, index, np.arange(len(values)))
+    return distinct, first, index
+
+
+def _first_seen(records: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The vertices an ``(E, 3)`` record array names, as sorted ``ids``
+    with ``join``, the earliest timestamp of any record naming each, and
+    ``first``, its first position in the endpoint sequence ``u0, v0, u1,
+    v1, ...`` (source before target); ``index`` maps that sequence to
+    positions in ``ids``."""
+    ids, first, index = _distinct(records[:, :2].ravel())
+    times = np.repeat(records[:, 2], 2)
+    join = times[first]
+    np.minimum.at(join, index, times)
+    return ids, join, first, index
 
 
 @contextmanager
@@ -434,8 +479,9 @@ def read_edge_list(path) -> TemporalGraph:
                 " a vertex id with a non-negative integer join time"
             )
     with open(path) as fh:
-        edges = _parse_records(fh)
-    joins = _first_seen(edges)
+        records = _parse_records(fh)
+    ids, join, _, _ = _first_seen(records)
+    joins = dict(zip(ids.tolist(), join.tolist()))
     for key, jt in explicit.items():
         joins[int(key)] = jt
     try:
@@ -444,7 +490,7 @@ def read_edge_list(path) -> TemporalGraph:
         raise ValueError(f"vertex {exc.args[0]} has no record and no explicit join time") from None
     return TemporalGraph(
         join_times,
-        edges,
+        records,
         directed=meta["directed"],
         allow_self_loops=meta["allow_self_loops"],
         simple=meta.get("simple", True),

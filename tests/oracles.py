@@ -17,6 +17,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+from temponet import EdgeStreamParseError, StreamRejected
+
 
 def validate_brute(join_times, edges, directed=False, allow_self_loops=False, simple=True):
     """The constructor's checks as one loop over the join times and one
@@ -46,6 +48,95 @@ def validate_brute(join_times, edges, directed=False, allow_self_loops=False, si
             if key in seen:
                 raise ValueError(f"duplicate edge ({u}, {v}) in simple graph")
             seen.add(key)
+
+
+def parse_records_brute(lines):
+    """The edge-list grammar as one loop over the lines: raises
+    ``EdgeStreamParseError`` at the first line with a wrong field count,
+    a non-integer field or a negative timestamp, checked in that order."""
+    records = []
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split(",") if "," in line else line.split()
+        if len(fields) != 3:
+            raise EdgeStreamParseError(line_no, line, "expected 3 fields")
+        try:
+            u, v, t = (int(x) for x in fields)
+        except ValueError:
+            raise EdgeStreamParseError(line_no, line, "fields must be integers") from None
+        if t < 0:
+            raise EdgeStreamParseError(line_no, line, "negative timestamp")
+        records.append((u, v, t))
+    return records
+
+
+def first_seen_brute(records):
+    """Earliest timestamp per vertex, keyed in order of first appearance
+    (source before target)."""
+    first = {}
+    for u, v, t in records:
+        first[u] = min(first.get(u, t), t)
+        first[v] = min(first.get(v, t), t)
+    return first
+
+
+def read_edge_stream_brute(lines, directed=False, allow_self_loops=False, min_edges=0,
+                           dedupe=True, max_degree=None):
+    """Raw-stream ingest with dicts and loops: returns ``(join_times,
+    edges)`` lists after the loop drop, dedupe (first record's
+    orientation and position, earliest timestamp), distinct-neighbour
+    degree cap, ``min_edges`` check and the remap to ids in join order
+    (ties by first appearance)."""
+    records = parse_records_brute(lines)
+    if not records:
+        raise ValueError("empty edge stream")
+    join = first_seen_brute(records)
+    edges = []
+    first = {}
+    for u, v, t in records:
+        if u == v and not allow_self_loops:
+            continue
+        if dedupe:
+            key = (u, v) if directed or u <= v else (v, u)
+            u0, v0, t0 = first.setdefault(key, (u, v, t))
+            if t < t0:
+                first[key] = (u0, v0, t)
+        else:
+            edges.append((u, v, t))
+    if dedupe:
+        edges = list(first.values())
+    if max_degree is not None:
+        neighbours = {x: set() for x in join}
+        for u, v, _ in edges:
+            neighbours[u].add(v)
+            neighbours[v].add(u)
+        dropped = {x for x, ns in neighbours.items() if len(ns) > max_degree}
+        edges = [(u, v, t) for u, v, t in edges if u not in dropped and v not in dropped]
+        for x in dropped:
+            del join[x]
+        if not join:
+            raise StreamRejected("max-degree filter removed every vertex")
+    if len(edges) < min_edges:
+        raise StreamRejected(f"{len(edges)} edges after filtering, below the {min_edges} threshold")
+    ranked = sorted(join, key=join.__getitem__)
+    remap = {raw_id: new_id for new_id, raw_id in enumerate(ranked)}
+    return [join[x] for x in ranked], [(remap[u], remap[v], t) for u, v, t in edges]
+
+
+def read_edge_list_brute(lines, explicit):
+    """A sidecar-backed file's ``(join_times, edges)``: ids as written,
+    join times from the earliest record, overridden by ``explicit``
+    (id -> join time); raises ``ValueError`` at the first id below the
+    largest that has neither."""
+    edges = parse_records_brute(lines)
+    joins = first_seen_brute(edges)
+    joins.update(explicit)
+    for x in range(max(joins, default=-1) + 1):
+        if x not in joins:
+            raise ValueError(f"vertex {x} has no record and no explicit join time")
+    return [joins[x] for x in range(max(joins, default=-1) + 1)], edges
 
 
 def edge_list_text_brute(join_times, edges, directed, allow_self_loops, time_unit=""):

@@ -90,6 +90,10 @@ ONE_LINE_ERRORS = {
     "stars_missing_dir": ({}, "stars --dir {d}/nets --k 1 --w 1 --interval 1 --out {d}/o.csv"),
 }
 
+# What those errors must say, where the wording is pinned.
+PAST_INT64 = "edge times pass the int64 range; zero-basing the stream (as `stars` does)"
+ERROR_WORDING = {"analyze_time_past_int64": PAST_INT64, "analyze_offset_past_int64": PAST_INT64}
+
 
 def write_malformed(directory, name):
     records, meta = MALFORMED[name]
@@ -110,6 +114,7 @@ def test_failure_is_a_one_line_error(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert ERROR_WORDING.get(name, "") in err
 
 
 class TestGenerate:

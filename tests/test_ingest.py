@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import read_edge_list_brute, read_edge_stream_brute, validate_brute
 from temponet import (
     EdgeStreamParseError,
     IngestConfig,
@@ -50,6 +51,13 @@ class TestReadEdgeStream:
         assert g.edges[0][2] == 5
         assert g.n_edges == 2
 
+    def test_duplicate_keeps_first_records_orientation(self):
+        g = read_edge_stream(stream("1 0 9\n2 1 3\n0 1 5\n"))
+        # joins 1 -> 3, 2 -> 3, 0 -> 5 remap raw ids 1, 2, 0 to 0, 1, 2;
+        # the pair keeps raw "1 0" from its first record, at position 0,
+        # stamped 5 from the later "0 1" record
+        assert g.edges == ((0, 2, 5), (1, 0, 3))
+
     def test_comma_delimited_and_comments(self):
         g = read_edge_stream(stream("# header\n0,1,5\n\n1,2,6\n"))
         assert g.n_edges == 2
@@ -62,6 +70,28 @@ class TestReadEdgeStream:
             read_edge_stream(stream("0 1\n"))
         with pytest.raises(EdgeStreamParseError):
             read_edge_stream(stream("0 1 -4\n"))
+
+    @pytest.mark.parametrize("text, line_no, reason", [
+        ("0 1 5\n0 2 -1\n# c\n1 2 x\n", 2, "negative timestamp"),
+        ("0 1 5\n0 2 x\n\n1 2 -1\n", 2, "fields must be integers"),
+        ("0 1 5\n0 2\n1 2 x\n1 2 -1\n", 2, "expected 3 fields"),
+        ("0 1 x\n0 2\n1 2 -1\n", 1, "fields must be integers"),
+        ("0 1 -1\n\n0 2 3 4\n", 1, "negative timestamp"),
+    ])
+    def test_first_faulty_line_wins(self, text, line_no, reason):
+        with pytest.raises(EdgeStreamParseError, match=reason) as err:
+            read_edge_stream(stream(text))
+        assert err.value.line_no == line_no
+
+    def test_faulty_line_wins_over_a_later_read_error(self):
+        def lines(*text):
+            yield from text
+            raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+        with pytest.raises(EdgeStreamParseError, match="line 2: fields must be integers"):
+            read_edge_stream(lines("0 1 5\n", "0 1 x\n", "1 2 3\n"))
+        with pytest.raises(UnicodeDecodeError):
+            read_edge_stream(lines("0 1 5\n", "1 2 3\n"))
 
     def test_empty_input(self):
         with pytest.raises(ValueError, match="empty"):
@@ -248,3 +278,114 @@ class TestRoundTripProperty:
             assert back.degrees_at(t) == g.degrees_at(t)
             for x, y in zip(g.first_links(t), back.first_links(t)):
                 assert np.array_equal(x, y)
+
+
+def _field(rng, x):
+    """``x`` as text int() reads back: plain, signed, zero-padded or with
+    digit-group underscores."""
+    form = rng.random()
+    if x >= 0 and form < 0.1:
+        return f"+{x}"
+    if x >= 0 and form < 0.15:
+        return f"00{x}"
+    if form < 0.25:
+        return f"{x:_}"
+    return str(x)
+
+
+BAD_LINES = ["1 2", "1,2", "1 2 3 4", "1,2,3,4", "a b c", "1 2 x", "1.5 2 3",
+             "1,,3", "1 2 -3", "1,2,-1", f"1 2 -{2**64}", "1 2 3_"]
+
+
+def random_stream(rng):
+    """Records over a few raw ids (negative ones and ones past 2**64
+    among them) and times (some past 2**63 and 2**64), each written with
+    commas or whitespace, amid blank and comment lines; half the streams
+    carry one to three faulty lines."""
+    ids = [rng.choice([rng.randint(0, 30), -rng.randint(1, 9), 2**64 + rng.randint(0, 9)])
+           for _ in range(rng.randint(1, 7))]
+    big = rng.random() < 0.15
+    lines = []
+    for _ in range(rng.randint(0, 18)):
+        u, v = rng.choice(ids), rng.choice(ids)
+        t = rng.randint(0, 12) + (rng.choice([2**63, 2**64]) if big and rng.random() < 0.5 else 0)
+        f = [_field(rng, x) for x in (u, v, t)]
+        style = rng.random()
+        if style < 0.4:
+            line = ",".join(f)
+        elif style < 0.5:
+            line = " , ".join(f)
+        else:
+            line = rng.choice([" ", "\t", "  "]).join(f)
+        lines.append(rng.choice(["", " ", "\t"]) + line + rng.choice(["", " ", "\r"]))
+    for _ in range(rng.randint(0, 4)):
+        lines.insert(rng.randint(0, len(lines)),
+                     rng.choice(["", "   ", "# source,target,timestamp", "  # note", "#1 2 3"]))
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(1, 3)):
+            lines.insert(rng.randint(0, len(lines)), rng.choice(BAD_LINES))
+    return "".join(line + "\n" for line in lines)
+
+
+def outcome(read):
+    """What ``read()`` returns or raises, as comparable values."""
+    try:
+        return read()
+    except (ValueError, StreamRejected) as exc:
+        return type(exc), str(exc)
+
+
+class TestIngestOracle:
+    def test_graphs_and_errors_match_the_loop_reader(self, tmp_path):
+        rng = random.Random(909)
+        seen = set()
+        for case in range(2500):
+            text = random_stream(rng)
+            cfg = IngestConfig(
+                directed=rng.random() < 0.5,
+                allow_self_loops=rng.random() < 0.5,
+                min_edges=rng.choice([0, 0, rng.randint(1, 8)]),
+                dedupe=rng.random() < 0.7,
+                time_column_unit=rng.choice(["", "weeks"]),
+                max_degree=rng.choice([None, None, rng.randint(0, 4)]),
+            )
+
+            def brute():
+                joins, edges = read_edge_stream_brute(
+                    text.splitlines(True), cfg.directed, cfg.allow_self_loops,
+                    cfg.min_edges, cfg.dedupe, cfg.max_degree)
+                validate_brute(joins, edges, cfg.directed, cfg.allow_self_loops, cfg.dedupe)
+                return tuple(joins), tuple(edges), cfg.time_column_unit
+
+            def columnar():
+                g = read_edge_stream(stream(text), cfg)
+                return g.join_times, g.edges, g.time_unit
+
+            expected = outcome(brute)
+            assert outcome(columnar) == expected, (text, cfg)
+            kind = expected[0] if isinstance(expected[0], type) else "graph"
+            seen.add(kind)
+            if kind is EdgeStreamParseError:
+                seen.add(expected[1].split(": ")[1])
+
+            # the same lines as a sidecar-backed file, ids kept as written
+            explicit = {rng.randint(0, 6): rng.randint(0, 12) for _ in range(rng.randint(0, 2))}
+            meta = {"directed": cfg.directed, "allow_self_loops": cfg.allow_self_loops,
+                    "simple": cfg.dedupe, "explicit_join_times": {str(x): jt for x, jt in explicit.items()}}
+            path = tmp_path / f"g{case}.csv"
+            path.write_text(text)
+            (tmp_path / f"g{case}.csv.meta.json").write_text(json.dumps(meta))
+
+            def list_brute():
+                joins, edges = read_edge_list_brute(text.splitlines(True), explicit)
+                validate_brute(joins, edges, cfg.directed, cfg.allow_self_loops, cfg.dedupe)
+                return tuple(joins), tuple(edges)
+
+            def list_columnar():
+                g = read_edge_list(str(path))
+                return g.join_times, g.edges
+
+            assert outcome(list_columnar) == outcome(list_brute), (text, meta)
+        # every outcome occurs: graphs, each parse fault, rejections
+        assert {"graph", EdgeStreamParseError, StreamRejected, ValueError} <= seen
+        assert {"expected 3 fields", "fields must be integers", "negative timestamp"} <= seen
