@@ -17,10 +17,18 @@ its smallest id; the mean shortest path is a bit-packed multi-source
 BFS over the giant, 64 sources per ``uint64`` word (numpy 2.0 or later
 for ``np.bitwise_count``). Triangle counts and the path-length sum are
 exact integers.
+
+Star vectors read the first-link events once, in time order, and keep
+the top-k set from one horizon to the next. A horizon whose events
+number at most an eighth of the present vertices, with the set full,
+takes the Python step: only the vertices those events touch can enter,
+so each is tested against the weakest member. Any other horizon takes
+the numpy step, which ranks every present vertex.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, asdict
 from typing import Iterable, Sequence
@@ -227,34 +235,84 @@ def k_stars_vector(g: TemporalGraph, horizons: Sequence[int], k: int) -> list[in
     Entry ``i`` is the number of vertices in the top-k at ``horizons[i]``
     that were not in the top-k at time 0 or at any earlier horizon. The
     time-0 star set is empty when no vertex has joined by time 0.
+
+    One sweep over the first-link events in time order keeps the top-k
+    set from one horizon to the next. Degrees only grow, and a vertex
+    that joins later has a larger id, so once the set holds k vertices
+    only those touched by the horizon's events can enter it. A horizon
+    with few events (``8 * events <= nv``) and a full set takes the
+    Python step: it adds the events to a degree list and admits each
+    touched non-member that beats the weakest member, found on a heap of
+    members that re-scores a member whose degree rose when it surfaces.
+    Every other horizon takes the numpy step: the degree array catches
+    up on the events since its last sync and ``_top_k`` ranks every
+    present vertex. The degree list and heap are rebuilt from the array
+    when a Python step follows a numpy one.
     """
     prev = None
     for t in horizons:
         if prev is not None and t <= prev:
             raise ValueError("horizons must be strictly increasing")
         prev = t
-    # One sweep over first-link events in time order: the degree of v at
-    # t counts v's events at or before t.
+    # the degree of v at t counts v's events at or before t
     ev_t, ev_v, _ = g.first_links()
     n = g.n_vertices
     points = np.array([0, *horizons], dtype=np.int64)
     ends = np.searchsorted(ev_t, points, side="right").tolist()
     present = np.searchsorted(np.asarray(g.join, dtype=np.int64), points, side="right").tolist()
 
-    degrees = np.zeros(n, dtype=np.int64)
+    degrees = np.zeros(n, dtype=np.int64)  # counts events[:synced]
     seen = np.zeros(n, dtype=bool)
-    done = 0
+    synced = done = 0
+    full = False
+    deg = None  # degree list, heap and member set of the Python step
     vector = []
     for i, (end, nv) in enumerate(zip(ends, present)):
-        # end drops below done only at horizons below 0, where no vertex
-        # has joined, so the time-0 degrees kept there are never read
-        if end > done:
-            degrees += np.bincount(ev_v[done:end], minlength=n)
-            done = end
-        stars = _top_k(degrees[:nv], k)
+        # horizons below 0 have nv = 0 and end = 0: the numpy step
+        # empties the set there, and the next step catches up from synced
+        if full and k <= nv and 8 * (end - done) <= nv:
+            if deg is None:
+                deg = degrees.tolist()
+                members = set(stars.tolist())
+                heap = [(deg[v] * n - v, v) for v in members]  # orders as (-degree, id)
+                heapq.heapify(heap)
+            touched = ev_v[done:end].tolist()
+            for v in touched:
+                deg[v] += 1
+            entered = []
+            for v in touched:
+                score = deg[v] * n - v
+                # stored scores only lag, so one below the top cannot enter
+                if v in members or score < heap[0][0]:
+                    continue
+                while True:  # settle the weakest, re-scoring members that rose
+                    low, w = heap[0]
+                    now = deg[w] * n - w
+                    if low == now:
+                        break
+                    heapq.heapreplace(heap, (now, w))
+                if score > low:
+                    heapq.heapreplace(heap, (score, v))
+                    members.remove(w)
+                    members.add(v)
+                    entered.append(v)
+            count = 0
+            for v in entered:  # one may have been pushed out again
+                if v in members and not seen[v]:
+                    seen[v] = True
+                    count += 1
+        else:
+            if end > synced:
+                degrees += np.bincount(ev_v[synced:end], minlength=n)
+                synced = end
+            stars = _top_k(degrees[:nv], k)
+            full = len(stars) == k
+            deg = None
+            count = int(np.count_nonzero(~seen[stars]))
+            seen[stars] = True
         if i:
-            vector.append(int(np.count_nonzero(~seen[stars])))
-        seen[stars] = True
+            vector.append(count)
+        done = end
     return vector
 
 

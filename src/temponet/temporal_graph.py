@@ -22,6 +22,9 @@ import numpy as np
 Edge = tuple[int, int, int]  # (source, target, created)
 
 _META_SUFFIX = ".meta.json"
+# a horizon list holds a Python int per entry (~36 bytes), and every
+# caller does at least that much work per horizon: ~0.4 GB at the cap
+_MAX_HORIZONS = 10**7
 
 
 def _int_column(values) -> np.ndarray:
@@ -211,11 +214,18 @@ class TemporalGraph:
     def horizons(self, interval: int) -> list[int]:
         """Snapshot times ``t_min + interval, t_min + 2*interval, ...``,
         ending at ``t_end`` with a final shorter interval when the span
-        does not divide evenly; empty for an empty graph."""
+        does not divide evenly; empty for an empty graph. A grid of more
+        than ``_MAX_HORIZONS`` times raises ``ValueError``."""
         if interval <= 0:
             raise ValueError("interval must be positive")
         if self.n_vertices == 0:
             return []
+        count = max(1, -(-(self.t_end - self.t_min) // interval))
+        if count > _MAX_HORIZONS:
+            raise ValueError(
+                f"interval {interval} gives {count} horizons over the time span;"
+                f" at most {_MAX_HORIZONS} are supported"
+            )
         return [*range(self.t_min + interval, self.t_end, interval), self.t_end]
 
     def snapshot_series(self, interval: int) -> list["Snapshot"]:

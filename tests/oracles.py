@@ -178,6 +178,16 @@ def degree_brute(edges, v, t):
     return len(neighbours)
 
 
+def degrees_brute(n, edges, t):
+    """``degree_brute`` of every vertex below ``n``, in one pass."""
+    neighbours = [set() for _ in range(n)]
+    for a, b, created in edges:
+        if created <= t:
+            neighbours[a].add(b)
+            neighbours[b].add(a)
+    return [len(s) for s in neighbours]
+
+
 def first_links_brute(edges, t):
     """Sorted ``(time, v, w)``: v first touched its distinct neighbour w
     at time, by an edge in either direction created by t; a self-loop
@@ -323,9 +333,8 @@ def avg_sp_bfs(n, edges):
 
 def k_stars_brute(joins, edges, t, k):
     present = [v for v in range(len(joins)) if joins[v] <= t]
-    ranked = sorted(
-        present, key=lambda v: (-degree_brute(edges, v, t), joins[v], v)
-    )
+    degrees = degrees_brute(len(joins), edges, t)
+    ranked = sorted(present, key=lambda v: (-degrees[v], joins[v], v))
     return set(ranked[:k])
 
 

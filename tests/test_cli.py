@@ -58,6 +58,7 @@ ONE_LINE_ERRORS = {
                                    "analyze --in {d}/g.txt --out {d}/no/o.csv --interval 1"),
     "analyze_time_past_int64": ({"g.txt": "0 1 5\n1 2 18446744073709551616\n"}, ANALYZE + "1"),
     "analyze_offset_past_int64": ({"g.txt": path_stream(2**64)}, ANALYZE + "1"),
+    "analyze_horizon_grid_too_large": ({"g.txt": "0 1 0\n1 2 4611686018427387904\n"}, ANALYZE + "1"),
     "compare_missing_settings": ({}, "compare --settings {d}/s.json --out {d}/o.csv"),
     "compare_repeats_zero": ({"s.json": '[{"model": "ba", "m": 2, "n": 20}]'},
                              "compare --settings {d}/s.json --repeats 0 --out {d}/o.csv"),
@@ -92,7 +93,11 @@ ONE_LINE_ERRORS = {
 
 # What those errors must say, where the wording is pinned.
 PAST_INT64 = "edge times pass the int64 range; zero-basing the stream (as `stars` does)"
-ERROR_WORDING = {"analyze_time_past_int64": PAST_INT64, "analyze_offset_past_int64": PAST_INT64}
+ERROR_WORDING = {
+    "analyze_time_past_int64": PAST_INT64,
+    "analyze_offset_past_int64": PAST_INT64,
+    "analyze_horizon_grid_too_large": "interval 1 gives 4611686018427387904 horizons",
+}
 
 
 def write_malformed(directory, name):

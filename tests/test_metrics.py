@@ -299,6 +299,65 @@ class TestKStars:
         for k in (1, 4):
             assert k_stars_vector(late, horizons, k) == k_stars_vector_brute(joins, edges, horizons, k)
 
+    @pytest.mark.parametrize("case", [
+        "ba_interval_1", "hk_interval_1", "single_events_and_bursts", "ties",
+        "k_crosses_vertex_count", "below_zero_after_time_zero_stars", "directed_multigraph",
+    ])
+    def test_vector_matches_oracle_on_both_steps(self, case):
+        # The sweep keeps its top-k set across horizons, updating it from
+        # a degree list while a horizon brings at most nv / 8 events and
+        # ranking every vertex in numpy otherwise; each case mixes both.
+        rng = random.Random(case)
+        horizons, ks = None, (1, 5, 40)
+        if case == "ba_interval_1":
+            g = baseline_generate("ba", 300, seed=3, m=3)
+        elif case == "hk_interval_1":
+            g = baseline_generate("hk", 300, seed=3, m=2, p_triangle=0.5)
+        elif case == "single_events_and_bursts":
+            # 120 vertices from time 0; odd times bring one edge or loop,
+            # even times 20 distinct pairs, over 120 / 8 events
+            edges, used = [], set()
+            for t in range(1, 61):
+                for _ in range(1 if t % 2 else 20):
+                    u, v = rng.randrange(120), rng.randrange(120)
+                    while (min(u, v), max(u, v)) in used:
+                        u, v = rng.randrange(120), rng.randrange(120)
+                    used.add((min(u, v), max(u, v)))
+                    edges.append((u, v, t))
+            g = TemporalGraph([0] * 120, edges, allow_self_loops=True)
+            ks = (1, 3, 10)
+        elif case == "ties":
+            # a ring closed one edge per step in random order: degrees
+            # stay 0, 1 or 2, so most horizons tie at the k-th score
+            pairs = [(v, (v + 1) % 40) for v in range(40)]
+            rng.shuffle(pairs)
+            g = TemporalGraph([0] * 40, [(u, v, t) for t, (u, v) in enumerate(pairs, 1)])
+            ks = (1, 2, 5, 13)
+        elif case == "k_crosses_vertex_count":
+            # one vertex and one edge per step, so nv passes every k
+            g = baseline_generate("ba", 80, seed=4, m=1)
+            ks = (10, 20, 79, 80)
+        elif case == "below_zero_after_time_zero_stars":
+            # a sparse 40-vertex time-0 core, then one vertex per step; the
+            # time-0 events are few enough for a Python step at horizon 0
+            joins = [0] * 40 + list(range(1, 61))
+            edges = [(0, 1, 0), (0, 2, 0)]
+            for v in range(40, 100):
+                edges += [(v, u, v - 39) for u in rng.sample(range(v), 2)]
+            g = TemporalGraph(joins, edges)
+            assert k_stars_set(g.snapshot_at(0), 5)
+            horizons = list(range(-4, g.t_end + 3))
+            ks = (1, 5, 30)
+        else:
+            lines = [f"{rng.randrange(150)} {rng.randrange(150)} {rng.randint(0, 300)}" for _ in range(1500)]
+            lines += [f"{v} {v} {rng.randint(0, 300)}" for v in range(0, 150, 7)]
+            g = read_edge_stream(lines, IngestConfig(directed=True, allow_self_loops=True, dedupe=False))
+            assert g.directed and any(u == v for u, v, _ in g.edges)
+        joins, edges = list(g.join_times), list(g.edges)
+        horizons = horizons or list(range(1, g.t_end + 1))
+        for k in ks:
+            assert k_stars_vector(g, horizons, k) == k_stars_vector_brute(joins, edges, horizons, k)
+
     def test_number_sums_entries(self):
         assert k_stars_number([5, 0, 0]) == 5
         assert k_stars_number([1] * 7) == 7

@@ -14,6 +14,7 @@ from temponet.temporal_graph import _replacing
 
 from oracles import (
     degree_brute,
+    degrees_brute,
     edge_list_text_brute,
     first_links_brute,
     undirected_simple,
@@ -204,6 +205,14 @@ class TestSnapshots:
         assert [s.horizon for s in g.snapshot_series(4)] == [4, 8, 9]
         assert g.horizons(4) == [4, 8, 9]
 
+    def test_series_longer_than_the_cap_is_refused_before_it_is_built(self, monkeypatch):
+        monkeypatch.setattr(temporal_graph, "_MAX_HORIZONS", 3)
+        assert TemporalGraph([5, 7], [(0, 1, 11)]).horizons(2) == [7, 9, 11]
+        with pytest.raises(ValueError, match="interval 2 gives 4 horizons"):
+            TemporalGraph([5, 7], [(0, 1, 12)]).horizons(2)
+        with pytest.raises(ValueError, match="interval 1 gives 4611686018427387904 horizons"):
+            TemporalGraph([0, 1], [(0, 1, 2**62)]).horizons(1)
+
 
 class TestDegree:
     def test_star_hub(self):
@@ -342,7 +351,7 @@ class TestFirstLinks:
             times, v, w = g.first_links(t)
             assert sorted(zip(times.tolist(), v.tolist(), w.tolist())) == first_links_brute(edges, t)
             degrees = [degree_brute(edges, x, t) for x in range(g.n_vertices)]
-            assert g.degrees_at(t) == degrees
+            assert g.degrees_at(t) == degrees == degrees_brute(g.n_vertices, edges, t)
             assert [g.degree_at(x, t) for x in range(g.n_vertices)] == degrees
             s = g.snapshot_at(t)
             indptr, cols = _undirected_simple_csr(s)
