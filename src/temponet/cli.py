@@ -20,7 +20,7 @@ from .evolution import classify_vibrancy, jrc, stars_aggregate, vibrancy, w_max_
 from .generators import TimeDiffFn, TpaParams, baseline_generate, make_schedule, tpa_generate
 from .ingest import IngestConfig, StreamRejected, normalize_times, read_edge_stream
 from .metrics import compute_features, k_stars_number, k_stars_vector
-from .temporal_graph import TemporalGraph, _replacing, read_edge_list, write_edge_list
+from .temporal_graph import TemporalGraph, _check_grid, _replacing, read_edge_list, write_edge_list
 
 _INT_KEYS = ("m", "n", "k", "seed", "retry_limit")
 _REAL_KEYS = ("p", "p_triangle", "p_forward")
@@ -284,7 +284,9 @@ def cmd_stars(args) -> int:
         if args.w > len(members):
             print(f"error: w={args.w} exceeds {label} class size {len(members)}", file=sys.stderr)
             return 1
-        horizons = list(range(args.interval, w_max_time(members, args.w) + 1, args.interval))
+        cap = w_max_time(members, args.w)
+        _check_grid(cap // args.interval, args.interval)
+        horizons = list(range(args.interval, cap + 1, args.interval))
         if not horizons:
             print(f"notice: {label} networks too short for interval", file=sys.stderr)
             continue

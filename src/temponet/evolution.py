@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .metrics import k_stars_number, k_stars_vector
-from .temporal_graph import TemporalGraph, _replacing
+from .temporal_graph import TemporalGraph, _check_grid, _replacing
 
 
 @dataclass
@@ -50,7 +50,8 @@ def jrc(g: TemporalGraph, interval: int) -> Jrc:
     joined strictly before ``t`` (arrivals complete at the end of the
     interval containing them), measured from the first arrival. The
     grid extends one step past the last arrival so the curve always
-    closes at 1. A zero-span network collapses to [(0, 0), (0, 1)].
+    closes at 1. A zero-span network collapses to [(0, 0), (0, 1)]. A
+    grid of more than 10**7 samples raises ``ValueError``.
     """
     if g.n_vertices == 0:
         raise ValueError("cannot compute a join-rate curve for an empty graph")
@@ -63,6 +64,7 @@ def jrc(g: TemporalGraph, interval: int) -> Jrc:
     n = g.n_vertices
     joins = np.asarray(g.join, dtype=np.int64)  # non-decreasing by construction
     steps = span // interval + 1
+    _check_grid(steps + 1, interval)
     grid = np.arange(steps + 1, dtype=np.int64) * interval
     counts = np.searchsorted(joins, t0 + grid, side="left")
     samples = [(t, c / n) for t, c in zip(grid.tolist(), counts.tolist())]

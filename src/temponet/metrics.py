@@ -15,8 +15,13 @@ Triangles are counted by the degree-ordered forward algorithm; the giant
 component comes from min-label propagation, each component labelled by
 its smallest id; the mean shortest path is a bit-packed multi-source
 BFS over the giant, 64 sources per ``uint64`` word (numpy 2.0 or later
-for ``np.bitwise_count``). Triangle counts and the path-length sum are
-exact integers.
+for ``np.bitwise_count``). A giant of up to 1024 vertices runs as one
+block of all its sources, a larger one in blocks of 512. Each BFS level
+takes a sparse push step, over the frontier rows' neighbours only, when
+those rows hold under 0.4 of the edge slots, and a dense step over every
+row otherwise; the dense step ORs the first 16 neighbour slots of every
+row as contiguous slabs, with rows renumbered by falling degree.
+Triangle counts and the path-length sum are exact integers.
 
 Star vectors read the first-link events once, in time order, and keep
 the top-k set from one horizon to the next. A horizon whose events
@@ -37,7 +42,14 @@ import numpy as np
 
 from .temporal_graph import Snapshot, TemporalGraph
 
-_SP_BLOCK = 512
+_SP_BLOCK = 512  # sources per block of a giant above _SP_ONE_BLOCK vertices
+_SP_ONE_BLOCK = 1024
+# a BFS level whose frontier rows hold fewer than this share of the nnz
+# edge slots takes the sparse step (on 700- and 6200-vertex giants any
+# value from 0.2 to 0.4 measured the same)
+_SP_SPARSE = 0.4
+# neighbour slots per row that the dense BFS step ORs as contiguous slabs
+_SP_SLABS = 16
 _GAMMA_MIN_TAIL = 50
 
 
@@ -68,7 +80,7 @@ def _undirected_simple_csr(s: Snapshot) -> tuple[np.ndarray, np.ndarray]:
     v, w = v[link], w[link]
     indptr = np.zeros(s.n_vertices + 1, dtype=np.int64)
     np.cumsum(np.bincount(v, minlength=s.n_vertices), out=indptr[1:])
-    return indptr, w[np.argsort(v, kind="stable")]
+    return indptr, w[np.argsort(v)]
 
 
 def density(s: Snapshot) -> float | None:
@@ -174,32 +186,133 @@ def _giant_component(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
             return label == np.bincount(label).argmax()
 
 
+def _by_falling_degree(
+    indptr: np.ndarray, indices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The adjacency ``(indptr, indices)`` with its rows renumbered by
+    falling degree, ties by id, and ``new_id``, each row's new number."""
+    deg = np.diff(indptr)
+    order = np.argsort(-deg, kind="stable")
+    new_id = np.empty(len(deg), dtype=np.int64)
+    new_id[order] = np.arange(len(deg))
+    deg = deg[order]
+    starts = np.cumsum(deg) - deg
+    slots = np.arange(len(indices)) + np.repeat(indptr[order] - starts, deg)
+    return np.append(starts, len(indices)), new_id[indices[slots]], new_id
+
+
 def _mean_bfs_distance(indptr: np.ndarray, indices: np.ndarray) -> float:
     # Bit-parallel multi-source BFS (Then et al., "The More the Merrier",
-    # VLDB 2014): each block of up to _SP_BLOCK sources is a bit column
-    # in (n, words) uint64 arrays, so one level ORs the frontier words of
-    # every CSR row's neighbours with ``reduceat``; no row is empty, as
-    # the graph is one component of 2+ vertices. The path-length sum is
-    # an exact Python int over all n * (n - 1) ordered pairs.
+    # VLDB 2014): a block of sources is a bit column in (n, words) uint64
+    # arrays; a giant of up to _SP_ONE_BLOCK vertices is one block of all
+    # its sources, a larger one is cut into blocks of _SP_BLOCK. A level
+    # ORs the frontier words of each vertex's neighbours into the next
+    # frontier by one of two steps, chosen at every level from the edge
+    # count of the frontier's rows, as in direction-optimizing BFS
+    # (Beamer, Asanovic & Patterson, SC 2012). Below _SP_SPARSE * nnz,
+    # the sparse push step gathers only those rows' CSR slices, sorts
+    # their targets and ``reduceat``s per target. Otherwise the dense step
+    # gathers all nnz neighbour words into a preallocated buffer and ORs
+    # them per row. The dense step keeps the full frontier array in
+    # place; it is converted to rows and words only at a switch. No row
+    # is empty, as the graph is one component of 2+ vertices. The
+    # path-length sum is an exact Python int over all n * (n - 1)
+    # ordered pairs.
+    #
+    # ``reduceat`` costs per row it reads, so the dense step ORs most
+    # words as contiguous slabs instead. Rows are renumbered by falling
+    # degree, so the j-th neighbours of all rows of degree above j form
+    # one slab that ORs into a prefix of the rows. The slots from
+    # _SP_SLABS on, held by the few rows of higher degree, are
+    # ``reduceat`` per row. Each block still takes consecutive original
+    # ids as its sources, which keeps the frontier of a deep graph thin.
     n = len(indptr) - 1
-    row_starts = indptr[:-1]
+    indptr, indices, new_id = _by_falling_degree(indptr, indices)
+    deg = np.diff(indptr)
+    # the neighbours slab after slab, then the later slots row by row
+    row = np.repeat(np.arange(n), deg)
+    slot = np.arange(len(indices)) - indptr[row]
+    layout = indices[np.argsort(np.where(slot < _SP_SLABS, slot * n, _SP_SLABS * n) + row)]
+    # slab j holds slot j of the rows of degree above j, a prefix of the rows
+    slab_rows = np.count_nonzero(deg[:, None] > np.arange(min(_SP_SLABS, deg[0])), axis=0)
+    slab_at = np.cumsum(slab_rows) - slab_rows
+    slabs = list(zip(slab_at[1:].tolist(), slab_rows[1:].tolist()))  # slab 0 is copied
+    tail_rows = int(np.count_nonzero(deg > _SP_SLABS))
+    tail_deg = deg[:tail_rows] - _SP_SLABS
+    tail_starts = np.cumsum(tail_deg) - tail_deg
+    tail_at = int(slab_rows.sum())
+    sparse_below = _SP_SPARSE * len(indices)
+    block = n if n <= _SP_ONE_BLOCK else _SP_BLOCK
     total = 0
-    for start in range(0, n, _SP_BLOCK):
-        b = min(_SP_BLOCK, n - start)
+    for start in range(0, n, block):
+        b = min(block, n - start)
         bit = np.arange(b)
-        visited = np.zeros((n, -(-b // 64)), dtype=np.uint64)
-        visited[start + bit, bit >> 6] = np.uint64(1) << (bit & 63).astype(np.uint64)
-        frontier = visited.copy()
+        width = -(-b // 64)
+        # the frontier's non-empty rows and, while sparse steps run, their words
+        rows = new_id[start + bit]
+        words = np.zeros((b, width), dtype=np.uint64)
+        words[bit, bit >> 6] = np.uint64(1) << (bit & 63).astype(np.uint64)
+        unvisited = np.full((n, width), ~np.uint64(0))
+        unvisited[rows] ^= words
+        frontier = None  # the full frontier array while dense steps run
+        dense = False
         depth = 0
         while True:
             depth += 1
-            frontier = np.bitwise_or.reduceat(frontier[indices], row_starts, axis=0)
-            frontier &= ~visited
-            reached = int(np.bitwise_count(frontier).sum())
+            row_deg = deg[rows]
+            if row_deg.sum() < sparse_below:
+                if dense:
+                    words, dense = np.take(frontier, rows, axis=0), False
+                ends = np.cumsum(row_deg)
+                slots = np.arange(ends[-1]) + np.repeat(indptr[rows] - ends + row_deg, row_deg)
+                # one sort of target * r + source orders the pairs by target
+                r = len(rows)
+                pairs = np.sort(indices[slots] * r + np.repeat(np.arange(r), row_deg))
+                targets = pairs // r
+                heads = np.empty(len(pairs), dtype=bool)
+                heads[0] = True
+                np.not_equal(targets[1:], targets[:-1], out=heads[1:])
+                heads = np.flatnonzero(heads)
+                words = np.bitwise_or.reduceat(
+                    np.take(words, pairs - targets * r, axis=0), heads, axis=0
+                )
+                rows = targets[heads]
+                left = np.take(unvisited, rows, axis=0)
+                words &= left
+                unvisited[rows] = left ^ words
+            else:
+                if not dense:
+                    if frontier is None:
+                        frontier = np.empty((n, width), dtype=np.uint64)
+                        following = np.empty_like(frontier)
+                        gathered = np.empty((len(indices), width), dtype=np.uint64)
+                        tail = np.empty((tail_rows, width), dtype=np.uint64)
+                    frontier.fill(0)
+                    frontier[rows] = words
+                    dense = True
+                np.take(frontier, layout, axis=0, out=gathered)
+                np.copyto(following, gathered[:n])  # every row has a neighbour
+                for at, count in slabs:
+                    head = following[:count]
+                    np.bitwise_or(head, gathered[at : at + count], out=head)
+                if tail_rows:
+                    np.bitwise_or.reduceat(gathered[tail_at:], tail_starts, axis=0, out=tail)
+                    following[:tail_rows] |= tail
+                following &= unvisited
+                unvisited ^= following
+                frontier, following = following, frontier
+                words = frontier
+            # bits per row, at most 64 * width: exact in uint16
+            row_bits = np.einsum("ij->i", np.bitwise_count(words), dtype=np.uint16)
+            reached = int(row_bits.sum())
             if not reached:
                 break
-            visited |= frontier
             total += depth * reached
+            live = np.flatnonzero(row_bits)
+            if dense:
+                rows = live
+            else:
+                rows, words = rows[live], np.take(words, live, axis=0)
     return total / (n * (n - 1))
 
 

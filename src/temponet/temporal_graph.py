@@ -27,6 +27,16 @@ _META_SUFFIX = ".meta.json"
 _MAX_HORIZONS = 10**7
 
 
+def _check_grid(count: int, interval: int) -> None:
+    """Refuse a time grid of ``count`` points at ``interval`` when it
+    holds more than ``_MAX_HORIZONS``, before anything is built on it."""
+    if count > _MAX_HORIZONS:
+        raise ValueError(
+            f"interval {interval} gives {count} horizons over the time span;"
+            f" at most {_MAX_HORIZONS} are supported"
+        )
+
+
 def _int_column(values) -> np.ndarray:
     """``values`` as an int64 array when every value fits, else as an
     array of Python ints (dtype ``object``)."""
@@ -50,12 +60,11 @@ def _pair_keys(u: np.ndarray, v: np.ndarray, n: int, directed: bool) -> np.ndarr
 
 def _repeated(keys: np.ndarray) -> np.ndarray:
     """True at each position whose key occurs at an earlier position."""
-    repeat = np.zeros(len(keys), dtype=bool)
     ranked = np.sort(keys)
-    if (ranked[1:] == ranked[:-1]).any():  # a stable sort costs more
-        order = np.argsort(keys, kind="stable")
-        repeat[order[1:][np.diff(keys[order]) == 0]] = True
-    return repeat
+    if not (ranked[1:] == ranked[:-1]).any():
+        return np.zeros(len(keys), dtype=bool)
+    _, first, index = _distinct(keys)
+    return first[index] != np.arange(len(keys))
 
 
 class TemporalGraph:
@@ -220,12 +229,7 @@ class TemporalGraph:
             raise ValueError("interval must be positive")
         if self.n_vertices == 0:
             return []
-        count = max(1, -(-(self.t_end - self.t_min) // interval))
-        if count > _MAX_HORIZONS:
-            raise ValueError(
-                f"interval {interval} gives {count} horizons over the time span;"
-                f" at most {_MAX_HORIZONS} are supported"
-            )
+        _check_grid(max(1, -(-(self.t_end - self.t_min) // interval)), interval)
         return [*range(self.t_min + interval, self.t_end, interval), self.t_end]
 
     def snapshot_series(self, interval: int) -> list["Snapshot"]:
@@ -234,9 +238,10 @@ class TemporalGraph:
 
     def first_links(self, t: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """First-link events up to time ``t`` (all of them when ``None``)
-        as arrays ``(times, v, w)``, sorted by time: vertex ``v[i]`` first
-        touched its distinct neighbour ``w[i]`` at ``times[i]``, by an edge
-        in either direction. A pair of distinct vertices gives two events
+        as arrays ``(times, v, w)``, sorted by time with equal times in
+        edge input order: vertex ``v[i]`` first touched its distinct
+        neighbour ``w[i]`` at ``times[i]``, by an edge in either
+        direction. A pair of distinct vertices gives two events
         at the same time, one per endpoint; a self-loop gives one. Every
         snapshot's undirected simple projection is thus a prefix.
 
@@ -250,8 +255,19 @@ class TemporalGraph:
                     "edge times pass the int64 range; zero-basing the stream"
                     " (as `stars` does) brings them into range if its span fits"
                 )
-            order = np.argsort(self.t, kind="stable")
-            u, v, times = self.u[order], self.v[order], self.t[order]
+            u, v, times = self.u, self.v, self.t
+            if (times[1:] < times[:-1]).any():  # generated graphs never sort
+                # the default sort, then each run of equal times put back
+                # in input order: cheaper than a stable sort
+                order = np.argsort(times)
+                e = len(order)
+                key = np.zeros(e, dtype=np.int64)  # run of equal times, then position
+                np.cumsum(np.diff(times[order]) != 0, out=key[1:])
+                key *= e
+                key += order
+                key.sort()
+                order = np.remainder(key, e, out=key)
+                u, v, times = u[order], v[order], times[order]
             # the earliest record of each unordered pair, in time order
             first = ~_repeated(_pair_keys(u, v, self.n_vertices, directed=False))
             u, v, times = u[first], v[first], times[first]

@@ -201,6 +201,24 @@ def first_links_brute(edges, t):
     return sorted((created, v, w) for (v, w), created in first.items())
 
 
+def first_links_ordered_brute(edges):
+    """``(times, v, w)`` lists in the order ``first_links`` gives them:
+    the edges by time, equal times in input order (Python's sort is
+    stable); the first edge of each unordered pair gives one event per
+    endpoint, source first, and a self-loop one."""
+    seen = set()
+    times, vs, ws = [], [], []
+    for a, b, created in sorted(edges, key=lambda e: e[2]):
+        if (min(a, b), max(a, b)) in seen:
+            continue
+        seen.add((min(a, b), max(a, b)))
+        for x, y in [(a, b), (b, a)][: 1 + (a != b)]:
+            times.append(created)
+            vs.append(x)
+            ws.append(y)
+    return times, vs, ws
+
+
 def density_brute(n, edges, directed):
     if n < 2:
         return None

@@ -376,6 +376,22 @@ class TestStars:
             for r, a in zip(class_rows, ref[1]):
                 assert float(r["avg"]) == pytest.approx(a)
 
+    def test_time_span_past_the_grid_cap_is_a_one_line_error(self, tmp_path, capsys):
+        # interval 1 over a 2**31 span: the join-rate grid alone would
+        # take 16 GiB, so the run stops before building it or writing
+        d = tmp_path / "nets"
+        d.mkdir()
+        (d / "g.txt").write_text("0 1 0\n1 2 2147483648\n")
+        out = str(tmp_path / "stars.csv")
+        assert run(["stars", "--dir", str(d), "--k", "1", "--w", "1",
+                    "--interval", "1", "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: interval 1 gives 2147483650 horizons over the time span;"
+            " at most 10000000 are supported\n"
+        )
+        assert sorted(os.listdir(tmp_path)) == ["nets"]
+        assert os.listdir(d) == ["g.txt"]
+
     def test_subdirectory_is_skipped_with_notice(self, tmp_path, capsys):
         d = self.make_network_dir(tmp_path, [("one", [10] * 5, 1)])
         os.mkdir(os.path.join(d, "sub"))

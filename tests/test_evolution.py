@@ -22,6 +22,7 @@ from temponet import (
     vibrancy,
     w_max_time,
 )
+from temponet import temporal_graph
 from temponet.evolution import _average_ranks
 
 from oracles import pair_prob_brute, spearman_brute, stars_aggregate_brute, w_max_brute
@@ -63,6 +64,17 @@ class TestJrc:
             jrc(TemporalGraph([], []), 1)
         with pytest.raises(ValueError):
             jrc(TemporalGraph([0], []), 0)
+
+    def test_grid_longer_than_the_cap_is_refused_before_it_is_built(self, monkeypatch):
+        # [100, 104, 112] at interval 4 samples 5 times (see above)
+        monkeypatch.setattr(temporal_graph, "_MAX_HORIZONS", 5)
+        assert len(jrc(TemporalGraph([100, 104, 112], []), 4).samples) == 5
+        with pytest.raises(ValueError, match="interval 4 gives 6 horizons"):
+            jrc(TemporalGraph([100, 104, 116], []), 4)
+        monkeypatch.undo()
+        # a 2**31 span at interval 1 would need a 16 GiB grid
+        with pytest.raises(ValueError, match="interval 1 gives 2147483650 horizons"):
+            jrc(TemporalGraph([0, 2**31], []), 1)
 
     def test_csv_and_json_serialization(self, tmp_path):
         j = jrc(schedule_graph([5, 10, 5]), 1)

@@ -23,6 +23,7 @@ from temponet import (
     tpa_generate,
 )
 
+from temponet import metrics
 from temponet.metrics import _giant_component, _undirected_simple_csr
 
 from oracles import (
@@ -135,6 +136,23 @@ class TestSparseOracles:
         assert np.flatnonzero(members).tolist() == evens == giant_sparse(8, edges)
 
 
+def shaped_edges(n, shape):
+    """Edges at time 0 of an ``n``-vertex graph that is one component."""
+    rng = random.Random(n)
+    if shape == "path":
+        pairs = [(v - 1, v) for v in range(1, n)]
+    elif shape == "star":
+        pairs = [(0, v) for v in range(1, n)]
+    elif shape == "barbell":  # 30-cliques at both ends of a path
+        pairs = [(v - 1, v) for v in range(1, n)]
+        for lo in (0, n - 30):
+            pairs += [(a, b) for a in range(lo, lo + 30) for b in range(a + 2, lo + 30)]
+    else:  # a random tree, so every vertex is in the giant, plus chords
+        pairs = [(rng.randrange(v), v) for v in range(1, n)]
+        pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(n // 4)]
+    return [(u, v, 0) for u, v in pairs]
+
+
 class TestShortestPath:
     def test_three_vertex_path(self):
         assert avg_shortest_path(snap([0] * 3, [(0, 1, 0), (1, 2, 0)])) == pytest.approx(4 / 3)
@@ -156,21 +174,33 @@ class TestShortestPath:
             assert mine == ref
             assert avg_sp_bfs(g.n_vertices, list(g.edges)) == ref
 
-    # 64 sources share a word and 512 a block: sizes either side of both
-    @pytest.mark.parametrize("n", [63, 64, 65, 511, 512, 513])
+    # 64 sources share a word and 512 a block: sizes either side of
+    # both; a star of 17 or 18 vertices has a hub with all 16 of its
+    # neighbour slots in slabs or one slot past them
+    @pytest.mark.parametrize("n", [17, 18, 63, 64, 65, 511, 512, 513])
     @pytest.mark.parametrize("shape", ["path", "star", "random"])
     def test_matches_bfs_oracle_at_word_and_block_boundaries(self, n, shape):
-        rng = random.Random(n)
-        if shape == "path":
-            pairs = [(v - 1, v) for v in range(1, n)]
-        elif shape == "star":
-            pairs = [(0, v) for v in range(1, n)]
-        else:  # a random tree, so every vertex is in the giant, plus chords
-            pairs = [(rng.randrange(v), v) for v in range(1, n)]
-            pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(n // 4)]
-        edges = [(u, v, 0) for u, v in pairs]
+        edges = shaped_edges(n, shape)
         g = TemporalGraph([0] * n, edges, simple=False, allow_self_loops=True)
         assert avg_shortest_path(g.snapshot_at(0)) == avg_sp_bfs(n, edges)
+
+    # Up to 1024 vertices all sources are one block, above that blocks
+    # of 512; paths and the barbell run for more than 512 levels, and the
+    # barbell's frontier goes from a clique (dense) down its path
+    # (sparse) into the other clique. Each case runs with the step
+    # chosen per level, then with every level forced to the sparse
+    # step, then to the dense step.
+    @pytest.mark.parametrize("shape, n", [
+        *((shape, n) for shape in ("path", "star", "random") for n in (1023, 1024, 1025, 1100)),
+        ("barbell", 1100),
+    ])
+    def test_matches_bfs_oracle_around_one_block_with_each_step(self, shape, n, monkeypatch):
+        edges = shaped_edges(n, shape)
+        s = TemporalGraph([0] * n, edges, simple=False, allow_self_loops=True).snapshot_at(0)
+        expected = avg_sp_bfs(n, edges)
+        for share in (metrics._SP_SPARSE, 2.0, 0.0):  # frontier edges never reach 2 * nnz
+            monkeypatch.setattr(metrics, "_SP_SPARSE", share)
+            assert avg_shortest_path(s) == expected
 
     def test_matches_bfs_oracle_on_random_multi_component_graphs(self):
         rng = random.Random(5)

@@ -17,6 +17,7 @@ from oracles import (
     degrees_brute,
     edge_list_text_brute,
     first_links_brute,
+    first_links_ordered_brute,
     undirected_simple,
     validate_brute,
 )
@@ -359,6 +360,22 @@ class TestFirstLinks:
             assert len(indptr) == s.n_vertices + 1 and indptr[-1] == len(cols) == 2 * len(pairs)
             rows = np.repeat(np.arange(s.n_vertices), np.diff(indptr))
             assert set(zip(rows.tolist(), cols.tolist())) == pairs | {(b, a) for a, b in pairs}
+
+
+    def test_order_matches_a_stable_sort_on_tied_times(self):
+        # few distinct times, so most edges tie; a third of the inputs
+        # come time-sorted and take the path with no sort
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randint(1, 30)
+            edges = [(rng.randrange(n), rng.randrange(n), rng.randrange(5))
+                     for _ in range(rng.randint(0, 400))]
+            if rng.random() < 1 / 3:
+                edges.sort(key=lambda e: e[2])
+            g = TemporalGraph([0] * n, edges, directed=rng.random() < 0.5,
+                              allow_self_loops=True, simple=False)
+            times, v, w = g.first_links()
+            assert (times.tolist(), v.tolist(), w.tolist()) == first_links_ordered_brute(edges)
 
 
 class TestAtomicWrite:
