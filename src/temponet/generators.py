@@ -18,6 +18,7 @@ import numbers
 import random
 from bisect import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -166,20 +167,16 @@ def group_probabilities(f: TimeDiffFn, current_group: int) -> list[float]:
     ``f(current_group - j)``, normalized over all existing groups."""
     if current_group < 0:
         raise ValueError("current_group must be non-negative")
-    total = _cumulative_weights(f, current_group)[-1]
-    return [f(current_group - j) / total for j in range(current_group + 1)]
+    weights = [f(current_group - j) for j in range(current_group + 1)]
+    total = _cumulative_weights(weights)[-1]
+    return [x / total for x in weights]
 
 
-def _cumulative_weights(f: TimeDiffFn, current_group: int) -> list[float]:
-    """Running sums of the group weights ``f(current_group - j)`` for
-    ``j = 0 .. current_group``, added left to right; the last entry is
-    the total, which must be positive."""
-    cum_weights: list[float] = []
-    total = 0.0
-    for j in range(current_group + 1):
-        total += f(current_group - j)
-        cum_weights.append(total)
-    if total <= 0:
+def _cumulative_weights(weights: Sequence[float]) -> list[float]:
+    """Running sums of group weights, added left to right; the last
+    entry is the total, which must be positive."""
+    cum_weights = list(accumulate(weights))
+    if cum_weights[-1] <= 0:
         raise ValueError("degenerate distribution: all group weights are zero")
     return cum_weights
 
@@ -213,6 +210,7 @@ def tpa_generate(params: TpaParams) -> TemporalGraph:
     bags: list[list[int]] = []
     skipped = 0
     next_id = 0
+    w = [params.f(d) for d in range(len(params.schedule))]  # f(i - j) weighs group j from i
 
     for i, size in enumerate(params.schedule):
         ids = range(next_id, next_id + size)
@@ -222,7 +220,7 @@ def tpa_generate(params: TpaParams) -> TemporalGraph:
             adjacency.append(set())
         bags.append(list(ids))
 
-        cum_weights = _cumulative_weights(params.f, i)
+        cum_weights = _cumulative_weights(w[i::-1])
         total = cum_weights[-1]
 
         own_bag = bags[i]

@@ -9,9 +9,10 @@ sidecar-backed file.
 
 The path is columnar: the parser turns the records into one ``(E, 3)``
 integer array, and the loop drop, dedupe, degree cap, ranking and remap
-are numpy operations over dense vertex indices. A malformed stream
-raises for its first faulty line, with the reason a line-by-line reader
-would give it first.
+are numpy operations over dense vertex indices. A clean ASCII stream in
+one delimiter style is parsed by a single ``np.loadtxt`` call; any other
+stream is read line by line, and a malformed one raises for its first
+faulty line, with the reason that reader gives it first.
 """
 
 from __future__ import annotations
@@ -56,12 +57,16 @@ def read_edge_stream(source: Iterable[str], config: IngestConfig | None = None) 
     ids in join order (ties broken by first appearance), which leaves
     conforming streams unchanged.
 
-    The records are parsed into integer columns, and every later step
-    (loop drop, dedupe, degree cap, ranking, remap) is a numpy operation
-    over dense vertex indices. Raises :class:`EdgeStreamParseError`
-    naming the first malformed line, with the reason a line-by-line
-    reader would give first, and :class:`StreamRejected` when fewer than
-    ``config.min_edges`` edges survive.
+    The records are parsed into integer columns, by one ``np.loadtxt``
+    call when the stream is ASCII, uses the delimiter of its first
+    record throughout and has no fault, and otherwise by a line-by-line
+    reader, which gives the same columns. Every later step (loop drop,
+    dedupe, degree cap, ranking, remap) is a numpy operation over dense
+    vertex indices. Raises :class:`EdgeStreamParseError` naming the
+    first malformed line, with the reason checked first (a wrong field
+    count, then a non-integer field, then a negative timestamp), and
+    :class:`StreamRejected` when fewer than ``config.min_edges`` edges
+    survive.
     """
     config = config or IngestConfig()
     records = _parse_records(source)

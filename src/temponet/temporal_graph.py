@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from contextlib import contextmanager
 from typing import Iterable, Iterator, Sequence
 
@@ -346,47 +347,94 @@ def _parse_records(lines: Iterable[str]) -> np.ndarray:
     fields split by commas or whitespace, timestamps non-negative; blank
     and ``#``-prefixed lines are skipped.
 
-    The line loop only splits and counts fields; one ``map(int, ...)``
-    converts every field and one mask tests the timestamps. Only when a
-    check fails does a pass over the kept records run, one by one, so
-    the error names the first faulty line with the reason a line-by-line
-    reader gives it first: a wrong field count, then a non-integer
-    field, then a negative timestamp. A line that cannot be decoded is
-    reported only when no line before it is at fault.
+    The lines are collected first, keeping those read before a
+    ``UnicodeDecodeError``. Clean input is parsed by one ``np.loadtxt``
+    call (see :func:`_load_records`); anything it cannot vouch for goes
+    to :func:`_read_records`, a plain line-by-line reader that raises at
+    the first faulty line, and raises a decode error only when every
+    line before it is clean.
     """
-    numbers: list[int] = []  # the line number and text of each record
     kept: list[str] = []
-    fields: list[str] = []  # three per record
-    stop = None  # a wrong field count, or a line that could not be read
+    stop = None
     try:
-        for line_no, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line or line[0] == "#":
-                continue
-            parts = line.split(",") if "," in line else line.split()
-            if len(parts) != 3:
-                stop = EdgeStreamParseError(line_no, line, "expected 3 fields")
-                break
-            numbers.append(line_no)
-            kept.append(line)
-            fields += parts
+        kept.extend(lines)
     except UnicodeDecodeError as exc:
         stop = exc
-    # either way, a line before the stop may hold an earlier fault
+    records = _load_records(kept) if stop is None else None
+    return _read_records(kept, stop) if records is None else records
+
+
+def _load_records(lines: list[str]) -> np.ndarray | None:
+    """The records of ``lines`` as one ``np.loadtxt`` call, with the
+    delimiter of the first record line (commas if it holds one, else
+    whitespace), or ``None`` unless the result is the one
+    :func:`_read_records` would return: every line an ASCII string, at
+    least one record, ``#`` only as a line's first non-blank character
+    (where loadtxt would cut a comment off mid-line, the reader counts
+    fields), three int64 columns and no negative timestamp. loadtxt
+    itself rejects the rest of what ``int()`` reads differently or not
+    at all: a line with another delimiter, ``_`` digit groups, values
+    past int64, line breaks or NULs inside a line.
+
+    Outside ASCII, numpy 2.4 reads some letters and digits as numbers
+    (``3`` then U+0968, a Devanagari two, as 2390 where ``int()`` reads
+    32), and around a comma-split field it strips the separators
+    U+001C-U+001F, which ``int()`` refuses; both go to the reader."""
     try:
-        records = _int_column(map(int, fields)).reshape(-1, 3)
-    except ValueError:
-        records = None
-    if stop is None and records is not None and not (records[:, 2] < 0).any():
-        return records
-    for i, (line_no, line) in enumerate(zip(numbers, kept)):
+        text = "\n".join(lines)
+    except TypeError:
+        return None
+    if not text.isascii():
+        return None
+    for line in lines:
+        line = line.strip()
+        if line and line[0] != "#":
+            break
+    else:
+        return None  # no record; loadtxt would warn "no data"
+    mark = text.find("#")
+    while mark >= 0:
+        if text[text.rfind("\n", 0, mark) + 1 : mark].strip():
+            return None
+        end = text.find("\n", mark)
+        mark = text.find("#", end) if end >= 0 else -1
+    delimiter = "," if "," in line else None
+    if delimiter and any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = np.loadtxt(lines, dtype=np.int64, comments="#",
+                                 delimiter=delimiter, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if records.shape[1] != 3 or (records[:, 2] < 0).any():
+        return None
+    return records
+
+
+def _read_records(lines: Iterable[str], stop: Exception | None) -> np.ndarray:
+    """The records of ``lines`` read one line at a time: raises
+    :class:`EdgeStreamParseError` at the first line with a wrong field
+    count, a non-integer field or a negative timestamp, checked in that
+    order, then ``stop`` (the error that ended the input), if any."""
+    fields: list[int] = []  # three per record
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        parts = line.split(",") if "," in line else line.split()
+        if len(parts) != 3:
+            raise EdgeStreamParseError(line_no, line, "expected 3 fields")
         try:
-            _, _, t = map(int, fields[3 * i : 3 * i + 3])
+            fields += map(int, parts)
         except ValueError:
             raise EdgeStreamParseError(line_no, line, "fields must be integers") from None
-        if t < 0:
+        if fields[-1] < 0:
             raise EdgeStreamParseError(line_no, line, "negative timestamp")
-    raise stop
+    if stop is not None:
+        raise stop
+    return _int_column(fields).reshape(-1, 3)
 
 
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

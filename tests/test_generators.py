@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import Counter
@@ -108,6 +109,25 @@ def worked_example(seed):
     )
 
 
+TPA_SCHEDULES = {"one": [1], "degenerate": [1, 1, 2, 3, 1],
+                 "linear_10_620": make_schedule("linear", 10, 620)}
+TPA_FORMS = {"exp_base": TimeDiffFn.exp_base(2), "geometric": TimeDiffFn.geometric(0.8, 0.2),
+             "tabulated": TimeDiffFn.tabulated([1.0, 0.5, 0.25])}
+# SHA-256 of repr((join_times, edges, info)) at m 3, seed 7, recorded
+# when every group's running weight sums were rebuilt from f
+TPA_DIGESTS = {
+    ("one", "exp_base"): "5f2cb3569c3708c4fcb8f7b06f991a5d08f6fb6d8a380a14c67a2fa5b32e0ef8",
+    ("one", "geometric"): "5f2cb3569c3708c4fcb8f7b06f991a5d08f6fb6d8a380a14c67a2fa5b32e0ef8",
+    ("one", "tabulated"): "5f2cb3569c3708c4fcb8f7b06f991a5d08f6fb6d8a380a14c67a2fa5b32e0ef8",
+    ("degenerate", "exp_base"): "456737e6f21d4d71caebaea1d15c6377e35ab21ce9806b515cde2e79290ea977",
+    ("degenerate", "geometric"): "bb5b2465628ea4c3575666f5d7fc20452c524af0c8ea9e39d006c349b4109636",
+    ("degenerate", "tabulated"): "7adceaa89275770913858826e3ba68330e3b1a280856ab6d07290dcafa6fb4fc",
+    ("linear_10_620", "exp_base"): "f74ebd3f801d9ca5807864a61b6472b502ac3e040bd8ca4b497c9e9467b3c273",
+    ("linear_10_620", "geometric"): "77d6f7a6b41243a79e4a229a99865a591337215d62fba6dc6c35528bdaad2bfe",
+    ("linear_10_620", "tabulated"): "8d6f22e511b593b075afc8475e93ce176437ca5ac288110b6e6513a8880bb349",
+}
+
+
 class TestTpaGenerate:
     def test_worked_example_counts(self):
         g = worked_example(7)
@@ -189,6 +209,17 @@ class TestTpaGenerate:
         assert g.n_vertices == 2
         assert g.n_edges <= 1
         assert g.info["skipped_edges"] >= 4
+
+    @pytest.mark.parametrize("schedule, form", sorted(TPA_DIGESTS))
+    def test_outputs_equal_the_per_group_weight_sums(self, schedule, form):
+        g = tpa_generate(TpaParams(m=3, schedule=TPA_SCHEDULES[schedule], f=TPA_FORMS[form], seed=7))
+        digest = hashlib.sha256(repr((g.join_times, g.edges, g.info)).encode()).hexdigest()
+        assert digest == TPA_DIGESTS[schedule, form]
+
+    def test_all_zero_weights_are_refused(self):
+        # b ** (-1 - t) underflows to 0.0 for an infinite base
+        with pytest.raises(ValueError, match="all group weights are zero"):
+            tpa_generate(TpaParams(m=1, schedule=(2, 2), f=TimeDiffFn.exp_base(math.inf)))
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):

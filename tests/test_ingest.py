@@ -3,6 +3,7 @@ import json
 import os
 import random
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from temponet import (
     read_edge_stream,
     write_edge_list,
 )
+from temponet import temporal_graph
 
 
 def stream(text):
@@ -389,3 +391,128 @@ class TestIngestOracle:
         # every outcome occurs: graphs, each parse fault, rejections
         assert {"graph", EdgeStreamParseError, StreamRejected, ValueError} <= seen
         assert {"expected 3 fields", "fields must be integers", "negative timestamp"} <= seen
+
+
+def _clean_field(rng, x):
+    """``x`` as text that both ``int()`` and ``np.loadtxt`` read: plain,
+    signed or zero-padded."""
+    form = rng.random()
+    if x >= 0 and form < 0.1:
+        return f"+{x}"
+    if x >= 0 and form < 0.2:
+        return f"00{x}"
+    return str(x)
+
+
+def single_style_stream(rng):
+    """A stream without faults whose records all use one delimiter style
+    (commas, `` , `` or whitespace), amid ``#`` headers and blank lines,
+    with ids and times anywhere in the int64 range."""
+    style = rng.choice([",", " , ", "whitespace"])
+    ids = [rng.choice([rng.randint(0, 30), -rng.randint(1, 9), 2**63 - 1 - rng.randint(0, 3),
+                       -(2**63) + rng.randint(0, 3)])
+           for _ in range(rng.randint(1, 7))]
+    lines = []
+    for _ in range(rng.randint(1, 18)):
+        t = rng.choice([rng.randint(0, 12), 2**63 - 1 - rng.randint(0, 12)])
+        f = [_clean_field(rng, x) for x in (rng.choice(ids), rng.choice(ids), t)]
+        if style == "whitespace":
+            line = rng.choice([" ", "\t", "  "]).join(f)
+            lines.append(rng.choice(["", " ", "\t"]) + line + rng.choice(["", " ", "\r"]))
+        else:
+            lines.append(rng.choice(["", " "]) + style.join(f) + rng.choice(["", " ", "\r"]))
+    # loadtxt reads a comma-split line of blanks as one empty field, so
+    # blank and comment lines there start at the first column
+    extra = ["", "# source,target,timestamp", "#1 2 3"]
+    if style == "whitespace":
+        extra += ["   ", "  # note"]
+    for _ in range(rng.randint(0, 4)):
+        lines.insert(rng.randint(0, len(lines)), rng.choice(extra))
+    return "".join(line + "\n" for line in lines), style
+
+
+@pytest.fixture
+def reader_calls(monkeypatch):
+    """The calls of the line-by-line reader, which still runs."""
+    calls = []
+    read = temporal_graph._read_records
+
+    def counted(*args):
+        calls.append(args)
+        return read(*args)
+
+    monkeypatch.setattr(temporal_graph, "_read_records", counted)
+    return calls
+
+
+class TestParserPaths:
+    def test_single_style_streams_take_the_bulk_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the line-by-line reader ran")
+
+        monkeypatch.setattr(temporal_graph, "_read_records", refuse)
+        rng = random.Random(1212)
+        seen = set()
+        for _ in range(600):
+            text, style = single_style_stream(rng)
+            cfg = IngestConfig(
+                directed=rng.random() < 0.5,
+                allow_self_loops=rng.random() < 0.5,
+                min_edges=rng.choice([0, 0, rng.randint(1, 8)]),
+                dedupe=rng.random() < 0.7,
+                max_degree=rng.choice([None, None, rng.randint(0, 4)]),
+            )
+
+            def brute():
+                joins, edges = read_edge_stream_brute(
+                    text.splitlines(True), cfg.directed, cfg.allow_self_loops,
+                    cfg.min_edges, cfg.dedupe, cfg.max_degree)
+                return tuple(joins), tuple(edges)
+
+            def bulk():
+                g = read_edge_stream(stream(text), cfg)
+                return g.join_times, g.edges
+
+            expected = outcome(brute)
+            assert outcome(bulk) == expected, (text, cfg)
+            seen.add((style, "graph" if isinstance(expected[0], tuple) else expected[0]))
+        assert {(style, "graph") for style in (",", " , ", "whitespace")} <= seen
+        assert any(kind is StreamRejected for _, kind in seen)
+
+    @pytest.mark.parametrize("text, message", [
+        ("0 1 5\n1 2 3 # c\n", "line 2: expected 3 fields: '1 2 3 # c'"),
+        ("0 1 5\n1 2 3.0\n", "line 2: fields must be integers: '1 2 3.0'"),
+        ("0 1 5\n1 2 -3\n", "line 2: negative timestamp: '1 2 -3'"),
+        ("0 1 5 6\n1 2 3 4\n", "line 1: expected 3 fields: '0 1 5 6'"),
+        ("0,1,5\n1,2\x1c,3\n", "line 2: fields must be integers: '1,2\\x1c,3'"),
+    ])
+    def test_faulty_streams_fall_back_to_the_loops_message(self, reader_calls, text, message):
+        with pytest.raises(EdgeStreamParseError) as err:
+            read_edge_stream(stream(text))
+        assert str(err.value) == message
+        assert reader_calls
+        with pytest.raises(EdgeStreamParseError) as err:
+            read_edge_stream_brute(stream(text))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text", [
+        "# a comma file with one whitespace line\n0,1,5\n1 2 6\n2,3,7\n",
+        f"0 1 5\n1 2 {2**63}\n",
+        "0 1 5\n1 2 3\u0968\n",  # int() reads 32, numpy 2390
+    ])
+    def test_clean_streams_the_bulk_call_refuses_read_line_by_line(self, reader_calls, text):
+        g = read_edge_stream(stream(text))
+        joins, edges = read_edge_stream_brute(stream(text))
+        assert (g.join_times, g.edges) == (tuple(joins), tuple(edges))
+        assert reader_calls
+
+    def test_times_past_int64_keep_a_python_int_column(self, reader_calls):
+        records = temporal_graph._parse_records(["0 1 5\n", f"1 2 {2**63}\n"])
+        assert records.dtype == object
+        assert records.tolist() == [[0, 1, 5], [1, 2, 2**63]]
+
+    def test_comment_only_stream_is_empty_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^empty edge stream$"):
+                read_edge_stream(stream("# source,target,timestamp\n\n  # nothing\n"))
