@@ -50,7 +50,7 @@ def _write_manifest(out_path: str, command: str, params: dict, seed, outputs: li
 def _load_graph(path: str) -> TemporalGraph:
     if os.path.exists(path + ".meta.json"):
         return read_edge_list(path)
-    with open(path) as fh:
+    with open(path, errors="surrogateescape") as fh:
         return read_edge_stream(fh, IngestConfig())
 
 

@@ -63,8 +63,10 @@ def read_edge_stream(source: Iterable[str], config: IngestConfig | None = None) 
     reader, which gives the same columns. Every later step (loop drop,
     dedupe, degree cap, ranking, remap) is a numpy operation over dense
     vertex indices. Raises :class:`EdgeStreamParseError` naming the
-    first malformed line, with the reason checked first (a wrong field
-    count, then a non-integer field, then a negative timestamp), and
+    first malformed line, with the reason checked first (an undecodable
+    byte, which a file opened with ``errors="surrogateescape"`` passes
+    on, then a wrong field count, a non-integer field, a negative
+    timestamp), and
     :class:`StreamRejected` when fewer than ``config.min_edges`` edges
     survive.
     """

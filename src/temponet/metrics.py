@@ -5,11 +5,11 @@ projection even for directed graphs; density treats each undirected
 edge as two directed links. Undefined values are returned as ``None``
 and serialize to JSON null.
 
-Both run on the snapshot adjacency, a pair ``(indptr, indices)`` of
-numpy arrays in compressed-row form: the neighbours of vertex ``v`` are
-``indices[indptr[v]:indptr[v + 1]]``, in no particular order. It is cut
-from the graph's first-link events up to the horizon, which hold each
-undirected pair once per endpoint, so both directions are present.
+Both read the snapshot's pairs ``(v, w)``, two int64 arrays: the
+graph's first-link events up to the horizon minus the self-loops, which
+hold each undirected pair once per endpoint, so both directions are
+present. The only compressed-row adjacency is the giant's, built for
+the BFS with its rows numbered by falling degree.
 
 Triangles are counted by the degree-ordered forward algorithm; the giant
 component comes from min-label propagation, each component labelled by
@@ -20,7 +20,7 @@ block of all its sources, a larger one in blocks of 512. Each BFS level
 takes a sparse push step, over the frontier rows' neighbours only, when
 those rows hold under 0.4 of the edge slots, and a dense step over every
 row otherwise; the dense step ORs the first 16 neighbour slots of every
-row as contiguous slabs, with rows renumbered by falling degree.
+row as contiguous slabs, which the falling-degree row order allows.
 Triangle counts and the path-length sum are exact integers.
 
 Star vectors read the first-link events once, in time order, and keep
@@ -69,18 +69,15 @@ class FeatureVector:
         return asdict(self)
 
 
-def _undirected_simple_csr(s: Snapshot) -> tuple[np.ndarray, np.ndarray]:
-    """``(indptr, indices)`` adjacency of the snapshot's undirected
-    projection with self-loops dropped and parallel edges collapsed: the
-    first-link events up to the horizon, one per ordered pair, minus the
-    loops, grouped by source. An edge never precedes its endpoints'
-    join, so every id is below ``s.n_vertices``."""
+def _simple_pairs(s: Snapshot) -> tuple[np.ndarray, np.ndarray]:
+    """The snapshot's undirected simple projection as int64 pairs ``(v,
+    w)``: its first-link events up to the horizon minus the self-loops,
+    each pair once per endpoint, so both directions are present. An
+    edge never precedes its endpoints' join, so every id is below
+    ``s.n_vertices``."""
     _, v, w = s.parent.first_links(s.horizon)
     link = v != w
-    v, w = v[link], w[link]
-    indptr = np.zeros(s.n_vertices + 1, dtype=np.int64)
-    np.cumsum(np.bincount(v, minlength=s.n_vertices), out=indptr[1:])
-    return indptr, w[np.argsort(v)]
+    return v[link].astype(np.int64), w[link].astype(np.int64)
 
 
 def density(s: Snapshot) -> float | None:
@@ -104,24 +101,24 @@ def avg_clustering(s: Snapshot) -> float | None:
     n = s.n_vertices
     if n == 0:
         return None
-    indptr, indices = _undirected_simple_csr(s)
-    deg = np.diff(indptr)
-    closed = 2 * _triangles_per_vertex(indptr, indices)  # ordered neighbour pairs
+    v, w = _simple_pairs(s)
+    deg = np.bincount(v, minlength=n)
+    closed = 2 * _triangles_per_vertex(deg, v, w)  # ordered neighbour pairs
     possible = np.maximum(deg * (deg - 1), 1)
     return float((closed / possible).mean())
 
 
-def _triangles_per_vertex(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+def _triangles_per_vertex(deg: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     # Degree-ordered forward algorithm (Schank & Wagner, WEA 2005): each
     # edge points from the lower to the higher (degree, id) rank, so a
     # triangle is found once, as a pair of out-neighbours of its lowest
     # vertex that are linked; out-degrees stay below sqrt(2 * edges).
-    n = len(indptr) - 1
-    deg = np.diff(indptr)
-    rows = np.repeat(np.arange(n), deg)
+    n = len(deg)
     rank = deg * n + np.arange(n)  # unique, ordered by (degree, id)
-    forward = rank[rows] < rank[indices]
-    src, dst = rows[forward], indices[forward].astype(np.int64)  # grouped by src
+    forward = rank[v] < rank[w]
+    src, dst = v[forward], w[forward]
+    order = np.argsort(src)  # the out-edges grouped by source
+    src, dst = src[order], dst[order]
     out_end = np.cumsum(np.bincount(src, minlength=n))[src]
     # every out-edge pairs with the out-edges after it in its row
     pos = np.arange(len(src))
@@ -129,8 +126,8 @@ def _triangles_per_vertex(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray
     first = np.repeat(pos, later)
     second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
     a, b = dst[first], dst[second]
-    upper = rows < indices
-    keys = np.sort(rows[upper] * n + indices[upper])  # each edge once, as lo * n + hi
+    upper = v < w
+    keys = np.sort(v[upper] * n + w[upper])  # each edge once, as lo * n + hi
     wedge = np.minimum(a, b) * n + np.maximum(a, b)
     # clipped so a key above every edge still indexes; no edge means no wedge
     hit = keys[np.minimum(np.searchsorted(keys, wedge), len(keys) - 1)] == wedge
@@ -145,24 +142,30 @@ def avg_shortest_path(s: Snapshot) -> float | None:
     """Mean pairwise distance over the largest connected component of
     the undirected projection, the one holding the smallest id among
     equal largest; ``None`` when no component has 2+ vertices."""
-    if s.n_vertices < 2:
+    n = s.n_vertices
+    if n < 2:
         return None
-    indptr, indices = _undirected_simple_csr(s)
-    members = _giant_component(indptr, indices)
-    size = int(np.count_nonzero(members))
-    if size < 2:
+    v, w = _simple_pairs(s)
+    members = _giant_component(n, v, w)
+    giant = np.flatnonzero(members)
+    if len(giant) < 2:
         return None
-    # the giant's rows, renumbered in id order; no edge leaves it
-    deg = np.diff(indptr)
-    sub_indptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(deg[members], out=sub_indptr[1:])
-    new_id = np.cumsum(members) - 1
-    return _mean_bfs_distance(sub_indptr, new_id[indices[np.repeat(members, deg)]])
+    # the giant renumbered by falling degree, ties by id; no edge leaves it
+    deg = np.bincount(v, minlength=n)
+    order = giant[np.argsort(-deg[giant], kind="stable")]
+    new_id = np.empty(n, dtype=np.int64)
+    new_id[order] = np.arange(len(giant))
+    inside = members[v]
+    v, w = new_id[v[inside]], new_id[w[inside]]
+    indptr = np.zeros(len(giant) + 1, dtype=np.int64)
+    np.cumsum(deg[order], out=indptr[1:])
+    return _mean_bfs_distance(indptr, w[np.argsort(v)], new_id[giant])
 
 
-def _giant_component(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Mask of the largest connected component, the one holding the
-    smallest id among equal largest.
+def _giant_component(n: int, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Mask of the largest connected component of the ``n`` vertices
+    linked by the pairs ``(v, w)``, the one holding the smallest id
+    among equal largest.
 
     Min-label hooking with pointer jumping (Shiloach & Vishkin, J.
     Algorithms 1982): ``label[v]`` always names a vertex of ``v``'s
@@ -171,37 +174,20 @@ def _giant_component(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     then jumps pointers until every label is a root; once no edge joins
     two labels, each component's label is its smallest id.
     """
-    n = len(indptr) - 1
-    rows = np.repeat(np.arange(n), np.diff(indptr))
     label = np.arange(n)
     while True:
-        np.minimum.at(label, label[rows], label[indices])
+        np.minimum.at(label, label[v], label[w])
         while True:
             jumped = label[label]
             if (jumped == label).all():
                 break
             label = jumped
-        if (label[rows] == label[indices]).all():
+        if (label[v] == label[w]).all():
             # argmax takes the first of equal counts: the smaller label
             return label == np.bincount(label).argmax()
 
 
-def _by_falling_degree(
-    indptr: np.ndarray, indices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The adjacency ``(indptr, indices)`` with its rows renumbered by
-    falling degree, ties by id, and ``new_id``, each row's new number."""
-    deg = np.diff(indptr)
-    order = np.argsort(-deg, kind="stable")
-    new_id = np.empty(len(deg), dtype=np.int64)
-    new_id[order] = np.arange(len(deg))
-    deg = deg[order]
-    starts = np.cumsum(deg) - deg
-    slots = np.arange(len(indices)) + np.repeat(indptr[order] - starts, deg)
-    return np.append(starts, len(indices)), new_id[indices[slots]], new_id
-
-
-def _mean_bfs_distance(indptr: np.ndarray, indices: np.ndarray) -> float:
+def _mean_bfs_distance(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray) -> float:
     # Bit-parallel multi-source BFS (Then et al., "The More the Merrier",
     # VLDB 2014): a block of sources is a bit column in (n, words) uint64
     # arrays; a giant of up to _SP_ONE_BLOCK vertices is one block of all
@@ -220,14 +206,14 @@ def _mean_bfs_distance(indptr: np.ndarray, indices: np.ndarray) -> float:
     # ordered pairs.
     #
     # ``reduceat`` costs per row it reads, so the dense step ORs most
-    # words as contiguous slabs instead. Rows are renumbered by falling
-    # degree, so the j-th neighbours of all rows of degree above j form
-    # one slab that ORs into a prefix of the rows. The slots from
+    # words as contiguous slabs instead. The rows must come in falling
+    # degree order, so the j-th neighbours of all rows of degree above j
+    # form one slab that ORs into a prefix of the rows. The slots from
     # _SP_SLABS on, held by the few rows of higher degree, are
-    # ``reduceat`` per row. Each block still takes consecutive original
-    # ids as its sources, which keeps the frontier of a deep graph thin.
+    # ``reduceat`` per row. Each block takes the next rows of
+    # ``sources``, which lists every row once in original id order: a
+    # block of consecutive ids keeps the frontier of a deep graph thin.
     n = len(indptr) - 1
-    indptr, indices, new_id = _by_falling_degree(indptr, indices)
     deg = np.diff(indptr)
     # the neighbours slab after slab, then the later slots row by row
     row = np.repeat(np.arange(n), deg)
@@ -249,7 +235,7 @@ def _mean_bfs_distance(indptr: np.ndarray, indices: np.ndarray) -> float:
         bit = np.arange(b)
         width = -(-b // 64)
         # the frontier's non-empty rows and, while sparse steps run, their words
-        rows = new_id[start + bit]
+        rows = sources[start : start + b]
         words = np.zeros((b, width), dtype=np.uint64)
         words[bit, bit >> 6] = np.uint64(1) << (bit & 63).astype(np.uint64)
         unvisited = np.full((n, width), ~np.uint64(0))

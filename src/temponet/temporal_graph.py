@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import warnings
 from contextlib import contextmanager
 from typing import Iterable, Iterator, Sequence
@@ -26,6 +27,8 @@ _META_SUFFIX = ".meta.json"
 # a horizon list holds a Python int per entry (~36 bytes), and every
 # caller does at least that much work per horizon: ~0.4 GB at the cap
 _MAX_HORIZONS = 10**7
+# what ``errors="surrogateescape"`` decodes an undecodable byte to
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 def _check_grid(count: int, interval: int) -> None:
@@ -347,21 +350,16 @@ def _parse_records(lines: Iterable[str]) -> np.ndarray:
     fields split by commas or whitespace, timestamps non-negative; blank
     and ``#``-prefixed lines are skipped.
 
-    The lines are collected first, keeping those read before a
-    ``UnicodeDecodeError``. Clean input is parsed by one ``np.loadtxt``
-    call (see :func:`_load_records`); anything it cannot vouch for goes
-    to :func:`_read_records`, a plain line-by-line reader that raises at
-    the first faulty line, and raises a decode error only when every
-    line before it is clean.
+    Clean input is parsed by one ``np.loadtxt`` call (see
+    :func:`_load_records`); anything it cannot vouch for goes to
+    :func:`_read_records`, a plain line-by-line reader that raises at
+    the first faulty line. Files are opened with
+    ``errors="surrogateescape"``, so an undecodable byte reaches the
+    reader as a fault of its line rather than ending the input.
     """
-    kept: list[str] = []
-    stop = None
-    try:
-        kept.extend(lines)
-    except UnicodeDecodeError as exc:
-        stop = exc
-    records = _load_records(kept) if stop is None else None
-    return _read_records(kept, stop) if records is None else records
+    lines = list(lines)
+    records = _load_records(lines)
+    return _read_records(lines) if records is None else records
 
 
 def _load_records(lines: list[str]) -> np.ndarray | None:
@@ -413,14 +411,17 @@ def _load_records(lines: list[str]) -> np.ndarray | None:
     return records
 
 
-def _read_records(lines: Iterable[str], stop: Exception | None) -> np.ndarray:
+def _read_records(lines: Iterable[str]) -> np.ndarray:
     """The records of ``lines`` read one line at a time: raises
-    :class:`EdgeStreamParseError` at the first line with a wrong field
-    count, a non-integer field or a negative timestamp, checked in that
-    order, then ``stop`` (the error that ended the input), if any."""
+    :class:`EdgeStreamParseError` at the first line holding an
+    undecodable byte (U+DC80-U+DCFF, as ``surrogateescape`` decodes it;
+    comments and blank lines included), a wrong field count, a
+    non-integer field or a negative timestamp, checked in that order."""
     fields: list[int] = []  # three per record
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
+        if _UNDECODABLE.search(line):
+            raise EdgeStreamParseError(line_no, line, "undecodable byte")
         if not line or line[0] == "#":
             continue
         parts = line.split(",") if "," in line else line.split()
@@ -432,8 +433,6 @@ def _read_records(lines: Iterable[str], stop: Exception | None) -> np.ndarray:
             raise EdgeStreamParseError(line_no, line, "fields must be integers") from None
         if fields[-1] < 0:
             raise EdgeStreamParseError(line_no, line, "negative timestamp")
-    if stop is not None:
-        raise stop
     return _int_column(fields).reshape(-1, 3)
 
 
@@ -552,7 +551,7 @@ def read_edge_list(path) -> TemporalGraph:
                 f"{sidecar}: explicit_join_times entry {key!r}: {jt!r} is not"
                 " a vertex id with a non-negative integer join time"
             )
-    with open(path) as fh:
+    with open(path, errors="surrogateescape") as fh:
         records = _parse_records(fh)
     ids, join, _, _ = _first_seen(records)
     joins = dict(zip(ids.tolist(), join.tolist()))

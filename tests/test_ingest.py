@@ -21,6 +21,7 @@ from temponet import (
     write_edge_list,
 )
 from temponet import temporal_graph
+from temponet.cli import main
 
 
 def stream(text):
@@ -85,15 +86,23 @@ class TestReadEdgeStream:
             read_edge_stream(stream(text))
         assert err.value.line_no == line_no
 
-    def test_faulty_line_wins_over_a_later_read_error(self):
-        def lines(*text):
-            yield from text
-            raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
-
-        with pytest.raises(EdgeStreamParseError, match="line 2: fields must be integers"):
-            read_edge_stream(lines("0 1 5\n", "0 1 x\n", "1 2 3\n"))
-        with pytest.raises(UnicodeDecodeError):
-            read_edge_stream(lines("0 1 5\n", "1 2 3\n"))
+    @pytest.mark.parametrize("data, line_no, reason", [
+        (b"0 1 5\n0 1 x\n\xff\n", 2, "fields must be integers: '0 1 x'"),
+        (b"0 1 5\n1 2 3\n\xff\n", 3, "undecodable byte: '\\udcff'"),
+        (b"# caf\xe9\n0 1 5\n", 1, "undecodable byte: '# caf\\udce9'"),
+    ], ids=["faulty_line_first", "bad_byte_first", "latin1_comment"])
+    def test_first_faulty_line_of_a_file_with_an_undecodable_byte(
+        self, tmp_path, capsys, data, line_no, reason
+    ):
+        # the faulty line may share a decode chunk with the bad byte
+        path = tmp_path / "g.txt"
+        path.write_bytes(data)
+        assert main(["analyze", "--in", str(path), "--interval", "1", "--out", str(tmp_path / "f.csv")]) == 1
+        assert capsys.readouterr().err == f"error: cannot read {path}: line {line_no}: {reason}\n"
+        (tmp_path / "g.txt.meta.json").write_text(json.dumps(TestReadEdgeList.META))
+        with pytest.raises(EdgeStreamParseError) as err:
+            read_edge_list(path)
+        assert str(err.value) == f"line {line_no}: {reason}"
 
     def test_empty_input(self):
         with pytest.raises(ValueError, match="empty"):

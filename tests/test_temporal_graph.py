@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from temponet import TemporalGraph, read_edge_list, write_edge_list, tpa_generate, TpaParams, TimeDiffFn
 from temponet import temporal_graph
 from temponet.ingest import normalize_times, read_edge_stream
-from temponet.metrics import _undirected_simple_csr
+from temponet.metrics import _simple_pairs
 from temponet.temporal_graph import _replacing
 
 from oracles import (
@@ -355,11 +355,11 @@ class TestFirstLinks:
             assert g.degrees_at(t) == degrees == degrees_brute(g.n_vertices, edges, t)
             assert [g.degree_at(x, t) for x in range(g.n_vertices)] == degrees
             s = g.snapshot_at(t)
-            indptr, cols = _undirected_simple_csr(s)
+            v, w = _simple_pairs(s)
             pairs = undirected_simple([e for e in edges if e[2] <= t])
-            assert len(indptr) == s.n_vertices + 1 and indptr[-1] == len(cols) == 2 * len(pairs)
-            rows = np.repeat(np.arange(s.n_vertices), np.diff(indptr))
-            assert set(zip(rows.tolist(), cols.tolist())) == pairs | {(b, a) for a, b in pairs}
+            assert (v.dtype, w.dtype) == (np.int64, np.int64)
+            assert len(v) == len(w) == 2 * len(pairs)
+            assert set(zip(v.tolist(), w.tolist())) == pairs | {(b, a) for a, b in pairs}
 
 
     def test_order_matches_a_stable_sort_on_tied_times(self):
