@@ -9,6 +9,12 @@ proportional to degree. Five classic baseline models are provided for
 comparison batteries; four of them are ports of networkx generators that
 replay the same ``random.Random`` draws, so a seed gives networkx's
 graph, edge order included.
+
+The hot loops of ``tpa`` and of the ``ba``/``hk`` target draw make each
+``randrange(n)`` or ``choice(seq)`` draw themselves, with
+``getrandbits``: ``k = n.bit_length()`` bits, redrawn until below
+``n``. That is the rule ``random.Random`` itself follows, so every draw
+is the one the stdlib call would make.
 """
 
 from __future__ import annotations
@@ -200,7 +206,8 @@ def tpa_generate(params: TpaParams) -> TemporalGraph:
     exhausted the retry limit is reported in ``info["skipped_edges"]``.
     """
     rng = random.Random(params.seed)
-    random_, randrange = rng.random, rng.randrange  # bound once: hot loop
+    random_, getrandbits = rng.random, rng.getrandbits  # bound once: hot loop
+    retries = range(params.retry_limit)
     m = params.m
     join_times: list[int] = []
     adjacency: list[set[int]] = []
@@ -233,12 +240,20 @@ def tpa_generate(params: TpaParams) -> TemporalGraph:
                     # own group holds nobody but v itself
                     skipped += 1
                     continue
-                for _attempt in range(params.retry_limit):
-                    u = bag[randrange(len(bag))]
+                # bag[randrange(n)], drawn as randrange draws it: k-bit
+                # getrandbits until below n
+                n = len(bag)
+                k = n.bit_length()
+                for _attempt in retries:
+                    j = getrandbits(k)
+                    while j >= n:
+                        j = getrandbits(k)
+                    u = bag[j]
                     if u == v or u in linked:
                         continue
                     linked.add(u)
-                    adjacency[u].add(v)
+                    if u > v:  # only a vertex yet to wire reads its set again
+                        adjacency[u].add(v)
                     edges += (v, u, i)
                     bag.append(u)
                     own_bag.append(v)
@@ -326,9 +341,15 @@ def _graph_edges(adj: Adjacency) -> list[tuple[int, int]]:
 
 def _random_subset(seq: list[int], m: int, rng: random.Random) -> set[int]:
     # the set's iteration order feeds later draws, so it is kept a set
+    getrandbits = rng.getrandbits
+    n = len(seq)  # never 0: ba and hk seed it with m or more entries
+    k = n.bit_length()
     targets: set[int] = set()
     while len(targets) < m:
-        targets.add(rng.choice(seq))
+        j = getrandbits(k)  # seq[j] is rng.choice(seq)
+        while j >= n:
+            j = getrandbits(k)
+        targets.add(seq[j])
     return targets
 
 

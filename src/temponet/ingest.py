@@ -69,6 +69,13 @@ def read_edge_stream(source: Iterable[str], config: IngestConfig | None = None) 
     timestamp), and
     :class:`StreamRejected` when fewer than ``config.min_edges`` edges
     survive.
+
+    The first-fault rule holds for a file opened with
+    ``errors="surrogateescape"``, as the CLI and
+    :func:`~temponet.temporal_graph.read_edge_list` open theirs. A file
+    opened with the default ``errors="strict"`` is read as given, so it
+    raises ``UnicodeDecodeError`` at its first undecodable byte, before
+    any line is checked.
     """
     config = config or IngestConfig()
     records = _parse_records(source)

@@ -29,6 +29,9 @@ _META_SUFFIX = ".meta.json"
 _MAX_HORIZONS = 10**7
 # what ``errors="surrogateescape"`` decodes an undecodable byte to
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
+# a line of blanks or an indented comment, which loadtxt reads in a
+# comma file as a record of one empty field
+_INDENTED_SKIP = re.compile(r"^[^\S\n]+(?:#|$)", re.MULTILINE)
 
 
 def _check_grid(count: int, interval: int) -> None:
@@ -353,9 +356,12 @@ def _parse_records(lines: Iterable[str]) -> np.ndarray:
     Clean input is parsed by one ``np.loadtxt`` call (see
     :func:`_load_records`); anything it cannot vouch for goes to
     :func:`_read_records`, a plain line-by-line reader that raises at
-    the first faulty line. Files are opened with
-    ``errors="surrogateescape"``, so an undecodable byte reaches the
-    reader as a fault of its line rather than ending the input.
+    the first faulty line. That first-fault rule holds for files opened
+    with ``errors="surrogateescape"``, as :func:`read_edge_list` and the
+    CLI open them: an undecodable byte then reaches the reader as a
+    fault of its line. Under the default ``errors="strict"`` the file
+    object itself raises ``UnicodeDecodeError`` while the lines are
+    read, before any line is checked.
     """
     lines = list(lines)
     records = _load_records(lines)
@@ -363,7 +369,7 @@ def _parse_records(lines: Iterable[str]) -> np.ndarray:
 
 
 def _load_records(lines: list[str]) -> np.ndarray | None:
-    """The records of ``lines`` as one ``np.loadtxt`` call, with the
+    """The records of ``lines`` as ``np.loadtxt`` reads them, with the
     delimiter of the first record line (commas if it holds one, else
     whitespace), or ``None`` unless the result is the one
     :func:`_read_records` would return: every line an ASCII string, at
@@ -377,7 +383,11 @@ def _load_records(lines: list[str]) -> np.ndarray | None:
     Outside ASCII, numpy 2.4 reads some letters and digits as numbers
     (``3`` then U+0968, a Devanagari two, as 2390 where ``int()`` reads
     32), and around a comma-split field it strips the separators
-    U+001C-U+001F, which ``int()`` refuses; both go to the reader."""
+    U+001C-U+001F, which ``int()`` refuses; both go to the reader.
+
+    A comma file that loadtxt refuses and that holds a line of blanks
+    or an indented comment is loaded once more without its blank and
+    comment lines, which the reader skips too."""
     try:
         text = "\n".join(lines)
     except TypeError:
@@ -399,16 +409,24 @@ def _load_records(lines: list[str]) -> np.ndarray | None:
     delimiter = "," if "," in line else None
     if delimiter and any(c in text for c in "\x1c\x1d\x1e\x1f"):
         return None
+    records = _loadtxt(lines, delimiter)
+    if records is None and delimiter and _INDENTED_SKIP.search(text):
+        records = _loadtxt([x for x in lines if x.strip()[:1] not in ("", "#")], delimiter)
+    if records is None or records.shape[1] != 3 or (records[:, 2] < 0).any():
+        return None
+    return records
+
+
+def _loadtxt(lines: list[str], delimiter: str | None) -> np.ndarray | None:
+    """``np.loadtxt`` of int64 records, or ``None`` where it raises or
+    warns."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            records = np.loadtxt(lines, dtype=np.int64, comments="#",
-                                 delimiter=delimiter, ndmin=2)
+            return np.loadtxt(lines, dtype=np.int64, comments="#",
+                              delimiter=delimiter, ndmin=2)
     except (ValueError, Warning):
         return None
-    if records.shape[1] != 3 or (records[:, 2] < 0).any():
-        return None
-    return records
 
 
 def _read_records(lines: Iterable[str]) -> np.ndarray:

@@ -127,6 +127,50 @@ TPA_DIGESTS = {
     ("linear_10_620", "tabulated"): "8d6f22e511b593b075afc8475e93ce176437ca5ac288110b6e6513a8880bb349",
 }
 
+# The same digest, recorded before the sampling loops drew with
+# getrandbits: the worked example at seeds 0-2, and [2] * 60 at m 5,
+# where edges exhaust the retry limit and a vertex's link to its later
+# cohort partner must keep the partner from drawing it again
+DRAW_DIGESTS = {
+    ("worked", 0): "1f710089ea3a3a38fe048245d4c12e9c0a5c517fcaf8b8b51bf316ceb2b701f8",
+    ("worked", 1): "539f00bbedff95e5759c9a1acbe8529f14e672b1f55be46f7ab11b9c534df713",
+    ("worked", 2): "58dc45aaa448f7fd93cbdf49aefa51100087b22bad4fb387b074ca3c62169bb4",
+    ("saturated", 0): "858e5d6c4b8faf13b6b49e690ae678db74eb5d67cf394a50a08e29bcfe8f9f9d",
+    ("saturated", 1): "5c334870b86a8d6dc7db1346070b75761589bded88ea40f49646cad2192abbf6",
+    ("saturated", 2): "7c89f8abe4f3c9020db5061b3f2624b2a2f597c117274cdabb564add85847bb0",
+}
+DRAW_PARAMS = {"worked": dict(m=3, schedule=[100, 200, 400]),
+               "saturated": dict(m=5, schedule=[2] * 60, retry_limit=20)}
+
+
+def below(getrandbits, n):
+    """The draw the sampling loops make in place of ``randrange(n)``."""
+    k = n.bit_length()
+    j = getrandbits(k)
+    while j >= n:
+        j = getrandbits(k)
+    return j
+
+
+class TestInlinedDraw:
+    """The sampling loops keep the stdlib's draws only while the running
+    interpreter's randrange and choice draw as :func:`below` does."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_equals_randrange_and_choice(self, seed):
+        sizes = range(1, 3001)
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        assert [below(ours.getrandbits, n) for n in sizes] == [stdlib.randrange(n) for n in sizes]
+        assert [below(ours.getrandbits, n) for n in sizes] == [stdlib.choice(range(n)) for n in sizes]
+
+    @pytest.mark.parametrize("case, seed", sorted(DRAW_DIGESTS))
+    def test_tpa_outputs_equal_the_stdlib_draws(self, case, seed):
+        g = tpa_generate(TpaParams(f=exp2(), seed=seed, **DRAW_PARAMS[case]))
+        digest = hashlib.sha256(repr((g.join_times, g.edges, g.info)).encode()).hexdigest()
+        assert digest == DRAW_DIGESTS[case, seed]
+        if case == "saturated":
+            assert g.info["skipped_edges"] > 0
+
 
 class TestTpaGenerate:
     def test_worked_example_counts(self):

@@ -104,6 +104,18 @@ class TestReadEdgeStream:
             read_edge_list(path)
         assert str(err.value) == f"line {line_no}: {reason}"
 
+    def test_first_faulty_line_of_a_file_opened_with_surrogateescape(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"0 1 5\n0 1 x\n\xff\n")
+        with open(path, errors="surrogateescape") as fh:
+            with pytest.raises(EdgeStreamParseError) as err:
+                read_edge_stream(fh)
+        assert str(err.value) == "line 2: fields must be integers: '0 1 x'"
+        # a strict file object raises at the byte, as it is given
+        with open(path) as fh:
+            with pytest.raises(UnicodeDecodeError):
+                read_edge_stream(fh)
+
     def test_empty_input(self):
         with pytest.raises(ValueError, match="empty"):
             read_edge_stream(stream("# nothing\n"))
@@ -430,11 +442,7 @@ def single_style_stream(rng):
             lines.append(rng.choice(["", " ", "\t"]) + line + rng.choice(["", " ", "\r"]))
         else:
             lines.append(rng.choice(["", " "]) + style.join(f) + rng.choice(["", " ", "\r"]))
-    # loadtxt reads a comma-split line of blanks as one empty field, so
-    # blank and comment lines there start at the first column
-    extra = ["", "# source,target,timestamp", "#1 2 3"]
-    if style == "whitespace":
-        extra += ["   ", "  # note"]
+    extra = ["", "# source,target,timestamp", "#1 2 3", "   ", "  # note", "\t"]
     for _ in range(rng.randint(0, 4)):
         lines.insert(rng.randint(0, len(lines)), rng.choice(extra))
     return "".join(line + "\n" for line in lines), style
@@ -454,11 +462,12 @@ def reader_calls(monkeypatch):
     return calls
 
 
+def refuse(*args):
+    raise AssertionError("the line-by-line reader ran")
+
+
 class TestParserPaths:
     def test_single_style_streams_take_the_bulk_path(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the line-by-line reader ran")
-
         monkeypatch.setattr(temporal_graph, "_read_records", refuse)
         rng = random.Random(1212)
         seen = set()
@@ -494,6 +503,7 @@ class TestParserPaths:
         ("0 1 5\n1 2 -3\n", "line 2: negative timestamp: '1 2 -3'"),
         ("0 1 5 6\n1 2 3 4\n", "line 1: expected 3 fields: '0 1 5 6'"),
         ("0,1,5\n1,2\x1c,3\n", "line 2: fields must be integers: '1,2\\x1c,3'"),
+        ("0,1,5\n  \n  # c\n1,2\n", "line 4: expected 3 fields: '1,2'"),
     ])
     def test_faulty_streams_fall_back_to_the_loops_message(self, reader_calls, text, message):
         with pytest.raises(EdgeStreamParseError) as err:
@@ -503,6 +513,22 @@ class TestParserPaths:
         with pytest.raises(EdgeStreamParseError) as err:
             read_edge_stream_brute(stream(text))
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("text", [
+        "0,1,5\n   \n1,2,6\n",
+        "# source,target,timestamp\n0,1,5\n  # indented\n1,2,6\n\t\n",
+        "0,1,5\r\n \r\n2,1,3\r\n",
+        " 0 , 1 , 5\n\t# note\n1 , 2 , 6 \n\x0b\n",
+    ])
+    def test_comma_streams_with_indented_blank_or_comment_lines_take_the_bulk_path(
+        self, monkeypatch, text
+    ):
+        # loadtxt reads such a line as one empty field; a second call
+        # without the blank and comment lines reads the records
+        monkeypatch.setattr(temporal_graph, "_read_records", refuse)
+        g = read_edge_stream(stream(text))
+        joins, edges = read_edge_stream_brute(stream(text))
+        assert (g.join_times, g.edges) == (tuple(joins), tuple(edges))
 
     @pytest.mark.parametrize("text", [
         "# a comma file with one whitespace line\n0,1,5\n1 2 6\n2,3,7\n",
