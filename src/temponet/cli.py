@@ -22,7 +22,7 @@ from .ingest import IngestConfig, StreamRejected, normalize_times, read_edge_str
 from .metrics import compute_features, k_stars_number, k_stars_vector
 from .temporal_graph import TemporalGraph, _check_grid, _replacing, read_edge_list, write_edge_list
 
-_INT_KEYS = ("m", "n", "k", "seed", "retry_limit")
+_INT_KEYS = ("m", "n", "k", "seed", "retry_limit", "xmin")
 _REAL_KEYS = ("p", "p_triangle", "p_forward")
 
 
@@ -34,15 +34,15 @@ def _parse_schedule(text: str) -> list[int]:
     return [int(x) for x in text.split(",")]
 
 
-def _write_manifest(out_path: str, command: str, params: dict, seed, outputs: list[str]):
+def _write_manifest(args, params: dict, seed):
     manifest = {
-        "command": command,
+        "command": args.command,
         "params": params,
         "seed": seed,
         "tool_version": __version__,
-        "outputs": outputs,
+        "outputs": [args.out + suffix for suffix in args.out_suffixes],
     }
-    with _replacing(out_path + ".manifest.json") as fh:
+    with _replacing(args.out + ".manifest.json") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -83,6 +83,9 @@ def _resolve_setting(setting, **overrides) -> dict:
 
 def _generate_graph(model: str, args_dict: dict) -> TemporalGraph:
     model = model.lower()
+    for key in ("m", "schedule", "f") if model == "tpa" else ("n",):
+        if key not in args_dict:
+            raise ValueError(f"model {model!r} is missing parameter {key!r}")
     seed = args_dict.get("seed", 0)
     if model == "tpa":
         params = TpaParams(
@@ -110,7 +113,7 @@ def cmd_generate(args) -> int:
     flags = {
         key: getattr(args, key)
         for key in ("model", *_INT_KEYS, *_REAL_KEYS, "schedule", "f")
-        if getattr(args, key) is not None
+        if getattr(args, key, None) is not None
     }
     merged = _resolve_setting(cfg, **flags)
     model = merged.get("model")
@@ -129,8 +132,7 @@ def cmd_generate(args) -> int:
     params = {k: v for k, v in merged.items() if k not in ("seed", "f")}
     if "f" in merged:
         params["f"] = merged["f"].to_config()
-    _write_manifest(args.out, "generate", params, merged["seed"],
-                    [args.out, args.out + ".meta.json"])
+    _write_manifest(args, params, merged["seed"])
     skipped = graph.info.get("skipped_edges", 0)
     print(f"vertices={graph.n_vertices} edges={graph.n_edges} skipped={skipped}")
     return 0
@@ -183,12 +185,10 @@ def cmd_analyze(args) -> int:
     rows = _analysis_rows(graph, args.interval, k_values, args.xmin)
     _write_rows(rows, args.out, args.format)
     _write_manifest(
-        args.out,
-        "analyze",
+        args,
         {"input": args.input, "interval": args.interval, "k": k_values,
          "xmin": args.xmin, "format": args.format},
         None,
-        [args.out],
     )
     print(f"rows={len(rows)} out={args.out}")
     return 0
@@ -196,7 +196,7 @@ def cmd_analyze(args) -> int:
 
 def _setting_features(merged: dict, interval: int) -> dict:
     graph = _generate_graph(merged["model"], merged)
-    x_min = merged.get("xmin") or merged.get("m") or 2
+    x_min = merged.get("xmin", merged.get("m", 2))
     features = compute_features(graph.snapshot_at(graph.t_end), gamma_x_min=x_min).to_dict()
     horizons = graph.horizons(interval)
     for k in (1, 5):
@@ -236,12 +236,10 @@ def cmd_compare(args) -> int:
         rows.append(row)
     _write_rows(rows, args.out, args.format)
     _write_manifest(
-        args.out,
-        "compare",
+        args,
         {"settings": args.settings, "repeats": args.repeats,
          "interval": args.interval, "format": args.format},
         args.seed,
-        [args.out],
     )
     print(f"settings={len(rows)}/{len(settings)} out={args.out}")
     return 0
@@ -298,12 +296,10 @@ def cmd_stars(args) -> int:
             })
     _write_rows(rows, args.out, args.format)
     _write_manifest(
-        args.out,
-        "stars",
+        args,
         {"dir": args.dir, "k": args.k, "w": args.w, "interval": args.interval,
          "threshold": args.threshold, "format": args.format},
         None,
-        [args.out],
     )
     print(f"rows={len(rows)} out={args.out}")
     return 0
@@ -330,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--retry-limit", dest="retry_limit", type=int)
     gen.add_argument("--config", help="JSON config mirroring these flags")
     gen.add_argument("--out", required=True)
-    gen.set_defaults(func=cmd_generate)
+    # each command writes <out><suffix> for these suffixes, then <out>.manifest.json
+    gen.set_defaults(func=cmd_generate, out_suffixes=("", ".meta.json"))
 
     ana = sub.add_parser("analyze", help="per-horizon feature table for one network")
     ana.add_argument("--in", dest="input", required=True)
@@ -339,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--xmin", type=int, default=2, help="tail start for the degree exponent")
     ana.add_argument("--out", required=True)
     ana.add_argument("--format", choices=("csv", "json"), default="csv")
-    ana.set_defaults(func=cmd_analyze)
+    ana.set_defaults(func=cmd_analyze, out_suffixes=("",))
 
     cmp_ = sub.add_parser("compare", help="averaged feature table over many settings")
     cmp_.add_argument("--settings", required=True, help="JSON list of generator settings")
@@ -348,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--interval", type=int, default=1)
     cmp_.add_argument("--out", required=True)
     cmp_.add_argument("--format", choices=("csv", "json"), default="csv")
-    cmp_.set_defaults(func=cmd_compare)
+    cmp_.set_defaults(func=cmd_compare, out_suffixes=("",))
 
     st = sub.add_parser("stars", help="star-emergence vectors per vibrancy class")
     st.add_argument("--dir", required=True, help="directory of edge-list files")
@@ -358,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--threshold", type=float, default=0.5)
     st.add_argument("--out", required=True)
     st.add_argument("--format", choices=("csv", "json"), default="csv")
-    st.set_defaults(func=cmd_stars)
+    st.set_defaults(func=cmd_stars, out_suffixes=("",))
 
     return parser
 
@@ -366,6 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for suffix in (*args.out_suffixes, ".manifest.json"):
+            path = args.out + suffix
+            if os.path.isdir(path):  # no file can replace it: refuse before writing anything
+                raise ValueError(f"cannot write {path}: it is a directory")
         return args.func(args)
     except (OSError, ValueError, KeyError, OverflowError, StreamRejected) as exc:
         print(f"error: {exc}", file=sys.stderr)

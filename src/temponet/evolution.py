@@ -101,7 +101,8 @@ def join_time_diff_prob(g: TemporalGraph, bin_width: int = 1) -> list[tuple[int,
         raise ValueError("need at least 2 vertices")
     if bin_width <= 0:
         raise ValueError("bin width must be positive")
-    counts = Counter(g.join_times)
+    joins = g.join_times
+    counts = Counter(joins)
     times = sorted(counts)
     pairs: Counter = Counter()
     for i, t1 in enumerate(times):
@@ -112,7 +113,6 @@ def join_time_diff_prob(g: TemporalGraph, bin_width: int = 1) -> list[tuple[int,
     # each connected pair is the one first-link event with v < w
     _, v, w = g.first_links()
     pair = v < w
-    joins = g.join_times
     connected = Counter(
         abs(joins[a] - joins[b]) // bin_width for a, b in zip(v[pair].tolist(), w[pair].tolist())
     )

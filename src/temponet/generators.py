@@ -101,13 +101,16 @@ class TimeDiffFn:
             raise ValueError(f"unrecognized time-difference function: {cfg!r}")
         if not isinstance(cfg, dict):
             raise ValueError(f"a time-difference function is a string or an object, not {cfg!r}")
-        form = cfg["form"]
-        if form == "exp_base":
-            return cls.exp_base(cfg["b"])
-        if form == "geometric":
-            return cls.geometric(cfg["a"], cfg["r"])
-        if form == "tabulated":
-            return cls.tabulated(cfg["values"])
+        try:
+            form = cfg["form"]
+            if form == "exp_base":
+                return cls.exp_base(cfg["b"])
+            if form == "geometric":
+                return cls.geometric(cfg["a"], cfg["r"])
+            if form == "tabulated":
+                return cls.tabulated(cfg["values"])
+        except KeyError as exc:
+            raise ValueError(f"time-difference function {cfg!r} is missing parameter {exc}") from None
         raise ValueError(f"unrecognized time-difference form: {form!r}")
 
     def to_config(self) -> dict:
@@ -302,6 +305,8 @@ def baseline_generate(model: str, n: int, seed: int = 0, **model_params) -> Temp
         if model in ("ws", "nw"):
             k = int(model_params["k"])
             p = float(model_params["p"])
+            if k < 0 or not (0 <= p <= 1):
+                raise ValueError(f"{model} model needs k >= 0 and p in [0, 1]")
             if n <= k:
                 raise ValueError(f"{model} model needs n > k")
             sampler = _watts_strogatz if model == "ws" else _newman_watts_strogatz

@@ -1,10 +1,10 @@
 """Core data model: networks whose vertices and edges carry arrival times.
 
-A :class:`TemporalGraph` stores its vertices' join times and its
-timestamped edges as integer numpy columns, int64 when every value fits
-and Python ints otherwise; the ``join_times`` and ``edges`` tuples are
-built from them on first read. It is immutable after construction, so
-any number of readers may take :class:`Snapshot` views concurrently.
+A :class:`TemporalGraph` is four integer numpy columns (int64, or Python
+ints where a value passes that range) and a first-link index built on
+first use; its ``join_times`` and ``edges`` tuples are built on each
+read. It is immutable, so any number of readers may take
+:class:`Snapshot` views concurrently.
 Timestamps are opaque non-negative integers in caller-defined units
 (weeks, years, iteration indices); the toolkit never converts calendar
 units.
@@ -89,8 +89,9 @@ class TemporalGraph:
     target and creation time of each edge in input order. ``u`` and
     ``v`` are int64; ``join`` and ``t`` are int64 when every value fits
     and hold Python ints (dtype ``object``) otherwise, so timestamps of
-    2**63 and above are kept exactly. The tuples ``join_times`` and
-    ``edges`` are built from the columns on first read.
+    2**63 and above are kept exactly. Besides them the graph keeps only
+    its first-link index, built on first use (:meth:`first_links`); the
+    tuples ``join_times`` and ``edges`` are built on each read.
     """
 
     __slots__ = (
@@ -102,9 +103,6 @@ class TemporalGraph:
         "u",
         "v",
         "t",
-        "_t_sorted",
-        "_join_times",
-        "_edges",
         "_first_links",
     )
 
@@ -131,12 +129,9 @@ class TemporalGraph:
         self._validate(simple)
         # every id is known now, so it fits
         self.u, self.v = self.u.astype(np.int64, copy=False), self.v.astype(np.int64, copy=False)
-        # a snapshot holds the edges whose time is in a prefix of these
-        self._t_sorted = np.sort(self.t)
-        for column in (self.join, self.u, self.v, self.t, self._t_sorted):
+        for column in (self.join, self.u, self.v, self.t):
             column.flags.writeable = False
-        # built on first read; a rebuild gives equal values
-        self._join_times = self._edges = self._first_links = None
+        self._first_links = None  # built on first use
 
     def _validate(self, simple: bool) -> None:
         # One fault mask per check finds the first faulty position in
@@ -174,19 +169,15 @@ class TemporalGraph:
 
     @property
     def join_times(self) -> tuple[int, ...]:
-        """The join time of each vertex id, built from ``join`` on first
+        """The join time of each vertex id, built from ``join`` on each
         read."""
-        if self._join_times is None:
-            self._join_times = tuple(self.join.tolist())
-        return self._join_times
+        return tuple(self.join.tolist())
 
     @property
     def edges(self) -> tuple[Edge, ...]:
         """``(source, target, created)`` per edge in input order, built
-        from ``u``, ``v`` and ``t`` on first read."""
-        if self._edges is None:
-            self._edges = tuple(zip(self.u.tolist(), self.v.tolist(), self.t.tolist()))
-        return self._edges
+        from ``u``, ``v`` and ``t`` on each read."""
+        return tuple(zip(self.u.tolist(), self.v.tolist(), self.t.tolist()))
 
     # -- basic facts ---------------------------------------------------
 
@@ -216,16 +207,14 @@ class TemporalGraph:
     @property
     def t_end(self) -> int:
         """Latest event in the graph, vertex join or edge creation."""
-        last_edge = int(self._t_sorted[-1]) if len(self.t) else 0
-        return max(self.t_max, last_edge)
+        return max(self.t_max, int(self.t.max())) if len(self.t) else self.t_max
 
     # -- snapshots -----------------------------------------------------
 
     def snapshot_at(self, t: int) -> "Snapshot":
         """Restrict the graph to activity up to time ``t`` (inclusive)."""
         nv = int(np.searchsorted(self.join, t, side="right"))
-        ne = int(np.searchsorted(self._t_sorted, t, side="right"))
-        return Snapshot(self, t, nv, ne)
+        return Snapshot(self, t, nv, int(np.count_nonzero(self.t <= t)))
 
     def horizons(self, interval: int) -> list[int]:
         """Snapshot times ``t_min + interval, t_min + 2*interval, ...``,
@@ -236,8 +225,9 @@ class TemporalGraph:
             raise ValueError("interval must be positive")
         if self.n_vertices == 0:
             return []
-        _check_grid(max(1, -(-(self.t_end - self.t_min) // interval)), interval)
-        return [*range(self.t_min + interval, self.t_end, interval), self.t_end]
+        end = self.t_end
+        _check_grid(max(1, -(-(end - self.t_min) // interval)), interval)
+        return [*range(self.t_min + interval, end, interval), end]
 
     def snapshot_series(self, interval: int) -> list["Snapshot"]:
         """Snapshots at every time of :meth:`horizons`."""
@@ -492,7 +482,10 @@ def _replacing(path: str, newline: str | None = None) -> Iterator:
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         os.remove(tmp)
         raise

@@ -65,6 +65,10 @@ ONE_LINE_ERRORS = {
     "compare_setting_not_object": ({"s.json": "[1]"}, "compare --settings {d}/s.json --out {d}/o.csv"),
     "compare_n_string": ({"s.json": '[{"model": "ba", "m": 3, "n": "10"}]'},
                          "compare --settings {d}/s.json --out {d}/o.csv"),
+    "compare_xmin_string": ({"s.json": '[{"model": "ba", "m": 3, "n": 20, "xmin": "3"}]'},
+                            "compare --settings {d}/s.json --out {d}/o.csv"),
+    "compare_xmin_bool": ({"s.json": '[{"model": "ba", "m": 3, "n": 20, "xmin": true}]'},
+                          "compare --settings {d}/s.json --out {d}/o.csv"),
     "generate_missing_config": ({}, "generate --model ba --config {d}/c.json --out {d}/o.csv"),
     "generate_config_not_object": ({"c.json": "[1, 2]"}, "generate --config {d}/c.json --out {d}/o.csv"),
     "generate_n_string": ({"c.json": '{"model": "ba", "m": 3, "n": "10"}'},
@@ -86,6 +90,13 @@ ONE_LINE_ERRORS = {
     "generate_f_values_number": ({"c.json": TPA_F % '{"form": "tabulated", "values": 5}'},
                                  "generate --config {d}/c.json --out {d}/o.csv"),
     "generate_ba_m_zero": ({}, "generate --model ba --m 0 --n 10 --out {d}/o.csv"),
+    "generate_ba_no_n": ({}, "generate --model ba --m 3 --out {d}/o.csv"),
+    "generate_f_no_form": ({"c.json": TPA_F % '{"b": 2}'}, "generate --config {d}/c.json --out {d}/o.csv"),
+    "generate_f_no_r": ({"c.json": TPA_F % '{"form": "geometric", "a": 0.8}'},
+                        "generate --config {d}/c.json --out {d}/o.csv"),
+    "generate_ws_p_above_one": ({}, "generate --model ws --n 10 --k 2 --p 2 --out {d}/o.csv"),
+    "generate_nw_p_below_zero": ({}, "generate --model nw --n 10 --k 2 --p -0.5 --out {d}/o.csv"),
+    "generate_nw_k_negative": ({}, "generate --model nw --n 10 --k -2 --p 0.1 --out {d}/o.csv"),
     "generate_hk_p_above_one": ({}, "generate --model hk --m 2 --n 10 --p-triangle 1.5 --out {d}/o.csv"),
     "generate_unknown_model": ({}, "generate --model xx --n 10 --out {d}/o.csv"),
     "stars_missing_dir": ({}, "stars --dir {d}/nets --k 1 --w 1 --interval 1 --out {d}/o.csv"),
@@ -97,6 +108,14 @@ ERROR_WORDING = {
     "analyze_time_past_int64": PAST_INT64,
     "analyze_offset_past_int64": PAST_INT64,
     "analyze_horizon_grid_too_large": "interval 1 gives 4611686018427387904 horizons",
+    "compare_xmin_string": "error: setting 0: xmin must be an integer, not '3'",
+    "compare_xmin_bool": "error: setting 0: xmin must be an integer, not True",
+    "generate_ba_no_n": "error: model 'ba' is missing parameter 'n'",
+    "generate_f_no_form": "error: time-difference function {'b': 2} is missing parameter 'form'",
+    "generate_f_no_r": "is missing parameter 'r'",
+    "generate_ws_p_above_one": "error: ws model needs k >= 0 and p in [0, 1]",
+    "generate_nw_p_below_zero": "error: nw model needs k >= 0 and p in [0, 1]",
+    "generate_nw_k_negative": "error: nw model needs k >= 0 and p in [0, 1]",
 }
 
 
@@ -151,6 +170,11 @@ class TestGenerate:
         out = str(tmp_path / "x.csv")
         assert run(["generate", "--model", "tpa", "--schedule", "10,10",
                     "--f", "exp2", "--out", out]) == 2
+
+    def test_missing_model_exits_two(self, tmp_path, capsys):
+        assert run(["generate", "--n", "10", "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == "error: --model is required (flag or config)\n"
+        assert os.listdir(tmp_path) == []
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -295,6 +319,34 @@ class TestCompare:
         assert capsys.readouterr().err == "error: setting 1: n must be an integer, not 50.0\n"
         assert generated == [] and not out.exists()
 
+    def test_xmin_zero_aborts_its_row(self, tmp_path, capsys):
+        # 0 is an explicit tail start, not a missing one: no fallback to m
+        path = tmp_path / "settings.json"
+        path.write_text(json.dumps([
+            {"label": "zero", "model": "ba", "m": 2, "n": 30, "xmin": 0},
+            {"label": "three", "model": "ba", "m": 2, "n": 30, "xmin": 3},
+        ]))
+        out = tmp_path / "table.csv"
+        assert run(["compare", "--settings", str(path), "--repeats", "1", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == "warning: zero aborted: x_min must be positive\n"
+        with open(out) as fh:
+            assert [r["setting"] for r in csv.DictReader(fh)] == ["three"]
+
+    def test_missing_parameter_is_named(self, tmp_path, capsys):
+        path = tmp_path / "settings.json"
+        path.write_text(json.dumps([
+            {"label": "x", "model": "ba", "m": 2},
+            {"label": "y", "model": "tpa", "schedule": "5,5", "f": "exp2"},
+            {"label": "z", "model": "ws", "n": 10, "p": 0.1},
+        ]))
+        out = tmp_path / "table.csv"
+        assert run(["compare", "--settings", str(path), "--repeats", "1", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: x aborted: model 'ba' is missing parameter 'n'\n"
+            "warning: y aborted: model 'tpa' is missing parameter 'm'\n"
+            "warning: z aborted: model 'ws' is missing parameter 'k'\n"
+        )
+
     def test_repeat_one_matches_single_run(self, tmp_path):
         out = str(tmp_path / "t.csv")
         assert run(["compare", "--settings", self.settings_file(tmp_path),
@@ -412,6 +464,40 @@ class TestStars:
         assert run(["stars", "--dir", d, "--k", "1", "--w", "5",
                     "--interval", "1", "--out", str(tmp_path / "s.csv")]) == 1
 
+    def test_no_readable_network_fails(self, tmp_path, capsys):
+        d = tmp_path / "nets"
+        d.mkdir()
+        (d / "x.txt").write_text("a b c\n")
+        assert run(["stars", "--dir", str(d), "--k", "1", "--w", "1",
+                    "--interval", "1", "--out", str(tmp_path / "s.csv")]) == 1
+        assert capsys.readouterr().err.endswith("error: no readable networks in directory\n")
+        assert sorted(os.listdir(tmp_path)) == ["nets"]
+
+    def test_w_exceeding_a_class_fails(self, tmp_path, capsys):
+        # one fast (polynomial, vibrancy 0.71) and one slow (sigmoidal, 0.29) network
+        from temponet import make_schedule
+
+        d = self.make_network_dir(tmp_path, [
+            ("fast", make_schedule("polynomial", 2, 5), 1),
+            ("slow", make_schedule("sigmoidal", 2, 5), 1),
+        ])
+        assert run(["stars", "--dir", d, "--k", "1", "--w", "2",
+                    "--interval", "1", "--out", str(tmp_path / "s.csv")]) == 1
+        assert capsys.readouterr().err == "error: w=2 exceeds fast class size 1\n"
+        assert sorted(os.listdir(tmp_path)) == ["nets"]
+
+    def test_class_too_short_for_the_interval_writes_no_rows(self, tmp_path, capsys):
+        d = tmp_path / "nets"
+        d.mkdir()
+        (d / "g.txt").write_text("0 1 0\n1 2 2\n2 3 3\n")  # active for 3 time units
+        out = tmp_path / "s.csv"
+        assert run(["stars", "--dir", str(d), "--k", "1", "--w", "1",
+                    "--interval", "10", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            "notice: no fast networks\nnotice: slow networks too short for interval\n"
+        )
+        assert out.read_text() == ""
+
     def test_offset_timestamps_are_normalized(self, tmp_path):
         d = tmp_path / "offset"
         d.mkdir()
@@ -512,6 +598,38 @@ class TestAtomicWrites:
         # only a completed rows file is new; no temporary file is left
         finished = ["o.csv"] if target == "o.csv.manifest.json" else []
         assert sorted(os.listdir(tmp_path)) == sorted(set(before) | set(finished))
+
+
+class TestOutputPaths:
+    """An output, sidecar or manifest path that is an existing directory
+    is refused before anything is written."""
+
+    COMMANDS = {
+        "generate": ("generate --model ba --m 2 --n 20 --out {out}", [".meta.json"]),
+        "analyze": ("analyze --in {d}/g.txt --interval 1 --out {out}", []),
+        "compare": ("compare --settings {d}/s.json --repeats 1 --out {out}", []),
+        "stars": ("stars --dir {d}/nets --k 1 --w 1 --interval 1 --out {out}", []),
+    }
+
+    @pytest.mark.parametrize("command, suffix", [
+        (command, suffix)
+        for command, (_, sidecars) in COMMANDS.items()
+        for suffix in ["", *sidecars, ".manifest.json"]
+    ])
+    def test_directory_in_the_way_is_refused_first(self, tmp_path, capsys, command, suffix):
+        (tmp_path / "g.txt").write_text(GRAPH)
+        (tmp_path / "s.json").write_text('[{"model": "ba", "m": 2, "n": 20}]')
+        (tmp_path / "nets").mkdir()
+        (tmp_path / "nets" / "g.txt").write_text(GRAPH)
+        out = tmp_path / "o.csv"
+        blocked = tmp_path / ("o.csv" + suffix)
+        blocked.mkdir()
+        before = sorted(os.listdir(tmp_path))
+        argv, _ = self.COMMANDS[command]
+        assert run(argv.format(d=tmp_path, out=out).split()) == 1
+        assert capsys.readouterr().err == f"error: cannot write {blocked}: it is a directory\n"
+        assert sorted(os.listdir(tmp_path)) == before
+        assert os.listdir(blocked) == []
 
 
 def test_cli_imports_neither_scipy_nor_networkx():

@@ -143,6 +143,22 @@ class TestInt64Boundary:
             with pytest.raises(OverflowError):
                 g.first_links()
 
+    @pytest.mark.parametrize("big", [False, True])
+    def test_query_times_past_int64(self, big):
+        # an int64 graph compares its columns with Python ints outside
+        # their range; a Python-int graph compares them as objects
+        b = 2**64 if big else 0
+        g = TemporalGraph([0, 2, b + 5], [(0, 1, b + 3), (1, 2, b + 9), (0, 2, b + 5)])
+        assert g.t.dtype == (object if big else np.int64)
+        assert (g.join_times, g.edges) == ((0, 2, b + 5), ((0, 1, b + 3), (1, 2, b + 9), (0, 2, b + 5)))
+        assert g.t_end == b + 9 and type(g.t_end) is int
+        snapshots = [g.snapshot_at(t) for t in (-2**70, 2**63, 2**70)]
+        assert [(s.n_vertices, s.n_edges) for s in snapshots] == [(0, 0), (2, 0) if big else (3, 3), (3, 3)]
+        assert g.horizons(2**63) == ([2**63, 2**64, b + 9] if big else [9])
+        assert g.horizons(2**70) == [b + 9]
+        with pytest.raises(ValueError, match="interval must be positive"):
+            g.horizons(-2**70)
+
     def test_offset_stream_normalizes_to_the_plain_one(self):
         graphs = []
         for offset in (2**63, 0):
@@ -412,6 +428,15 @@ class TestAtomicWrite:
         else:
             assert not path.exists()
         assert os.listdir(tmp_path) == (["out.txt"] if exists else [])
+
+    def test_replace_error_names_the_target(self, tmp_path):
+        path = tmp_path / "taken"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            with _replacing(str(path)) as fh:
+                fh.write("text")
+        assert info.value.filename == str(path) and info.value.filename2 is None
+        assert os.listdir(tmp_path) == ["taken"] and os.listdir(path) == []
 
     def test_open_error_names_the_target(self, tmp_path):
         path = str(tmp_path / "missing" / "out.txt")
