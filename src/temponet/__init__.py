@@ -27,6 +27,7 @@ from .evolution import (
     classify_vibrancy,
     join_time_diff_prob,
     jrc,
+    sparse_star_vector,
     spearman,
     stars_aggregate,
     vibrancy,
@@ -67,6 +68,7 @@ __all__ = [
     "classify_vibrancy",
     "join_time_diff_prob",
     "jrc",
+    "sparse_star_vector",
     "spearman",
     "stars_aggregate",
     "vibrancy",

@@ -16,7 +16,14 @@ import os
 import sys
 
 from . import __version__
-from .evolution import classify_vibrancy, jrc, stars_aggregate, vibrancy, w_max_time
+from .evolution import (
+    classify_vibrancy,
+    jrc,
+    sparse_star_vector,
+    stars_aggregate,
+    vibrancy,
+    w_max_time,
+)
 from .generators import TimeDiffFn, TpaParams, baseline_generate, make_schedule, tpa_generate
 from .ingest import IngestConfig, StreamRejected, normalize_times, read_edge_stream
 from .metrics import compute_features, k_stars_number, k_stars_vector
@@ -195,6 +202,8 @@ def cmd_analyze(args) -> int:
 
 
 def _setting_features(merged: dict, interval: int) -> dict:
+    if "model" not in merged:
+        raise ValueError("setting is missing parameter 'model'")
     graph = _generate_graph(merged["model"], merged)
     x_min = merged.get("xmin", merged.get("m", 2))
     features = compute_features(graph.snapshot_at(graph.t_end), gamma_x_min=x_min).to_dict()
@@ -245,50 +254,70 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _star_record(g: TemporalGraph, args) -> tuple:
+    """A zero-based network's vibrancy class, active time and sparse
+    star vector. A vector that cannot be computed is kept as its error,
+    raised only where a class grid reaches the network."""
+    label = classify_vibrancy(vibrancy(jrc(g, args.interval)), args.threshold)
+    try:
+        vector = sparse_star_vector(g, args.k, args.interval)
+    except (ValueError, OverflowError) as exc:
+        vector = exc.with_traceback(None)
+    return label, g.active_time, vector
+
+
 def cmd_stars(args) -> int:
     paths = sorted(
         os.path.join(args.dir, name)
         for name in os.listdir(args.dir)
         if not name.endswith(".meta.json") and not name.endswith(".manifest.json")
     )
-    graphs = []
+    networks = []  # (class, active time, star vector) per readable network
+    refused = None  # the first grid refusal, raised once every file is counted
     for path in paths:
         if not os.path.isfile(path):
             print(f"notice: skipping {path}: not a regular file", file=sys.stderr)
             continue
         try:
             # zero-base every network so horizon grids align across the set
-            graphs.append(normalize_times(_load_graph(path)))
+            g = normalize_times(_load_graph(path))
         except (ValueError, StreamRejected) as exc:
             print(f"notice: skipping {path}: {exc}", file=sys.stderr)
-    if not graphs:
+            continue
+        try:
+            networks.append(None if refused else _star_record(g, args))
+        except ValueError as exc:
+            refused = exc.with_traceback(None)
+            networks.append(None)
+        del g  # one network in memory at a time
+    if not networks:
         print("error: no readable networks in directory", file=sys.stderr)
         return 1
-    if args.w > len(graphs):
-        print(f"error: w={args.w} exceeds network count {len(graphs)}", file=sys.stderr)
+    if args.w > len(networks):
+        print(f"error: w={args.w} exceeds network count {len(networks)}", file=sys.stderr)
         return 1
-
-    classes: dict[str, list] = {"fast": [], "slow": []}
-    for g in graphs:
-        label = classify_vibrancy(vibrancy(jrc(g, args.interval)), args.threshold)
-        classes[label].append(g)
+    if refused:
+        raise refused
 
     rows = []
     for label in ("fast", "slow"):
-        members = classes[label]
+        members = [(active_time, vector) for c, active_time, vector in networks if c == label]
         if not members:
             print(f"notice: no {label} networks", file=sys.stderr)
             continue
         if args.w > len(members):
             print(f"error: w={args.w} exceeds {label} class size {len(members)}", file=sys.stderr)
             return 1
-        cap = w_max_time(members, args.w)
+        cap = w_max_time([active_time for active_time, _ in members], args.w)
         _check_grid(cap // args.interval, args.interval)
         horizons = list(range(args.interval, cap + 1, args.interval))
         if not horizons:
             print(f"notice: {label} networks too short for interval", file=sys.stderr)
             continue
-        total, avg, norm_avg = stars_aggregate(members, args.k, args.w, horizons)
+        for _, vector in members:
+            if isinstance(vector, Exception):
+                raise vector
+        total, avg, norm_avg = stars_aggregate(members, args.w, horizons)
         for i, t in enumerate(horizons):
             rows.append({
                 "class": label, "t": t, "networks": len(members),

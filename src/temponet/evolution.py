@@ -3,20 +3,27 @@
 Join-rate curves track the cumulative fraction of the final population
 present over time; vibrancy compresses a curve into one number (near 1
 for networks whose mass arrives late, near 0 for front-loaded ones).
-:func:`w_max_time` and :func:`stars_aggregate` take a plain sequence of
-normalized networks and aggregate their star-emergence vectors on one
-shared horizon grid.
+Star emergence across many networks needs no graph held beside
+another: ``temponet stars`` holds one network at a time, keeps its
+vibrancy class, its active time and its :func:`sparse_star_vector`
+(computed at event horizons only, the grid points that follow a
+first-link event or a join), and drops the graph.
+``w_max_time(active_times, w)`` takes the active times, and
+``stars_aggregate(networks, w, horizons)`` takes ``(active_time,
+vector)`` pairs and aggregates the vectors on one shared horizon grid,
+each cut to it first.
 """
 
 from __future__ import annotations
 
+import bisect
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .metrics import k_stars_number, k_stars_vector
+from .metrics import k_stars_vector
 from .temporal_graph import TemporalGraph, _check_grid, _replacing
 
 
@@ -155,32 +162,76 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float | None:
     return float(np.corrcoef(rx, ry)[0, 1])
 
 
-def w_max_time(graphs: Sequence[TemporalGraph], w: int) -> int:
+def w_max_time(active_times: Sequence[int], w: int) -> int:
     """The largest horizon at which at least ``w`` of the networks are
-    still active: the w-th largest active time."""
-    if not (1 <= w <= len(graphs)):
-        raise ValueError(f"w must be in [1, {len(graphs)}]")
-    spans = sorted((g.active_time for g in graphs), reverse=True)
-    return spans[w - 1]
+    still active: the w-th largest of their active times."""
+    if not (1 <= w <= len(active_times)):
+        raise ValueError(f"w must be in [1, {len(active_times)}]")
+    return sorted(active_times, reverse=True)[w - 1]
+
+
+def _run_heads(values: np.ndarray) -> np.ndarray:
+    """The first value of each run of equal values."""
+    head = np.ones(len(values), dtype=bool)
+    head[1:] = values[1:] != values[:-1]
+    return values[head]
+
+
+def _event_steps(g: TemporalGraph, interval: int) -> np.ndarray:
+    """The steps ``j``, ``1 <= j <= active_time // interval``, of the
+    grid ``j * interval`` whose interval ``((j - 1) * interval, j *
+    interval]`` holds a first-link event or a join: at most ``n + E`` of
+    them. At any other step the degrees and the present vertices are
+    those of the step before, so no star can enter there."""
+    if interval <= 0:
+        raise ValueError("interval must be positive")
+    last = g.active_time // interval
+    # both time columns are sorted, so each one's steps are too
+    events = _run_heads(-(-g.first_links(last * interval)[0] // interval))
+    joins = _run_heads(-(-g.join // interval))
+    steps = np.union1d(events, joins)
+    return steps[(steps >= 1) & (steps <= last)]
+
+
+def sparse_star_vector(g: TemporalGraph, k: int, interval: int) -> list[tuple[int, int]]:
+    """A network's star vector on the grid ``interval, 2 * interval,
+    ...`` up to its active time, as the ``(index, count)`` pairs of its
+    nonzero entries: entry ``i`` is the
+    :func:`~temponet.metrics.k_stars_vector` entry at ``(i + 1) *
+    interval``. The grid is meant for a zero-based network (see
+    :func:`~temponet.ingest.normalize_times`). The vector is evaluated at
+    event horizons only, the grid points that follow a first-link event
+    or a join, so its cost does not depend on the span; every other
+    entry is 0."""
+    steps = _event_steps(g, interval)
+    counts = k_stars_vector(g, (steps * interval).tolist(), k)
+    return [(j - 1, c) for j, c in zip(steps.tolist(), counts) if c]
 
 
 def stars_aggregate(
-    graphs: Sequence[TemporalGraph], k: int, w: int, horizons: Sequence[int]
+    networks: Sequence[tuple[int, Sequence[tuple[int, int]]]], w: int, horizons: Sequence[int]
 ) -> tuple[list[int], list[float], list[float]]:
     """Aggregate star emergence across a sequence of networks.
 
-    The networks are assumed normalized (first arrival at time 0), so
-    one horizon grid ``t_i`` means the same elapsed time in each; every
-    network is cut to the horizons within its own active time. For each
+    Each network is an ``(active_time, vector)`` pair, its star vector
+    given by the ``(index, count)`` pairs of its nonzero entries, entry
+    ``i`` at ``horizons[i]`` (as :func:`sparse_star_vector` gives it on
+    the grid ``interval, 2 * interval, ...``). The networks are assumed
+    normalized (first arrival at time 0), so one horizon grid ``t_i``
+    means the same elapsed time in each. Every vector is cut to the
+    horizons within its network's active time before its star number
+    is summed; a vector's entries depend only on earlier horizons, so
+    the cut equals the vector computed on the shorter grid. For each
     horizon: ``total[i]`` sums the new-star counts of every network
     still active at ``t_i``; ``avg[i]`` divides by the number of such
     networks; ``norm_avg[i]`` averages each network's new-star count
     normalized by its own total star number, skipping networks that
     never produced a star. The grid may not pass the w-max time.
     """
-    if not graphs:
+    if not networks:
         raise ValueError("no networks to aggregate")
-    cap = w_max_time(graphs, w)
+    spans = sorted(active_time for active_time, _ in networks)
+    cap = w_max_time(spans, w)
     horizons = list(horizons)
     if not horizons:
         raise ValueError("horizons must be non-empty")
@@ -190,18 +241,22 @@ def stars_aggregate(
         )
     m = len(horizons)
     total = [0] * m
-    active = [0] * m
     norm_sum = [0.0] * m
-    norm_n = [0] * m
-    for g in graphs:
-        vec = k_stars_vector(g, [t for t in horizons if t <= g.active_time], k)
-        number = k_stars_number(vec)
-        for i, value in enumerate(vec):
-            total[i] += value
-            active[i] += 1
-            if number > 0:
-                norm_sum[i] += value / number
-                norm_n[i] += 1
+    starred = []  # active times of the networks with a star on the grid
+    for active_time, vector in networks:
+        end = bisect.bisect_right(horizons, active_time)
+        entries = [(i, count) for i, count in vector if i < end]
+        number = sum(count for _, count in entries)
+        for i, count in entries:
+            total[i] += count
+        if number > 0:
+            starred.append(active_time)
+            for i, count in entries:
+                norm_sum[i] += count / number
+    # a network is active at t while t <= its active time
+    starred.sort()
+    active = [len(spans) - bisect.bisect_left(spans, t) for t in horizons]
+    norm_n = [len(starred) - bisect.bisect_left(starred, t) for t in horizons]
     avg = [total[i] / active[i] if active[i] else 0.0 for i in range(m)]
     norm_avg = [norm_sum[i] / norm_n[i] if norm_n[i] else 0.0 for i in range(m)]
     return total, avg, norm_avg

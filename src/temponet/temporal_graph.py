@@ -12,6 +12,7 @@ units.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import re
@@ -499,9 +500,14 @@ def write_edge_list(graph: TemporalGraph, path) -> None:
     vertices, or vertices that joined before their first edge) are kept
     in the sidecar so that reading the files back reproduces identical
     snapshots at every horizon. A graph with a repeated pair is marked
-    ``"simple": false`` so that it reads back as a multigraph.
+    ``"simple": false`` so that it reads back as a multigraph. A
+    target that is a directory raises ``IsADirectoryError`` before
+    either file is written.
     """
     path = str(path)
+    for target in (path, path + _META_SUFFIX):
+        if os.path.isdir(target):  # no file can replace it: refuse before writing either
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
     join, u, v, t = graph.join, graph.u, graph.v, graph.t
     repeats = _repeated(_pair_keys(u, v, graph.n_vertices, graph.directed)).any()
     body = "%d,%d,%d\n" * len(t) % tuple(np.column_stack([u, v, t]).ravel().tolist())

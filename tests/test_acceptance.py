@@ -30,6 +30,7 @@ from temponet import (
     power_law_gamma,
     read_edge_list,
     read_edge_stream,
+    sparse_star_vector,
     spearman,
     stars_aggregate,
     tpa_generate,
@@ -271,7 +272,7 @@ def test_criterion_7_oracle_equivalence():
         count = rng.randint(1, 8)
         spans = [rng.randint(1, 20) for _ in range(count)]
         graphs = [TemporalGraph([0, sp], []) for sp in spans]
-        c = graphs
+        c = [g.active_time for g in graphs]
         w = rng.randint(1, count)
         passed &= w_max_time(c, w) == w_max_brute(spans, w)
         checks += 1
@@ -283,14 +284,14 @@ def test_criterion_7_oracle_equivalence():
             g, joins, edges = _random_small_graph(rng)
             graphs.append(g)
             triples.append((joins, edges, g.active_time))
-        c = graphs
         w = rng.randint(1, count)
-        cap = w_max_time(c, w)
+        cap = w_max_time([g.active_time for g in graphs], w)
         if cap < 1:
             continue
         horizons = list(range(1, cap + 1))
         k = rng.randint(1, 3)
-        total, avg, norm = stars_aggregate(c, k, w, horizons)
+        c = [(g.active_time, sparse_star_vector(g, k, 1)) for g in graphs]
+        total, avg, norm = stars_aggregate(c, w, horizons)
         rt, ra, rn = stars_aggregate_brute(triples, k, horizons)
         passed &= total == rt
         passed &= all(abs(a - b) <= 1e-9 for a, b in zip(avg, ra))

@@ -100,6 +100,9 @@ ONE_LINE_ERRORS = {
     "generate_hk_p_above_one": ({}, "generate --model hk --m 2 --n 10 --p-triangle 1.5 --out {d}/o.csv"),
     "generate_unknown_model": ({}, "generate --model xx --n 10 --out {d}/o.csv"),
     "stars_missing_dir": ({}, "stars --dir {d}/nets --k 1 --w 1 --interval 1 --out {d}/o.csv"),
+    # a fast network, so the error comes before any class notice
+    "stars_k_zero": ({"g.txt": "0 1 0\n2 3 4\n4 5 4\n"},
+                     "stars --dir {d} --k 0 --w 1 --interval 1 --out {d}/o.csv"),
 }
 
 # What those errors must say, where the wording is pinned.
@@ -347,6 +350,18 @@ class TestCompare:
             "warning: z aborted: model 'ws' is missing parameter 'k'\n"
         )
 
+    def test_missing_model_is_named(self, tmp_path, capsys):
+        path = tmp_path / "settings.json"
+        path.write_text(json.dumps([
+            {"label": "x", "n": 20, "m": 2},
+            {"label": "y", "model": "ba", "n": 20, "m": 2},
+        ]))
+        out = tmp_path / "table.csv"
+        assert run(["compare", "--settings", str(path), "--repeats", "1", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == "warning: x aborted: setting is missing parameter 'model'\n"
+        with open(out) as fh:
+            assert [r["setting"] for r in csv.DictReader(fh)] == ["y"]
+
     def test_repeat_one_matches_single_run(self, tmp_path):
         out = str(tmp_path / "t.csv")
         assert run(["compare", "--settings", self.settings_file(tmp_path),
@@ -428,6 +443,51 @@ class TestStars:
             for r, a in zip(class_rows, ref[1]):
                 assert float(r["avg"]) == pytest.approx(a)
 
+    def test_long_sparse_network_is_cut_to_the_class_grid(self, tmp_path, monkeypatch):
+        # a network active for ~10**6 time units beside networks active
+        # for 4-10: its class grid ends at the w-max time, 10, and its
+        # star vector is evaluated at its event horizons only
+        import sys
+        sys.path.insert(0, os.path.dirname(__file__))
+        from oracles import stars_aggregate_brute
+        from temponet import evolution, normalize_times
+
+        d = self.make_network_dir(tmp_path, [
+            ("a", [5] * 5, 1), ("b", [5] * 8, 2), ("c", [5] * 11, 3),
+        ])
+        with open(os.path.join(d, "long.txt"), "w") as fh:
+            fh.write("0 1 1000\n1 2 1003\n2 3 1006\n0 3 401000\n3 4 1000990\n")
+        calls = []
+        k_stars_vector = evolution.k_stars_vector
+
+        def counted(g, horizons, k):
+            calls.append((len(horizons), g.n_vertices + g.n_edges, g.active_time))
+            return k_stars_vector(g, horizons, k)
+
+        monkeypatch.setattr(evolution, "k_stars_vector", counted)
+        out = str(tmp_path / "stars.csv")
+        assert run(["stars", "--dir", d, "--k", "2", "--w", "2",
+                    "--interval", "1", "--out", out]) == 0
+        assert len(calls) == 4
+        assert all(points <= bound for points, bound, _ in calls)
+        assert (4, 10, 999990) in calls  # steps 3, 6, 400000 and 999990 of a 999990-step grid
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+
+        graphs = [
+            normalize_times(cli._load_graph(os.path.join(d, name)))
+            for name in ("a.csv", "b.csv", "c.csv", "long.txt")
+        ]
+        assert {_class_of(g) for g in graphs} == {"slow"}
+        horizons = [int(r["t"]) for r in rows]
+        assert horizons == list(range(1, 11))
+        ref = stars_aggregate_brute(
+            [(list(g.join_times), list(g.edges), g.active_time) for g in graphs], 2, horizons,
+        )
+        assert [int(r["total"]) for r in rows] == ref[0]
+        assert [float(r["avg"]) for r in rows] == pytest.approx(ref[1], abs=1e-12)
+        assert [float(r["norm_avg"]) for r in rows] == pytest.approx(ref[2], abs=1e-12)
+
     def test_time_span_past_the_grid_cap_is_a_one_line_error(self, tmp_path, capsys):
         # interval 1 over a 2**31 span: the join-rate grid alone would
         # take 16 GiB, so the run stops before building it or writing
@@ -443,6 +503,23 @@ class TestStars:
         )
         assert sorted(os.listdir(tmp_path)) == ["nets"]
         assert os.listdir(d) == ["g.txt"]
+
+    @pytest.mark.parametrize("w, error", [
+        (1, "error: interval 1 gives 2147483650 horizons over the time span;"
+            " at most 10000000 are supported\n"),
+        (3, "error: w=3 exceeds network count 2\n"),
+    ])
+    def test_grid_refusal_follows_every_file_and_the_count(self, tmp_path, capsys, w, error):
+        d = tmp_path / "nets"
+        d.mkdir()
+        (d / "a.txt").write_text("0 1 0\n1 2 2147483648\n")  # refused by its join-rate grid
+        (d / "b.txt").write_text("a b c\n")
+        (d / "c.txt").write_text(GRAPH)
+        assert run(["stars", "--dir", str(d), "--k", "1", "--w", str(w),
+                    "--interval", "1", "--out", str(tmp_path / "s.csv")]) == 1
+        assert capsys.readouterr().err == (
+            f"notice: skipping {d / 'b.txt'}: line 1: fields must be integers: 'a b c'\n" + error
+        )
 
     def test_subdirectory_is_skipped_with_notice(self, tmp_path, capsys):
         d = self.make_network_dir(tmp_path, [("one", [10] * 5, 1)])

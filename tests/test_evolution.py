@@ -16,6 +16,7 @@ from temponet import (
     k_stars_number,
     k_stars_vector,
     make_schedule,
+    sparse_star_vector,
     spearman,
     stars_aggregate,
     tpa_generate,
@@ -23,9 +24,15 @@ from temponet import (
     w_max_time,
 )
 from temponet import temporal_graph
-from temponet.evolution import _average_ranks
+from temponet.evolution import _average_ranks, _event_steps
 
-from oracles import pair_prob_brute, spearman_brute, stars_aggregate_brute, w_max_brute
+from oracles import (
+    k_stars_vector_brute,
+    pair_prob_brute,
+    spearman_brute,
+    stars_aggregate_brute,
+    w_max_brute,
+)
 
 
 def schedule_graph(schedule, seed=0, m=2):
@@ -241,17 +248,23 @@ def toy_network(span, peak_shift, seed=0):
     return TemporalGraph(joins, edges)
 
 
+def star_data(graphs, k, interval=1):
+    """Each network as ``stars_aggregate`` takes it: active time and
+    sparse star vector."""
+    return [(g.active_time, sparse_star_vector(g, k, interval)) for g in graphs]
+
+
 class TestCollections:
     def test_w_max_time_examples(self):
         graphs = [TemporalGraph([0, s], []) for s in (10, 20, 30)]
-        c = graphs
+        c = [g.active_time for g in graphs]
         assert w_max_time(c, 2) == 20
         assert w_max_time(c, 1) == 30
         assert w_max_time(c, 3) == 10
 
     def test_w_max_time_uniform(self):
         graphs = [TemporalGraph([0, 12], []) for _ in range(4)]
-        c = graphs
+        c = [g.active_time for g in graphs]
         for w in range(1, 5):
             assert w_max_time(c, w) == 12
 
@@ -260,12 +273,12 @@ class TestCollections:
         for _ in range(50):
             spans = [rng.randint(1, 40) for _ in range(rng.randint(1, 6))]
             graphs = [TemporalGraph([0, s], []) for s in spans]
-            c = graphs
+            c = [g.active_time for g in graphs]
             for w in range(1, len(spans) + 1):
                 assert w_max_time(c, w) == w_max_brute(spans, w)
 
     def test_w_out_of_range(self):
-        c = [TemporalGraph([0, 5], [])]
+        c = [TemporalGraph([0, 5], []).active_time]
         with pytest.raises(ValueError):
             w_max_time(c, 2)
         with pytest.raises(ValueError):
@@ -273,9 +286,9 @@ class TestCollections:
 
     def test_singleton_reduction(self):
         g = toy_network(6, 2, seed=3)
-        c = [g]
-        horizons = list(range(1, w_max_time(c, 1) + 1))
-        total, avg, norm = stars_aggregate(c, 2, 1, horizons)
+        c = star_data([g], 2)
+        horizons = list(range(1, w_max_time([g.active_time], 1) + 1))
+        total, avg, norm = stars_aggregate(c, 1, horizons)
         vec = k_stars_vector(g, horizons, 2)
         number = k_stars_number(vec)
         assert total == vec
@@ -285,19 +298,19 @@ class TestCollections:
     def test_two_identical_networks(self):
         g1 = toy_network(5, 2, seed=4)
         g2 = toy_network(5, 2, seed=4)
-        c = [g1, g2]
-        horizons = list(range(1, w_max_time(c, 2) + 1))
-        total, avg, _ = stars_aggregate(c, 2, 2, horizons)
+        c = star_data([g1, g2], 2)
+        horizons = list(range(1, w_max_time([g1.active_time, g2.active_time], 2) + 1))
+        total, avg, _ = stars_aggregate(c, 2, horizons)
         vec = k_stars_vector(g1, horizons, 2)
         assert total == [2 * v for v in vec]
         assert avg == pytest.approx(vec)
 
     def test_staggered_toys_match_spreadsheet(self):
         graphs = [toy_network(4, 1, seed=1), toy_network(7, 2, seed=2), toy_network(9, 3, seed=3)]
-        c = graphs
+        c = star_data(graphs, 2)
         w = 2
-        horizons = list(range(1, w_max_time(c, w) + 1))
-        got = stars_aggregate(c, 2, w, horizons)
+        horizons = list(range(1, w_max_time([g.active_time for g in graphs], w) + 1))
+        got = stars_aggregate(c, w, horizons)
         ref = stars_aggregate_brute(
             [(list(g.join_times), list(g.edges), g.active_time) for g in graphs],
             2,
@@ -308,10 +321,72 @@ class TestCollections:
         assert got[2] == pytest.approx(ref[2], abs=1e-12)
 
     def test_horizons_beyond_w_max_rejected(self):
-        c = [TemporalGraph([0, 4], []), TemporalGraph([0, 9], [])]
+        c = star_data([TemporalGraph([0, 4], []), TemporalGraph([0, 9], [])], 1)
         with pytest.raises(ValueError):
-            stars_aggregate(c, 1, 2, list(range(1, 10)))
+            stars_aggregate(c, 2, list(range(1, 10)))
 
     def test_empty_collection_rejected(self):
         with pytest.raises(ValueError):
-            stars_aggregate([], 1, 1, [1])
+            stars_aggregate([], 1, [1])
+
+    def test_long_network_is_cut_to_the_cap_before_its_star_number(self):
+        # the long toy's stars past the cap must not dilute its norm_avg
+        graphs = [toy_network(3, 1, seed=5), toy_network(4, 2, seed=6), toy_network(40, 3, seed=7)]
+        c = star_data(graphs, 2)
+        horizons = list(range(1, w_max_time([g.active_time for g in graphs], 2) + 1))
+        assert horizons == [1, 2, 3, 4]
+        got = stars_aggregate(c, 2, horizons)
+        ref = stars_aggregate_brute(
+            [(list(g.join_times), list(g.edges), g.active_time) for g in graphs], 2, horizons
+        )
+        assert got[0] == ref[0]
+        assert got[1] == pytest.approx(ref[1], abs=1e-12)
+        assert got[2] == pytest.approx(ref[2], abs=1e-12)
+
+
+def random_zero_based_graph(rng):
+    n = rng.randint(1, 9)
+    joins = [0] + sorted(rng.choice([0, 1, 2, 5, 9, 30, 31]) for _ in range(n - 1))
+    edges = [
+        (u, v, max(joins[u], joins[v]) + rng.choice([0, 0, 1, 3, 17]))
+        for u in range(n) for v in range(u + 1, n) if rng.random() < 0.35
+    ]
+    return TemporalGraph(joins, edges), joins, edges
+
+
+class TestSparseStarVector:
+    def test_matches_the_full_grid_oracle(self):
+        rng = random.Random(16)
+        for _ in range(300):
+            g, joins, edges = random_zero_based_graph(rng)
+            k, interval = rng.randint(1, 4), rng.choice([1, 2, 3, 7, 50])
+            grid = list(range(interval, g.active_time + 1, interval))
+            dense = [0] * len(grid)
+            for i, count in sparse_star_vector(g, k, interval):
+                dense[i] = count
+            assert dense == k_stars_vector_brute(joins, edges, grid, k)
+
+    def test_evaluated_at_event_horizons_only(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            g, _, _ = random_zero_based_graph(rng)
+            interval = rng.choice([1, 2, 5])
+            steps = _event_steps(g, interval).tolist()
+            assert len(steps) <= g.n_vertices + g.n_edges
+            events = [*g.first_links()[0].tolist(), *g.join_times]
+            # exactly the steps whose interval holds an event or a join
+            assert steps == sorted({
+                -(-t // interval) for t in events
+                if 0 < t <= g.active_time // interval * interval
+            })
+
+    def test_cost_does_not_follow_the_span(self):
+        g = TemporalGraph([0, 0, 5 * 10**6, 10**9], [(0, 1, 3), (1, 2, 5 * 10**6), (0, 3, 10**9)])
+        assert _event_steps(g, 1).tolist() == [3, 5 * 10**6, 10**9]
+        # vertex 1 takes the lead when vertex 2 links to it; vertex 3's
+        # link only ties vertex 0 with it
+        assert sparse_star_vector(g, 1, 1) == [(5 * 10**6 - 1, 1)]
+
+    def test_bad_interval_rejected(self):
+        with pytest.raises(ValueError):
+            sparse_star_vector(toy_network(3, 1), 1, 0)

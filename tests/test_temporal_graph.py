@@ -414,6 +414,22 @@ class TestAtomicWrite:
         assert (tmp_path / "g.csv").read_text() == old_csv  # the pair stays matched
         assert sorted(os.listdir(tmp_path)) == ["g.csv", "g.csv.meta.json"]
 
+    @pytest.mark.parametrize("blocked", ["g.csv", "g.csv.meta.json"])
+    def test_directory_target_keeps_old_pair(self, tmp_path, blocked):
+        path = str(tmp_path / "g.csv")
+        write_edge_list(star_graph(), path)
+        (tmp_path / blocked).unlink()
+        (tmp_path / blocked).mkdir()
+        (tmp_path / blocked / "inside").write_text("kept\n")
+        other = next(name for name in ("g.csv", "g.csv.meta.json") if name != blocked)
+        old = (tmp_path / other).read_text()
+        with pytest.raises(IsADirectoryError) as info:
+            write_edge_list(TemporalGraph([0, 5], [(0, 1, 6)]), path)
+        assert info.value.filename == str(tmp_path / blocked)
+        assert (tmp_path / other).read_text() == old
+        assert os.listdir(tmp_path / blocked) == ["inside"]
+        assert sorted(os.listdir(tmp_path)) == ["g.csv", "g.csv.meta.json"]  # no *.tmp
+
     @pytest.mark.parametrize("exists", [False, True])
     def test_failure_midway_leaves_no_partial_file(self, tmp_path, exists):
         path = tmp_path / "out.txt"
