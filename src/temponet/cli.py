@@ -217,6 +217,8 @@ def _setting_features(merged: dict, interval: int) -> dict:
 def cmd_compare(args) -> int:
     if args.repeats <= 0:
         raise ValueError("repeats must be positive")
+    if args.interval <= 0:
+        raise ValueError("interval must be positive")
     with open(args.settings) as fh:
         settings = json.load(fh)
     if not (isinstance(settings, list) and settings and all(isinstance(s, dict) for s in settings)):
@@ -254,26 +256,16 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _star_record(g: TemporalGraph, args) -> tuple:
-    """A zero-based network's vibrancy class, active time and sparse
-    star vector. A vector that cannot be computed is kept as its error,
-    raised only where a class grid reaches the network."""
-    label = classify_vibrancy(vibrancy(jrc(g, args.interval)), args.threshold)
-    try:
-        vector = sparse_star_vector(g, args.k, args.interval)
-    except (ValueError, OverflowError) as exc:
-        vector = exc.with_traceback(None)
-    return label, g.active_time, vector
-
-
 def cmd_stars(args) -> int:
+    for name in ("k", "w", "interval"):
+        if getattr(args, name) < 1:
+            raise ValueError(f"{name} must be positive")
     paths = sorted(
         os.path.join(args.dir, name)
         for name in os.listdir(args.dir)
         if not name.endswith(".meta.json") and not name.endswith(".manifest.json")
     )
-    networks = []  # (class, active time, star vector) per readable network
-    refused = None  # the first grid refusal, raised once every file is counted
+    networks = []  # (class, active time, sparse star vector) per readable network
     for path in paths:
         if not os.path.isfile(path):
             print(f"notice: skipping {path}: not a regular file", file=sys.stderr)
@@ -284,11 +276,8 @@ def cmd_stars(args) -> int:
         except (ValueError, StreamRejected) as exc:
             print(f"notice: skipping {path}: {exc}", file=sys.stderr)
             continue
-        try:
-            networks.append(None if refused else _star_record(g, args))
-        except ValueError as exc:
-            refused = exc.with_traceback(None)
-            networks.append(None)
+        label = classify_vibrancy(vibrancy(jrc(g, args.interval)), args.threshold)
+        networks.append((label, g.active_time, sparse_star_vector(g, args.k, args.interval)))
         del g  # one network in memory at a time
     if not networks:
         print("error: no readable networks in directory", file=sys.stderr)
@@ -296,8 +285,6 @@ def cmd_stars(args) -> int:
     if args.w > len(networks):
         print(f"error: w={args.w} exceeds network count {len(networks)}", file=sys.stderr)
         return 1
-    if refused:
-        raise refused
 
     rows = []
     for label in ("fast", "slow"):
@@ -314,9 +301,6 @@ def cmd_stars(args) -> int:
         if not horizons:
             print(f"notice: {label} networks too short for interval", file=sys.stderr)
             continue
-        for _, vector in members:
-            if isinstance(vector, Exception):
-                raise vector
         total, avg, norm_avg = stars_aggregate(members, args.w, horizons)
         for i, t in enumerate(horizons):
             rows.append({

@@ -1,8 +1,11 @@
 """Temporal analyses across a network's life and across many networks.
 
 Join-rate curves track the cumulative fraction of the final population
-present over time; vibrancy compresses a curve into one number (near 1
-for networks whose mass arrives late, near 0 for front-loaded ones).
+present over time, kept as two numpy columns (grid times and fractions;
+``Jrc.samples`` builds the ``(t, value)`` pairs only when read);
+vibrancy compresses a curve into one number (near 1 for networks whose
+mass arrives late, near 0 for front-loaded ones) with one trapezoid
+call on the columns.
 Star emergence across many networks needs no graph held beside
 another: ``temponet stars`` holds one network at a time, keeps its
 vibrancy class, its active time and its :func:`sparse_star_vector`
@@ -24,34 +27,36 @@ from typing import Sequence
 import numpy as np
 
 from .metrics import k_stars_vector
-from .temporal_graph import TemporalGraph, _check_grid, _replacing
+from .temporal_graph import TemporalGraph, _check_grid
 
 
 @dataclass
 class Jrc:
-    """Sampled join-rate curve, anchored at (0, 0) and ending at 1."""
+    """Join-rate curve sampled on a regular grid, anchored at (0, 0) and
+    ending at 1: the grid times ``t`` (int64) and the fractions
+    ``value`` (float64) as two numpy columns."""
 
-    samples: list[tuple[int, float]]
-    t_max: int
+    t: np.ndarray
+    value: np.ndarray
+
+    @property
+    def t_max(self) -> int:
+        return int(self.t[-1])
+
+    @property
+    def samples(self) -> list[tuple[int, float]]:
+        """The ``(t, value)`` pairs, built on each read."""
+        return list(zip(self.t.tolist(), self.value.tolist()))
 
     def values(self) -> list[float]:
-        return [v for _, v in self.samples]
+        return self.value.tolist()
 
     def times(self) -> list[int]:
-        return [t for t, _ in self.samples]
-
-    def to_csv(self, path) -> None:
-        with _replacing(str(path)) as fh:
-            fh.write("t,value\n")
-            for t, value in self.samples:
-                fh.write(f"{t},{value!r}\n")
-
-    def to_json(self) -> list[list[float]]:
-        return [[t, value] for t, value in self.samples]
+        return self.t.tolist()
 
 
 def jrc(g: TemporalGraph, interval: int) -> Jrc:
-    """Sample the join-rate curve on a regular grid.
+    """Sample the join-rate curve on a regular grid, as numpy columns.
 
     The value at grid time ``t`` is the fraction of vertices that had
     joined strictly before ``t`` (arrivals complete at the end of the
@@ -66,16 +71,13 @@ def jrc(g: TemporalGraph, interval: int) -> Jrc:
         raise ValueError("interval must be positive")
     span = g.active_time
     if span == 0:
-        return Jrc(samples=[(0, 0.0), (0, 1.0)], t_max=0)
-    t0 = g.t_min
-    n = g.n_vertices
+        return Jrc(t=np.zeros(2, dtype=np.int64), value=np.array([0.0, 1.0]))
     joins = np.asarray(g.join, dtype=np.int64)  # non-decreasing by construction
     steps = span // interval + 1
     _check_grid(steps + 1, interval)
     grid = np.arange(steps + 1, dtype=np.int64) * interval
-    counts = np.searchsorted(joins, t0 + grid, side="left")
-    samples = [(t, c / n) for t, c in zip(grid.tolist(), counts.tolist())]
-    return Jrc(samples=samples, t_max=samples[-1][0])
+    counts = np.searchsorted(joins, g.t_min + grid, side="left")
+    return Jrc(t=grid, value=counts / g.n_vertices)
 
 
 def vibrancy(j: Jrc) -> float:
@@ -83,10 +85,7 @@ def vibrancy(j: Jrc) -> float:
     rule. A zero-span curve scores 0 (all mass arrived at the start)."""
     if j.t_max == 0:
         return 0.0
-    xs = np.array(j.times(), dtype=float)
-    ys = np.array(j.values(), dtype=float)
-    area = np.trapezoid(ys, xs)
-    return float(1.0 - area / (xs[-1] - xs[0]))
+    return float(1.0 - np.trapezoid(j.value, j.t) / j.t_max)
 
 
 def classify_vibrancy(v: float, threshold: float = 0.5) -> str:

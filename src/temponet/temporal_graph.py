@@ -313,13 +313,6 @@ class Snapshot:
     def directed(self) -> bool:
         return self.parent.directed
 
-    def edges(self) -> Iterator[Edge]:
-        """The parent's edges created by ``horizon``, in input order, as
-        ``(source, target, created)`` tuples read from its columns."""
-        p = self.parent
-        keep = p.t <= self.horizon
-        return zip(p.u[keep].tolist(), p.v[keep].tolist(), p.t[keep].tolist())
-
     def degrees(self) -> list[int]:
         return self.parent.degrees_at(self.horizon)[: self.n_vertices]
 

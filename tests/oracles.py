@@ -411,6 +411,30 @@ def pair_prob_brute(joins, edges, bin_width):
     ]
 
 
+def jrc_brute(joins, interval):
+    """The join-rate samples ``(t, c / n)`` as Python ints and floats:
+    ``c`` counts the joins strictly before ``joins[0] + t``, on the grid
+    ``0, interval, ...`` one step past the span."""
+    t0, n = joins[0], len(joins)
+    span = joins[-1] - t0
+    if span == 0:
+        return [(0, 0.0), (0, 1.0)]
+    grid = range(0, (span // interval + 2) * interval, interval)
+    return [(t, sum(1 for j in joins if j < t0 + t) / n) for t in grid]
+
+
+def vibrancy_brute(joins, interval):
+    """One minus the trapezoid area under :func:`jrc_brute`'s samples,
+    over their span, with the times and values turned into float
+    arrays."""
+    samples = jrc_brute(joins, interval)
+    xs = np.array([t for t, _ in samples], dtype=float)
+    ys = np.array([v for _, v in samples], dtype=float)
+    if xs[-1] == 0:
+        return 0.0
+    return float(1.0 - np.trapezoid(ys, xs) / (xs[-1] - xs[0]))
+
+
 def stars_aggregate_brute(networks, k, horizons):
     """Spreadsheet-style aggregation over (joins, edges, span) triples."""
     m = len(horizons)

@@ -47,6 +47,7 @@ def path_stream(offset):
 
 
 GRAPH = "0 1 0\n1 2 1\n0 2 2\n"
+SHORT = "0 1 0\n1 2 2\n2 3 3\n"  # active for 3 time units
 ANALYZE = "analyze --in {d}/g.txt --out {d}/o.csv --interval "
 TPA_F = '{"model": "tpa", "m": 2, "schedule": "5,5", "f": %s}'
 # Invocations that must end in one `error:` line and exit 1: the files
@@ -62,6 +63,10 @@ ONE_LINE_ERRORS = {
     "compare_missing_settings": ({}, "compare --settings {d}/s.json --out {d}/o.csv"),
     "compare_repeats_zero": ({"s.json": '[{"model": "ba", "m": 2, "n": 20}]'},
                              "compare --settings {d}/s.json --repeats 0 --out {d}/o.csv"),
+    "compare_interval_zero": ({"s.json": '[{"model": "ba", "m": 2, "n": 20}]'},
+                              "compare --settings {d}/s.json --interval 0 --out {d}/o.csv"),
+    "compare_interval_negative": ({"s.json": '[{"model": "ba", "m": 2, "n": 20}]'},
+                                  "compare --settings {d}/s.json --interval -1 --out {d}/o.csv"),
     "compare_setting_not_object": ({"s.json": "[1]"}, "compare --settings {d}/s.json --out {d}/o.csv"),
     "compare_n_string": ({"s.json": '[{"model": "ba", "m": 3, "n": "10"}]'},
                          "compare --settings {d}/s.json --out {d}/o.csv"),
@@ -100,9 +105,23 @@ ONE_LINE_ERRORS = {
     "generate_hk_p_above_one": ({}, "generate --model hk --m 2 --n 10 --p-triangle 1.5 --out {d}/o.csv"),
     "generate_unknown_model": ({}, "generate --model xx --n 10 --out {d}/o.csv"),
     "stars_missing_dir": ({}, "stars --dir {d}/nets --k 1 --w 1 --interval 1 --out {d}/o.csv"),
-    # a fast network, so the error comes before any class notice
     "stars_k_zero": ({"g.txt": "0 1 0\n2 3 4\n4 5 4\n"},
                      "stars --dir {d} --k 0 --w 1 --interval 1 --out {d}/o.csv"),
+    # every class too short for the interval: no star vector is ever summed
+    "stars_k_negative_classes_too_short": ({"a.txt": SHORT, "b.txt": SHORT},
+                                           "stars --dir {d} --k -3 --w 1 --interval 5 --out {d}/o.csv"),
+    # refused before the network whose join-rate grid is too long is read
+    "stars_k_zero_before_a_faulty_network": ({"g.txt": "0 1 0\n1 2 2147483648\n"},
+                                             "stars --dir {d} --k 0 --w 1 --interval 1 --out {d}/o.csv"),
+    # an edge time past int64 after zero-basing: the class grid (interval 10
+    # over an active time of 5) is empty, yet the network's fault is raised
+    "stars_vector_fault_in_a_class_too_short": ({"g.txt": f"0 1 0\n1 2 5\n0 2 {2**64}\n"},
+                                                "stars --dir {d} --k 1 --w 1 --interval 10 --out {d}/o.csv"),
+    # refused before the unreadable a.txt gets its notice
+    "stars_w_zero": ({"a.txt": "a b c\n", "g.txt": GRAPH},
+                     "stars --dir {d} --k 1 --w 0 --interval 1 --out {d}/o.csv"),
+    "stars_interval_negative": ({"a.txt": "a b c\n", "g.txt": GRAPH},
+                                "stars --dir {d} --k 1 --w 1 --interval -1 --out {d}/o.csv"),
 }
 
 # What those errors must say, where the wording is pinned.
@@ -113,6 +132,14 @@ ERROR_WORDING = {
     "analyze_horizon_grid_too_large": "interval 1 gives 4611686018427387904 horizons",
     "compare_xmin_string": "error: setting 0: xmin must be an integer, not '3'",
     "compare_xmin_bool": "error: setting 0: xmin must be an integer, not True",
+    "compare_interval_zero": "error: interval must be positive",
+    "compare_interval_negative": "error: interval must be positive",
+    "stars_k_zero": "error: k must be positive",
+    "stars_k_negative_classes_too_short": "error: k must be positive",
+    "stars_k_zero_before_a_faulty_network": "error: k must be positive",
+    "stars_vector_fault_in_a_class_too_short": PAST_INT64,
+    "stars_w_zero": "error: w must be positive",
+    "stars_interval_negative": "error: interval must be positive",
     "generate_ba_no_n": "error: model 'ba' is missing parameter 'n'",
     "generate_f_no_form": "error: time-difference function {'b': 2} is missing parameter 'form'",
     "generate_f_no_r": "is missing parameter 'r'",
@@ -142,6 +169,7 @@ def test_failure_is_a_one_line_error(tmp_path, capsys, name):
     assert err.startswith("error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert ERROR_WORDING.get(name, "") in err
+    assert sorted(os.listdir(tmp_path)) == sorted(files)  # nothing written
 
 
 class TestGenerate:
@@ -504,12 +532,10 @@ class TestStars:
         assert sorted(os.listdir(tmp_path)) == ["nets"]
         assert os.listdir(d) == ["g.txt"]
 
-    @pytest.mark.parametrize("w, error", [
-        (1, "error: interval 1 gives 2147483650 horizons over the time span;"
-            " at most 10000000 are supported\n"),
-        (3, "error: w=3 exceeds network count 2\n"),
-    ])
-    def test_grid_refusal_follows_every_file_and_the_count(self, tmp_path, capsys, w, error):
+    @pytest.mark.parametrize("w", [1, 3])
+    def test_a_network_fault_ends_the_run_at_that_network(self, tmp_path, capsys, w):
+        # a.txt's own fault is raised at a.txt, whatever w: the unreadable
+        # b.txt after it gets no notice, and nothing is written
         d = tmp_path / "nets"
         d.mkdir()
         (d / "a.txt").write_text("0 1 0\n1 2 2147483648\n")  # refused by its join-rate grid
@@ -518,8 +544,10 @@ class TestStars:
         assert run(["stars", "--dir", str(d), "--k", "1", "--w", str(w),
                     "--interval", "1", "--out", str(tmp_path / "s.csv")]) == 1
         assert capsys.readouterr().err == (
-            f"notice: skipping {d / 'b.txt'}: line 1: fields must be integers: 'a b c'\n" + error
+            "error: interval 1 gives 2147483650 horizons over the time span;"
+            " at most 10000000 are supported\n"
         )
+        assert sorted(os.listdir(tmp_path)) == ["nets"]
 
     def test_subdirectory_is_skipped_with_notice(self, tmp_path, capsys):
         d = self.make_network_dir(tmp_path, [("one", [10] * 5, 1)])

@@ -27,10 +27,12 @@ from temponet import temporal_graph
 from temponet.evolution import _average_ranks, _event_steps
 
 from oracles import (
+    jrc_brute,
     k_stars_vector_brute,
     pair_prob_brute,
     spearman_brute,
     stars_aggregate_brute,
+    vibrancy_brute,
     w_max_brute,
 )
 
@@ -83,15 +85,20 @@ class TestJrc:
         with pytest.raises(ValueError, match="interval 1 gives 2147483650 horizons"):
             jrc(TemporalGraph([0, 2**31], []), 1)
 
-    def test_csv_and_json_serialization(self, tmp_path):
-        j = jrc(schedule_graph([5, 10, 5]), 1)
-        path = tmp_path / "curve.csv"
-        j.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,value"
-        assert len(lines) == len(j.samples) + 1
-        assert j.to_json()[0] == [0, 0.0]
-        assert j.to_json()[-1][1] == 1.0
+    def test_samples_are_the_python_pairs_of_the_columns(self):
+        # (t, c / n) as Python ints and floats, equal to the list of pairs
+        # the curve was once built as
+        rng = random.Random(5)
+        for _ in range(300):
+            offset = rng.choice([0, 3, 10**4])
+            span = rng.choice([0, 1, 9, 40, 10**4])
+            joins = sorted(offset + rng.randint(0, span) for _ in range(rng.randint(1, 12)))
+            interval = rng.choice([1, 2, 3, 7, 50, 997])
+            j = jrc(TemporalGraph(joins, []), interval)
+            assert (j.t.dtype, j.value.dtype) == (np.int64, np.float64)
+            assert j.samples == jrc_brute(joins, interval)
+            assert all(type(t) is int and type(v) is float for t, v in j.samples)
+            assert (j.times(), j.values(), j.t_max) == (j.t.tolist(), j.value.tolist(), j.samples[-1][0])
 
 
 class TestVibrancy:
@@ -117,6 +124,16 @@ class TestVibrancy:
         rev = vibrancy(jrc(schedule_graph(make_schedule("sigmoidal", 5, 8)), 1))
         assert rev == pytest.approx(0.271, abs=0.01)
         assert fwd + rev == pytest.approx(1.0, abs=2 * (1 / 7))
+
+    def test_equals_the_brute_formula_exactly(self):
+        # bit for bit, on random join columns with offsets and spans up to 10**4
+        rng = random.Random(11)
+        for _ in range(300):
+            offset = rng.choice([0, 3, 10**4, 10**9])
+            span = rng.choice([0, 1, 9, 40, 10**4])
+            joins = sorted(offset + rng.randint(0, span) for _ in range(rng.randint(1, 25)))
+            interval = rng.choice([1, 2, 3, 10, 97])
+            assert vibrancy(jrc(TemporalGraph(joins, []), interval)) == vibrancy_brute(joins, interval)
 
     def test_in_unit_interval_on_random_schedules(self):
         rng = random.Random(1)
