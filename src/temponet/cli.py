@@ -33,11 +33,34 @@ _INT_KEYS = ("m", "n", "k", "seed", "retry_limit", "xmin")
 _REAL_KEYS = ("p", "p_triangle", "p_forward")
 
 
+def _read_text(name: str, text: str, parse):
+    """``parse(text)``, whose ``ValueError`` is raised again naming the
+    flag or key ``name`` and the ``text`` it could not read."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{name} {text!r}: {exc}") from None
+
+
+def _load_json(path: str):
+    """The JSON document in the file ``path``; an error names the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"cannot read {path}: {exc}") from None
+
+
 def _parse_schedule(text: str) -> list[int]:
     """Accept '100,200,400' literals or 'polynomial:5:8' style shorthands."""
     if ":" in text:
         kind, *args = text.split(":")
         return make_schedule(kind, *(int(a) for a in args))
+    return _int_list(text)
+
+
+def _int_list(text: str) -> list[int]:
+    """A comma list of integers."""
     return [int(x) for x in text.split(",")]
 
 
@@ -77,13 +100,16 @@ def _resolve_setting(setting, **overrides) -> dict:
     for key in _REAL_KEYS:
         if key in merged and type(merged[key]) not in (int, float):
             raise ValueError(f"{key} must be a number, not {merged[key]!r}")
+    flag = {key: f"--{key}" for key in overrides}  # how an error names a key
     if "schedule" in merged:
         schedule = merged["schedule"]
         if isinstance(schedule, str):
-            merged["schedule"] = _parse_schedule(schedule)
+            merged["schedule"] = _read_text(flag.get("schedule", "schedule"), schedule, _parse_schedule)
         elif not (isinstance(schedule, list) and all(type(x) is int for x in schedule)):
             raise ValueError(f"schedule must be a string or a list of integers, not {schedule!r}")
-    if "f" in merged:
+    if isinstance(merged.get("f"), str):
+        merged["f"] = _read_text(flag.get("f", "f"), merged["f"], TimeDiffFn.from_config)
+    elif "f" in merged:
         merged["f"] = TimeDiffFn.from_config(merged["f"])
     return merged
 
@@ -115,8 +141,7 @@ def _generate_graph(model: str, args_dict: dict) -> TemporalGraph:
 def cmd_generate(args) -> int:
     cfg = {}
     if args.config:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
+        cfg = _load_json(args.config)
     flags = {
         key: getattr(args, key)
         for key in ("model", *_INT_KEYS, *_REAL_KEYS, "schedule", "f")
@@ -188,7 +213,7 @@ def cmd_analyze(args) -> int:
     except (OSError, ValueError, StreamRejected) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 1
-    k_values = [int(x) for x in args.k.split(",")] if args.k else [1, 5]
+    k_values = _read_text("--k", args.k, _int_list) if args.k else [1, 5]
     rows = _analysis_rows(graph, args.interval, k_values, args.xmin)
     _write_rows(rows, args.out, args.format)
     _write_manifest(
@@ -219,8 +244,7 @@ def cmd_compare(args) -> int:
         raise ValueError("repeats must be positive")
     if args.interval <= 0:
         raise ValueError("interval must be positive")
-    with open(args.settings) as fh:
-        settings = json.load(fh)
+    settings = _load_json(args.settings)
     if not (isinstance(settings, list) and settings and all(isinstance(s, dict) for s in settings)):
         raise ValueError("settings file must hold a non-empty JSON list of objects")
     resolved = []

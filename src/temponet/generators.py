@@ -94,11 +94,20 @@ class TimeDiffFn:
         if isinstance(cfg, str):
             s = cfg.strip()
             if s.startswith("exp"):
-                return cls.exp_base(float(s[3:]))
-            if s.startswith(("geom:", "geometric:")):
-                _, a, r = s.split(":")
-                return cls.geometric(float(a), float(r))
-            raise ValueError(f"unrecognized time-difference function: {cfg!r}")
+                build, arity, fields = cls.exp_base, 1, [s[3:]]
+                shape = "exp<b>, as in exp2"
+            elif s.startswith(("geom:", "geometric:")):
+                build, arity, fields = cls.geometric, 2, s.split(":")[1:]
+                shape = "geom:<a>:<r>, as in geom:0.8:0.2"
+            else:
+                raise ValueError(f"unrecognized time-difference function: {cfg!r}")
+            try:
+                values = [float(x) for x in fields]
+            except ValueError:
+                values = []
+            if len(values) != arity:
+                raise ValueError(f"expected {shape}")
+            return build(*values)
         if not isinstance(cfg, dict):
             raise ValueError(f"a time-difference function is a string or an object, not {cfg!r}")
         try:
@@ -128,20 +137,22 @@ def make_schedule(kind: str, *args: int) -> list[int]:
       ``x = 1 .. max_x_exclusive - 1``
     * ``sigmoidal(coef, max_x_exclusive)``: the polynomial list reversed
     """
+    if kind not in ("linear", "polynomial", "sigmoidal"):
+        raise ValueError(f"unknown schedule kind: {kind!r}")
+    if len(args) != 2:
+        raise ValueError(f"a {kind} schedule takes 2 values, got {len(args)}")
     if kind == "linear":
         step, iterations = args
         if step <= 0 or iterations <= 0:
             raise ValueError("linear schedule needs positive step and iterations")
         return [int(step)] * int(iterations)
-    if kind in ("polynomial", "sigmoidal"):
-        coef, max_x = args
-        if coef <= 0:
-            raise ValueError("schedule coefficient must be positive")
-        if max_x <= 1:
-            raise ValueError("max_x_exclusive must exceed 1")
-        sizes = [int(coef) * x * x for x in range(1, int(max_x))]
-        return sizes if kind == "polynomial" else sizes[::-1]
-    raise ValueError(f"unknown schedule kind: {kind!r}")
+    coef, max_x = args
+    if coef <= 0:
+        raise ValueError("schedule coefficient must be positive")
+    if max_x <= 1:
+        raise ValueError("max_x_exclusive must exceed 1")
+    sizes = [int(coef) * x * x for x in range(1, int(max_x))]
+    return sizes if kind == "polynomial" else sizes[::-1]
 
 
 @dataclass

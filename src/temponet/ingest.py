@@ -7,12 +7,22 @@ timestamp of any record mentioning it. The grammar and the join rule are
 the ones :func:`temponet.temporal_graph.read_edge_list` applies to a
 sidecar-backed file.
 
-The path is columnar: the parser turns the records into one ``(E, 3)``
-integer array, and the loop drop, dedupe, degree cap, ranking and remap
-are numpy operations over dense vertex indices. A clean ASCII stream in
-one delimiter style is parsed by a single ``np.loadtxt`` call; any other
-stream is read line by line, and a malformed one raises for its first
-faulty line, with the reason that reader gives it first.
+The path is columnar: the parser reads a file once and turns the
+records into one ``(E, 3)`` integer array, and the loop drop, dedupe,
+degree cap, ranking and remap are numpy operations over dense vertex
+indices. A clean ASCII stream in one delimiter style is parsed by a
+single ``np.loadtxt`` call; any other stream is read line by line, and a
+malformed one raises for its first faulty line, with the reason that
+reader gives it first.
+
+Each key is sorted once, stably (see
+:func:`~temponet.temporal_graph._stable_order`): the endpoint ids, which
+give the vertices, their first appearance and join times; the pair
+keys, which give the dedupe; and the join times, which rank the
+vertices. Where ``(max - min + 1) * len`` of a key fits in int64 that is
+one plain sort of a packed value-and-position key; otherwise (ids or
+times spread wider, or Python ints) the default argsort, then one plain
+sort of a run-and-position key.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from typing import Iterable
 import numpy as np
 
 from .temporal_graph import EdgeStreamParseError, TemporalGraph
-from .temporal_graph import _distinct, _first_seen, _pair_keys, _parse_records
+from .temporal_graph import _distinct, _first_seen, _pair_keys, _parse_records, _stable_order
 
 
 class StreamRejected(RuntimeError):
@@ -60,9 +70,13 @@ def read_edge_stream(source: Iterable[str], config: IngestConfig | None = None) 
     The records are parsed into integer columns, by one ``np.loadtxt``
     call when the stream is ASCII, uses the delimiter of its first
     record throughout and has no fault, and otherwise by a line-by-line
-    reader, which gives the same columns. Every later step (loop drop,
-    dedupe, degree cap, ranking, remap) is a numpy operation over dense
-    vertex indices. Raises :class:`EdgeStreamParseError` naming the
+    reader, which gives the same columns; a file object is read once.
+    Every later step (loop drop, dedupe, degree cap, ranking, remap) is
+    a numpy operation over dense vertex indices, on one stable sort per
+    key: the endpoint ids, the pair keys and the join times, each by the
+    packed route or the run route of
+    :func:`~temponet.temporal_graph._stable_order`. Raises
+    :class:`EdgeStreamParseError` naming the
     first malformed line, with the reason checked first (an undecodable
     byte, which a file opened with ``errors="surrogateescape"`` passes
     on, then a wrong field count, a non-integer field, a negative
@@ -92,8 +106,8 @@ def read_edge_stream(source: Iterable[str], config: IngestConfig | None = None) 
         _, firsts, pair = _distinct(_pair_keys(u, v, n, config.directed))
         stamp = t[firsts]
         np.minimum.at(stamp, pair, t)
-        order = np.argsort(firsts)
-        u, v, t = u[firsts[order]], v[firsts[order]], stamp[order]
+        kept = firsts[pair] == np.arange(len(pair))  # each pair's first record
+        u, v, t = u[kept], v[kept], stamp[pair[kept]]
 
     alive = np.ones(n, dtype=bool)
     if config.max_degree is not None:
@@ -110,9 +124,14 @@ def read_edge_stream(source: Iterable[str], config: IngestConfig | None = None) 
             f"{len(t)} edges after filtering, below the {config.min_edges} threshold"
         )
 
-    # join order, ties broken by first appearance
-    survivors = np.flatnonzero(alive)
-    ranked = survivors[np.lexsort((first[survivors], join[survivors]))]
+    # join order, ties broken by first appearance: the vertices in
+    # first-appearance order (marked at their first endpoint positions),
+    # then stably sorted by join time
+    appears = np.zeros(2 * len(records), dtype=bool)
+    appears[first] = True
+    seen = index[np.flatnonzero(appears)]
+    seen = seen[alive[seen]]
+    ranked = seen[_stable_order(join[seen])]
     remap = np.empty(n, dtype=np.int64)
     remap[ranked] = np.arange(len(ranked))
     return TemporalGraph(

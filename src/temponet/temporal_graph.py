@@ -13,6 +13,7 @@ units.
 from __future__ import annotations
 
 import errno
+import io
 import json
 import os
 import re
@@ -255,16 +256,7 @@ class TemporalGraph:
                 )
             u, v, times = self.u, self.v, self.t
             if (times[1:] < times[:-1]).any():  # generated graphs never sort
-                # the default sort, then each run of equal times put back
-                # in input order: cheaper than a stable sort
-                order = np.argsort(times)
-                e = len(order)
-                key = np.zeros(e, dtype=np.int64)  # run of equal times, then position
-                np.cumsum(np.diff(times[order]) != 0, out=key[1:])
-                key *= e
-                key += order
-                key.sort()
-                order = np.remainder(key, e, out=key)
+                order = _stable_order(times)  # equal times stay in input order
                 u, v, times = u[order], v[order], times[order]
             # the earliest record of each unordered pair, in time order
             first = ~_repeated(_pair_keys(u, v, self.n_vertices, directed=False))
@@ -331,11 +323,17 @@ class EdgeStreamParseError(ValueError):
         self.line_no = line_no
 
 
-def _parse_records(lines: Iterable[str]) -> np.ndarray:
+def _parse_records(source: Iterable[str]) -> np.ndarray:
     """The ``source target timestamp`` records of an edge list as an
     ``(E, 3)`` integer array (see :func:`_int_column`): three integer
     fields split by commas or whitespace, timestamps non-negative; blank
     and ``#``-prefixed lines are skipped.
+
+    A file object is read once, with ``read()``, and split into the
+    lines, and line numbers, that iterating it gives when it was opened
+    with the default universal newlines, ``newline=""`` or
+    ``newline="\\n"``: at ``"\\n"``, and in a ``newline=""`` file also
+    at ``"\\r"``. Any other iterable is taken as its lines.
 
     Clean input is parsed by one ``np.loadtxt`` call (see
     :func:`_load_records`); anything it cannot vouch for goes to
@@ -344,22 +342,35 @@ def _parse_records(lines: Iterable[str]) -> np.ndarray:
     with ``errors="surrogateescape"``, as :func:`read_edge_list` and the
     CLI open them: an undecodable byte then reaches the reader as a
     fault of its line. Under the default ``errors="strict"`` the file
-    object itself raises ``UnicodeDecodeError`` while the lines are
-    read, before any line is checked.
+    object itself raises ``UnicodeDecodeError`` while it is read,
+    before any line is checked.
     """
-    lines = list(lines)
-    records = _load_records(lines)
+    text = None
+    if hasattr(source, "read"):
+        text = source.read()
+        if "\r" in text and getattr(source, "newlines", None) is not None:
+            source, text = io.StringIO(text, newline=""), None  # opened with newline=""
+        else:
+            lines = text.split("\n")
+    if text is None:
+        lines = list(source)
+        try:
+            text = "\n".join(lines)
+        except TypeError:
+            pass
+    records = None if text is None else _load_records(text, lines)
     return _read_records(lines) if records is None else records
 
 
-def _load_records(lines: list[str]) -> np.ndarray | None:
-    """The records of ``lines`` as ``np.loadtxt`` reads them, with the
-    delimiter of the first record line (commas if it holds one, else
-    whitespace), or ``None`` unless the result is the one
-    :func:`_read_records` would return: every line an ASCII string, at
-    least one record, ``#`` only as a line's first non-blank character
-    (where loadtxt would cut a comment off mid-line, the reader counts
-    fields), three int64 columns and no negative timestamp. loadtxt
+def _load_records(text: str, lines: list[str]) -> np.ndarray | None:
+    """The records of ``lines`` (``text`` is them joined by ``"\\n"``)
+    as ``np.loadtxt`` reads them, with the delimiter of the first record
+    line (commas if it holds one, else whitespace), or ``None`` unless
+    the result is the one :func:`_read_records` would return: every
+    line an ASCII string, at least one record, ``#`` only as a line's
+    first non-blank character (where loadtxt would cut a comment off
+    mid-line, the reader counts fields), three int64 columns and no
+    negative timestamp. loadtxt
     itself rejects the rest of what ``int()`` reads differently or not
     at all: a line with another delimiter, ``_`` digit groups, values
     past int64, line breaks or NULs inside a line.
@@ -372,10 +383,6 @@ def _load_records(lines: list[str]) -> np.ndarray | None:
     A comma file that loadtxt refuses and that holds a line of blanks
     or an indented comment is loaded once more without its blank and
     comment lines, which the reader skips too."""
-    try:
-        text = "\n".join(lines)
-    except TypeError:
-        return None
     if not text.isascii():
         return None
     for line in lines:
@@ -438,15 +445,50 @@ def _read_records(lines: Iterable[str]) -> np.ndarray:
     return _int_column(fields).reshape(-1, 3)
 
 
+def _stable_order(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")``, by one plain sort of
+    ``(value - min) * len + position`` where that key fits in int64, and
+    otherwise (a wider range, or Python ints) by the default argsort,
+    then one plain sort of ``run * len + position``, which puts each run
+    of equal values back in input order. Either way is cheaper than
+    numpy's stable sort."""
+    e = len(values)
+    if e and values.dtype == np.int64:
+        low = int(values.min())
+        if (int(values.max()) - low + 1) * e < 2**63:  # Python ints: no wrap
+            key = values - low
+            key *= e
+            key += np.arange(e)
+            key.sort()
+            return np.remainder(key, e, out=key)
+    order = np.argsort(values)
+    key = np.zeros(e, dtype=np.int64)  # run of equal values, then position
+    ranked = values[order]
+    key[1:] = ranked[1:] != ranked[:-1]
+    np.cumsum(key, out=key)
+    key *= e
+    key += order
+    key.sort()
+    return np.remainder(key, e, out=key)
+
+
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What ``np.unique(values, return_index=True, return_inverse=True)``
     returns: the sorted distinct values, the first position of each, and
-    each position's index into them; without the stable sort that
-    ``return_index`` costs, several times a plain one."""
-    distinct, index = np.unique(values, return_inverse=True)
-    first = np.full(len(distinct), len(values))
-    np.minimum.at(first, index, np.arange(len(values)))
-    return distinct, first, index
+    each position's index into them. In the stable order the head of
+    each run of equal values is its first position, so one
+    :func:`_stable_order` gives all three."""
+    order = _stable_order(values)
+    ranked = values[order]
+    head = np.ones(len(values), dtype=bool)
+    head[1:] = ranked[1:] != ranked[:-1]
+    run = head.astype(np.int64)  # an int64 cumsum is several times a bool one
+    np.cumsum(run, out=run)
+    run -= 1
+    index = np.empty_like(run)
+    index[order] = run
+    heads = np.flatnonzero(head)  # cheaper than two boolean-mask reads
+    return ranked[heads], order[heads], index
 
 
 def _first_seen(records: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

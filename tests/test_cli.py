@@ -94,6 +94,17 @@ ONE_LINE_ERRORS = {
                           "generate --config {d}/c.json --out {d}/o.csv"),
     "generate_f_values_number": ({"c.json": TPA_F % '{"form": "tabulated", "values": 5}'},
                                  "generate --config {d}/c.json --out {d}/o.csv"),
+    "generate_schedule_one_value": ({}, "generate --model tpa --m 2 --schedule polynomial:5 --f exp2 --out {d}/o.csv"),
+    "generate_schedule_empty_field": ({}, "generate --model tpa --m 2 --schedule 5,,5 --f exp2 --out {d}/o.csv"),
+    "generate_config_schedule_one_value": ({"c.json": '{"model": "tpa", "m": 2, "schedule": "linear:3", "f": "exp2"}'},
+                                           "generate --config {d}/c.json --out {d}/o.csv"),
+    "generate_f_geom_one_value": ({}, "generate --model tpa --m 2 --schedule 5,5 --f geom:2 --out {d}/o.csv"),
+    "generate_f_exp_no_base": ({}, "generate --model tpa --m 2 --schedule 5,5 --f exp --out {d}/o.csv"),
+    "generate_config_not_json": ({"c.json": "1 2"}, "generate --config {d}/c.json --out {d}/o.csv"),
+    "compare_settings_not_json": ({"s.json": "1 2"}, "compare --settings {d}/s.json --out {d}/o.csv"),
+    "compare_schedule_one_value": ({"s.json": '[{"model": "tpa", "m": 2, "schedule": "polynomial:5", "f": "exp2"}]'},
+                                   "compare --settings {d}/s.json --out {d}/o.csv"),
+    "analyze_k_empty_field": ({"g.txt": GRAPH}, ANALYZE + "1 --k 1,,2"),
     "generate_ba_m_zero": ({}, "generate --model ba --m 0 --n 10 --out {d}/o.csv"),
     "generate_ba_no_n": ({}, "generate --model ba --m 3 --out {d}/o.csv"),
     "generate_f_no_form": ({"c.json": TPA_F % '{"b": 2}'}, "generate --config {d}/c.json --out {d}/o.csv"),
@@ -141,6 +152,16 @@ ERROR_WORDING = {
     "stars_w_zero": "error: w must be positive",
     "stars_interval_negative": "error: interval must be positive",
     "generate_ba_no_n": "error: model 'ba' is missing parameter 'n'",
+    # a value that cannot be read names its flag (or key) and its text
+    "generate_schedule_one_value": "error: --schedule 'polynomial:5': a polynomial schedule takes 2 values, got 1",
+    "generate_schedule_empty_field": "error: --schedule '5,,5': ",
+    "generate_config_schedule_one_value": "error: schedule 'linear:3': a linear schedule takes 2 values, got 1",
+    "generate_f_geom_one_value": "error: --f 'geom:2': expected geom:<a>:<r>, as in geom:0.8:0.2",
+    "generate_f_exp_no_base": "error: --f 'exp': expected exp<b>, as in exp2",
+    "generate_config_not_json": "c.json: Extra data: line 1 column 3 (char 2)",
+    "compare_settings_not_json": "s.json: Extra data: line 1 column 3 (char 2)",
+    "compare_schedule_one_value": "error: setting 0: schedule 'polynomial:5': a polynomial schedule",
+    "analyze_k_empty_field": "error: --k '1,,2': ",
     "generate_f_no_form": "error: time-difference function {'b': 2} is missing parameter 'form'",
     "generate_f_no_r": "is missing parameter 'r'",
     "generate_ws_p_above_one": "error: ws model needs k >= 0 and p in [0, 1]",

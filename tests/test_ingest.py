@@ -15,9 +15,12 @@ from temponet import (
     IngestConfig,
     StreamRejected,
     TemporalGraph,
+    TimeDiffFn,
+    TpaParams,
     normalize_times,
     read_edge_list,
     read_edge_stream,
+    tpa_generate,
     write_edge_list,
 )
 from temponet import temporal_graph
@@ -116,6 +119,23 @@ class TestReadEdgeStream:
             with pytest.raises(UnicodeDecodeError):
                 read_edge_stream(fh)
 
+    @pytest.mark.parametrize("newline", [None, "", "\n"])
+    @pytest.mark.parametrize("data", [
+        b"0 1 5\r1 2 6\r\n2,3,7\n\r# c\r3 4 8\r",
+        b"0 1 5\r1 2 6\r2 3 x\r3 4 8\n",
+        b"0,1,5\r\n1,2,6\r\n\r\n2,3,7\r\n",
+        b"0 1 5\n1 2 6\r7\n",
+    ], ids=["mixed_ends", "fault_after_cr", "crlf", "cr_inside_a_line"])
+    def test_a_file_object_reads_as_its_lines(self, tmp_path, newline, data):
+        # read once and split, a file gives the lines and line numbers
+        # that iterating it gives, in each of these newline modes
+        path = tmp_path / "g.txt"
+        path.write_bytes(data)
+        with open(path, newline=newline) as fh:
+            lines = list(fh)
+        with open(path, newline=newline) as fh:
+            assert outcome(lambda: read_edge_stream(fh).edges) == outcome(lambda: read_edge_stream(lines).edges)
+
     def test_empty_input(self):
         with pytest.raises(ValueError, match="empty"):
             read_edge_stream(stream("# nothing\n"))
@@ -206,6 +226,64 @@ class TestNormalizeTimes:
             for i in range(5):
                 for j in range(5):
                     assert n.join_times[i] - n.join_times[j] == g.join_times[i] - g.join_times[j]
+
+
+def raw_stream_records(seed):
+    """A shuffled raw stream of a tpa network, as ``[u, v, t]`` lists: its
+    edges, a later reversed duplicate of each tenth, and three self-loops."""
+    rng = random.Random(seed)
+    g = tpa_generate(TpaParams(m=3, schedule=[20, 40, 80, 40], f=TimeDiffFn.exp_base(2), seed=seed))
+    records = [list(e) for e in g.edges]
+    records += [[b, a, t + rng.randint(1, 3)] for a, b, t in records[::10]]
+    records += [[x, x, g.t_end] for x in rng.sample(range(g.n_vertices), 3)]
+    rng.shuffle(records)
+    return records
+
+
+class TestWideIdsAndOffsets:
+    """Ids mapped through a random injective 62-bit map, and times moved by
+    10**15, change nothing after zero-basing; the endpoint sort then takes
+    its wider route (the default argsort and a run key)."""
+
+    @staticmethod
+    def copies(seed):
+        records = raw_stream_records(seed)
+        n = 1 + max(max(u, v) for u, v, _ in records)
+        wide = dict(enumerate(random.Random(seed).sample(range(2**62), n)))
+        return ["".join(f"{u} {v} {t}\n" for u, v, t in records),
+                "".join(f"{wide[u]} {wide[v]} {t + 10**15}\n" for u, v, t in records)]
+
+    def test_read_and_normalize_give_the_same_columns(self, monkeypatch):
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(1) or argsort(*a, **k))
+        for seed in range(4):
+            graphs = []
+            for text in self.copies(seed):
+                calls.clear()
+                g = normalize_times(read_edge_stream(stream(text)))
+                graphs.append((g, len(calls)))
+            (plain, plain_calls), (wide, wide_calls) = graphs
+            assert (plain_calls, wide_calls > 0) == (0, True)  # packed sorts only, then the wider route
+            for column in ("join", "u", "v", "t"):
+                a, b = getattr(plain, column), getattr(wide, column)
+                assert a.dtype == b.dtype == np.int64 and a.tolist() == b.tolist(), column
+            assert plain.first_links()[0].tolist() == wide.first_links()[0].tolist()
+
+    def test_stars_writes_the_same_table(self, tmp_path):
+        for name in ("plain", "wide"):
+            os.mkdir(tmp_path / name)
+        for seed in range(3):
+            for name, text in zip(("plain", "wide"), self.copies(seed)):
+                (tmp_path / name / f"s{seed}.txt").write_text(text)
+        tables = []
+        for name in ("plain", "wide"):
+            out = str(tmp_path / f"{name}.csv")
+            assert main(["stars", "--dir", str(tmp_path / name), "--k", "5", "--w", "1",
+                         "--interval", "1", "--out", out]) == 0
+            with open(out, "rb") as fh:
+                tables.append(fh.read())
+        assert tables[0] == tables[1] and tables[0].count(b"\n") > 1
 
 
 class TestFixedPoint:

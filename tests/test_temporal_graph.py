@@ -171,6 +171,87 @@ class TestInt64Boundary:
             assert a.tolist() == b.tolist()
 
 
+def packing_edge(e, above):
+    """``e`` int64 values from -5 whose span ``max - min + 1`` puts
+    ``span * e`` just below ``2**63`` (the largest span that packs) or
+    just above it."""
+    span = (2**63 - 1) // e + above
+    values = np.full(e, -5 + span // 2, dtype=np.int64)
+    values[::3] = -5
+    values[1::3] = -5 + span - 1
+    return values
+
+
+SORT_CASES = {
+    "empty": np.array([], dtype=np.int64),
+    "one": np.array([7]),
+    "all_equal": np.array([4] * 9),
+    "negative": np.array([-3, 5, -3, -9, 0, 5, -9, -3]),
+    **{f"bound_{e}_{side}": packing_edge(e, above)
+       for e in (2, 3, 7, 1000) for side, above in (("below", 0), ("above", 1))},
+    "int64_extremes": np.array([2**63 - 1, -(2**63), 0, 2**63 - 1, -(2**63), -1]),
+    "int64_max_only": np.array([2**63 - 1] * 4),
+    "int64_min_only": np.array([-(2**63)] * 3 + [-(2**63) + 1]),
+    "object_past_2_64": np.array([2**70, 5, 2**64, -3, 2**70, 5, 2**64 + 1], dtype=object),
+    "object_empty": np.array([], dtype=object),
+    "object_one": np.array([2**65], dtype=object),
+}
+
+
+class TestSortHelpers:
+    """``_stable_order`` is numpy's stable argsort and ``_distinct`` its
+    ``unique`` with first positions and inverse, on either route."""
+
+    @pytest.mark.parametrize("name", sorted(SORT_CASES))
+    def test_stable_order_is_the_stable_argsort(self, name):
+        values = SORT_CASES[name]
+        order = temporal_graph._stable_order(values)
+        assert order.dtype == np.int64
+        assert order.tolist() == np.argsort(values, kind="stable").tolist()
+
+    @pytest.mark.parametrize("name", sorted(SORT_CASES))
+    def test_distinct_is_unique_with_index_and_inverse(self, name):
+        values = SORT_CASES[name]
+        got = temporal_graph._distinct(values)
+        expected = np.unique(values, return_index=True, return_inverse=True)
+        assert got[0].dtype == expected[0].dtype
+        for a, b in zip(got, expected):
+            assert a.tolist() == b.tolist()
+
+    @pytest.mark.parametrize("e", [2, 3, 7, 1000])
+    def test_the_packed_route_ends_at_the_int64_bound(self, monkeypatch, e):
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(1) or argsort(*a, **k))
+        temporal_graph._stable_order(packing_edge(e, above=0))
+        assert not calls  # one plain sort of the packed key
+        temporal_graph._stable_order(packing_edge(e, above=1))
+        assert calls  # the default argsort, then the run key
+
+    def test_random_values_on_both_routes(self):
+        rng = np.random.default_rng(5)
+        for _ in range(400):
+            scale = int(rng.choice([1, 10**15, 2**60]))
+            values = rng.integers(-4, 5, int(rng.integers(0, 60))) * scale
+            assert temporal_graph._stable_order(values).tolist() == np.argsort(values, kind="stable").tolist()
+            got = temporal_graph._distinct(values)
+            for a, b in zip(got, np.unique(values, return_index=True, return_inverse=True)):
+                assert a.tolist() == b.tolist()
+
+    def test_first_links_on_times_past_the_packing_bound(self):
+        # a span of 2**62 or more over two or more edges takes the run route
+        rng = random.Random(17)
+        stamps = [0, 1, 2**62, 2**62 + 1, 2**63 - 1]
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            edges = [(rng.randrange(n), rng.randrange(n), rng.choice(stamps))
+                     for _ in range(rng.randint(2, 60))]
+            g = TemporalGraph([0] * n, edges, directed=rng.random() < 0.5,
+                              allow_self_loops=True, simple=False)
+            times, v, w = g.first_links()
+            assert (times.tolist(), v.tolist(), w.tolist()) == first_links_ordered_brute(edges)
+
+
 class TestSnapshots:
     def test_empty_graph(self):
         g = TemporalGraph([], [])
