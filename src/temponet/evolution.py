@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .metrics import k_stars_vector
-from .temporal_graph import TemporalGraph, _check_grid
+from .temporal_graph import TemporalGraph, _check_grid, _require_int64
 
 
 @dataclass
@@ -63,7 +63,8 @@ def jrc(g: TemporalGraph, interval: int) -> Jrc:
     interval containing them), measured from the first arrival. The
     grid extends one step past the last arrival so the curve always
     closes at 1. A zero-span network collapses to [(0, 0), (0, 1)]. A
-    grid of more than 10**7 samples raises ``ValueError``.
+    grid of more than 10**7 samples raises ``ValueError``, and join or
+    grid times past the int64 range raise ``OverflowError``.
     """
     if g.n_vertices == 0:
         raise ValueError("cannot compute a join-rate curve for an empty graph")
@@ -72,11 +73,13 @@ def jrc(g: TemporalGraph, interval: int) -> Jrc:
     span = g.active_time
     if span == 0:
         return Jrc(t=np.zeros(2, dtype=np.int64), value=np.array([0.0, 1.0]))
-    joins = np.asarray(g.join, dtype=np.int64)  # non-decreasing by construction
+    _require_int64(g.join, "join")
     steps = span // interval + 1
     _check_grid(steps + 1, interval)
+    if g.t_min + steps * interval > np.iinfo(np.int64).max:
+        raise OverflowError(f"interval {interval} gives join-rate grid times past the int64 range")
     grid = np.arange(steps + 1, dtype=np.int64) * interval
-    counts = np.searchsorted(joins, g.t_min + grid, side="left")
+    counts = np.searchsorted(g.join, g.t_min + grid, side="left")
     return Jrc(t=grid, value=counts / g.n_vertices)
 
 

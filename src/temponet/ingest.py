@@ -147,18 +147,11 @@ def read_edge_stream(source: Iterable[str], config: IngestConfig | None = None) 
 def normalize_times(g: TemporalGraph) -> TemporalGraph:
     """Shift all timestamps so the first arrival sits at 0; pairwise
     differences are preserved. Already-normalized graphs come back
-    equal."""
+    equal. The shifted graph shares the edge endpoint columns of ``g``
+    and is not validated again."""
     if g.n_vertices == 0:
         raise ValueError("cannot normalize an empty graph")
     shift = g.t_min
     if shift == 0:
         return g
-    return TemporalGraph(
-        g.join - shift,
-        np.column_stack([g.u, g.v, g.t - shift]),
-        directed=g.directed,
-        allow_self_loops=g.allow_self_loops,
-        simple=False,  # validated at first construction
-        time_unit=g.time_unit,
-        info=g.info,
-    )
+    return g._shifted(shift)

@@ -46,6 +46,16 @@ def _check_grid(count: int, interval: int) -> None:
         )
 
 
+def _require_int64(column: np.ndarray, what: str) -> None:
+    """Refuse a time column that holds Python ints past the int64 range
+    (see :func:`_int_column`), naming ``what`` times."""
+    if column.dtype != np.int64:
+        raise OverflowError(
+            f"{what} times pass the int64 range; zero-basing the stream"
+            " (as `stars` does) brings them into range if its span fits"
+        )
+
+
 def _int_column(values) -> np.ndarray:
     """``values`` as an int64 array when every value fits, else as an
     array of Python ints (dtype ``object``)."""
@@ -169,6 +179,24 @@ class TemporalGraph:
             raise ValueError("self-loops are not allowed in this graph")
         raise ValueError(f"duplicate edge ({x}, {y}) in simple graph")
 
+    def _shifted(self, shift: int) -> "TemporalGraph":
+        """This graph with every time lowered by ``shift``, at most its
+        first join time, sharing ``u`` and ``v``. It is not validated
+        again: a uniform shift by no more than the earliest time keeps
+        join order, ``join <= t`` and non-negative times."""
+        g = TemporalGraph.__new__(TemporalGraph)
+        g.directed, g.allow_self_loops, g.time_unit = self.directed, self.allow_self_loops, self.time_unit
+        g.info = dict(self.info)
+        g.u, g.v = self.u, self.v
+        g.join, g.t = self.join - shift, self.t - shift
+        if g.join.dtype != np.int64:  # Python ints: those that now fit become int64
+            g.join = _int_column(g.join)
+        if g.t.dtype != np.int64:
+            g.t = _int_column(g.t)
+        g.join.flags.writeable = g.t.flags.writeable = False
+        g._first_links = None
+        return g
+
     @property
     def join_times(self) -> tuple[int, ...]:
         """The join time of each vertex id, built from ``join`` on each
@@ -249,11 +277,7 @@ class TemporalGraph:
         bits can still be normalized; indexing it raises ``OverflowError``.
         """
         if self._first_links is None:
-            if self.t.dtype != np.int64:
-                raise OverflowError(
-                    "edge times pass the int64 range; zero-basing the stream"
-                    " (as `stars` does) brings them into range if its span fits"
-                )
+            _require_int64(self.t, "edge")
             u, v, times = self.u, self.v, self.t
             if (times[1:] < times[:-1]).any():  # generated graphs never sort
                 order = _stable_order(times)  # equal times stay in input order

@@ -1,12 +1,21 @@
 import csv
+import ctypes
 import json
 import os
+import random
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import pytest
 
 from temponet import cli
 from temponet.cli import main
 from temponet import TemporalGraph, read_edge_list, write_edge_list
+
+
+SRC = str(Path(cli.__file__).resolve().parents[1])  # for child processes
 
 
 def read_bytes(path):
@@ -133,6 +142,13 @@ ONE_LINE_ERRORS = {
                      "stars --dir {d} --k 1 --w 0 --interval 1 --out {d}/o.csv"),
     "stars_interval_negative": ({"a.txt": "a b c\n", "g.txt": GRAPH},
                                 "stars --dir {d} --k 1 --w 1 --interval -1 --out {d}/o.csv"),
+    # a join time past int64 after zero-basing, refused by the join-rate curve
+    "stars_join_time_past_int64": ({"g.txt": "0 1 0\n1 2 9223372036854775812\n"},
+                                   "stars --dir {d} --k 1 --w 1 --interval 1 --out {d}/o.csv"),
+    # the join-rate grid's last time, 2**63, would wrap to -2**63
+    "stars_join_rate_grid_past_int64": ({"g.txt": "0 1 0\n1 2 9223372036854775807\n"},
+                                        "stars --dir {d} --k 1 --w 1 --interval 4611686018427387904"
+                                        " --out {d}/o.csv"),
 }
 
 # What those errors must say, where the wording is pinned.
@@ -149,6 +165,8 @@ ERROR_WORDING = {
     "stars_k_negative_classes_too_short": "error: k must be positive",
     "stars_k_zero_before_a_faulty_network": "error: k must be positive",
     "stars_vector_fault_in_a_class_too_short": PAST_INT64,
+    "stars_join_time_past_int64": "error: join times pass the int64 range; zero-basing the stream",
+    "stars_join_rate_grid_past_int64": "error: interval 4611686018427387904 gives join-rate grid times past",
     "stars_w_zero": "error: w must be positive",
     "stars_interval_negative": "error: interval must be positive",
     "generate_ba_no_n": "error: model 'ba' is missing parameter 'n'",
@@ -758,17 +776,110 @@ class TestOutputPaths:
         assert os.listdir(blocked) == []
 
 
+class TestFreedHeap:
+    """cli.main keeps glibc's freed heap mapped, once per process, where
+    libc has ``mallopt``; the outputs do not depend on it."""
+
+    @pytest.fixture(autouse=True)
+    def untuned(self):
+        cli._keep_freed_heap.cache_clear()
+        yield
+        cli._keep_freed_heap.cache_clear()  # the next main tunes the real libc
+
+    @staticmethod
+    def counting_libc(calls):
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        def open_libc(name):
+            calls.append(("open", name))
+            return types.SimpleNamespace(mallopt=mallopt)
+
+        return open_libc, mallopt
+
+    @staticmethod
+    def generate(out):
+        return run(["generate", "--model", "ba", "--m", "2", "--n", "60", "--seed", "3", "--out", out])
+
+    def test_tuning_runs_once_per_process(self, tmp_path, monkeypatch):
+        calls = []
+        open_libc, mallopt = self.counting_libc(calls)
+        monkeypatch.setattr(ctypes, "CDLL", open_libc)
+        for i in range(3):
+            assert self.generate(str(tmp_path / f"g{i}.csv")) == 0
+        keep = cli._HEAP_KEEP
+        assert calls == [("open", None), (cli._M_MMAP_THRESHOLD, keep), (cli._M_TRIM_THRESHOLD, keep)]
+        assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int) and mallopt.restype is ctypes.c_int
+
+    @staticmethod
+    def no_mallopt(name):
+        return types.SimpleNamespace()  # macOS: libc has no mallopt
+
+    @staticmethod
+    def no_libc(name):
+        raise OSError("cannot open the process's libc")
+
+    @staticmethod
+    def no_process_libc(name):
+        raise TypeError("expected str, not NoneType")  # Windows: CDLL(None)
+
+    @pytest.mark.parametrize("libc", ["no_mallopt", "no_libc", "no_process_libc"])
+    def test_without_mallopt_main_writes_the_same_files(self, tmp_path, monkeypatch, libc):
+        (tmp_path / "nets").mkdir()
+        (tmp_path / "nets" / "g.txt").write_text(path_stream(1000))
+        written = {}
+        for side in ("tuned", libc):
+            (tmp_path / side).mkdir()
+            monkeypatch.chdir(tmp_path / side)
+            if side == libc:
+                cli._keep_freed_heap.cache_clear()
+                monkeypatch.setattr(ctypes, "CDLL", getattr(self, libc))
+            assert self.generate("g.csv") == 0
+            assert run(["stars", "--dir", "../nets", "--k", "2", "--w", "1",
+                        "--interval", "1", "--out", "s.csv"]) == 0
+            written[side] = {name: read_bytes(name) for name in sorted(os.listdir("."))}
+        assert len(written["tuned"]) == 5 and written[libc] == written["tuned"]
+
+    def test_stars_and_compare_outputs_do_not_depend_on_it(self, tmp_path):
+        # a process of its own per side: the tuning cannot be undone in one
+        from temponet import TimeDiffFn, TpaParams, make_schedule, tpa_generate
+
+        nets = tmp_path / "nets"
+        nets.mkdir()
+        for i, kind in enumerate(["polynomial", "sigmoidal"] * 2):
+            g = tpa_generate(TpaParams(m=3, schedule=make_schedule(kind, 5, 12),
+                                       f=TimeDiffFn.geometric(0.8, 0.2), seed=i))
+            records = [[u, v, t + 1000 * (i + 1)] for u, v, t in g.edges]
+            records += [[b, a, t + 1] for a, b, t in records[::10]]
+            random.Random(i).shuffle(records)
+            (nets / f"s{i}.txt").write_text("".join(f"{u} {v} {t}\n" for u, v, t in records))
+        (tmp_path / "settings.json").write_text(json.dumps([
+            {"label": "grouped_lin", "model": "tpa", "m": 3, "schedule": "linear:10:70", "f": "geom:0.8:0.2"},
+            {"label": "ba", "model": "ba", "m": 3, "n": 700},
+        ]))
+        commands = [
+            ["stars", "--dir", "../nets", "--k", "5", "--w", "1", "--interval", "1", "--out", "s.csv"],
+            ["compare", "--settings", "../settings.json", "--repeats", "2", "--out", "c.csv"],
+        ]
+        env = {**os.environ, "PYTHONPATH": SRC}
+        written = {}
+        for side, patch in (("tuned", ""), ("untuned", "cli._keep_freed_heap = lambda: None")):
+            (tmp_path / side).mkdir()
+            code = f"import sys\nfrom temponet import cli\n{patch}\nsys.exit(sum(cli.main(a) for a in {commands!r}))"
+            subprocess.run([sys.executable, "-c", code], cwd=tmp_path / side, env=env,
+                           check=True, capture_output=True, timeout=120)
+            written[side] = {name: read_bytes(tmp_path / side / name)
+                             for name in sorted(os.listdir(tmp_path / side))}
+        assert sorted(written["tuned"]) == ["c.csv", "c.csv.manifest.json", "s.csv", "s.csv.manifest.json"]
+        assert written["untuned"] == written["tuned"]
+        assert written["tuned"]["s.csv"].count(b"\n") > 1
+
+
 def test_cli_imports_neither_scipy_nor_networkx():
     # numpy is the one runtime dependency; scipy and networkx are test oracles
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import temponet
-
-    src = str(Path(temponet.__file__).resolve().parents[1])
     code = ("import sys, temponet.cli; "
             "print(sorted(m for m in ('scipy', 'networkx') if m in sys.modules))")
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": SRC}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"

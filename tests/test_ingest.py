@@ -228,6 +228,41 @@ class TestNormalizeTimes:
                     assert n.join_times[i] - n.join_times[j] == g.join_times[i] - g.join_times[j]
 
 
+    def test_shifted_graph_equals_a_validated_construction(self):
+        # the graph that normalize_times once built and validated anew
+        def rebuilt(g):
+            shift = g.t_min
+            return TemporalGraph(
+                g.join - shift, np.column_stack([g.u, g.v, g.t - shift]),
+                directed=g.directed, allow_self_loops=g.allow_self_loops,
+                simple=False, time_unit=g.time_unit, info=g.info,
+            )
+
+        configs = [IngestConfig(), IngestConfig(directed=True, allow_self_loops=True, time_column_unit="wk")]
+        for seed in range(3):
+            plain, wide = TestWideIdsAndOffsets.copies(seed)
+            records = raw_stream_records(seed)
+            texts = [wide, *("".join(f"{u} {v} {t + offset}\n" for u, v, t in records)
+                             for offset in (1000, 2**64))]
+            assert plain != texts[1]
+            for text in texts:
+                for config in configs:
+                    g = read_edge_stream(stream(text), config)
+                    g.info["source"] = "raw"
+                    got, want = normalize_times(g), rebuilt(g)
+                    assert got.t_min == 0
+                    for column in ("join", "u", "v", "t"):
+                        a, b = getattr(got, column), getattr(want, column)
+                        assert a.dtype == b.dtype == np.int64 and a.tolist() == b.tolist(), column
+                        assert not a.flags.writeable
+                    assert got.u is g.u and got.v is g.v
+                    for attr in ("directed", "allow_self_loops", "time_unit", "info"):
+                        assert getattr(got, attr) == getattr(want, attr), attr
+                    for a, b in zip(got.first_links(), want.first_links()):
+                        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+                    got._validate(True)
+
+
 def raw_stream_records(seed):
     """A shuffled raw stream of a tpa network, as ``[u, v, t]`` lists: its
     edges, a later reversed duplicate of each tenth, and three self-loops."""
