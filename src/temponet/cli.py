@@ -24,12 +24,11 @@ from .evolution import (
     sparse_star_vector,
     stars_aggregate,
     vibrancy,
-    w_max_time,
 )
 from .generators import TimeDiffFn, TpaParams, baseline_generate, make_schedule, tpa_generate
 from .ingest import IngestConfig, StreamRejected, normalize_times, read_edge_stream
 from .metrics import compute_features, k_stars_number, k_stars_vector
-from .temporal_graph import TemporalGraph, _check_grid, _replacing, read_edge_list, write_edge_list
+from .temporal_graph import TemporalGraph, _replacing, read_edge_list, write_edge_list
 
 _INT_KEYS = ("m", "n", "k", "seed", "retry_limit", "xmin")
 _REAL_KEYS = ("p", "p_triangle", "p_forward")
@@ -310,15 +309,18 @@ def cmd_stars(args) -> int:
         except (ValueError, StreamRejected) as exc:
             print(f"notice: skipping {path}: {exc}", file=sys.stderr)
             continue
-        label = classify_vibrancy(vibrancy(jrc(g, args.interval)), args.threshold)
-        networks.append((label, g.active_time, sparse_star_vector(g, args.k, args.interval)))
+        try:
+            label = classify_vibrancy(vibrancy(jrc(g, args.interval)), args.threshold)
+            vector = sparse_star_vector(g, args.k, args.interval)
+        except (ValueError, OverflowError) as exc:
+            kind = OverflowError if isinstance(exc, OverflowError) else ValueError
+            raise kind(f"{path}: {exc}") from None
+        networks.append((label, g.active_time, vector))
         del g  # one network in memory at a time
     if not networks:
-        print("error: no readable networks in directory", file=sys.stderr)
-        return 1
+        raise ValueError("no readable networks in directory")
     if args.w > len(networks):
-        print(f"error: w={args.w} exceeds network count {len(networks)}", file=sys.stderr)
-        return 1
+        raise ValueError(f"w={args.w} exceeds network count {len(networks)}")
 
     rows = []
     for label in ("fast", "slow"):
@@ -327,18 +329,14 @@ def cmd_stars(args) -> int:
             print(f"notice: no {label} networks", file=sys.stderr)
             continue
         if args.w > len(members):
-            print(f"error: w={args.w} exceeds {label} class size {len(members)}", file=sys.stderr)
-            return 1
-        cap = w_max_time([active_time for active_time, _ in members], args.w)
-        _check_grid(cap // args.interval, args.interval)
-        horizons = list(range(args.interval, cap + 1, args.interval))
-        if not horizons:
+            raise ValueError(f"w={args.w} exceeds {label} class size {len(members)}")
+        total, avg, norm_avg = stars_aggregate(members, args.w, args.interval)
+        if not total:
             print(f"notice: {label} networks too short for interval", file=sys.stderr)
             continue
-        total, avg, norm_avg = stars_aggregate(members, args.w, horizons)
-        for i, t in enumerate(horizons):
+        for i in range(len(total)):
             rows.append({
-                "class": label, "t": t, "networks": len(members),
+                "class": label, "t": (i + 1) * args.interval, "networks": len(members),
                 "total": total[i], "avg": avg[i], "norm_avg": norm_avg[i],
             })
     _write_rows(rows, args.out, args.format)

@@ -12,9 +12,11 @@ vibrancy class, its active time and its :func:`sparse_star_vector`
 (computed at event horizons only, the grid points that follow a
 first-link event or a join), and drops the graph.
 ``w_max_time(active_times, w)`` takes the active times, and
-``stars_aggregate(networks, w, horizons)`` takes ``(active_time,
-vector)`` pairs and aggregates the vectors on one shared horizon grid,
-each cut to it first.
+``stars_aggregate(networks, w, interval)`` takes ``(active_time,
+vector)`` pairs and aggregates the vectors on the class grid
+``interval, 2 * interval, ...`` up to the w-max time, each cut to it
+first: entry ``i`` is at ``(i + 1) * interval``, and the lists are
+empty when the grid is shorter than one interval.
 """
 
 from __future__ import annotations
@@ -211,42 +213,39 @@ def sparse_star_vector(g: TemporalGraph, k: int, interval: int) -> list[tuple[in
 
 
 def stars_aggregate(
-    networks: Sequence[tuple[int, Sequence[tuple[int, int]]]], w: int, horizons: Sequence[int]
+    networks: Sequence[tuple[int, Sequence[tuple[int, int]]]], w: int, interval: int
 ) -> tuple[list[int], list[float], list[float]]:
     """Aggregate star emergence across a sequence of networks.
 
     Each network is an ``(active_time, vector)`` pair, its star vector
     given by the ``(index, count)`` pairs of its nonzero entries, entry
-    ``i`` at ``horizons[i]`` (as :func:`sparse_star_vector` gives it on
-    the grid ``interval, 2 * interval, ...``). The networks are assumed
-    normalized (first arrival at time 0), so one horizon grid ``t_i``
-    means the same elapsed time in each. Every vector is cut to the
-    horizons within its network's active time before its star number
-    is summed; a vector's entries depend only on earlier horizons, so
-    the cut equals the vector computed on the shorter grid. For each
-    horizon: ``total[i]`` sums the new-star counts of every network
-    still active at ``t_i``; ``avg[i]`` divides by the number of such
-    networks; ``norm_avg[i]`` averages each network's new-star count
-    normalized by its own total star number, skipping networks that
-    never produced a star. The grid may not pass the w-max time.
+    ``i`` at ``(i + 1) * interval`` (as :func:`sparse_star_vector` gives
+    it). The networks are assumed normalized (first arrival at time 0),
+    so one grid time ``t_i = (i + 1) * interval`` means the same elapsed
+    time in each. The grid runs to the w-max time, and its lists are
+    empty when that is shorter than one interval. Every vector is cut
+    to the grid times within its network's active time before its star
+    number is summed; a vector's entries depend only on earlier grid
+    times, so the cut equals the vector computed on the shorter grid.
+    For each grid time: ``total[i]`` sums the new-star counts of every
+    network still active at ``t_i``; ``avg[i]`` divides by the number of
+    such networks; ``norm_avg[i]`` averages each network's new-star
+    count normalized by its own total star number, skipping networks
+    that never produced a star. An ``interval`` below 1 or a grid of more
+    than 10**7 points raises ``ValueError``.
     """
     if not networks:
         raise ValueError("no networks to aggregate")
+    if interval < 1:
+        raise ValueError("interval must be positive")
     spans = sorted(active_time for active_time, _ in networks)
-    cap = w_max_time(spans, w)
-    horizons = list(horizons)
-    if not horizons:
-        raise ValueError("horizons must be non-empty")
-    if horizons[-1] > cap:
-        raise ValueError(
-            f"horizons extend to {horizons[-1]} but only {w} networks reach {cap}"
-        )
-    m = len(horizons)
+    m = w_max_time(spans, w) // interval
+    _check_grid(m, interval)
     total = [0] * m
     norm_sum = [0.0] * m
     starred = []  # active times of the networks with a star on the grid
     for active_time, vector in networks:
-        end = bisect.bisect_right(horizons, active_time)
+        end = min(m, active_time // interval)
         entries = [(i, count) for i, count in vector if i < end]
         number = sum(count for _, count in entries)
         for i, count in entries:
@@ -257,8 +256,9 @@ def stars_aggregate(
                 norm_sum[i] += count / number
     # a network is active at t while t <= its active time
     starred.sort()
-    active = [len(spans) - bisect.bisect_left(spans, t) for t in horizons]
-    norm_n = [len(starred) - bisect.bisect_left(starred, t) for t in horizons]
+    grid = range(interval, m * interval + 1, interval)
+    active = [len(spans) - bisect.bisect_left(spans, t) for t in grid]
+    norm_n = [len(starred) - bisect.bisect_left(starred, t) for t in grid]
     avg = [total[i] / active[i] if active[i] else 0.0 for i in range(m)]
     norm_avg = [norm_sum[i] / norm_n[i] if norm_n[i] else 0.0 for i in range(m)]
     return total, avg, norm_avg

@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .temporal_graph import Snapshot, TemporalGraph
+from .temporal_graph import Snapshot, TemporalGraph, _require_int64
 
 _SP_BLOCK = 512  # sources per block of a giant above _SP_ONE_BLOCK vertices
 _SP_ONE_BLOCK = 1024
@@ -333,7 +333,8 @@ def k_stars_vector(g: TemporalGraph, horizons: Sequence[int], k: int) -> list[in
 
     Entry ``i`` is the number of vertices in the top-k at ``horizons[i]``
     that were not in the top-k at time 0 or at any earlier horizon. The
-    time-0 star set is empty when no vertex has joined by time 0.
+    time-0 star set is empty when no vertex has joined by time 0. Join
+    or edge times past the int64 range raise ``OverflowError``.
 
     One sweep over the first-link events in time order keeps the top-k
     set from one horizon to the next. Degrees only grow, and a vertex
@@ -355,10 +356,11 @@ def k_stars_vector(g: TemporalGraph, horizons: Sequence[int], k: int) -> list[in
         prev = t
     # the degree of v at t counts v's events at or before t
     ev_t, ev_v, _ = g.first_links()
+    _require_int64(g.join, "join")
     n = g.n_vertices
     points = np.array([0, *horizons], dtype=np.int64)
     ends = np.searchsorted(ev_t, points, side="right").tolist()
-    present = np.searchsorted(np.asarray(g.join, dtype=np.int64), points, side="right").tolist()
+    present = np.searchsorted(g.join, points, side="right").tolist()
 
     degrees = np.zeros(n, dtype=np.int64)  # counts events[:synced]
     seen = np.zeros(n, dtype=bool)

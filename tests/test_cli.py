@@ -69,6 +69,10 @@ ONE_LINE_ERRORS = {
     "analyze_time_past_int64": ({"g.txt": "0 1 5\n1 2 18446744073709551616\n"}, ANALYZE + "1"),
     "analyze_offset_past_int64": ({"g.txt": path_stream(2**64)}, ANALYZE + "1"),
     "analyze_horizon_grid_too_large": ({"g.txt": "0 1 0\n1 2 4611686018427387904\n"}, ANALYZE + "1"),
+    # a sidecar join time past int64, read by the star vector on a one-point grid
+    "analyze_join_time_past_int64": ({"g.csv": "0,1,5\n", "g.csv.meta.json": json.dumps(
+                                         {**_META, "explicit_join_times": {"2": 2**64}})},
+                                     "analyze --in {d}/g.csv --out {d}/o.csv --interval " + str(2**65)),
     "compare_missing_settings": ({}, "compare --settings {d}/s.json --out {d}/o.csv"),
     "compare_repeats_zero": ({"s.json": '[{"model": "ba", "m": 2, "n": 20}]'},
                              "compare --settings {d}/s.json --repeats 0 --out {d}/o.csv"),
@@ -157,6 +161,7 @@ ERROR_WORDING = {
     "analyze_time_past_int64": PAST_INT64,
     "analyze_offset_past_int64": PAST_INT64,
     "analyze_horizon_grid_too_large": "interval 1 gives 4611686018427387904 horizons",
+    "analyze_join_time_past_int64": "error: join times pass the int64 range; zero-basing the stream",
     "compare_xmin_string": "error: setting 0: xmin must be an integer, not '3'",
     "compare_xmin_bool": "error: setting 0: xmin must be an integer, not True",
     "compare_interval_zero": "error: interval must be positive",
@@ -164,9 +169,10 @@ ERROR_WORDING = {
     "stars_k_zero": "error: k must be positive",
     "stars_k_negative_classes_too_short": "error: k must be positive",
     "stars_k_zero_before_a_faulty_network": "error: k must be positive",
-    "stars_vector_fault_in_a_class_too_short": PAST_INT64,
-    "stars_join_time_past_int64": "error: join times pass the int64 range; zero-basing the stream",
-    "stars_join_rate_grid_past_int64": "error: interval 4611686018427387904 gives join-rate grid times past",
+    # a network's fault names its file
+    "stars_vector_fault_in_a_class_too_short": "g.txt: " + PAST_INT64,
+    "stars_join_time_past_int64": "g.txt: join times pass the int64 range; zero-basing the stream",
+    "stars_join_rate_grid_past_int64": "g.txt: interval 4611686018427387904 gives join-rate grid times past",
     "stars_w_zero": "error: w must be positive",
     "stars_interval_negative": "error: interval must be positive",
     "generate_ba_no_n": "error: model 'ba' is missing parameter 'n'",
@@ -565,7 +571,7 @@ class TestStars:
         assert run(["stars", "--dir", str(d), "--k", "1", "--w", "1",
                     "--interval", "1", "--out", out]) == 1
         assert capsys.readouterr().err == (
-            "error: interval 1 gives 2147483650 horizons over the time span;"
+            f"error: {d / 'g.txt'}: interval 1 gives 2147483650 horizons over the time span;"
             " at most 10000000 are supported\n"
         )
         assert sorted(os.listdir(tmp_path)) == ["nets"]
@@ -573,8 +579,8 @@ class TestStars:
 
     @pytest.mark.parametrize("w", [1, 3])
     def test_a_network_fault_ends_the_run_at_that_network(self, tmp_path, capsys, w):
-        # a.txt's own fault is raised at a.txt, whatever w: the unreadable
-        # b.txt after it gets no notice, and nothing is written
+        # a.txt's own fault is raised at a.txt, naming it, whatever w: the
+        # unreadable b.txt after it gets no notice, and nothing is written
         d = tmp_path / "nets"
         d.mkdir()
         (d / "a.txt").write_text("0 1 0\n1 2 2147483648\n")  # refused by its join-rate grid
@@ -583,7 +589,7 @@ class TestStars:
         assert run(["stars", "--dir", str(d), "--k", "1", "--w", str(w),
                     "--interval", "1", "--out", str(tmp_path / "s.csv")]) == 1
         assert capsys.readouterr().err == (
-            "error: interval 1 gives 2147483650 horizons over the time span;"
+            f"error: {d / 'a.txt'}: interval 1 gives 2147483650 horizons over the time span;"
             " at most 10000000 are supported\n"
         )
         assert sorted(os.listdir(tmp_path)) == ["nets"]

@@ -305,7 +305,7 @@ class TestCollections:
         g = toy_network(6, 2, seed=3)
         c = star_data([g], 2)
         horizons = list(range(1, w_max_time([g.active_time], 1) + 1))
-        total, avg, norm = stars_aggregate(c, 1, horizons)
+        total, avg, norm = stars_aggregate(c, 1, 1)
         vec = k_stars_vector(g, horizons, 2)
         number = k_stars_number(vec)
         assert total == vec
@@ -317,7 +317,7 @@ class TestCollections:
         g2 = toy_network(5, 2, seed=4)
         c = star_data([g1, g2], 2)
         horizons = list(range(1, w_max_time([g1.active_time, g2.active_time], 2) + 1))
-        total, avg, _ = stars_aggregate(c, 2, horizons)
+        total, avg, _ = stars_aggregate(c, 2, 1)
         vec = k_stars_vector(g1, horizons, 2)
         assert total == [2 * v for v in vec]
         assert avg == pytest.approx(vec)
@@ -327,7 +327,7 @@ class TestCollections:
         c = star_data(graphs, 2)
         w = 2
         horizons = list(range(1, w_max_time([g.active_time for g in graphs], w) + 1))
-        got = stars_aggregate(c, w, horizons)
+        got = stars_aggregate(c, w, 1)
         ref = stars_aggregate_brute(
             [(list(g.join_times), list(g.edges), g.active_time) for g in graphs],
             2,
@@ -337,14 +337,53 @@ class TestCollections:
         assert got[1] == pytest.approx(ref[1], abs=1e-12)
         assert got[2] == pytest.approx(ref[2], abs=1e-12)
 
-    def test_horizons_beyond_w_max_rejected(self):
-        c = star_data([TemporalGraph([0, 4], []), TemporalGraph([0, 9], [])], 1)
-        with pytest.raises(ValueError):
-            stars_aggregate(c, 2, list(range(1, 10)))
+    @pytest.mark.parametrize("interval", [1, 2, 3, 7])
+    def test_class_grid_matches_the_oracle(self, interval):
+        rng = random.Random(20 + interval)
+        for _ in range(40):
+            found = [random_zero_based_graph(rng) for _ in range(rng.randint(3, 5))]
+            graphs = [g for g, _, _ in found]
+            triples = [(joins, edges, g.active_time) for g, joins, edges in found]
+            k = rng.randint(1, 3)
+            c = star_data(graphs, k, interval)
+            for w in range(1, 4):
+                cap = w_max_time([g.active_time for g in graphs], w)
+                got = stars_aggregate(c, w, interval)
+                ref = stars_aggregate_brute(triples, k, list(range(interval, cap + 1, interval)))
+                assert got[0] == ref[0]
+                assert got[1] == pytest.approx(ref[1], abs=1e-12)
+                assert got[2] == pytest.approx(ref[2], abs=1e-12)
+
+    def test_grid_shorter_than_one_interval_is_empty(self):
+        # the w-max time is 4, the first grid time 5
+        c = star_data([toy_network(4, 1, seed=1), toy_network(9, 2, seed=2)], 2, 5)
+        assert stars_aggregate(c, 2, 5) == ([], [], [])
+
+    def test_grid_past_the_cap_rejected(self):
+        cap = temporal_graph._MAX_HORIZONS
+        with pytest.raises(ValueError, match=f"interval 1 gives {cap + 1} horizons over the time span"):
+            stars_aggregate([(cap + 1, [])], 1, 1)
+        # the grid runs to the w-max time, not to the longest network
+        assert len(stars_aggregate([(10**12, [(0, 1)]), (10, [])], 2, 1)[0]) == 10
+
+    def test_bad_interval_rejected(self):
+        c = star_data([toy_network(4, 1, seed=1)], 1)
+        for interval in (0, -1):
+            with pytest.raises(ValueError, match="interval must be positive"):
+                stars_aggregate(c, 1, interval)
+
+    def test_entry_past_the_active_time_is_cut(self):
+        # entry 9 (t = 10) lies past the first network's active time 5, so
+        # it counts neither in total nor in that network's star number
+        total, avg, norm = stars_aggregate([(5, [(0, 1), (9, 3)]), (20, [(0, 1)])], 1, 1)
+        assert len(total) == 20
+        assert total[0] == 2 and total[9] == 0
+        assert avg[0] == 1.0
+        assert norm[0] == 1.0
 
     def test_empty_collection_rejected(self):
         with pytest.raises(ValueError):
-            stars_aggregate([], 1, [1])
+            stars_aggregate([], 1, 1)
 
     def test_long_network_is_cut_to_the_cap_before_its_star_number(self):
         # the long toy's stars past the cap must not dilute its norm_avg
@@ -352,7 +391,7 @@ class TestCollections:
         c = star_data(graphs, 2)
         horizons = list(range(1, w_max_time([g.active_time for g in graphs], 2) + 1))
         assert horizons == [1, 2, 3, 4]
-        got = stars_aggregate(c, 2, horizons)
+        got = stars_aggregate(c, 2, 1)
         ref = stars_aggregate_brute(
             [(list(g.join_times), list(g.edges), g.active_time) for g in graphs], 2, horizons
         )
