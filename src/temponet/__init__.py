@@ -42,7 +42,7 @@ from .fitting import (
     polyfit,
     r_squared,
 )
-from .ingest import EdgeStreamParseError, IngestConfig, StreamRejected, normalize_times, read_edge_stream
+from .ingest import EdgeStreamParseError, normalize_times, read_edge_stream
 
 __all__ = [
     "Snapshot",
@@ -81,8 +81,6 @@ __all__ = [
     "polyfit",
     "r_squared",
     "EdgeStreamParseError",
-    "IngestConfig",
-    "StreamRejected",
     "normalize_times",
     "read_edge_stream",
     "__version__",

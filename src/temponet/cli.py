@@ -26,7 +26,7 @@ from .evolution import (
     vibrancy,
 )
 from .generators import TimeDiffFn, TpaParams, baseline_generate, make_schedule, tpa_generate
-from .ingest import IngestConfig, StreamRejected, normalize_times, read_edge_stream
+from .ingest import normalize_times, read_edge_stream
 from .metrics import compute_features, k_stars_number, k_stars_vector
 from .temporal_graph import TemporalGraph, _replacing, read_edge_list, write_edge_list
 
@@ -90,7 +90,7 @@ def _load_graph(path: str) -> TemporalGraph:
     if os.path.exists(path + ".meta.json"):
         return read_edge_list(path)
     with open(path, errors="surrogateescape") as fh:
-        return read_edge_stream(fh, IngestConfig())
+        return read_edge_stream(fh)
 
 
 def _resolve_setting(setting, **overrides) -> dict:
@@ -191,9 +191,14 @@ def _analysis_rows(graph: TemporalGraph, interval: int, k_values: list[int], x_m
     }
     total = graph.n_vertices
     rows = []
+    size = features = None
     for i, snap in enumerate(snapshots):
-        row = {"t": snap.horizon}
-        row.update(compute_features(snap, gamma_x_min=x_min).to_dict())
+        # snapshots are nested prefixes, so one as large as the one
+        # before it is the same graph, with the same features
+        if (snap.n_vertices, snap.n_edges) != size:
+            size = (snap.n_vertices, snap.n_edges)
+            features = compute_features(snap, gamma_x_min=x_min).to_dict()
+        row = {"t": snap.horizon, **features}
         row["jrc"] = snap.n_vertices / total if total else None
         for k in k_values:
             row[f"new_stars_k{k}"] = star_vectors[k][i]
@@ -217,12 +222,15 @@ def _write_rows(rows: list[dict], out: str, fmt: str):
 
 
 def cmd_analyze(args) -> int:
+    k_values = _read_text("--k", args.k, _int_list) if args.k else [1, 5]
+    for name, value in (("interval", args.interval), ("k", min(k_values)), ("x_min", args.xmin)):
+        if value < 1:
+            raise ValueError(f"{name} must be positive")
     try:
         graph = _load_graph(args.input)
-    except (OSError, ValueError, StreamRejected) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 1
-    k_values = _read_text("--k", args.k, _int_list) if args.k else [1, 5]
     rows = _analysis_rows(graph, args.interval, k_values, args.xmin)
     _write_rows(rows, args.out, args.format)
     _write_manifest(
@@ -306,7 +314,7 @@ def cmd_stars(args) -> int:
         try:
             # zero-base every network so horizon grids align across the set
             g = normalize_times(_load_graph(path))
-        except (ValueError, StreamRejected) as exc:
+        except ValueError as exc:
             print(f"notice: skipping {path}: {exc}", file=sys.stderr)
             continue
         try:
@@ -432,7 +440,7 @@ def main(argv=None) -> int:
             if os.path.isdir(path):  # no file can replace it: refuse before writing anything
                 raise ValueError(f"cannot write {path}: it is a directory")
         return args.func(args)
-    except (OSError, ValueError, KeyError, OverflowError, StreamRejected) as exc:
+    except (OSError, ValueError, KeyError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,9 +9,9 @@ sidecar-backed file.
 
 The path is columnar: the parser reads a file once and turns the
 records into one ``(E, 3)`` integer array, and the loop drop, dedupe,
-degree cap, ranking and remap are numpy operations over dense vertex
-indices. A clean ASCII stream in one delimiter style is parsed by a
-single ``np.loadtxt`` call; any other stream is read line by line, and a
+ranking and remap are numpy operations over dense vertex indices. A
+clean ASCII stream in one delimiter style is parsed by a single
+``np.loadtxt`` call; any other stream is read line by line, and a
 malformed one raises for its first faulty line, with the reason that
 reader gives it first.
 
@@ -27,7 +27,6 @@ sort of a run-and-position key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -36,53 +35,34 @@ from .temporal_graph import EdgeStreamParseError, TemporalGraph
 from .temporal_graph import _distinct, _first_seen, _pair_keys, _parse_records, _stable_order
 
 
-class StreamRejected(RuntimeError):
-    """The stream parsed but the resulting graph failed a threshold."""
-
-
-@dataclass
-class IngestConfig:
-    directed: bool = False
-    allow_self_loops: bool = False
-    min_edges: int = 0
-    dedupe: bool = True
-    time_column_unit: str = ""
-    max_degree: int | None = None  # drop vertices above this degree (bot cap analogue)
-
-    def __post_init__(self):
-        if self.min_edges < 0:
-            raise ValueError("min_edges must be non-negative")
-        if self.max_degree is not None and self.max_degree < 0:
-            raise ValueError("max_degree must be non-negative")
-
-
-def read_edge_stream(source: Iterable[str], config: IngestConfig | None = None) -> TemporalGraph:
+def read_edge_stream(
+    source: Iterable[str], *, directed: bool = False, allow_self_loops: bool = False, dedupe: bool = True
+) -> TemporalGraph:
     """Parse a line-oriented edge stream into a TemporalGraph.
 
-    Duplicate edges (same endpoints, unordered when undirected) collapse
-    to one edge when ``config.dedupe`` is set: the first record's
-    orientation and position, stamped with the earliest timestamp of any
-    of them. Self-loop records keep their endpoint as a vertex even when
-    loops themselves are disallowed. Raw vertex ids are remapped to dense
-    ids in join order (ties broken by first appearance), which leaves
-    conforming streams unchanged.
+    The graph is ``directed`` or not, and keeps self-loop records when
+    ``allow_self_loops`` is set. Duplicate edges (same endpoints,
+    unordered when undirected) collapse to one edge when ``dedupe`` is
+    set: the first record's orientation and position, stamped with the
+    earliest timestamp of any of them; without it the graph is a
+    multigraph. Self-loop records keep their endpoint as a vertex even
+    when loops themselves are disallowed. Raw vertex ids are remapped to
+    dense ids in join order (ties broken by first appearance), which
+    leaves conforming streams unchanged.
 
     The records are parsed into integer columns, by one ``np.loadtxt``
     call when the stream is ASCII, uses the delimiter of its first
     record throughout and has no fault, and otherwise by a line-by-line
     reader, which gives the same columns; a file object is read once.
-    Every later step (loop drop, dedupe, degree cap, ranking, remap) is
-    a numpy operation over dense vertex indices, on one stable sort per
-    key: the endpoint ids, the pair keys and the join times, each by the
-    packed route or the run route of
+    Every later step (loop drop, dedupe, ranking, remap) is a numpy
+    operation over dense vertex indices, on one stable sort per key: the
+    endpoint ids, the pair keys and the join times, each by the packed
+    route or the run route of
     :func:`~temponet.temporal_graph._stable_order`. Raises
-    :class:`EdgeStreamParseError` naming the
-    first malformed line, with the reason checked first (an undecodable
-    byte, which a file opened with ``errors="surrogateescape"`` passes
-    on, then a wrong field count, a non-integer field, a negative
-    timestamp), and
-    :class:`StreamRejected` when fewer than ``config.min_edges`` edges
-    survive.
+    :class:`EdgeStreamParseError` naming the first malformed line, with
+    the reason checked first (an undecodable byte, which a file opened
+    with ``errors="surrogateescape"`` passes on, then a wrong field
+    count, a non-integer field, a negative timestamp).
 
     The first-fault rule holds for a file opened with
     ``errors="surrogateescape"``, as the CLI and
@@ -91,7 +71,6 @@ def read_edge_stream(source: Iterable[str], config: IngestConfig | None = None) 
     raises ``UnicodeDecodeError`` at its first undecodable byte, before
     any line is checked.
     """
-    config = config or IngestConfig()
     records = _parse_records(source)
     if not len(records):
         raise ValueError("empty edge stream")
@@ -99,30 +78,15 @@ def read_edge_stream(source: Iterable[str], config: IngestConfig | None = None) 
     n = len(ids)
     u, v, t = index[0::2], index[1::2], records[:, 2]
 
-    if not config.allow_self_loops:
+    if not allow_self_loops:
         edge = u != v  # the vertex stays; only the loop edge is dropped
         u, v, t = u[edge], v[edge], t[edge]
-    if config.dedupe:
-        _, firsts, pair = _distinct(_pair_keys(u, v, n, config.directed))
+    if dedupe:
+        _, firsts, pair = _distinct(_pair_keys(u, v, n, directed))
         stamp = t[firsts]
         np.minimum.at(stamp, pair, t)
         kept = firsts[pair] == np.arange(len(pair))  # each pair's first record
         u, v, t = u[kept], v[kept], stamp[pair[kept]]
-
-    alive = np.ones(n, dtype=bool)
-    if config.max_degree is not None:
-        # distinct neighbours in either direction; a self-loop counts once
-        arcs = np.unique(np.concatenate([u * n + v, v * n + u]))
-        alive = np.bincount(arcs // n, minlength=n) <= config.max_degree
-        if not alive.any():
-            raise StreamRejected("max-degree filter removed every vertex")
-        edge = alive[u] & alive[v]
-        u, v, t = u[edge], v[edge], t[edge]
-
-    if len(t) < config.min_edges:
-        raise StreamRejected(
-            f"{len(t)} edges after filtering, below the {config.min_edges} threshold"
-        )
 
     # join order, ties broken by first appearance: the vertices in
     # first-appearance order (marked at their first endpoint positions),
@@ -130,17 +94,15 @@ def read_edge_stream(source: Iterable[str], config: IngestConfig | None = None) 
     appears = np.zeros(2 * len(records), dtype=bool)
     appears[first] = True
     seen = index[np.flatnonzero(appears)]
-    seen = seen[alive[seen]]
     ranked = seen[_stable_order(join[seen])]
     remap = np.empty(n, dtype=np.int64)
-    remap[ranked] = np.arange(len(ranked))
+    remap[ranked] = np.arange(n)
     return TemporalGraph(
         join[ranked],
         np.column_stack([remap[u], remap[v], t]),
-        directed=config.directed,
-        allow_self_loops=config.allow_self_loops,
-        simple=config.dedupe,
-        time_unit=config.time_column_unit,
+        directed=directed,
+        allow_self_loops=allow_self_loops,
+        simple=dedupe,
     )
 
 

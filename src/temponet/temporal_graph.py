@@ -618,6 +618,8 @@ def read_edge_list(path) -> TemporalGraph:
     for key in ("directed", "allow_self_loops", "simple"):
         if not isinstance(meta.get(key, True), bool):
             raise ValueError(f"{sidecar}: {key!r} must be true or false")
+    if not isinstance(meta.get("time_unit_label", ""), str):
+        raise ValueError(f"{sidecar}: 'time_unit_label' must be a string")
     explicit = meta.get("explicit_join_times", {})
     if not isinstance(explicit, dict):
         raise ValueError(f"{sidecar}: 'explicit_join_times' must be an object")

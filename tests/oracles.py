@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from temponet import EdgeStreamParseError, StreamRejected
+from temponet import EdgeStreamParseError
 
 
 def validate_brute(join_times, edges, directed=False, allow_self_loops=False, simple=True):
@@ -82,13 +82,11 @@ def first_seen_brute(records):
     return first
 
 
-def read_edge_stream_brute(lines, directed=False, allow_self_loops=False, min_edges=0,
-                           dedupe=True, max_degree=None):
+def read_edge_stream_brute(lines, directed=False, allow_self_loops=False, dedupe=True):
     """Raw-stream ingest with dicts and loops: returns ``(join_times,
     edges)`` lists after the loop drop, dedupe (first record's
-    orientation and position, earliest timestamp), distinct-neighbour
-    degree cap, ``min_edges`` check and the remap to ids in join order
-    (ties by first appearance)."""
+    orientation and position, earliest timestamp) and the remap to ids
+    in join order (ties by first appearance)."""
     records = parse_records_brute(lines)
     if not records:
         raise ValueError("empty edge stream")
@@ -107,19 +105,6 @@ def read_edge_stream_brute(lines, directed=False, allow_self_loops=False, min_ed
             edges.append((u, v, t))
     if dedupe:
         edges = list(first.values())
-    if max_degree is not None:
-        neighbours = {x: set() for x in join}
-        for u, v, _ in edges:
-            neighbours[u].add(v)
-            neighbours[v].add(u)
-        dropped = {x for x, ns in neighbours.items() if len(ns) > max_degree}
-        edges = [(u, v, t) for u, v, t in edges if u not in dropped and v not in dropped]
-        for x in dropped:
-            del join[x]
-        if not join:
-            raise StreamRejected("max-degree filter removed every vertex")
-    if len(edges) < min_edges:
-        raise StreamRejected(f"{len(edges)} edges after filtering, below the {min_edges} threshold")
     ranked = sorted(join, key=join.__getitem__)
     remap = {raw_id: new_id for new_id, raw_id in enumerate(ranked)}
     return [join[x] for x in ranked], [(remap[u], remap[v], t) for u, v, t in edges]

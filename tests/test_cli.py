@@ -1,5 +1,6 @@
 import csv
 import ctypes
+import io
 import json
 import os
 import random
@@ -12,7 +13,7 @@ import pytest
 
 from temponet import cli
 from temponet.cli import main
-from temponet import TemporalGraph, read_edge_list, write_edge_list
+from temponet import TemporalGraph, compute_features, k_stars_vector, read_edge_list, read_edge_stream, write_edge_list
 
 
 SRC = str(Path(cli.__file__).resolve().parents[1])  # for child processes
@@ -47,6 +48,7 @@ MALFORMED = {
     "join_key_not_id": ("0,1,1\n", {**_META, "explicit_join_times": {"a": 0}}),
     "joins_not_object": ("0,1,1\n", {**_META, "explicit_join_times": [0]}),
     "sidecar_not_object": ("0,1,1\n", [_META]),
+    "time_unit_label_number": ("0,1,1\n", {**_META, "time_unit_label": 5}),
 }
 
 
@@ -64,6 +66,10 @@ TPA_F = '{"model": "tpa", "m": 2, "schedule": "5,5", "f": %s}'
 ONE_LINE_ERRORS = {
     "analyze_interval_zero": ({"g.txt": GRAPH}, ANALYZE + "0"),
     "analyze_k_zero": ({"g.txt": GRAPH}, ANALYZE + "1 --k 0"),
+    # an argument below 1 is refused before the faulty input is read
+    "analyze_interval_zero_before_a_faulty_input": ({"g.txt": "0 1 5\n1 2 x\n"}, ANALYZE + "0"),
+    "analyze_k_entry_negative_before_a_faulty_input": ({"g.txt": "0 1 5\n1 2 x\n"}, ANALYZE + "1 --k 1,-2"),
+    "analyze_xmin_zero_before_a_faulty_input": ({"g.txt": "0 1 5\n1 2 x\n"}, ANALYZE + "1 --xmin 0"),
     "analyze_out_in_missing_dir": ({"g.txt": GRAPH},
                                    "analyze --in {d}/g.txt --out {d}/no/o.csv --interval 1"),
     "analyze_time_past_int64": ({"g.txt": "0 1 5\n1 2 18446744073709551616\n"}, ANALYZE + "1"),
@@ -164,6 +170,9 @@ ERROR_WORDING = {
     "analyze_join_time_past_int64": "error: join times pass the int64 range; zero-basing the stream",
     "compare_xmin_string": "error: setting 0: xmin must be an integer, not '3'",
     "compare_xmin_bool": "error: setting 0: xmin must be an integer, not True",
+    "analyze_interval_zero_before_a_faulty_input": "error: interval must be positive",
+    "analyze_k_entry_negative_before_a_faulty_input": "error: k must be positive",
+    "analyze_xmin_zero_before_a_faulty_input": "error: x_min must be positive",
     "compare_interval_zero": "error: interval must be positive",
     "compare_interval_negative": "error: interval must be positive",
     "stars_k_zero": "error: k must be positive",
@@ -326,6 +335,42 @@ class TestAnalyze:
             assert run(["analyze", "--in", graph_path, "--interval", "10",
                         "--out", out]) == 0
         assert read_bytes(out1) == read_bytes(out2)
+
+    def test_features_once_per_distinct_snapshot(self, monkeypatch):
+        # on sparse streams most horizons add nothing to the snapshot before
+        calls = []
+
+        def counted(s, **kwargs):
+            calls.append((s.n_vertices, s.n_edges))
+            return compute_features(s, **kwargs)
+
+        monkeypatch.setattr(cli, "compute_features", counted)
+        rng = random.Random(17)
+        reused = 0
+        for _ in range(40):
+            n = rng.randint(2, 12)
+            text = "".join(f"{rng.randrange(n)} {rng.randrange(n)} {rng.randint(0, 60)}\n"
+                           for _ in range(rng.randint(1, 15)))
+            g = read_edge_stream(io.StringIO(text), directed=rng.random() < 0.5,
+                                 allow_self_loops=rng.random() < 0.5, dedupe=rng.random() < 0.7)
+            interval, x_min, k_values = rng.choice([1, 2, 3, 7]), rng.randint(1, 3), [1, 2, 5]
+            calls.clear()
+            rows = cli._analysis_rows(g, interval, k_values, x_min)
+            # the per-horizon computation
+            horizons = g.horizons(interval)
+            if horizons[0] > g.t_min:
+                horizons.insert(0, g.t_min)
+            stars = {k: k_stars_vector(g, horizons, k) for k in k_values}
+            want = []
+            for i, h in enumerate(horizons):
+                s = g.snapshot_at(h)
+                row = {"t": h, **compute_features(s, gamma_x_min=x_min).to_dict()}
+                row["jrc"] = s.n_vertices / g.n_vertices
+                want.append({**row, **{f"new_stars_k{k}": stars[k][i] for k in k_values}})
+            assert rows == want
+            assert len(calls) == len(set(calls))
+            reused += len(rows) - len(calls)
+        assert reused > 100
 
     def test_unreadable_input_nonzero_exit(self, tmp_path):
         assert run(["analyze", "--in", str(tmp_path / "missing.csv"),

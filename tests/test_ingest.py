@@ -12,8 +12,6 @@ from hypothesis import given, settings, strategies as st
 from oracles import read_edge_list_brute, read_edge_stream_brute, validate_brute
 from temponet import (
     EdgeStreamParseError,
-    IngestConfig,
-    StreamRejected,
     TemporalGraph,
     TimeDiffFn,
     TpaParams,
@@ -40,8 +38,7 @@ class TestReadEdgeStream:
         assert list(g.join_times) == [5, 5, 6]
 
     def test_self_loop_kept_when_allowed(self):
-        cfg = IngestConfig(allow_self_loops=True)
-        g = read_edge_stream(stream("3 3 7\n"), cfg)
+        g = read_edge_stream(stream("3 3 7\n"), allow_self_loops=True)
         assert g.n_vertices == 1
         assert g.n_edges == 1
         assert g.edges[0][0] == g.edges[0][1]
@@ -140,19 +137,6 @@ class TestReadEdgeStream:
         with pytest.raises(ValueError, match="empty"):
             read_edge_stream(stream("# nothing\n"))
 
-    def test_min_edges_rejection(self):
-        cfg = IngestConfig(min_edges=5)
-        with pytest.raises(StreamRejected):
-            read_edge_stream(stream("0 1 5\n"), cfg)
-
-    def test_max_degree_filter_drops_hub(self):
-        lines = "\n".join(f"0 {i} {i}" for i in range(1, 6)) + "\n5 6 9\n"
-        cfg = IngestConfig(max_degree=3)
-        g = read_edge_stream(stream(lines), cfg)
-        # vertex 0 (degree 5) is dropped along with its edges
-        assert g.n_vertices == 6
-        assert g.n_edges == 1
-
     def test_sparse_ids_are_remapped_in_join_order(self):
         g = read_edge_stream(stream("17 99 10\n5 17 4\n"))
         # joins: 5 -> 4, 17 -> 4, 99 -> 10; dense ids follow join order,
@@ -161,8 +145,7 @@ class TestReadEdgeStream:
         assert g.edges == ((0, 2, 10), (1, 0, 4))
 
     def test_directed_keeps_opposite_arcs(self):
-        cfg = IngestConfig(directed=True)
-        g = read_edge_stream(stream("0 1 5\n1 0 6\n"), cfg)
+        g = read_edge_stream(stream("0 1 5\n1 0 6\n"), directed=True)
         assert g.n_edges == 2
 
     def test_unsorted_timestamps(self):
@@ -170,9 +153,7 @@ class TestReadEdgeStream:
         assert list(g.join_times) == [2, 2, 9]
 
     def test_time_unit_label_carried_through(self):
-        cfg = IngestConfig(time_column_unit="weeks")
-        g = read_edge_stream(stream("0 1 5\n"), cfg)
-        assert g.time_unit == "weeks"
+        g = TemporalGraph([5, 5], [(0, 1, 5)], time_unit="weeks")
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "g.csv")
             write_edge_list(g, path)
@@ -238,7 +219,7 @@ class TestNormalizeTimes:
                 simple=False, time_unit=g.time_unit, info=g.info,
             )
 
-        configs = [IngestConfig(), IngestConfig(directed=True, allow_self_loops=True, time_column_unit="wk")]
+        configs = [({}, ""), ({"directed": True, "allow_self_loops": True}, "wk")]
         for seed in range(3):
             plain, wide = TestWideIdsAndOffsets.copies(seed)
             records = raw_stream_records(seed)
@@ -246,9 +227,9 @@ class TestNormalizeTimes:
                              for offset in (1000, 2**64))]
             assert plain != texts[1]
             for text in texts:
-                for config in configs:
-                    g = read_edge_stream(stream(text), config)
-                    g.info["source"] = "raw"
+                for config, unit in configs:
+                    g = read_edge_stream(stream(text), **config)
+                    g.info["source"], g.time_unit = "raw", unit
                     got, want = normalize_times(g), rebuilt(g)
                     assert got.t_min == 0
                     for column in ("join", "u", "v", "t"):
@@ -334,9 +315,8 @@ class TestFixedPoint:
                     lines.append(f"{u} {v} {rng.randint(0, 30)}")
                 text = "\n".join(lines) + "\n"
                 for dedupe in (True, False):
-                    cfg = IngestConfig(allow_self_loops=True, dedupe=dedupe)
                     try:
-                        g1 = read_edge_stream(stream(text), cfg)
+                        g1 = read_edge_stream(stream(text), allow_self_loops=True, dedupe=dedupe)
                     except ValueError:
                         continue
                     p1 = os.path.join(tmp, f"a{case}{dedupe}.csv")
@@ -401,8 +381,7 @@ class TestRoundTripProperty:
     @given(raw_streams(), st.booleans(), st.booleans(), st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_ingest_write_read_keeps_every_horizon(self, text, directed, loops, dedupe):
-        cfg = IngestConfig(directed=directed, allow_self_loops=loops, dedupe=dedupe)
-        g = read_edge_stream(stream(text), cfg)
+        g = read_edge_stream(stream(text), directed=directed, allow_self_loops=loops, dedupe=dedupe)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "g.csv")
             write_edge_list(g, path)
@@ -463,11 +442,17 @@ def random_stream(rng):
     return "".join(line + "\n" for line in lines)
 
 
+def random_keywords(rng):
+    """``read_edge_stream``'s three keywords, drawn at random."""
+    return {"directed": rng.random() < 0.5, "allow_self_loops": rng.random() < 0.5,
+            "dedupe": rng.random() < 0.7}
+
+
 def outcome(read):
     """What ``read()`` returns or raises, as comparable values."""
     try:
         return read()
-    except (ValueError, StreamRejected) as exc:
+    except ValueError as exc:
         return type(exc), str(exc)
 
 
@@ -477,25 +462,16 @@ class TestIngestOracle:
         seen = set()
         for case in range(2500):
             text = random_stream(rng)
-            cfg = IngestConfig(
-                directed=rng.random() < 0.5,
-                allow_self_loops=rng.random() < 0.5,
-                min_edges=rng.choice([0, 0, rng.randint(1, 8)]),
-                dedupe=rng.random() < 0.7,
-                time_column_unit=rng.choice(["", "weeks"]),
-                max_degree=rng.choice([None, None, rng.randint(0, 4)]),
-            )
+            cfg = random_keywords(rng)
 
             def brute():
-                joins, edges = read_edge_stream_brute(
-                    text.splitlines(True), cfg.directed, cfg.allow_self_loops,
-                    cfg.min_edges, cfg.dedupe, cfg.max_degree)
-                validate_brute(joins, edges, cfg.directed, cfg.allow_self_loops, cfg.dedupe)
-                return tuple(joins), tuple(edges), cfg.time_column_unit
+                joins, edges = read_edge_stream_brute(text.splitlines(True), **cfg)
+                validate_brute(joins, edges, cfg["directed"], cfg["allow_self_loops"], cfg["dedupe"])
+                return tuple(joins), tuple(edges)
 
             def columnar():
-                g = read_edge_stream(stream(text), cfg)
-                return g.join_times, g.edges, g.time_unit
+                g = read_edge_stream(stream(text), **cfg)
+                return g.join_times, g.edges
 
             expected = outcome(brute)
             assert outcome(columnar) == expected, (text, cfg)
@@ -506,15 +482,15 @@ class TestIngestOracle:
 
             # the same lines as a sidecar-backed file, ids kept as written
             explicit = {rng.randint(0, 6): rng.randint(0, 12) for _ in range(rng.randint(0, 2))}
-            meta = {"directed": cfg.directed, "allow_self_loops": cfg.allow_self_loops,
-                    "simple": cfg.dedupe, "explicit_join_times": {str(x): jt for x, jt in explicit.items()}}
+            meta = {"directed": cfg["directed"], "allow_self_loops": cfg["allow_self_loops"],
+                    "simple": cfg["dedupe"], "explicit_join_times": {str(x): jt for x, jt in explicit.items()}}
             path = tmp_path / f"g{case}.csv"
             path.write_text(text)
             (tmp_path / f"g{case}.csv.meta.json").write_text(json.dumps(meta))
 
             def list_brute():
                 joins, edges = read_edge_list_brute(text.splitlines(True), explicit)
-                validate_brute(joins, edges, cfg.directed, cfg.allow_self_loops, cfg.dedupe)
+                validate_brute(joins, edges, cfg["directed"], cfg["allow_self_loops"], cfg["dedupe"])
                 return tuple(joins), tuple(edges)
 
             def list_columnar():
@@ -522,8 +498,8 @@ class TestIngestOracle:
                 return g.join_times, g.edges
 
             assert outcome(list_columnar) == outcome(list_brute), (text, meta)
-        # every outcome occurs: graphs, each parse fault, rejections
-        assert {"graph", EdgeStreamParseError, StreamRejected, ValueError} <= seen
+        # every outcome occurs: graphs, each parse fault, other refusals
+        assert {"graph", EdgeStreamParseError, ValueError} <= seen
         assert {"expected 3 fields", "fields must be integers", "negative timestamp"} <= seen
 
 
@@ -586,29 +562,20 @@ class TestParserPaths:
         seen = set()
         for _ in range(600):
             text, style = single_style_stream(rng)
-            cfg = IngestConfig(
-                directed=rng.random() < 0.5,
-                allow_self_loops=rng.random() < 0.5,
-                min_edges=rng.choice([0, 0, rng.randint(1, 8)]),
-                dedupe=rng.random() < 0.7,
-                max_degree=rng.choice([None, None, rng.randint(0, 4)]),
-            )
+            cfg = random_keywords(rng)
 
             def brute():
-                joins, edges = read_edge_stream_brute(
-                    text.splitlines(True), cfg.directed, cfg.allow_self_loops,
-                    cfg.min_edges, cfg.dedupe, cfg.max_degree)
+                joins, edges = read_edge_stream_brute(text.splitlines(True), **cfg)
                 return tuple(joins), tuple(edges)
 
             def bulk():
-                g = read_edge_stream(stream(text), cfg)
+                g = read_edge_stream(stream(text), **cfg)
                 return g.join_times, g.edges
 
             expected = outcome(brute)
             assert outcome(bulk) == expected, (text, cfg)
             seen.add((style, "graph" if isinstance(expected[0], tuple) else expected[0]))
         assert {(style, "graph") for style in (",", " , ", "whitespace")} <= seen
-        assert any(kind is StreamRejected for _, kind in seen)
 
     @pytest.mark.parametrize("text, message", [
         ("0 1 5\n1 2 3 # c\n", "line 2: expected 3 fields: '1 2 3 # c'"),

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from temponet import (
-    IngestConfig,
     TemporalGraph,
     TimeDiffFn,
     TpaParams,
@@ -312,7 +311,7 @@ class TestKStars:
         rng = random.Random(11)
         lines = ["0 1 0", "0 1 0", "2 2 0", "2 2 4"]
         lines += [f"{rng.randrange(20)} {rng.randrange(20)} {rng.randint(0, 30)}" for _ in range(150)]
-        g = read_edge_stream(lines, IngestConfig(allow_self_loops=True, dedupe=False))
+        g = read_edge_stream(lines, allow_self_loops=True, dedupe=False)
         joins, edges = list(g.join_times), list(g.edges)
         assert any(u == v for u, v, _ in edges)
         assert len({(min(u, v), max(u, v)) for u, v, _ in edges}) < len(edges)
@@ -381,7 +380,7 @@ class TestKStars:
         else:
             lines = [f"{rng.randrange(150)} {rng.randrange(150)} {rng.randint(0, 300)}" for _ in range(1500)]
             lines += [f"{v} {v} {rng.randint(0, 300)}" for v in range(0, 150, 7)]
-            g = read_edge_stream(lines, IngestConfig(directed=True, allow_self_loops=True, dedupe=False))
+            g = read_edge_stream(lines, directed=True, allow_self_loops=True, dedupe=False)
             assert g.directed and any(u == v for u, v, _ in g.edges)
         joins, edges = list(g.join_times), list(g.edges)
         horizons = horizons or list(range(1, g.t_end + 1))
