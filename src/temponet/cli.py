@@ -32,6 +32,7 @@ from .temporal_graph import TemporalGraph, _replacing, read_edge_list, write_edg
 
 _INT_KEYS = ("m", "n", "k", "seed", "retry_limit", "xmin")
 _REAL_KEYS = ("p", "p_triangle", "p_forward")
+_STAR_SIZES = (1, 5)  # analyze's default --k, and compare's stars_k<k> columns
 # glibc's mallopt parameters (malloc.h), and the value given to both: a
 # block of up to 32 MiB, the most glibc takes and the ceiling of its own
 # adaptive threshold, comes from the heap, and up to 32 MiB of freed heap
@@ -49,6 +50,13 @@ def _read_text(name: str, text: str, parse):
         return parse(text)
     except ValueError as exc:
         raise ValueError(f"{name} {text!r}: {exc}") from None
+
+
+def _require_positive(**values) -> None:
+    """Refuse the first of ``values`` below 1, naming it."""
+    for name, value in values.items():
+        if value < 1:
+            raise ValueError(f"{name} must be positive")
 
 
 def _load_json(path: str):
@@ -96,11 +104,12 @@ def _load_graph(path: str) -> TemporalGraph:
 def _resolve_setting(setting, **overrides) -> dict:
     """One generator setting, for ``generate`` and ``compare`` alike: a
     JSON object, updated by ``overrides``, whose integer and real
-    parameters have those types (bools excluded) and whose ``schedule``
-    and ``f`` are parsed from their string or object forms."""
+    parameters have those types (bools excluded), whose ``schedule``
+    and ``f`` are parsed from their string or object forms, and whose
+    ``seed`` is 0 unless given."""
     if not isinstance(setting, dict):
         raise ValueError("a generator setting must be a JSON object")
-    merged = {**setting, **overrides}
+    merged = {"seed": 0, **setting, **overrides}
     if not isinstance(merged.get("model", ""), str):
         raise ValueError("model must be a string")
     for key in _INT_KEYS:
@@ -123,57 +132,37 @@ def _resolve_setting(setting, **overrides) -> dict:
     return merged
 
 
-def _generate_graph(model: str, args_dict: dict) -> TemporalGraph:
-    model = model.lower()
+def _generate_graph(setting: dict) -> TemporalGraph:
+    """The graph of one resolved setting; a setting that names no model,
+    or lacks a key its model needs, is refused naming the key."""
+    if "model" not in setting:
+        raise ValueError("setting is missing parameter 'model'")
+    model = setting["model"].lower()
     for key in ("m", "schedule", "f") if model == "tpa" else ("n",):
-        if key not in args_dict:
+        if key not in setting:
             raise ValueError(f"model {model!r} is missing parameter {key!r}")
-    seed = args_dict.get("seed", 0)
     if model == "tpa":
-        params = TpaParams(
-            m=args_dict["m"],
-            schedule=args_dict["schedule"],
-            f=args_dict["f"],
-            seed=seed,
-            retry_limit=args_dict.get("retry_limit", 1000),
-        )
-        return tpa_generate(params)
-    n = args_dict["n"]
-    extra = {
-        key: args_dict[key]
-        for key in ("m", "k", "p", "p_triangle", "p_forward")
-        if args_dict.get(key) is not None
-    }
-    return baseline_generate(model, n, seed=seed, **extra)
+        keys = ("m", "schedule", "f", "seed", "retry_limit")
+        return tpa_generate(TpaParams(**{key: setting[key] for key in keys if key in setting}))
+    extra = {key: setting[key] for key in ("m", "k", "p", "p_triangle", "p_forward") if key in setting}
+    return baseline_generate(model, setting["n"], seed=setting["seed"], **extra)
 
 
 def cmd_generate(args) -> int:
-    cfg = {}
-    if args.config:
-        cfg = _load_json(args.config)
+    cfg = _load_json(args.config) if args.config else {}
     flags = {
         key: getattr(args, key)
         for key in ("model", *_INT_KEYS, *_REAL_KEYS, "schedule", "f")
         if getattr(args, key, None) is not None
     }
-    merged = _resolve_setting(cfg, **flags)
-    model = merged.get("model")
-    if not model:
-        print("error: --model is required (flag or config)", file=sys.stderr)
-        return 2
-    merged.setdefault("seed", 0)
-
-    if model.lower() == "tpa" and (merged.get("m") is None or not merged.get("schedule") or merged.get("f") is None):
-        print("error: tpa needs --m, --schedule and --f", file=sys.stderr)
-        return 2
-
-    graph = _generate_graph(model, merged)
+    setting = _resolve_setting(cfg, **flags)
+    graph = _generate_graph(setting)
     write_edge_list(graph, args.out)
 
-    params = {k: v for k, v in merged.items() if k not in ("seed", "f")}
-    if "f" in merged:
-        params["f"] = merged["f"].to_config()
-    _write_manifest(args, params, merged["seed"])
+    params = {k: v for k, v in setting.items() if k not in ("seed", "f")}
+    if "f" in setting:
+        params["f"] = setting["f"].to_config()
+    _write_manifest(args, params, setting["seed"])
     skipped = graph.info.get("skipped_edges", 0)
     print(f"vertices={graph.n_vertices} edges={graph.n_edges} skipped={skipped}")
     return 0
@@ -199,6 +188,7 @@ def _analysis_rows(graph: TemporalGraph, interval: int, k_values: list[int], x_m
             size = (snap.n_vertices, snap.n_edges)
             features = compute_features(snap, gamma_x_min=x_min).to_dict()
         row = {"t": snap.horizon, **features}
+        # joined at or before t; evolution.jrc counts strictly before t_min + t
         row["jrc"] = snap.n_vertices / total if total else None
         for k in k_values:
             row[f"new_stars_k{k}"] = star_vectors[k][i]
@@ -213,19 +203,15 @@ def _write_rows(rows: list[dict], out: str, fmt: str):
             fh.write("\n")
         return
     with _replacing(out, newline="") as fh:
-        if not rows:
-            return
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
+        if rows:  # every row has the first row's keys, in its order
+            writer = csv.writer(fh)  # writes None as an empty cell
+            writer.writerow(rows[0].keys())
+            writer.writerows(map(dict.values, rows))
 
 
 def cmd_analyze(args) -> int:
-    k_values = _read_text("--k", args.k, _int_list) if args.k else [1, 5]
-    for name, value in (("interval", args.interval), ("k", min(k_values)), ("x_min", args.xmin)):
-        if value < 1:
-            raise ValueError(f"{name} must be positive")
+    k_values = _read_text("--k", args.k, _int_list) if args.k else _STAR_SIZES
+    _require_positive(interval=args.interval, k=min(k_values), x_min=args.xmin)
     try:
         graph = _load_graph(args.input)
     except (OSError, ValueError) as exc:
@@ -244,23 +230,18 @@ def cmd_analyze(args) -> int:
 
 
 def _setting_features(merged: dict, interval: int) -> dict:
-    if "model" not in merged:
-        raise ValueError("setting is missing parameter 'model'")
-    graph = _generate_graph(merged["model"], merged)
+    graph = _generate_graph(merged)
     x_min = merged.get("xmin", merged.get("m", 2))
     features = compute_features(graph.snapshot_at(graph.t_end), gamma_x_min=x_min).to_dict()
     horizons = graph.horizons(interval)
-    for k in (1, 5):
+    for k in _STAR_SIZES:
         features[f"stars_k{k}"] = k_stars_number(k_stars_vector(graph, horizons, k))
     features["vibrancy"] = vibrancy(jrc(graph, interval))
     return features
 
 
 def cmd_compare(args) -> int:
-    if args.repeats <= 0:
-        raise ValueError("repeats must be positive")
-    if args.interval <= 0:
-        raise ValueError("interval must be positive")
+    _require_positive(repeats=args.repeats, interval=args.interval)
     settings = _load_json(args.settings)
     if not (isinstance(settings, list) and settings and all(isinstance(s, dict) for s in settings)):
         raise ValueError("settings file must hold a non-empty JSON list of objects")
@@ -298,9 +279,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_stars(args) -> int:
-    for name in ("k", "w", "interval"):
-        if getattr(args, name) < 1:
-            raise ValueError(f"{name} must be positive")
+    _require_positive(k=args.k, w=args.w, interval=args.interval)
     paths = sorted(
         os.path.join(args.dir, name)
         for name in os.listdir(args.dir)
@@ -385,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana = sub.add_parser("analyze", help="per-horizon feature table for one network")
     ana.add_argument("--in", dest="input", required=True)
     ana.add_argument("--interval", type=int, required=True)
-    ana.add_argument("--k", help="comma list of star sizes (default 1,5)")
+    ana.add_argument("--k", help=f"comma list of star sizes (default {','.join(map(str, _STAR_SIZES))})")
     ana.add_argument("--xmin", type=int, default=2, help="tail start for the degree exponent")
     ana.add_argument("--out", required=True)
     ana.add_argument("--format", choices=("csv", "json"), default="csv")

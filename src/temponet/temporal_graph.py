@@ -378,11 +378,8 @@ def _parse_records(source: Iterable[str]) -> np.ndarray:
             lines = text.split("\n")
     if text is None:
         lines = list(source)
-        try:
-            text = "\n".join(lines)
-        except TypeError:
-            pass
-    records = None if text is None else _load_records(text, lines)
+        text = "\n".join(lines)  # a line that is not a str raises TypeError
+    records = _load_records(text, lines)
     return _read_records(lines) if records is None else records
 
 

@@ -251,14 +251,16 @@ class TestGenerate:
                     "--seed", "7", "--out", out]) == 0
         assert read_edge_list(out).n_edges == 2091
 
-    def test_missing_required_flag_exits_two(self, tmp_path):
-        out = str(tmp_path / "x.csv")
+    # a missing setting parameter is named as compare names it
+    def test_missing_required_flag_exits_one(self, tmp_path, capsys):
         assert run(["generate", "--model", "tpa", "--schedule", "10,10",
-                    "--f", "exp2", "--out", out]) == 2
+                    "--f", "exp2", "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == "error: model 'tpa' is missing parameter 'm'\n"
+        assert os.listdir(tmp_path) == []
 
-    def test_missing_model_exits_two(self, tmp_path, capsys):
-        assert run(["generate", "--n", "10", "--out", str(tmp_path / "x.csv")]) == 2
-        assert capsys.readouterr().err == "error: --model is required (flag or config)\n"
+    def test_missing_model_exits_one(self, tmp_path, capsys):
+        assert run(["generate", "--n", "10", "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == "error: setting is missing parameter 'model'\n"
         assert os.listdir(tmp_path) == []
 
     def test_config_file_with_flag_override(self, tmp_path):
@@ -764,13 +766,16 @@ class TestAtomicWrites:
         raise OSError("disk full")
 
     @staticmethod
-    def broken_writerow(self, row):
-        raise OSError("disk full")
+    def broken_writer(fh, _writer=csv.writer):
+        """A CSV writer that writes the header row, then fails."""
+        def writerows(rows):
+            raise OSError("disk full")
+        return types.SimpleNamespace(writerow=_writer(fh).writerow, writerows=writerows)
 
     @pytest.mark.parametrize("old", [None, "old contents\n"])
     @pytest.mark.parametrize("target, fmt, breaks", [
         ("o.json", "json", "dump"),  # rows as json
-        ("o.csv", "csv", "writerow"),  # rows as csv, after the header
+        ("o.csv", "csv", "writerow"),  # rows as csv, after the header row
         ("o.csv.manifest.json", "csv", "dump"),  # the manifest, after the rows
     ])
     def test_failed_write_keeps_target(self, tmp_path, monkeypatch, capsys, old, target, fmt, breaks):
@@ -781,7 +786,7 @@ class TestAtomicWrites:
         if breaks == "dump":
             monkeypatch.setattr(cli.json, "dump", self.broken_dump)
         else:
-            monkeypatch.setattr(csv.DictWriter, "writerow", self.broken_writerow)
+            monkeypatch.setattr(cli.csv, "writer", self.broken_writer)
         out = tmp_path / ("o." + fmt)
         assert run(["analyze", "--in", str(tmp_path / "g.txt"), "--interval", "1",
                     "--format", fmt, "--out", str(out)]) == 1

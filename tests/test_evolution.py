@@ -185,6 +185,13 @@ class TestJoinTimeDiffProb:
                 for (_, p), (_, q) in zip(mine, ref):
                     assert p == pytest.approx(q, abs=1e-12)
 
+    def test_refuses_a_lone_vertex_and_a_width_below_one(self):
+        with pytest.raises(ValueError, match="need at least 2 vertices"):
+            join_time_diff_prob(TemporalGraph([0], []), 1)
+        for width in (0, -1):
+            with pytest.raises(ValueError, match="bin width must be positive"):
+                join_time_diff_prob(TemporalGraph([0, 0], [(0, 1, 0)]), width)
+
     def test_values_are_probabilities_and_decay_on_tpa(self):
         g = tpa_generate(
             TpaParams(m=3, schedule=[200] * 12, f=TimeDiffFn.geometric(0.8, 0.2), seed=2)

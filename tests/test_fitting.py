@@ -17,6 +17,7 @@ from temponet import (
     r_squared,
     tpa_generate,
 )
+from temponet.fitting import _gauss_newton
 
 
 class TestRSquared:
@@ -36,6 +37,14 @@ class TestRSquared:
 
     def test_constant_data_is_undefined(self):
         assert r_squared([2, 2, 2], [2, 2, 2]) is None
+
+    @pytest.mark.parametrize("ys, predictions, message", [
+        ([1, 2, 3], [1, 2], "inputs must have equal length"),
+        ([1], [1], "need at least 2 observations"),
+    ])
+    def test_refused_inputs(self, ys, predictions, message):
+        with pytest.raises(ValueError, match=message):
+            r_squared(ys, predictions)
 
 
 class TestPolyfit:
@@ -71,6 +80,20 @@ class TestPolyfit:
     def test_duplicate_x_rejected(self):
         with pytest.raises(ValueError):
             polyfit([1, 1, 2], [1, 2, 3], 1)
+
+    @pytest.mark.parametrize("xs, ys, degree, message", [
+        ([0, 1, 2], [1, 2], 1, "inputs must have equal length"),
+        ([0, 1], [1, 2], 2, "need at least degree . 1 points"),
+        ([0, 1], [1, 2], -1, "degree must be non-negative"),
+    ])
+    def test_refused_inputs(self, xs, ys, degree, message):
+        with pytest.raises(ValueError, match=message):
+            polyfit(xs, ys, degree)
+
+    def test_rank_deficient_system_is_refused(self):
+        # distinct x values too close for the quadratic column to count
+        with pytest.raises(IllConditionedError, match="rank deficient"):
+            polyfit([0, 1e-20, 1], [1, 2, 3], 2)
 
     def test_quartic_fits_polynomial_growth_curve(self):
         g = tpa_generate(
@@ -118,6 +141,10 @@ class TestFitExpDecay:
         with pytest.raises(ValueError):
             fit_exp_decay([0, 1, 2], [1.0, 0.0, 0.5])
 
+    def test_rejects_too_few_points(self):
+        with pytest.raises(ValueError, match="need at least 3 points"):
+            fit_exp_decay([0, 1], [1.0, 0.5])
+
 
 class TestRationalFits:
     def test_power_form_recovery(self):
@@ -139,6 +166,27 @@ class TestRationalFits:
         assert fit.converged
         assert fit.coefficients == pytest.approx([a, b, c, d], rel=1e-4)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-9)
+
+    # a NaN value (no finite step: LAPACK refuses the system or returns
+    # NaN) and values near 1e300 (no step keeps the squared residual finite)
+    @pytest.mark.parametrize("fit, xs, ys", [
+        (fit_exp_decay, [0, 1, 2, 3], [1.0, math.nan, 0.5, 0.25]),
+        (fit_exp_decay, [0, 1, 2], [1e300, 2e299, 1e298]),
+        (fit_rational_quadratic, [1e-13, 2e-13, 3e-13, 4e-13, 5e-13, 6e-13],
+         [1e300, -1e300, 1e300, -1e300, 1e300, -1e300]),
+    ])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows
+    def test_fits_that_find_no_step_are_flagged_non_converged(self, fit, xs, ys):
+        assert not fit(xs, ys).converged
+
+    def test_iteration_cap_returns_the_last_iterate(self):
+        # residual exp(-p): every full step of +1 is accepted and none is
+        # small relative to p, so the loop ends at its 200-iteration cap
+        params, converged = _gauss_newton(
+            lambda p: np.exp(-p), lambda p: np.exp(-p)[:, None], np.array([0.0]), lambda p: True
+        )
+        assert not converged
+        assert params.tolist() == [200.0]
 
     def test_serialization_shape(self):
         xs = [x / 2 for x in range(1, 30)]

@@ -46,6 +46,22 @@ class TestTimeDiffFn:
         with pytest.raises(ValueError):
             TimeDiffFn.exp_base(0.5)
 
+    @pytest.mark.parametrize("build, args, message", [
+        ("geometric", (0, 0.5), "weight a must be in"),
+        ("geometric", (1.5, 0.5), "weight a must be in"),
+        ("geometric", (0.8, -0.1), "ratio r must be in"),
+        ("geometric", (0.8, 1.5), "ratio r must be in"),
+        ("tabulated", ([],), "need a positive first entry"),
+        ("tabulated", ([0.0, 0.0],), "need a positive first entry"),
+        ("tabulated", ([1.5, 0.5],), "must lie in"),
+        ("tabulated", ([0.5, -0.1],), "must lie in"),
+        ("from_config", ("pow2",), "unrecognized time-difference function: 'pow2'"),
+        ("from_config", ({"form": "power", "b": 2},), "unrecognized time-difference form: 'power'"),
+    ])
+    def test_refused_parameters(self, build, args, message):
+        with pytest.raises(ValueError, match=message):
+            getattr(TimeDiffFn, build)(*args)
+
     def test_config_round_trip_and_shorthand(self):
         f = TimeDiffFn.from_config("geom:0.8:0.2")
         assert f.to_config() == {"form": "geometric", "a": 0.8, "r": 0.2}
@@ -67,6 +83,10 @@ class TestGroupProbabilities:
     def test_sums_to_one(self):
         for cur in range(12):
             assert sum(group_probabilities(TimeDiffFn.geometric(0.8, 0.2), cur)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_negative_group_is_refused(self):
+        with pytest.raises(ValueError, match="current_group must be non-negative"):
+            group_probabilities(exp2(), -1)
 
     def test_degenerate_distribution(self):
         f = TimeDiffFn.tabulated([1.0])
@@ -101,6 +121,11 @@ class TestMakeSchedule:
             make_schedule("polynomial", 5, 1)
         with pytest.raises(ValueError):
             make_schedule("linear", 0, 5)
+        with pytest.raises(ValueError, match="unknown schedule kind: 'cubic'"):
+            make_schedule("cubic", 5, 8)
+        for kind in ("polynomial", "sigmoidal"):
+            with pytest.raises(ValueError, match="schedule coefficient must be positive"):
+                make_schedule(kind, 0, 8)
 
 
 def worked_example(seed):
@@ -272,6 +297,8 @@ class TestTpaGenerate:
             TpaParams(m=1, schedule=(), f=exp2())
         with pytest.raises(ValueError):
             TpaParams(m=1, schedule=(0, 5), f=exp2())
+        with pytest.raises(ValueError, match="retry_limit must be at least 1"):
+            TpaParams(m=1, schedule=(5,), f=exp2(), retry_limit=0)
 
 
 NETWORKX = {
@@ -373,3 +400,8 @@ class TestBaselines:
             baseline_generate("nope", 10, seed=0)
         with pytest.raises(ValueError):
             baseline_generate("ba", 10, seed=0)  # missing m
+        for p_forward in (-0.1, 1.0):
+            with pytest.raises(ValueError, match="ff forward probability must be in"):
+                baseline_generate("ff", 10, seed=0, p_forward=p_forward)
+        with pytest.raises(ValueError, match="ff model needs n >= 1"):
+            baseline_generate("ff", 0, seed=0, p_forward=0.5)

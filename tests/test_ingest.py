@@ -197,6 +197,10 @@ class TestNormalizeTimes:
         g = TemporalGraph([0, 4, 12], [(0, 1, 4)])
         assert normalize_times(g) is g
 
+    def test_empty_graph_is_refused(self):
+        with pytest.raises(ValueError, match="cannot normalize an empty graph"):
+            normalize_times(TemporalGraph([], []))
+
     def test_differences_preserved(self):
         rng = random.Random(8)
         for _ in range(30):
@@ -625,6 +629,10 @@ class TestParserPaths:
         records = temporal_graph._parse_records(["0 1 5\n", f"1 2 {2**63}\n"])
         assert records.dtype == object
         assert records.tolist() == [[0, 1, 5], [1, 2, 2**63]]
+
+    def test_lines_that_are_not_str_are_refused(self):
+        with pytest.raises(TypeError):
+            read_edge_stream([b"0 1 2\n"])
 
     def test_comment_only_stream_is_empty_without_a_warning(self):
         with warnings.catch_warnings():

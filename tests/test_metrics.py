@@ -82,6 +82,9 @@ class TestClustering:
         edges = [(0, i, 0) for i in range(1, 5)]
         assert avg_clustering(snap([0] * 5, edges)) == 0.0
 
+    def test_empty_snapshot_is_undefined(self):
+        assert avg_clustering(TemporalGraph([], []).snapshot_at(0)) is None
+
     def test_triangle_with_pendant(self):
         edges = [(0, 1, 0), (1, 2, 0), (0, 2, 0), (0, 3, 0)]
         value = avg_clustering(snap([0] * 4, edges))
@@ -398,6 +401,11 @@ class TestPowerLawGamma:
 
     def test_too_few_samples(self):
         assert power_law_gamma([3, 4, 5] * 10, 3) is None
+
+    def test_log_terms_that_all_round_to_zero(self):
+        # a tail of two distinct degrees, each of which divides by
+        # x_min - 0.5 to exactly 1.0 in floating point
+        assert power_law_gamma([2**60] * 49 + [2**60 + 1], 2**60) is None
 
     def test_synthetic_recovery(self):
         rng = random.Random(42)

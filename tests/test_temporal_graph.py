@@ -56,6 +56,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="join order"):
             TemporalGraph([3, 1], [])
 
+    @pytest.mark.parametrize("edges", [[(0, 1)], [(0, 1, 0, 0)], [0, 1, 0]])
+    def test_rejects_edges_that_are_not_triples(self, edges):
+        with pytest.raises(ValueError, match="an edge is a .source, target, created. triple"):
+            TemporalGraph([0, 0], edges)
+
     def test_first_fault_in_input_order_wins(self):
         # joins are checked position by position, edges one at a time
         with pytest.raises(ValueError, match="join order"):
@@ -257,6 +262,7 @@ class TestSnapshots:
         g = TemporalGraph([], [])
         s = g.snapshot_at(0)
         assert (s.n_vertices, s.n_edges) == (0, 0)
+        assert g.horizons(1) == []
 
     def test_direct_filter(self):
         g = TemporalGraph([1, 2, 3], [(0, 1, 2), (1, 2, 3)])
