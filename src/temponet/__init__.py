@@ -20,6 +20,7 @@ from .metrics import (
     k_stars_number,
     k_stars_set,
     k_stars_vector,
+    k_stars_vectors,
     power_law_gamma,
 )
 from .evolution import (
@@ -63,6 +64,7 @@ __all__ = [
     "k_stars_number",
     "k_stars_set",
     "k_stars_vector",
+    "k_stars_vectors",
     "power_law_gamma",
     "Jrc",
     "classify_vibrancy",

@@ -27,7 +27,7 @@ from .evolution import (
 )
 from .generators import TimeDiffFn, TpaParams, baseline_generate, make_schedule, tpa_generate
 from .ingest import normalize_times, read_edge_stream
-from .metrics import compute_features, k_stars_number, k_stars_vector
+from .metrics import compute_features, k_stars_number, k_stars_vectors
 from .temporal_graph import TemporalGraph, _replacing, read_edge_list, write_edge_list
 
 _INT_KEYS = ("m", "n", "k", "seed", "retry_limit", "xmin")
@@ -175,9 +175,7 @@ def _analysis_rows(graph: TemporalGraph, interval: int, k_values: list[int], x_m
     if snapshots and snapshots[0].horizon > graph.t_min:
         snapshots.insert(0, graph.snapshot_at(graph.t_min))
     horizons = [s.horizon for s in snapshots]
-    star_vectors = {
-        k: k_stars_vector(graph, horizons, k) for k in k_values
-    }
+    star_vectors = dict(zip(k_values, k_stars_vectors(graph, horizons, k_values)))
     total = graph.n_vertices
     rows = []
     size = features = None
@@ -234,8 +232,8 @@ def _setting_features(merged: dict, interval: int) -> dict:
     x_min = merged.get("xmin", merged.get("m", 2))
     features = compute_features(graph.snapshot_at(graph.t_end), gamma_x_min=x_min).to_dict()
     horizons = graph.horizons(interval)
-    for k in _STAR_SIZES:
-        features[f"stars_k{k}"] = k_stars_number(k_stars_vector(graph, horizons, k))
+    for k, vector in zip(_STAR_SIZES, k_stars_vectors(graph, horizons, _STAR_SIZES)):
+        features[f"stars_k{k}"] = k_stars_number(vector)
     features["vibrancy"] = vibrancy(jrc(graph, interval))
     return features
 

@@ -60,13 +60,15 @@ def r_squared(ys: Sequence[float], predictions: Sequence[float]) -> float | None
 
 def _as_series(xs, ys, min_points: int, count: str | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Float arrays of equal length holding at least ``min_points``
-    points; ``count`` names that minimum in the error message."""
+    finite points; ``count`` names that minimum in the error message."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if len(xs) != len(ys):
         raise ValueError("inputs must have equal length")
     if len(xs) < min_points:
         raise ValueError(f"need at least {count or min_points} points")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("values must be finite")
     return xs, ys
 
 

@@ -8,7 +8,9 @@ difference, then sampling a target inside that group with probability
 proportional to degree. Five classic baseline models are provided for
 comparison batteries; four of them are ports of networkx generators that
 replay the same ``random.Random`` draws, so a seed gives networkx's
-graph, edge order included.
+graph, edge order included. ``hk``, ``ws`` and ``nw`` read that order
+off insertion-ordered neighbour dicts, as ``nx.Graph`` keeps them;
+``ba`` keeps no neighbours and gets it from one sort of its edges.
 
 The hot loops of ``tpa`` and of the ``ba``/``hk`` target draw make each
 ``randrange(n)`` or ``choice(seq)`` draw themselves, with
@@ -221,11 +223,12 @@ def tpa_generate(params: TpaParams) -> TemporalGraph:
     """
     rng = random.Random(params.seed)
     random_, getrandbits = rng.random, rng.getrandbits  # bound once: hot loop
-    retries = range(params.retry_limit)
+    retries = range(params.retry_limit - 1)  # the draws after a rejected first one
     m = params.m
     join_times: list[int] = []
     adjacency: list[set[int]] = []
-    edges: list[int] = []  # source, target, created of each edge in turn
+    targets: list[int] = []  # the target of each edge in turn
+    ends: list[int] = []  # per vertex, len(targets) once it has wired
     # One bag per group holding each member once plus once per incident
     # edge end, so a uniform draw selects with weight degree + 1.
     bags: list[list[int]] = []
@@ -236,48 +239,60 @@ def tpa_generate(params: TpaParams) -> TemporalGraph:
     for i, size in enumerate(params.schedule):
         ids = range(next_id, next_id + size)
         next_id += size
-        for v in ids:
-            join_times.append(i)
-            adjacency.append(set())
-        bags.append(list(ids))
+        join_times += [i] * size
+        adjacency += [set() for _ in ids]
+        own_bag = list(ids)
+        bags.append(own_bag)
+        own_append = own_bag.append
+        alone = size == 1  # the own group holds nobody but v itself
 
         cum_weights = _cumulative_weights(w[i::-1])
         total = cum_weights[-1]
 
-        own_bag = bags[i]
         for v in ids:
             linked = adjacency[v]
             for _ in range(m):
                 r = bisect(cum_weights, random_() * total)
-                bag = bags[r]
-                if r == i and size == 1:
-                    # own group holds nobody but v itself
+                if alone and r == i:
                     skipped += 1
                     continue
                 # bag[randrange(n)], drawn as randrange draws it: k-bit
                 # getrandbits until below n
+                bag = bags[r]
                 n = len(bag)
                 k = n.bit_length()
-                for _attempt in retries:
+                j = getrandbits(k)
+                while j >= n:
                     j = getrandbits(k)
-                    while j >= n:
+                u = bag[j]
+                if u == v or u in linked:
+                    for _attempt in retries:
                         j = getrandbits(k)
-                    u = bag[j]
-                    if u == v or u in linked:
+                        while j >= n:
+                            j = getrandbits(k)
+                        u = bag[j]
+                        if u != v and u not in linked:
+                            break
+                    else:
+                        skipped += 1
                         continue
-                    linked.add(u)
-                    if u > v:  # only a vertex yet to wire reads its set again
-                        adjacency[u].add(v)
-                    edges += (v, u, i)
-                    bag.append(u)
-                    own_bag.append(v)
-                    break
-                else:
-                    skipped += 1
+                linked.add(u)
+                if u > v:  # only a vertex yet to wire reads its set again
+                    adjacency[u].add(v)
+                targets.append(u)
+                bag.append(u)
+                own_append(v)
+            ends.append(len(targets))
 
+    # vertices wire in id order, so the sources run in blocks of their placed edges
+    placed = np.diff(ends, prepend=0)
+    edges = np.empty((len(targets), 3), dtype=np.int64)
+    edges[:, 0] = np.repeat(np.arange(next_id), placed)
+    edges[:, 1] = targets
+    edges[:, 2] = np.repeat(join_times, placed)
     return TemporalGraph(
         join_times,
-        _edge_array(edges),
+        edges,
         directed=False,
         time_unit="iteration",
         info={"skipped_edges": skipped, "model": "tpa"},
@@ -303,16 +318,15 @@ def baseline_generate(model: str, n: int, seed: int = 0, **model_params) -> Temp
             if n <= m:
                 raise ValueError(f"{model} model needs n > m")
             if model == "ba":
-                adj = _barabasi_albert(n, m, rng)
+                edges = _barabasi_albert(n, m, rng)
             else:
                 p_t = float(model_params["p_triangle"])
                 if not (0 <= p_t <= 1):
                     raise ValueError("hk triangle probability must be in [0, 1]")
                 adj = _holme_kim(n, m, p_t, rng)
-            edges = [x for u, v in _graph_edges(adj) for x in (u, v, v)]  # v > u joins later
-            return TemporalGraph(
-                list(range(n)), _edge_array(edges), directed=False, info={"model": model}
-            )
+                # v > u joins later
+                edges = _edge_array([x for u, v in _graph_edges(adj) for x in (u, v, v)])
+            return TemporalGraph(list(range(n)), edges, directed=False, info={"model": model})
         if model in ("ws", "nw"):
             k = int(model_params["k"])
             p = float(model_params["p"])
@@ -337,9 +351,10 @@ def baseline_generate(model: str, n: int, seed: int = 0, **model_params) -> Temp
     raise ValueError(f"unknown baseline model: {model!r}")
 
 
-# The four ports below follow networkx 3's generators draw for draw. A
-# graph is a list of insertion-ordered neighbour dicts, as in nx.Graph,
-# so neighbour scans and the final edge order match networkx's.
+# The four ports below follow networkx 3's generators draw for draw.
+# Apart from ba's, a graph is a list of insertion-ordered neighbour dicts,
+# as in nx.Graph, so neighbour scans and the final edge order match
+# networkx's.
 
 Adjacency = list[dict[int, None]]
 
@@ -369,20 +384,26 @@ def _random_subset(seq: list[int], m: int, rng: random.Random) -> set[int]:
     return targets
 
 
-def _barabasi_albert(n: int, m: int, rng: random.Random) -> Adjacency:
+def _barabasi_albert(n: int, m: int, rng: random.Random) -> np.ndarray:
     """``nx.barabasi_albert_graph``: a star on ``0 .. m`` centred at 0,
     then each new vertex links to ``m`` distinct targets drawn with
-    weight equal to their degree."""
-    adj: Adjacency = [dict.fromkeys(range(1, m + 1))]
-    adj += [{0: None} for _ in range(m)] + [{} for _ in range(m + 1, n)]
+    weight equal to their degree. Returns the ``(E, 3)`` edge array in
+    ``nx.Graph.edges()`` order, each edge created when its later end
+    joins."""
     repeated = [0] * m + list(range(1, m + 1))
     for source in range(m + 1, n):
         targets = _random_subset(repeated, m, rng)
-        for t in targets:
-            _link(adj, source, t)
         repeated.extend(targets)
         repeated.extend([source] * m)
-    return adj
+    # repeated holds m lower ends, then their m later ends, per joining
+    # vertex: the seed star (0, 1 .. m) first, then each source's targets
+    # and the source itself. A vertex's later neighbours are the vertices
+    # that drew it, in join order, so sorting by (lower, later) end gives
+    # the nx.Graph.edges() order.
+    ends = np.array(repeated, dtype=np.int64).reshape(-1, 2, m)
+    lower, later = ends[:, 0].ravel(), ends[:, 1].ravel()
+    order = np.lexsort((later, lower))
+    return np.stack([lower[order], later[order], later[order]], axis=1)
 
 
 def _holme_kim(n: int, m: int, p: float, rng: random.Random) -> Adjacency:

@@ -24,11 +24,14 @@ row as contiguous slabs, which the falling-degree row order allows.
 Triangle counts and the path-length sum are exact integers.
 
 Star vectors read the first-link events once, in time order, and keep
-the top-k set from one horizon to the next. A horizon whose events
-number at most an eighth of the present vertices, with the set full,
-takes the Python step: only the vertices those events touch can enter,
-so each is tested against the weakest member. Any other horizon takes
-the numpy step, which ranks every present vertex.
+the top-K set from one horizon to the next, K the largest star size
+asked for; one sweep serves every size. A horizon whose events number
+at most an eighth of the present vertices, with the set full, takes the
+Python step: only the vertices those events touch can enter, so each is
+tested against the weakest member. Any other horizon takes the numpy
+step, which ranks every present vertex. A smaller size's top-k is the k
+highest-scoring members of the top-K set, ranked again only where a
+touched vertex was a member or became one.
 """
 
 from __future__ import annotations
@@ -334,21 +337,38 @@ def k_stars_vector(g: TemporalGraph, horizons: Sequence[int], k: int) -> list[in
     Entry ``i`` is the number of vertices in the top-k at ``horizons[i]``
     that were not in the top-k at time 0 or at any earlier horizon. The
     time-0 star set is empty when no vertex has joined by time 0. Join
-    or edge times past the int64 range raise ``OverflowError``.
-
-    One sweep over the first-link events in time order keeps the top-k
-    set from one horizon to the next. Degrees only grow, and a vertex
-    that joins later has a larger id, so once the set holds k vertices
-    only those touched by the horizon's events can enter it. A horizon
-    with few events (``8 * events <= nv``) and a full set takes the
-    Python step: it adds the events to a degree list and admits each
-    touched non-member that beats the weakest member, found on a heap of
-    members that re-scores a member whose degree rose when it surfaces.
-    Every other horizon takes the numpy step: the degree array catches
-    up on the events since its last sync and ``_top_k`` ranks every
-    present vertex. The degree list and heap are rebuilt from the array
-    when a Python step follows a numpy one.
+    or edge times past the int64 range raise ``OverflowError``. The
+    sweep is :func:`k_stars_vectors`'s, for the one size ``k``.
     """
+    return k_stars_vectors(g, horizons, [k])[0]
+
+
+def k_stars_vectors(g: TemporalGraph, horizons: Sequence[int], ks: Sequence[int]) -> list[list[int]]:
+    """The :func:`k_stars_vector` of each star size in ``ks``, from one
+    sweep: entry ``j`` is the vector of ``ks[j]``. The sizes may come in
+    any order and repeat.
+
+    The sweep reads the first-link events once, in time order, and keeps
+    the top-K set from one horizon to the next, K = ``max(ks)``. Degrees
+    only grow, and a vertex that joins later has a larger id, so once
+    the set holds K vertices only those touched by the horizon's events
+    can enter it. A horizon with few events (``8 * events <= nv``) and a
+    full set takes the Python step: it adds the events to a degree list
+    and admits each touched non-member that beats the weakest member,
+    found on a heap of members that re-scores a member whose degree rose
+    when it surfaces. Every other horizon takes the numpy step: the
+    degree array catches up on the events since its last sync and
+    ``_top_k`` ranks every present vertex. The degree list and heap are
+    rebuilt from the array when a Python step follows a numpy one.
+
+    A smaller size's top-k is the k highest-scoring of the K members,
+    by ``degree * n - id``. The numpy step ranks the members it picked.
+    The Python step ranks them again only where a touched vertex was a
+    member or became one: anywhere else no member's score changed, and
+    so no smaller top-k did.
+    """
+    if min(ks, default=0) <= 0:
+        raise ValueError("k must be positive")
     prev = None
     for t in horizons:
         if prev is not None and t <= prev:
@@ -361,6 +381,9 @@ def k_stars_vector(g: TemporalGraph, horizons: Sequence[int], k: int) -> list[in
     points = np.array([0, *horizons], dtype=np.int64)
     ends = np.searchsorted(ev_t, points, side="right").tolist()
     present = np.searchsorted(g.join, points, side="right").tolist()
+    *smaller, k = sorted(set(ks))
+    depth = smaller[-1] if smaller else 0  # members ranked for the smaller sizes
+    tops = []  # per point, the first `depth` members by falling score; None if unchanged
 
     degrees = np.zeros(n, dtype=np.int64)  # counts events[:synced]
     seen = np.zeros(n, dtype=bool)
@@ -381,10 +404,14 @@ def k_stars_vector(g: TemporalGraph, horizons: Sequence[int], k: int) -> list[in
             for v in touched:
                 deg[v] += 1
             entered = []
+            moved = False
             for v in touched:
+                if v in members:
+                    moved = True
+                    continue
                 score = deg[v] * n - v
                 # stored scores only lag, so one below the top cannot enter
-                if v in members or score < heap[0][0]:
+                if score < heap[0][0]:
                     continue
                 while True:  # settle the weakest, re-scoring members that rose
                     low, w = heap[0]
@@ -397,11 +424,14 @@ def k_stars_vector(g: TemporalGraph, horizons: Sequence[int], k: int) -> list[in
                     members.remove(w)
                     members.add(v)
                     entered.append(v)
+                    moved = True
             count = 0
             for v in entered:  # one may have been pushed out again
                 if v in members and not seen[v]:
                     seen[v] = True
                     count += 1
+            if depth:
+                tops.append(sorted(members, key=lambda v: v - deg[v] * n)[:depth] if moved else None)
         else:
             if end > synced:
                 degrees += np.bincount(ev_v[synced:end], minlength=n)
@@ -411,10 +441,22 @@ def k_stars_vector(g: TemporalGraph, horizons: Sequence[int], k: int) -> list[in
             deg = None
             count = int(np.count_nonzero(~seen[stars]))
             seen[stars] = True
+            if depth:
+                tops.append(stars[np.argsort(stars - degrees[stars] * n)[:depth]].tolist())
         if i:
             vector.append(count)
         done = end
-    return vector
+
+    vectors = {k: vector}
+    for size in smaller:
+        ever = set()
+        counts = []
+        for top in tops:
+            new = set(top[:size]).difference(ever) if top else ()
+            ever.update(new)
+            counts.append(len(new))
+        vectors[size] = counts[1:]
+    return [list(vectors[size]) for size in ks]
 
 
 def k_stars_number(vector: Sequence[int]) -> int:

@@ -338,6 +338,23 @@ class TestAnalyze:
                         "--out", out]) == 0
         assert read_bytes(out1) == read_bytes(out2)
 
+    def test_one_run_of_several_sizes_equals_one_run_per_size(self, tmp_path):
+        graph_path = str(tmp_path / "g.csv")
+        run(["generate", "--model", "ba", "--m", "3", "--n", "200", "--seed", "4", "--out", graph_path])
+        columns = {}
+        for ks in ("5,1,3", "1", "3", "5"):
+            out = str(tmp_path / f"f{ks}.csv")
+            assert run(["analyze", "--in", graph_path, "--interval", "1", "--k", ks, "--out", out]) == 0
+            with open(out) as fh:
+                rows = list(csv.DictReader(fh))
+            for name in rows[0]:
+                if name.startswith("new_stars_k"):
+                    columns.setdefault(name, []).append([row[name] for row in rows])
+        assert sorted(columns) == ["new_stars_k1", "new_stars_k3", "new_stars_k5"]
+        for together, alone in columns.values():
+            assert together == alone
+            assert any(c != "0" for c in together[1:])
+
     def test_features_once_per_distinct_snapshot(self, monkeypatch):
         # on sparse streams most horizons add nothing to the snapshot before
         calls = []

@@ -167,10 +167,18 @@ class TestRationalFits:
         assert fit.coefficients == pytest.approx([a, b, c, d], rel=1e-4)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-9)
 
-    # a NaN value (no finite step: LAPACK refuses the system or returns
-    # NaN) and values near 1e300 (no step keeps the squared residual finite)
+    @pytest.mark.parametrize("fit", [polyfit, fit_exp_decay, fit_rational_power, fit_rational_quadratic])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_are_refused(self, fit, bad):
+        xs, ys = [1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 0.8, 0.5, 0.3, 0.2]
+        args = (2,) if fit is polyfit else ()
+        with pytest.raises(ValueError, match="values must be finite"):
+            fit(xs, [*ys[:2], bad, *ys[3:]], *args)
+        with pytest.raises(ValueError, match="values must be finite"):
+            fit([*xs[:2], bad, *xs[3:]], ys, *args)
+
+    # values near 1e300: no step keeps the squared residual finite
     @pytest.mark.parametrize("fit, xs, ys", [
-        (fit_exp_decay, [0, 1, 2, 3], [1.0, math.nan, 0.5, 0.25]),
         (fit_exp_decay, [0, 1, 2], [1e300, 2e299, 1e298]),
         (fit_rational_quadratic, [1e-13, 2e-13, 3e-13, 4e-13, 5e-13, 6e-13],
          [1e300, -1e300, 1e300, -1e300, 1e300, -1e300]),
@@ -178,6 +186,17 @@ class TestRationalFits:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows
     def test_fits_that_find_no_step_are_flagged_non_converged(self, fit, xs, ys):
         assert not fit(xs, ys).converged
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_jacobian_lapack_refuses_returns_the_start(self):
+        # LAPACK refuses a NaN system with LinAlgError here; a build that
+        # returns a NaN step instead ends at the finite-step check, with
+        # the same result
+        params, converged = _gauss_newton(
+            lambda p: p - 1, lambda p: np.full((1, 1), math.nan), np.array([0.0]), lambda p: True
+        )
+        assert not converged
+        assert params.tolist() == [0.0]
 
     def test_iteration_cap_returns_the_last_iterate(self):
         # residual exp(-p): every full step of +1 is accepted and none is

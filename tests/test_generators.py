@@ -285,6 +285,15 @@ class TestTpaGenerate:
         digest = hashlib.sha256(repr((g.join_times, g.edges, g.info)).encode()).hexdigest()
         assert digest == TPA_DIGESTS[schedule, form]
 
+    def test_exhausted_retries_keep_their_output(self):
+        # each group of two targets only itself, so after its one edge
+        # every draw is rejected until the retry limit; digest as above,
+        # recorded before the first draw moved out of the retry loop
+        g = tpa_generate(TpaParams(m=5, schedule=[2] * 30, f=TimeDiffFn.geometric(1, 0), retry_limit=50))
+        digest = hashlib.sha256(repr((g.join_times, g.edges, g.info)).encode()).hexdigest()
+        assert digest == "57532e6eb75f71d253491b82cbec1a7da38a0403f358bc1eda052d56af68601d"
+        assert g.info["skipped_edges"] == 270
+
     def test_all_zero_weights_are_refused(self):
         # b ** (-1 - t) underflows to 0.0 for an infinite base
         with pytest.raises(ValueError, match="all group weights are zero"):
@@ -320,7 +329,9 @@ class TestNetworkxOracles:
         sizes = ((1, 2), (3, 4), (2, 40), (5, 120)) if growing else ((2, 3), (6, 7), (3, 30), (4, 120))
         probabilities = (None,) if model == "ba" else (0.0, 0.3, 1.0)
         for seed in range(20):
-            for size, n in sizes:
+            # ba also at the benchmark's size, at seeds 0-2
+            benchmark = ((3, 700),) if model == "ba" and seed < 3 else ()
+            for size, n in sizes + benchmark:
                 for p in probabilities:
                     if growing:
                         params = {"m": size, "p_triangle": p} if model == "hk" else {"m": size}

@@ -17,6 +17,7 @@ from temponet import (
     k_stars_number,
     k_stars_set,
     k_stars_vector,
+    k_stars_vectors,
     power_law_gamma,
     read_edge_stream,
     tpa_generate,
@@ -387,8 +388,53 @@ class TestKStars:
             assert g.directed and any(u == v for u, v, _ in g.edges)
         joins, edges = list(g.join_times), list(g.edges)
         horizons = horizons or list(range(1, g.t_end + 1))
+        want = {k: k_stars_vector_brute(joins, edges, horizons, k) for k in ks}
         for k in ks:
-            assert k_stars_vector(g, horizons, k) == k_stars_vector_brute(joins, edges, horizons, k)
+            assert k_stars_vector(g, horizons, k) == want[k]
+        # one sweep for all sizes, the largest first and the smallest twice
+        sizes = [*ks[::-1], ks[0]]
+        assert k_stars_vectors(g, horizons, sizes) == [want[k] for k in sizes]
+
+    def test_vectors_match_oracle_on_random_graphs_and_sizes(self):
+        # sizes unsorted, repeated and up to past the vertex count; sorted
+        # random horizons from before the first join to past t_end
+        rng = random.Random(23)
+        for trial in range(60):
+            kind = trial % 4
+            if kind == 0:
+                g = baseline_generate("ba", rng.randint(4, 80), seed=trial, m=rng.randint(1, 3))
+            elif kind == 1:
+                g = baseline_generate("hk", rng.randint(4, 80), seed=trial, m=2, p_triangle=0.5)
+            elif kind == 2:
+                schedule = [rng.randint(1, 8) for _ in range(rng.randint(1, 8))]
+                g = tpa_generate(TpaParams(m=2, schedule=schedule, f=TimeDiffFn.exp_base(2), seed=trial))
+            else:
+                n = rng.randint(2, 40)
+                lines = [f"{rng.randrange(n)} {rng.randrange(n)} {rng.randint(3, 40)}"
+                         for _ in range(rng.randint(1, 200))]
+                g = read_edge_stream(lines, directed=rng.random() < 0.3, allow_self_loops=True, dedupe=False)
+            n = g.n_vertices
+            ks = [rng.randint(1, n + 3) for _ in range(rng.randint(1, 4))]
+            ks += rng.sample(ks, rng.randint(0, len(ks))) + [n + rng.randint(0, 2)]
+            rng.shuffle(ks)
+            first = min(g.join_times) - 3
+            later = range(first + 1, g.t_end + 4)
+            horizons = [first, *sorted(rng.sample(later, rng.randint(0, len(later))))]
+            joins, edges = list(g.join_times), list(g.edges)
+            want = [k_stars_vector_brute(joins, edges, horizons, k) for k in ks]
+            assert k_stars_vectors(g, horizons, ks) == want, (trial, ks)
+
+    def test_vectors_are_separate_lists(self):
+        g = baseline_generate("ba", 20, seed=1, m=2)
+        a, b = k_stars_vectors(g, [1, 5, 10], [2, 2])
+        a.append(-1)
+        assert b == k_stars_vector(g, [1, 5, 10], 2)
+
+    @pytest.mark.parametrize("ks", [[], [3, 0]])
+    def test_vectors_reject_missing_or_non_positive_sizes(self, ks):
+        g = TemporalGraph([0, 1], [(0, 1, 1)])
+        with pytest.raises(ValueError, match="k must be positive"):
+            k_stars_vectors(g, [1], ks)
 
     def test_number_sums_entries(self):
         assert k_stars_number([5, 0, 0]) == 5
