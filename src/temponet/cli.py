@@ -14,8 +14,11 @@ import csv
 import ctypes
 import functools
 import json
+import math
 import os
 import sys
+
+import numpy as np
 
 from . import __version__
 from .evolution import (
@@ -170,24 +173,24 @@ def cmd_generate(args) -> int:
 
 def _analysis_rows(graph: TemporalGraph, interval: int, k_values: list[int], x_min: int) -> list[dict]:
     graph.first_links()  # every feature reads it; fails first on times past int64
-    snapshots = graph.snapshot_series(interval)
-    # lead with the activation-time snapshot so every interval has a row
-    if snapshots and snapshots[0].horizon > graph.t_min:
-        snapshots.insert(0, graph.snapshot_at(graph.t_min))
-    horizons = [s.horizon for s in snapshots]
+    horizons = graph.horizons(interval)
+    # lead with the activation time so every interval has a row
+    if horizons and horizons[0] > graph.t_min:
+        horizons.insert(0, graph.t_min)
+    # first, as it refuses join times past int64 before they are searched
     star_vectors = dict(zip(k_values, k_stars_vectors(graph, horizons, k_values)))
-    total = graph.n_vertices
+    # snapshots are nested prefixes, so a row's snapshot is the one of the
+    # row before unless a join or an edge falls between their horizons;
+    # the first join falls at row 0
+    changed = np.zeros(len(horizons), dtype=bool)
+    changed[np.searchsorted(horizons, np.concatenate([graph.join, graph.t]))] = True
     rows = []
-    size = features = None
-    for i, snap in enumerate(snapshots):
-        # snapshots are nested prefixes, so one as large as the one
-        # before it is the same graph, with the same features
-        if (snap.n_vertices, snap.n_edges) != size:
-            size = (snap.n_vertices, snap.n_edges)
-            features = compute_features(snap, gamma_x_min=x_min).to_dict()
-        row = {"t": snap.horizon, **features}
+    for i, (horizon, new) in enumerate(zip(horizons, changed.tolist())):
+        if new:
+            features = compute_features(graph.snapshot_at(horizon), gamma_x_min=x_min).to_dict()
+        row = {"t": horizon, **features}
         # joined at or before t; evolution.jrc counts strictly before t_min + t
-        row["jrc"] = snap.n_vertices / total if total else None
+        row["jrc"] = row["vertices"] / graph.n_vertices
         for k in k_values:
             row[f"new_stars_k{k}"] = star_vectors[k][i]
         rows.append(row)
@@ -278,6 +281,8 @@ def cmd_compare(args) -> int:
 
 def cmd_stars(args) -> int:
     _require_positive(k=args.k, w=args.w, interval=args.interval)
+    if math.isnan(args.threshold):  # it would class every network slow
+        raise ValueError("threshold must be a number, not nan")
     paths = sorted(
         os.path.join(args.dir, name)
         for name in os.listdir(args.dir)

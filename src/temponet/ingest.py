@@ -36,16 +36,15 @@ from .temporal_graph import _distinct, _first_seen, _pair_keys, _parse_records, 
 
 
 def read_edge_stream(
-    source: Iterable[str], *, directed: bool = False, allow_self_loops: bool = False, dedupe: bool = True
+    source: Iterable[str], *, directed: bool = False, allow_self_loops: bool = False
 ) -> TemporalGraph:
     """Parse a line-oriented edge stream into a TemporalGraph.
 
     The graph is ``directed`` or not, and keeps self-loop records when
     ``allow_self_loops`` is set. Duplicate edges (same endpoints,
-    unordered when undirected) collapse to one edge when ``dedupe`` is
-    set: the first record's orientation and position, stamped with the
-    earliest timestamp of any of them; without it the graph is a
-    multigraph. Self-loop records keep their endpoint as a vertex even
+    unordered when undirected) collapse to one edge: the first record's
+    orientation and position, stamped with the earliest timestamp of any
+    of them. Self-loop records keep their endpoint as a vertex even
     when loops themselves are disallowed. Raw vertex ids are remapped to
     dense ids in join order (ties broken by first appearance), which
     leaves conforming streams unchanged.
@@ -81,12 +80,11 @@ def read_edge_stream(
     if not allow_self_loops:
         edge = u != v  # the vertex stays; only the loop edge is dropped
         u, v, t = u[edge], v[edge], t[edge]
-    if dedupe:
-        _, firsts, pair = _distinct(_pair_keys(u, v, n, directed))
-        stamp = t[firsts]
-        np.minimum.at(stamp, pair, t)
-        kept = firsts[pair] == np.arange(len(pair))  # each pair's first record
-        u, v, t = u[kept], v[kept], stamp[pair[kept]]
+    _, firsts, pair = _distinct(_pair_keys(u, v, n, directed))
+    stamp = t[firsts]
+    np.minimum.at(stamp, pair, t)
+    kept = firsts[pair] == np.arange(len(pair))  # each pair's first record
+    u, v, t = u[kept], v[kept], stamp[pair[kept]]
 
     # join order, ties broken by first appearance: the vertices in
     # first-appearance order (marked at their first endpoint positions),
@@ -102,7 +100,6 @@ def read_edge_stream(
         np.column_stack([remap[u], remap[v], t]),
         directed=directed,
         allow_self_loops=allow_self_loops,
-        simple=dedupe,
     )
 
 

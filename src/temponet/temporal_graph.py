@@ -91,10 +91,10 @@ class TemporalGraph:
 
     Vertex ids are dense integers in ``[0, n)`` assigned in join order,
     so ``join_times`` must be non-decreasing. Every edge endpoint must
-    have joined no later than the edge was created. In simple mode
-    (default) duplicate edges are rejected; self-loops are rejected
-    unless ``allow_self_loops`` is set. ``edges`` is an iterable of
-    ``(source, target, created)`` triples or an ``(E, 3)`` integer array.
+    have joined no later than the edge was created. A repeated pair
+    (ordered when ``directed``) is rejected, and so is a self-loop unless
+    ``allow_self_loops`` is set. ``edges`` is an iterable of ``(source,
+    target, created)`` triples or an ``(E, 3)`` integer array.
 
     The graph is held in four read-only numpy columns: ``join``, the
     join time of each vertex id, and ``u``, ``v``, ``t``, the source,
@@ -125,7 +125,6 @@ class TemporalGraph:
         *,
         directed: bool = False,
         allow_self_loops: bool = False,
-        simple: bool = True,
         time_unit: str = "",
         info: dict | None = None,
     ):
@@ -138,14 +137,14 @@ class TemporalGraph:
         if e.size and e.shape[1:] != (3,):
             raise ValueError("an edge is a (source, target, created) triple")
         self.u, self.v, self.t = e.reshape(-1, 3).T
-        self._validate(simple)
+        self._validate()
         # every id is known now, so it fits
         self.u, self.v = self.u.astype(np.int64, copy=False), self.v.astype(np.int64, copy=False)
         for column in (self.join, self.u, self.v, self.t):
             column.flags.writeable = False
         self._first_links = None  # built on first use
 
-    def _validate(self, simple: bool) -> None:
+    def _validate(self) -> None:
         # One fault mask per check finds the first faulty position in
         # input order; the checks then run on that position alone, in the
         # order an edge-by-edge loop would run them, so the message is
@@ -165,8 +164,7 @@ class TemporalGraph:
         bad = (join[a] > c) | (join[b] > c)
         if not self.allow_self_loops:
             bad |= a == b
-        if simple:
-            bad |= _repeated(_pair_keys(a, b, n, self.directed))
+        bad |= _repeated(_pair_keys(a, b, n, self.directed))
         i = int(bad.argmax()) if bad.any() else end
         if i == len(known):
             return
@@ -282,9 +280,9 @@ class TemporalGraph:
             if (times[1:] < times[:-1]).any():  # generated graphs never sort
                 order = _stable_order(times)  # equal times stay in input order
                 u, v, times = u[order], v[order], times[order]
-            # the earliest record of each unordered pair, in time order
-            first = ~_repeated(_pair_keys(u, v, self.n_vertices, directed=False))
-            u, v, times = u[first], v[first], times[first]
+            if self.directed:  # both arcs of a pair: the earlier is the first link
+                first = ~_repeated(_pair_keys(u, v, self.n_vertices, directed=False))
+                u, v, times = u[first], v[first], times[first]
             keep = np.repeat(u != v, 2)
             keep[::2] = True  # a self-loop is one event
             self._first_links = (
@@ -555,17 +553,14 @@ def write_edge_list(graph: TemporalGraph, path) -> None:
     Join times that cannot be recovered from the edge records (isolated
     vertices, or vertices that joined before their first edge) are kept
     in the sidecar so that reading the files back reproduces identical
-    snapshots at every horizon. A graph with a repeated pair is marked
-    ``"simple": false`` so that it reads back as a multigraph. A
-    target that is a directory raises ``IsADirectoryError`` before
-    either file is written.
+    snapshots at every horizon. A target that is a directory raises
+    ``IsADirectoryError`` before either file is written.
     """
     path = str(path)
     for target in (path, path + _META_SUFFIX):
         if os.path.isdir(target):  # no file can replace it: refuse before writing either
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
     join, u, v, t = graph.join, graph.u, graph.v, graph.t
-    repeats = _repeated(_pair_keys(u, v, graph.n_vertices, graph.directed)).any()
     body = "%d,%d,%d\n" * len(t) % tuple(np.column_stack([u, v, t]).ravel().tolist())
     # No record precedes its endpoints' join, so a vertex's earliest
     # record carries its join time exactly when some record does.
@@ -583,8 +578,6 @@ def write_edge_list(graph: TemporalGraph, path) -> None:
     }
     if explicit:
         meta["explicit_join_times"] = explicit
-    if repeats:
-        meta["simple"] = False
     # both files are written out before either replaces its target, so
     # a failure leaves the old pair whole
     with _replacing(path) as fh, _replacing(path + _META_SUFFIX) as meta_fh:
@@ -601,7 +594,8 @@ def read_edge_list(path) -> TemporalGraph:
     written. Raises :class:`EdgeStreamParseError` on a malformed line
     and ``ValueError`` when the sidecar lacks a required key, holds a
     value of the wrong type, or an id below the largest has neither a
-    record nor an explicit join time.
+    record nor an explicit join time, or the file repeats a pair. An old
+    sidecar's ``"simple"`` key must be true or false; it is ignored.
     """
     path = str(path)
     sidecar = path + _META_SUFFIX
@@ -641,6 +635,5 @@ def read_edge_list(path) -> TemporalGraph:
         records,
         directed=meta["directed"],
         allow_self_loops=meta["allow_self_loops"],
-        simple=meta.get("simple", True),
         time_unit=meta.get("time_unit_label", ""),
     )

@@ -20,7 +20,7 @@ from scipy.sparse.csgraph import connected_components
 from temponet import EdgeStreamParseError
 
 
-def validate_brute(join_times, edges, directed=False, allow_self_loops=False, simple=True):
+def validate_brute(join_times, edges, directed=False, allow_self_loops=False):
     """The constructor's checks as one loop over the join times and one
     over the edges: raises ``ValueError`` for the first fault in input
     order."""
@@ -43,11 +43,10 @@ def validate_brute(join_times, edges, directed=False, allow_self_loops=False, si
             )
         if u == v and not loops_ok:
             raise ValueError("self-loops are not allowed in this graph")
-        if simple:
-            key = (u, v) if directed or u <= v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge ({u}, {v}) in simple graph")
-            seen.add(key)
+        key = (u, v) if directed or u <= v else (v, u)
+        if key in seen:
+            raise ValueError(f"duplicate edge ({u}, {v}) in simple graph")
+        seen.add(key)
 
 
 def parse_records_brute(lines):
@@ -82,7 +81,7 @@ def first_seen_brute(records):
     return first
 
 
-def read_edge_stream_brute(lines, directed=False, allow_self_loops=False, dedupe=True):
+def read_edge_stream_brute(lines, directed=False, allow_self_loops=False):
     """Raw-stream ingest with dicts and loops: returns ``(join_times,
     edges)`` lists after the loop drop, dedupe (first record's
     orientation and position, earliest timestamp) and the remap to ids
@@ -91,20 +90,15 @@ def read_edge_stream_brute(lines, directed=False, allow_self_loops=False, dedupe
     if not records:
         raise ValueError("empty edge stream")
     join = first_seen_brute(records)
-    edges = []
     first = {}
     for u, v, t in records:
         if u == v and not allow_self_loops:
             continue
-        if dedupe:
-            key = (u, v) if directed or u <= v else (v, u)
-            u0, v0, t0 = first.setdefault(key, (u, v, t))
-            if t < t0:
-                first[key] = (u0, v0, t)
-        else:
-            edges.append((u, v, t))
-    if dedupe:
-        edges = list(first.values())
+        key = (u, v) if directed or u <= v else (v, u)
+        u0, v0, t0 = first.setdefault(key, (u, v, t))
+        if t < t0:
+            first[key] = (u0, v0, t)
+    edges = list(first.values())
     ranked = sorted(join, key=join.__getitem__)
     remap = {raw_id: new_id for new_id, raw_id in enumerate(ranked)}
     return [join[x] for x in ranked], [(remap[u], remap[v], t) for u, v, t in edges]
@@ -128,8 +122,7 @@ def edge_list_text_brute(join_times, edges, directed, allow_self_loops, time_uni
     """The edge-list file and its JSON sidecar as text: one
     ``u,v,t`` line per edge in input order; a join time goes to
     ``explicit_join_times`` unless it equals the earliest record naming
-    the vertex; a repeated pair (unordered when undirected) adds
-    ``"simple": false``."""
+    the vertex."""
     lines = ["# source,target,timestamp"] + [f"{u},{v},{t}" for u, v, t in edges]
     first = {}
     for u, v, t in edges:
@@ -143,11 +136,21 @@ def edge_list_text_brute(join_times, edges, directed, allow_self_loops, time_uni
     explicit = {str(v): jt for v, jt in enumerate(join_times) if first.get(v) != jt}
     if explicit:
         meta["explicit_join_times"] = explicit
-    pairs = {(u, v) if directed or u <= v else (v, u) for u, v, _ in edges}
-    if len(pairs) < len(edges):
-        meta["simple"] = False
     sidecar = json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n"
     return "\n".join(lines) + "\n", sidecar
+
+
+def distinct_pairs(edges, directed=False):
+    """``edges`` without each record whose pair (unordered when
+    undirected) an earlier record holds: the edges a graph can hold."""
+    seen = set()
+    kept = []
+    for u, v, t in edges:
+        key = (u, v) if directed or u <= v else (v, u)
+        if key not in seen:
+            seen.add(key)
+            kept.append((u, v, t))
+    return kept
 
 
 def degree_brute(edges, v, t):

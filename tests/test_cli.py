@@ -49,6 +49,8 @@ MALFORMED = {
     "joins_not_object": ("0,1,1\n", {**_META, "explicit_join_times": [0]}),
     "sidecar_not_object": ("0,1,1\n", [_META]),
     "time_unit_label_number": ("0,1,1\n", {**_META, "time_unit_label": 5}),
+    # a repeated pair, refused whatever an old sidecar's "simple" key says
+    "repeated_pair": ("0,1,5\n1,0,6\n", {**_META, "simple": False}),
 }
 
 
@@ -79,6 +81,9 @@ ONE_LINE_ERRORS = {
     "analyze_join_time_past_int64": ({"g.csv": "0,1,5\n", "g.csv.meta.json": json.dumps(
                                          {**_META, "explicit_join_times": {"2": 2**64}})},
                                      "analyze --in {d}/g.csv --out {d}/o.csv --interval " + str(2**65)),
+    "analyze_sidecar_repeats_a_pair": ({"g.csv": "0,1,5\n1,0,6\n", "g.csv.meta.json": json.dumps(
+                                           {**_META, "simple": False})},
+                                       "analyze --in {d}/g.csv --out {d}/o.csv --interval 1"),
     "compare_missing_settings": ({}, "compare --settings {d}/s.json --out {d}/o.csv"),
     "compare_repeats_zero": ({"s.json": '[{"model": "ba", "m": 2, "n": 20}]'},
                              "compare --settings {d}/s.json --repeats 0 --out {d}/o.csv"),
@@ -152,6 +157,8 @@ ONE_LINE_ERRORS = {
                      "stars --dir {d} --k 1 --w 0 --interval 1 --out {d}/o.csv"),
     "stars_interval_negative": ({"a.txt": "a b c\n", "g.txt": GRAPH},
                                 "stars --dir {d} --k 1 --w 1 --interval -1 --out {d}/o.csv"),
+    "stars_threshold_nan": ({"a.txt": "a b c\n", "g.txt": GRAPH},
+                            "stars --dir {d} --k 1 --w 1 --interval 1 --threshold nan --out {d}/o.csv"),
     # a join time past int64 after zero-basing, refused by the join-rate curve
     "stars_join_time_past_int64": ({"g.txt": "0 1 0\n1 2 9223372036854775812\n"},
                                    "stars --dir {d} --k 1 --w 1 --interval 1 --out {d}/o.csv"),
@@ -168,6 +175,7 @@ ERROR_WORDING = {
     "analyze_offset_past_int64": PAST_INT64,
     "analyze_horizon_grid_too_large": "interval 1 gives 4611686018427387904 horizons",
     "analyze_join_time_past_int64": "error: join times pass the int64 range; zero-basing the stream",
+    "analyze_sidecar_repeats_a_pair": "g.csv: duplicate edge (1, 0) in simple graph",
     "compare_xmin_string": "error: setting 0: xmin must be an integer, not '3'",
     "compare_xmin_bool": "error: setting 0: xmin must be an integer, not True",
     "analyze_interval_zero_before_a_faulty_input": "error: interval must be positive",
@@ -184,6 +192,7 @@ ERROR_WORDING = {
     "stars_join_rate_grid_past_int64": "g.txt: interval 4611686018427387904 gives join-rate grid times past",
     "stars_w_zero": "error: w must be positive",
     "stars_interval_negative": "error: interval must be positive",
+    "stars_threshold_nan": "error: threshold must be a number, not nan",
     "generate_ba_no_n": "error: model 'ba' is missing parameter 'n'",
     # a value that cannot be read names its flag (or key) and its text
     "generate_schedule_one_value": "error: --schedule 'polynomial:5': a polynomial schedule takes 2 values, got 1",
@@ -371,7 +380,7 @@ class TestAnalyze:
             text = "".join(f"{rng.randrange(n)} {rng.randrange(n)} {rng.randint(0, 60)}\n"
                            for _ in range(rng.randint(1, 15)))
             g = read_edge_stream(io.StringIO(text), directed=rng.random() < 0.5,
-                                 allow_self_loops=rng.random() < 0.5, dedupe=rng.random() < 0.7)
+                                 allow_self_loops=rng.random() < 0.5)
             interval, x_min, k_values = rng.choice([1, 2, 3, 7]), rng.randint(1, 3), [1, 2, 5]
             calls.clear()
             rows = cli._analysis_rows(g, interval, k_values, x_min)
@@ -389,6 +398,30 @@ class TestAnalyze:
             assert rows == want
             assert len(calls) == len(set(calls))
             reused += len(rows) - len(calls)
+        assert reused > 100
+
+    def test_snapshot_only_where_a_join_or_edge_falls(self, monkeypatch):
+        # a row whose horizon brings no join and no edge since the row
+        # before reuses that row's snapshot; a directed reverse arc or a
+        # self-loop brings an edge but no first link
+        calls = []
+        snapshot_at = TemporalGraph.snapshot_at
+        monkeypatch.setattr(TemporalGraph, "snapshot_at", lambda g, t: calls.append(t) or snapshot_at(g, t))
+        rng = random.Random(29)
+        reused = 0
+        for _ in range(40):
+            n = rng.randint(2, 12)
+            text = "".join(f"{rng.randrange(n)} {rng.randrange(n)} {rng.randint(0, 60)}\n"
+                           for _ in range(rng.randint(1, 15)))
+            g = read_edge_stream(io.StringIO(text), directed=rng.random() < 0.5,
+                                 allow_self_loops=rng.random() < 0.5)
+            calls.clear()
+            horizons = [row["t"] for row in cli._analysis_rows(g, rng.choice([1, 2, 3, 7]), [1], 1)]
+            times = [*g.join_times, *(t for _, _, t in g.edges)]
+            changed = [h for i, h in enumerate(horizons)
+                       if i == 0 or any(horizons[i - 1] < x <= h for x in times)]
+            assert calls == changed
+            reused += len(horizons) - len(calls)
         assert reused > 100
 
     def test_unreadable_input_nonzero_exit(self, tmp_path):
@@ -711,6 +744,17 @@ class TestStars:
             "notice: no fast networks\nnotice: slow networks too short for interval\n"
         )
         assert out.read_text() == ""
+
+    @pytest.mark.parametrize("threshold, label", [("inf", "slow"), ("-inf", "fast")])
+    def test_infinite_threshold_puts_every_network_in_one_class(self, tmp_path, capsys, threshold, label):
+        d = self.make_network_dir(tmp_path, [("a", [5] * 5, 1), ("b", [5] * 8, 2)])
+        out = tmp_path / "s.csv"
+        assert run(["stars", "--dir", d, "--k", "1", "--w", "1", "--interval", "1",
+                    f"--threshold={threshold}", "--out", str(out)]) == 0
+        other = {"fast": "slow", "slow": "fast"}[label]
+        assert capsys.readouterr().err == f"notice: no {other} networks\n"
+        with open(out) as fh:
+            assert {row["class"] for row in csv.DictReader(fh)} == {label}
 
     def test_offset_timestamps_are_normalized(self, tmp_path):
         d = tmp_path / "offset"

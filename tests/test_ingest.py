@@ -220,7 +220,7 @@ class TestNormalizeTimes:
             return TemporalGraph(
                 g.join - shift, np.column_stack([g.u, g.v, g.t - shift]),
                 directed=g.directed, allow_self_loops=g.allow_self_loops,
-                simple=False, time_unit=g.time_unit, info=g.info,
+                time_unit=g.time_unit, info=g.info,
             )
 
         configs = [({}, ""), ({"directed": True, "allow_self_loops": True}, "wk")]
@@ -245,7 +245,7 @@ class TestNormalizeTimes:
                         assert getattr(got, attr) == getattr(want, attr), attr
                     for a, b in zip(got.first_links(), want.first_links()):
                         assert a.dtype == b.dtype and a.tolist() == b.tolist()
-                    got._validate(True)
+                    got._validate()
 
 
 def raw_stream_records(seed):
@@ -318,25 +318,16 @@ class TestFixedPoint:
                     v = rng.randrange(n)
                     lines.append(f"{u} {v} {rng.randint(0, 30)}")
                 text = "\n".join(lines) + "\n"
-                for dedupe in (True, False):
-                    try:
-                        g1 = read_edge_stream(stream(text), allow_self_loops=True, dedupe=dedupe)
-                    except ValueError:
-                        continue
-                    p1 = os.path.join(tmp, f"a{case}{dedupe}.csv")
-                    p2 = os.path.join(tmp, f"b{case}{dedupe}.csv")
-                    write_edge_list(g1, p1)
-                    g2 = read_edge_list(p1)
-                    write_edge_list(g2, p2)
-                    with open(p1, "rb") as fa, open(p2, "rb") as fb:
-                        assert fa.read() == fb.read()
-                    with open(p1 + ".meta.json", "rb") as fa, open(p2 + ".meta.json", "rb") as fb:
-                        meta = fa.read()
-                        assert meta == fb.read()
-                    # only a graph with a repeated pair is marked, so the
-                    # sidecars of simple graphs stay as they were
-                    pairs = {(min(u, v), max(u, v)) for u, v, _ in g1.edges}
-                    assert (b'"simple":false' in meta) == (len(pairs) < g1.n_edges)
+                g1 = read_edge_stream(stream(text), allow_self_loops=True)
+                p1 = os.path.join(tmp, f"a{case}.csv")
+                p2 = os.path.join(tmp, f"b{case}.csv")
+                write_edge_list(g1, p1)
+                g2 = read_edge_list(p1)
+                write_edge_list(g2, p2)
+                with open(p1, "rb") as fa, open(p2, "rb") as fb:
+                    assert fa.read() == fb.read()
+                with open(p1 + ".meta.json", "rb") as fa, open(p2 + ".meta.json", "rb") as fb:
+                    assert fa.read() == fb.read()
 
     def test_snapshot_counts_match_replay_oracle(self):
         rng = random.Random(33)
@@ -382,10 +373,10 @@ def raw_streams(draw):
 
 
 class TestRoundTripProperty:
-    @given(raw_streams(), st.booleans(), st.booleans(), st.booleans())
+    @given(raw_streams(), st.booleans(), st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_ingest_write_read_keeps_every_horizon(self, text, directed, loops, dedupe):
-        g = read_edge_stream(stream(text), directed=directed, allow_self_loops=loops, dedupe=dedupe)
+    def test_ingest_write_read_keeps_every_horizon(self, text, directed, loops):
+        g = read_edge_stream(stream(text), directed=directed, allow_self_loops=loops)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "g.csv")
             write_edge_list(g, path)
@@ -447,9 +438,8 @@ def random_stream(rng):
 
 
 def random_keywords(rng):
-    """``read_edge_stream``'s three keywords, drawn at random."""
-    return {"directed": rng.random() < 0.5, "allow_self_loops": rng.random() < 0.5,
-            "dedupe": rng.random() < 0.7}
+    """``read_edge_stream``'s two keywords, drawn at random."""
+    return {"directed": rng.random() < 0.5, "allow_self_loops": rng.random() < 0.5}
 
 
 def outcome(read):
@@ -470,7 +460,7 @@ class TestIngestOracle:
 
             def brute():
                 joins, edges = read_edge_stream_brute(text.splitlines(True), **cfg)
-                validate_brute(joins, edges, cfg["directed"], cfg["allow_self_loops"], cfg["dedupe"])
+                validate_brute(joins, edges, **cfg)
                 return tuple(joins), tuple(edges)
 
             def columnar():
@@ -486,15 +476,14 @@ class TestIngestOracle:
 
             # the same lines as a sidecar-backed file, ids kept as written
             explicit = {rng.randint(0, 6): rng.randint(0, 12) for _ in range(rng.randint(0, 2))}
-            meta = {"directed": cfg["directed"], "allow_self_loops": cfg["allow_self_loops"],
-                    "simple": cfg["dedupe"], "explicit_join_times": {str(x): jt for x, jt in explicit.items()}}
+            meta = {**cfg, "explicit_join_times": {str(x): jt for x, jt in explicit.items()}}
             path = tmp_path / f"g{case}.csv"
             path.write_text(text)
             (tmp_path / f"g{case}.csv.meta.json").write_text(json.dumps(meta))
 
             def list_brute():
                 joins, edges = read_edge_list_brute(text.splitlines(True), explicit)
-                validate_brute(joins, edges, cfg["directed"], cfg["allow_self_loops"], cfg["dedupe"])
+                validate_brute(joins, edges, **cfg)
                 return tuple(joins), tuple(edges)
 
             def list_columnar():

@@ -33,6 +33,7 @@ from oracles import (
     clustering_sparse,
     giant_sparse,
     density_brute,
+    distinct_pairs,
     k_stars_brute,
     k_stars_vector_brute,
 )
@@ -94,7 +95,7 @@ class TestClustering:
 
 
 def oracle_graphs():
-    """Generated graphs of every model plus random multigraphs with
+    """Generated graphs of every model plus random graphs with
     self-loops, many components and isolated vertices."""
     rng = random.Random(11)
     f = TimeDiffFn.exp_base(2)
@@ -111,7 +112,7 @@ def oracle_graphs():
         for _ in range(rng.randrange(2 * n)):
             u, v = rng.randrange(n), rng.randrange(n)
             edges.append((u, v, max(joins[u], joins[v]) + rng.randrange(3)))
-        yield TemporalGraph(joins, edges, simple=False, allow_self_loops=True)
+        yield TemporalGraph(joins, distinct_pairs(edges), allow_self_loops=True)
 
 
 class TestSparseOracles:
@@ -140,7 +141,8 @@ class TestSparseOracles:
 
 
 def shaped_edges(n, shape):
-    """Edges at time 0 of an ``n``-vertex graph that is one component."""
+    """Edges at time 0 of an ``n``-vertex graph that is one component,
+    no pair repeated."""
     rng = random.Random(n)
     if shape == "path":
         pairs = [(v - 1, v) for v in range(1, n)]
@@ -153,7 +155,7 @@ def shaped_edges(n, shape):
     else:  # a random tree, so every vertex is in the giant, plus chords
         pairs = [(rng.randrange(v), v) for v in range(1, n)]
         pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(n // 4)]
-    return [(u, v, 0) for u, v in pairs]
+    return distinct_pairs([(u, v, 0) for u, v in pairs])
 
 
 class TestShortestPath:
@@ -184,7 +186,7 @@ class TestShortestPath:
     @pytest.mark.parametrize("shape", ["path", "star", "random"])
     def test_matches_bfs_oracle_at_word_and_block_boundaries(self, n, shape):
         edges = shaped_edges(n, shape)
-        g = TemporalGraph([0] * n, edges, simple=False, allow_self_loops=True)
+        g = TemporalGraph([0] * n, edges, allow_self_loops=True)
         assert avg_shortest_path(g.snapshot_at(0)) == avg_sp_bfs(n, edges)
 
     # Up to 1024 vertices all sources are one block, above that blocks
@@ -199,7 +201,7 @@ class TestShortestPath:
     ])
     def test_matches_bfs_oracle_around_one_block_with_each_step(self, shape, n, monkeypatch):
         edges = shaped_edges(n, shape)
-        s = TemporalGraph([0] * n, edges, simple=False, allow_self_loops=True).snapshot_at(0)
+        s = TemporalGraph([0] * n, edges, allow_self_loops=True).snapshot_at(0)
         expected = avg_sp_bfs(n, edges)
         for share in (metrics._SP_SPARSE, 2.0, 0.0):  # frontier edges never reach 2 * nnz
             monkeypatch.setattr(metrics, "_SP_SPARSE", share)
@@ -209,8 +211,8 @@ class TestShortestPath:
         rng = random.Random(5)
         for n in (40, 130, 600):
             for _ in range(3):
-                edges = [(rng.randrange(n), rng.randrange(n), 0) for _ in range(n)]
-                g = TemporalGraph([0] * n, edges, simple=False, allow_self_loops=True)
+                edges = distinct_pairs([(rng.randrange(n), rng.randrange(n), 0) for _ in range(n)])
+                g = TemporalGraph([0] * n, edges, allow_self_loops=True)
                 assert avg_shortest_path(g.snapshot_at(0)) == avg_sp_bfs(n, edges)
 
     @pytest.mark.parametrize("path_first", [True, False])
@@ -308,17 +310,16 @@ class TestKStars:
                 for t in (0, g.t_end // 2, g.t_end):
                     assert k_stars_set(g.snapshot_at(t), k) == k_stars_brute(joins, edges, t, k)
 
-    def test_vector_matches_oracle_on_ingested_multigraph(self):
-        # duplicates and self-loops kept; horizons start below 0 (before
-        # the time-0 star set the sweep begins with) and run past t_end;
-        # k up to and beyond the vertex count
+    def test_vector_matches_oracle_on_ingested_stream(self):
+        # self-loops kept and duplicates merged; horizons start below 0
+        # (before the time-0 star set the sweep begins with) and run past
+        # t_end; k up to and beyond the vertex count
         rng = random.Random(11)
         lines = ["0 1 0", "0 1 0", "2 2 0", "2 2 4"]
         lines += [f"{rng.randrange(20)} {rng.randrange(20)} {rng.randint(0, 30)}" for _ in range(150)]
-        g = read_edge_stream(lines, allow_self_loops=True, dedupe=False)
+        g = read_edge_stream(lines, allow_self_loops=True)
         joins, edges = list(g.join_times), list(g.edges)
         assert any(u == v for u, v, _ in edges)
-        assert len({(min(u, v), max(u, v)) for u, v, _ in edges}) < len(edges)
         horizons = list(range(-3, g.t_end + 4))
         for k in (1, 2, 5, g.n_vertices, g.n_vertices + 3):
             assert k_stars_vector(g, horizons, k) == k_stars_vector_brute(joins, edges, horizons, k)
@@ -334,7 +335,7 @@ class TestKStars:
 
     @pytest.mark.parametrize("case", [
         "ba_interval_1", "hk_interval_1", "single_events_and_bursts", "ties",
-        "k_crosses_vertex_count", "below_zero_after_time_zero_stars", "directed_multigraph",
+        "k_crosses_vertex_count", "below_zero_after_time_zero_stars", "directed_with_loops",
     ])
     def test_vector_matches_oracle_on_both_steps(self, case):
         # The sweep keeps its top-k set across horizons, updating it from
@@ -384,7 +385,7 @@ class TestKStars:
         else:
             lines = [f"{rng.randrange(150)} {rng.randrange(150)} {rng.randint(0, 300)}" for _ in range(1500)]
             lines += [f"{v} {v} {rng.randint(0, 300)}" for v in range(0, 150, 7)]
-            g = read_edge_stream(lines, directed=True, allow_self_loops=True, dedupe=False)
+            g = read_edge_stream(lines, directed=True, allow_self_loops=True)
             assert g.directed and any(u == v for u, v, _ in g.edges)
         joins, edges = list(g.join_times), list(g.edges)
         horizons = horizons or list(range(1, g.t_end + 1))
@@ -412,7 +413,7 @@ class TestKStars:
                 n = rng.randint(2, 40)
                 lines = [f"{rng.randrange(n)} {rng.randrange(n)} {rng.randint(3, 40)}"
                          for _ in range(rng.randint(1, 200))]
-                g = read_edge_stream(lines, directed=rng.random() < 0.3, allow_self_loops=True, dedupe=False)
+                g = read_edge_stream(lines, directed=rng.random() < 0.3, allow_self_loops=True)
             n = g.n_vertices
             ks = [rng.randint(1, n + 3) for _ in range(rng.randint(1, 4))]
             ks += rng.sample(ks, rng.randint(0, len(ks))) + [n + rng.randint(0, 2)]

@@ -15,6 +15,7 @@ from temponet.temporal_graph import _replacing
 from oracles import (
     degree_brute,
     degrees_brute,
+    distinct_pairs,
     edge_list_text_brute,
     first_links_brute,
     first_links_ordered_brute,
@@ -39,7 +40,7 @@ class TestConstruction:
         with pytest.raises(ValueError, match="unknown vertex"):
             TemporalGraph([0], [(0, 1, 0)])
 
-    def test_rejects_duplicate_in_simple_mode(self):
+    def test_rejects_duplicate_pair(self):
         with pytest.raises(ValueError, match="duplicate"):
             TemporalGraph([0, 0], [(0, 1, 0), (1, 0, 1)])
         # directed graphs treat opposite arcs as distinct
@@ -93,11 +94,7 @@ def random_constructor_input(rng):
         late = max(joins[x] for x in (u, v) if 0 <= x < n) if 0 <= u < n and 0 <= v < n else 0
         t = late + rng.randint(-1 if rng.random() < 0.25 else 0, 3)
         edges.append((u, v, t))
-    flags = dict(
-        directed=rng.random() < 0.5,
-        allow_self_loops=rng.random() < 0.5,
-        simple=rng.random() < 0.7,
-    )
+    flags = dict(directed=rng.random() < 0.5, allow_self_loops=rng.random() < 0.5)
     return joins, edges, flags
 
 
@@ -113,7 +110,7 @@ class TestValidationOracle:
     def test_messages_match_the_edge_by_edge_checks(self):
         rng = random.Random(2024)
         messages = []
-        for _ in range(4000):
+        for _ in range(5000):
             joins, edges, flags = random_constructor_input(rng)
             expected = raised(validate_brute, joins, edges, **flags)
             assert raised(TemporalGraph, joins, edges, **flags) == expected, (joins, edges, flags)
@@ -251,8 +248,9 @@ class TestSortHelpers:
             n = rng.randint(1, 12)
             edges = [(rng.randrange(n), rng.randrange(n), rng.choice(stamps))
                      for _ in range(rng.randint(2, 60))]
-            g = TemporalGraph([0] * n, edges, directed=rng.random() < 0.5,
-                              allow_self_loops=True, simple=False)
+            directed = rng.random() < 0.5
+            edges = distinct_pairs(edges, directed)
+            g = TemporalGraph([0] * n, edges, directed=directed, allow_self_loops=True)
             times, v, w = g.first_links()
             assert (times.tolist(), v.tolist(), w.tolist()) == first_links_ordered_brute(edges)
 
@@ -373,12 +371,7 @@ def temporal_graphs(draw):
             if draw(st.booleans()):
                 offset = draw(st.integers(0, 4))
                 edges.append((u, v, max(joins[u] + lags[u], joins[v] + lags[v]) + offset))
-    # a multigraph repeats some pairs later, undirected ones reversed
-    simple = draw(st.booleans()) or not edges
-    if not simple:
-        for u, v, t in draw(st.lists(st.sampled_from(edges), max_size=3)):
-            edges.append((u, v, t + 1) if directed else (v, u, t + 1))
-    return TemporalGraph(joins, edges, directed=directed, allow_self_loops=loops, simple=simple)
+    return TemporalGraph(joins, edges, directed=directed, allow_self_loops=loops)
 
 
 class TestProperties:
@@ -413,7 +406,7 @@ class TestProperties:
         if from_array:
             g = TemporalGraph(
                 g.join_times, np.array(g.edges, dtype=np.int64).reshape(-1, 3),
-                directed=g.directed, allow_self_loops=g.allow_self_loops, simple=False,
+                directed=g.directed, allow_self_loops=g.allow_self_loops,
             )
         assert_writes_oracle_text(g)
 
@@ -421,8 +414,8 @@ class TestProperties:
         TemporalGraph([], []),
         TemporalGraph([0, 3, 3], [], directed=True),
         TemporalGraph([0, 1, 2], np.array([[0, 1, 4], [2, 1, 2], [1, 0, 5]]), directed=True),
-        TemporalGraph([0, 2**64], [(0, 1, 2**64), (1, 1, 2**64 + 3), (1, 0, 2**65)],
-                      allow_self_loops=True, simple=False, time_unit="week"),
+        TemporalGraph([0, 2**64], [(0, 1, 2**64), (1, 1, 2**64 + 3), (0, 0, 2**65)],
+                      allow_self_loops=True, time_unit="week"),
     ], ids=["empty", "isolated", "array", "past_int64"])
     def test_written_files_match_oracle_on_edge_cases(self, g):
         assert_writes_oracle_text(g)
@@ -443,8 +436,8 @@ class TestFirstLinks:
     @given(temporal_graphs())
     @settings(max_examples=200, deadline=None)
     def test_every_horizon_matches_brute_force(self, g):
-        # directed graphs with both arcs, self-loops, repeated pairs and
-        # isolated vertices all come from the strategy
+        # directed graphs with both arcs, self-loops and isolated vertices
+        # all come from the strategy
         edges = list(g.edges)
         times, v, w = g.first_links()
         assert (times.dtype, v.dtype, w.dtype) == (np.int64, np.int32, np.int32)
@@ -473,10 +466,20 @@ class TestFirstLinks:
                      for _ in range(rng.randint(0, 400))]
             if rng.random() < 1 / 3:
                 edges.sort(key=lambda e: e[2])
-            g = TemporalGraph([0] * n, edges, directed=rng.random() < 0.5,
-                              allow_self_loops=True, simple=False)
+            directed = rng.random() < 0.5
+            edges = distinct_pairs(edges, directed)
+            g = TemporalGraph([0] * n, edges, directed=directed, allow_self_loops=True)
             times, v, w = g.first_links()
             assert (times.tolist(), v.tolist(), w.tolist()) == first_links_ordered_brute(edges)
+
+
+    def test_directed_pair_keeps_its_earlier_arc(self):
+        # both arcs of each pair, the later arc first in input order
+        edges = [(1, 0, 7), (0, 1, 3), (2, 1, 4), (1, 2, 9), (2, 2, 5)]
+        g = TemporalGraph([0, 0, 0], edges, directed=True, allow_self_loops=True)
+        times, v, w = g.first_links()
+        got = (times.tolist(), v.tolist(), w.tolist())
+        assert got == first_links_ordered_brute(edges) == ([3, 3, 4, 4, 5], [0, 1, 2, 1, 2], [1, 0, 1, 2, 2])
 
 
 class TestAtomicWrite:
