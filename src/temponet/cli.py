@@ -62,11 +62,17 @@ def _require_positive(**values) -> None:
             raise ValueError(f"{name} must be positive")
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON value")
+
+
 def _load_json(path: str):
-    """The JSON document in the file ``path``; an error names the file."""
+    """The JSON document in the file ``path``; an error names the file.
+    ``NaN`` and ``Infinity``, which strict JSON lacks, are refused, so
+    no such value reaches a manifest."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_refuse_constant)
         except ValueError as exc:
             raise ValueError(f"cannot read {path}: {exc}") from None
 
@@ -93,7 +99,7 @@ def _write_manifest(args, params: dict, seed):
         "outputs": [args.out + suffix for suffix in args.out_suffixes],
     }
     with _replacing(args.out + ".manifest.json") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
+        json.dump(manifest, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -333,7 +339,9 @@ def cmd_stars(args) -> int:
     _write_manifest(
         args,
         {"dir": args.dir, "k": args.k, "w": args.w, "interval": args.interval,
-         "threshold": args.threshold, "format": args.format},
+         # strict JSON has no infinities: "inf" or "-inf" stand for them
+         "threshold": args.threshold if math.isfinite(args.threshold) else str(args.threshold),
+         "format": args.format},
         None,
     )
     print(f"rows={len(rows)} out={args.out}")

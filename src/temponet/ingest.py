@@ -15,14 +15,18 @@ clean ASCII stream in one delimiter style is parsed by a single
 malformed one raises for its first faulty line, with the reason that
 reader gives it first.
 
-Each key is sorted once, stably (see
-:func:`~temponet.temporal_graph._stable_order`): the endpoint ids, which
-give the vertices, their first appearance and join times; the pair
-keys, which give the dedupe; and the join times, which rank the
-vertices. Where ``(max - min + 1) * len`` of a key fits in int64 that is
-one plain sort of a packed value-and-position key; otherwise (ids or
-times spread wider, or Python ints) the default argsort, then one plain
-sort of a run-and-position key.
+The endpoint ids give the vertices, their first appearance and join
+times. Ids that span no more values than the stream has endpoints
+(``max - min + 1 <= 2 * E``, as in a stream of dense or near-dense ids)
+are counted, not sorted (see :func:`~temponet.temporal_graph._distinct`):
+a table indexed by ``id - min`` holds each id's first position. Wider
+ids, the pair keys, which give the dedupe, and the join times, which
+rank the vertices, are each sorted once, stably (see
+:func:`~temponet.temporal_graph._stable_order`). Where ``(max - min +
+1) * len`` of a key fits in int64 that is one plain sort of a packed
+value-and-position key; otherwise (ids or times spread wider, or Python
+ints) the default argsort, then one plain sort of a run-and-position
+key.
 """
 
 from __future__ import annotations
@@ -54,10 +58,11 @@ def read_edge_stream(
     record throughout and has no fault, and otherwise by a line-by-line
     reader, which gives the same columns; a file object is read once.
     Every later step (loop drop, dedupe, ranking, remap) is a numpy
-    operation over dense vertex indices, on one stable sort per key: the
-    endpoint ids, the pair keys and the join times, each by the packed
-    route or the run route of
-    :func:`~temponet.temporal_graph._stable_order`. Raises
+    operation over dense vertex indices. Endpoint ids that span no more
+    values than the stream has endpoints are counted, not sorted (see
+    :func:`~temponet.temporal_graph._distinct`); wider ids, the pair keys
+    and the join times keep one stable sort each, by the packed route or
+    the run route of :func:`~temponet.temporal_graph._stable_order`. Raises
     :class:`EdgeStreamParseError` naming the first malformed line, with
     the reason checked first (an undecodable byte, which a file opened
     with ``errors="surrogateescape"`` passes on, then a wrong field

@@ -494,9 +494,28 @@ def _stable_order(values: np.ndarray) -> np.ndarray:
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What ``np.unique(values, return_index=True, return_inverse=True)``
     returns: the sorted distinct values, the first position of each, and
-    each position's index into them. In the stable order the head of
-    each run of equal values is its first position, so one
-    :func:`_stable_order` gives all three."""
+    each position's index into them.
+
+    Int64 values that span no more than their count (``max - min + 1 <=
+    len``, as vertex ids do) are counted, not sorted: ``np.minimum.at``
+    takes each value's first position into a table indexed by ``value -
+    min``, whose filled slots are the distinct values in order and whose
+    running count of filled slots ranks each value for the inverse. Any
+    other input (a wider span, such as pair keys, or Python ints) takes
+    one :func:`_stable_order`, in whose order the head of each run of
+    equal values is its first position."""
+    e = len(values)
+    if e and values.dtype == np.int64:
+        low = int(values.min())
+        span = int(values.max()) - low + 1  # Python ints: no wrap
+        if span <= e:
+            slot = values - low
+            first = np.full(span, e, dtype=np.int64)  # e: no value there
+            np.minimum.at(first, slot, np.arange(e))
+            present = first < e
+            rank = np.cumsum(present)
+            rank -= 1
+            return np.flatnonzero(present) + low, first[present], rank[slot]
     order = _stable_order(values)
     ranked = values[order]
     head = np.ones(len(values), dtype=bool)
@@ -515,7 +534,8 @@ def _first_seen(records: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     with ``join``, the earliest timestamp of any record naming each, and
     ``first``, its first position in the endpoint sequence ``u0, v0, u1,
     v1, ...`` (source before target); ``index`` maps that sequence to
-    positions in ``ids``."""
+    positions in ``ids``. Ids that span no more values than the sequence
+    holds are counted, not sorted (see :func:`_distinct`)."""
     ids, first, index = _distinct(records[:, :2].ravel())
     times = np.repeat(records[:, 2], 2)
     join = times[first]

@@ -19,6 +19,10 @@ from temponet import TemporalGraph, compute_features, k_stars_vector, read_edge_
 SRC = str(Path(cli.__file__).resolve().parents[1])  # for child processes
 
 
+def refuse_constant(name):
+    raise AssertionError(f"{name} is not strict JSON")
+
+
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
@@ -126,6 +130,12 @@ ONE_LINE_ERRORS = {
     "generate_f_exp_no_base": ({}, "generate --model tpa --m 2 --schedule 5,5 --f exp --out {d}/o.csv"),
     "generate_config_not_json": ({"c.json": "1 2"}, "generate --config {d}/c.json --out {d}/o.csv"),
     "compare_settings_not_json": ({"s.json": "1 2"}, "compare --settings {d}/s.json --out {d}/o.csv"),
+    # strict JSON has no NaN or Infinity; a config key the manifest
+    # would copy is refused before anything is written
+    "generate_config_nan": ({"c.json": '{"model": "ba", "m": 2, "n": 10, "extra": NaN}'},
+                            "generate --config {d}/c.json --out {d}/o.csv"),
+    "compare_settings_infinity": ({"s.json": '[{"model": "ba", "m": 2, "n": 20, "extra": -Infinity}]'},
+                                  "compare --settings {d}/s.json --out {d}/o.csv"),
     "compare_schedule_one_value": ({"s.json": '[{"model": "tpa", "m": 2, "schedule": "polynomial:5", "f": "exp2"}]'},
                                    "compare --settings {d}/s.json --out {d}/o.csv"),
     "analyze_k_empty_field": ({"g.txt": GRAPH}, ANALYZE + "1 --k 1,,2"),
@@ -202,6 +212,8 @@ ERROR_WORDING = {
     "generate_f_exp_no_base": "error: --f 'exp': expected exp<b>, as in exp2",
     "generate_config_not_json": "c.json: Extra data: line 1 column 3 (char 2)",
     "compare_settings_not_json": "s.json: Extra data: line 1 column 3 (char 2)",
+    "generate_config_nan": "c.json: NaN is not a JSON value",
+    "compare_settings_infinity": "s.json: -Infinity is not a JSON value",
     "compare_schedule_one_value": "error: setting 0: schedule 'polynomial:5': a polynomial schedule",
     "analyze_k_empty_field": "error: --k '1,,2': ",
     "generate_f_no_form": "error: time-difference function {'b': 2} is missing parameter 'form'",
@@ -755,6 +767,18 @@ class TestStars:
         assert capsys.readouterr().err == f"notice: no {other} networks\n"
         with open(out) as fh:
             assert {row["class"] for row in csv.DictReader(fh)} == {label}
+        # strict JSON: the infinity is recorded as a string
+        manifest = json.loads(read_bytes(f"{out}.manifest.json"), parse_constant=refuse_constant)
+        assert manifest["params"]["threshold"] == threshold
+
+    def test_finite_threshold_stays_a_number(self, tmp_path):
+        d = self.make_network_dir(tmp_path, [("a", [5] * 5, 1)])
+        out = tmp_path / "s.csv"
+        assert run(["stars", "--dir", d, "--k", "1", "--w", "1", "--interval", "1",
+                    "--threshold", "0.25", "--out", str(out)]) == 0
+        text = read_bytes(f"{out}.manifest.json").decode()
+        assert '"threshold": 0.25,' in text
+        assert json.loads(text, parse_constant=refuse_constant)["params"]["threshold"] == 0.25
 
     def test_offset_timestamps_are_normalized(self, tmp_path):
         d = tmp_path / "offset"

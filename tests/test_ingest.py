@@ -306,6 +306,47 @@ class TestWideIdsAndOffsets:
         assert tables[0] == tables[1] and tables[0].count(b"\n") > 1
 
 
+class TestCountedIds:
+    """Endpoint ids spanning no more values than the stream has endpoints
+    are counted, not sorted; one value wider, they take the sort. Both
+    routes read the same graph as the loop reader."""
+
+    @staticmethod
+    def spread(seed, extra):
+        """``raw_stream_records(seed)`` with its ids moved injectively onto
+        values from ``10**12 + seed`` whose span is the endpoint count
+        plus ``extra``, both ends taken; and the endpoint count."""
+        records = raw_stream_records(seed)
+        rng = random.Random(seed)
+        ids = sorted({x for u, v, _ in records for x in (u, v)})
+        low, span = 10**12 + seed, 2 * len(records) + extra
+        inner = rng.sample(range(low + 1, low + span - 1), len(ids) - 2)
+        values = [low, low + span - 1, *inner]
+        rng.shuffle(values)
+        moved = dict(zip(ids, values))
+        return [f"{moved[u]} {moved[v]} {t}\n" for u, v, t in records], 2 * len(records)
+
+    @pytest.mark.parametrize("extra, sorted_ids", [(0, False), (1, True)])
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_reader_matches_oracle_and_round_trips(self, tmp_path, monkeypatch, extra, sorted_ids, directed):
+        lengths = []
+        stable_order = temporal_graph._stable_order
+        monkeypatch.setattr(temporal_graph, "_stable_order",
+                            lambda values: lengths.append(len(values)) or stable_order(values))
+        for seed in range(3):
+            lines, endpoints = self.spread(seed, extra)
+            lengths.clear()
+            g = read_edge_stream(lines, directed=directed)
+            assert (endpoints in lengths) == sorted_ids  # only the endpoint sequence is that long
+            assert (list(g.join_times), list(g.edges)) == read_edge_stream_brute(lines, directed=directed)
+            path = str(tmp_path / f"g{seed}.csv")
+            write_edge_list(g, path)
+            back = read_edge_list(path)
+            for column in ("join", "u", "v", "t"):
+                assert getattr(back, column).tolist() == getattr(g, column).tolist(), column
+            assert (back.directed, back.allow_self_loops) == (directed, False)
+
+
 class TestFixedPoint:
     def test_ingest_serialize_ingest_is_identity(self):
         rng = random.Random(21)

@@ -194,6 +194,12 @@ SORT_CASES = {
     "int64_extremes": np.array([2**63 - 1, -(2**63), 0, 2**63 - 1, -(2**63), -1]),
     "int64_max_only": np.array([2**63 - 1] * 4),
     "int64_min_only": np.array([-(2**63)] * 3 + [-(2**63) + 1]),
+    # _distinct counts where max - min + 1 <= len, and sorts one value wider
+    "span_equals_count": np.array([5, 0, 3, 5, 2, 1]),
+    "span_one_wider": np.array([6, 0, 3, 6, 2, 1]),
+    "span_under_count_negative": np.array([-4, -1, -4, 0, -2, -1, -4]),
+    "span_near_int64_max": np.array([2**63 - 1, 2**63 - 3, 2**63 - 1]),
+    "span_near_int64_min": np.array([-(2**63) + 2, -(2**63), -(2**63) + 2, -(2**63)]),
     "object_past_2_64": np.array([2**70, 5, 2**64, -3, 2**70, 5, 2**64 + 1], dtype=object),
     "object_empty": np.array([], dtype=object),
     "object_one": np.array([2**65], dtype=object),
@@ -229,6 +235,31 @@ class TestSortHelpers:
         assert not calls  # one plain sort of the packed key
         temporal_graph._stable_order(packing_edge(e, above=1))
         assert calls  # the default argsort, then the run key
+
+    def test_distinct_counts_narrow_values_and_sorts_wider_ones(self, monkeypatch):
+        calls = []
+        stable_order = temporal_graph._stable_order
+        monkeypatch.setattr(temporal_graph, "_stable_order", lambda v: calls.append(1) or stable_order(v))
+        for name, sorts in (("span_equals_count", False), ("span_under_count_negative", False),
+                            ("span_near_int64_max", False), ("span_near_int64_min", False),
+                            ("span_one_wider", True), ("object_one", True)):
+            calls.clear()
+            temporal_graph._distinct(SORT_CASES[name])
+            assert bool(calls) == sorts, name
+
+    def test_random_narrow_values_are_counted_right(self):
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            e = int(rng.integers(1, 80))
+            span = int(rng.integers(1, e + 1))
+            low = int(rng.choice([0, -40, 10**12, 2**63 - span, -(2**63)]))
+            values = low + rng.integers(0, span, e)
+            assert int(values.max()) - int(values.min()) + 1 <= e
+            got = temporal_graph._distinct(values)
+            expected = np.unique(values, return_index=True, return_inverse=True)
+            assert got[0].dtype == expected[0].dtype
+            for a, b in zip(got, expected):
+                assert a.tolist() == b.tolist()
 
     def test_random_values_on_both_routes(self):
         rng = np.random.default_rng(5)
