@@ -12,7 +12,6 @@ from .generators import (
     tpa_generate,
 )
 from .metrics import (
-    FeatureVector,
     avg_clustering,
     avg_shortest_path,
     compute_features,
@@ -56,7 +55,6 @@ __all__ = [
     "group_probabilities",
     "make_schedule",
     "tpa_generate",
-    "FeatureVector",
     "avg_clustering",
     "avg_shortest_path",
     "compute_features",

@@ -178,12 +178,10 @@ def cmd_generate(args) -> int:
 
 
 def _analysis_rows(graph: TemporalGraph, interval: int, k_values: list[int], x_min: int) -> list[dict]:
-    graph.first_links()  # every feature reads it; fails first on times past int64
     horizons = graph.horizons(interval)
     # lead with the activation time so every interval has a row
     if horizons and horizons[0] > graph.t_min:
         horizons.insert(0, graph.t_min)
-    # first, as it refuses join times past int64 before they are searched
     star_vectors = dict(zip(k_values, k_stars_vectors(graph, horizons, k_values)))
     # snapshots are nested prefixes, so a row's snapshot is the one of the
     # row before unless a join or an edge falls between their horizons;
@@ -193,7 +191,7 @@ def _analysis_rows(graph: TemporalGraph, interval: int, k_values: list[int], x_m
     rows = []
     for i, (horizon, new) in enumerate(zip(horizons, changed.tolist())):
         if new:
-            features = compute_features(graph.snapshot_at(horizon), gamma_x_min=x_min).to_dict()
+            features = compute_features(graph.snapshot_at(horizon), gamma_x_min=x_min)
         row = {"t": horizon, **features}
         # joined at or before t; evolution.jrc counts strictly before t_min + t
         row["jrc"] = row["vertices"] / graph.n_vertices
@@ -239,7 +237,7 @@ def cmd_analyze(args) -> int:
 def _setting_features(merged: dict, interval: int) -> dict:
     graph = _generate_graph(merged)
     x_min = merged.get("xmin", merged.get("m", 2))
-    features = compute_features(graph.snapshot_at(graph.t_end), gamma_x_min=x_min).to_dict()
+    features = compute_features(graph.snapshot_at(graph.t_end), gamma_x_min=x_min)
     horizons = graph.horizons(interval)
     for k, vector in zip(_STAR_SIZES, k_stars_vectors(graph, horizons, _STAR_SIZES)):
         features[f"stars_k{k}"] = k_stars_number(vector)
@@ -309,8 +307,7 @@ def cmd_stars(args) -> int:
             label = classify_vibrancy(vibrancy(jrc(g, args.interval)), args.threshold)
             vector = sparse_star_vector(g, args.k, args.interval)
         except (ValueError, OverflowError) as exc:
-            kind = OverflowError if isinstance(exc, OverflowError) else ValueError
-            raise kind(f"{path}: {exc}") from None
+            raise ValueError(f"{path}: {exc}") from None
         networks.append((label, g.active_time, vector))
         del g  # one network in memory at a time
     if not networks:

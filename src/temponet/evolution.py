@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .metrics import k_stars_vector
-from .temporal_graph import TemporalGraph, _check_grid, _require_int64
+from .temporal_graph import TemporalGraph, _check_grid
 
 
 @dataclass
@@ -65,8 +65,9 @@ def jrc(g: TemporalGraph, interval: int) -> Jrc:
     interval containing them), measured from the first arrival. The
     grid extends one step past the last arrival so the curve always
     closes at 1. A zero-span network collapses to [(0, 0), (0, 1)]. A
-    grid of more than 10**7 samples raises ``ValueError``, and join or
-    grid times past the int64 range raise ``OverflowError``.
+    grid of more than 10**7 samples raises ``ValueError``, and grid
+    times past the int64 range (an ``interval`` too large) raise
+    ``OverflowError``.
     """
     if g.n_vertices == 0:
         raise ValueError("cannot compute a join-rate curve for an empty graph")
@@ -75,7 +76,6 @@ def jrc(g: TemporalGraph, interval: int) -> Jrc:
     span = g.active_time
     if span == 0:
         return Jrc(t=np.zeros(2, dtype=np.int64), value=np.array([0.0, 1.0]))
-    _require_int64(g.join, "join")
     steps = span // interval + 1
     _check_grid(steps + 1, interval)
     if g.t_min + steps * interval > np.iinfo(np.int64).max:

@@ -1,14 +1,15 @@
 """Build temporal graphs from raw timestamped edge streams.
 
 Accepts whitespace- or comma-delimited text with three integer columns
-``source target timestamp``; ``#``-prefixed lines are comments. Records
+``source target timestamp``, each in the int64 range; ``#``-prefixed
+lines are comments. Records
 need not be time-ordered. A vertex's join time is the earliest
 timestamp of any record mentioning it. The grammar and the join rule are
 the ones :func:`temponet.temporal_graph.read_edge_list` applies to a
 sidecar-backed file.
 
 The path is columnar: the parser reads a file once and turns the
-records into one ``(E, 3)`` integer array, and the loop drop, dedupe,
+records into one ``(E, 3)`` int64 array, and the loop drop, dedupe,
 ranking and remap are numpy operations over dense vertex indices. A
 clean ASCII stream in one delimiter style is parsed by a single
 ``np.loadtxt`` call; any other stream is read line by line, and a
@@ -24,9 +25,8 @@ ids, the pair keys, which give the dedupe, and the join times, which
 rank the vertices, are each sorted once, stably (see
 :func:`~temponet.temporal_graph._stable_order`). Where ``(max - min +
 1) * len`` of a key fits in int64 that is one plain sort of a packed
-value-and-position key; otherwise (ids or times spread wider, or Python
-ints) the default argsort, then one plain sort of a run-and-position
-key.
+value-and-position key; otherwise (ids or times spread wider) the
+default argsort, then one plain sort of a run-and-position key.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def read_edge_stream(
     dense ids in join order (ties broken by first appearance), which
     leaves conforming streams unchanged.
 
-    The records are parsed into integer columns, by one ``np.loadtxt``
+    The records are parsed into int64 columns, by one ``np.loadtxt``
     call when the stream is ASCII, uses the delimiter of its first
     record throughout and has no fault, and otherwise by a line-by-line
     reader, which gives the same columns; a file object is read once.
@@ -66,7 +66,8 @@ def read_edge_stream(
     :class:`EdgeStreamParseError` naming the first malformed line, with
     the reason checked first (an undecodable byte, which a file opened
     with ``errors="surrogateescape"`` passes on, then a wrong field
-    count, a non-integer field, a negative timestamp).
+    count, a non-integer field, a field outside the int64 range, a
+    negative timestamp).
 
     The first-fault rule holds for a file opened with
     ``errors="surrogateescape"``, as the CLI and

@@ -38,12 +38,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, asdict
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .temporal_graph import Snapshot, TemporalGraph, _require_int64
+from .temporal_graph import Snapshot, TemporalGraph
 
 _SP_BLOCK = 512  # sources per block of a giant above _SP_ONE_BLOCK vertices
 _SP_ONE_BLOCK = 1024
@@ -54,22 +53,6 @@ _SP_SPARSE = 0.4
 # neighbour slots per row that the dense BFS step ORs as contiguous slabs
 _SP_SLABS = 16
 _GAMMA_MIN_TAIL = 50
-
-
-@dataclass
-class FeatureVector:
-    """Flat feature record for one snapshot."""
-
-    vertices: int
-    edges: int
-    density: float | None
-    avg_clustering: float | None
-    avg_shortest_path: float | None
-    max_degree: int
-    gamma: float | None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _simple_pairs(s: Snapshot) -> tuple[np.ndarray, np.ndarray]:
@@ -205,7 +188,7 @@ def _mean_bfs_distance(indptr: np.ndarray, indices: np.ndarray, sources: np.ndar
     # them per row. The dense step keeps the full frontier array in
     # place; it is converted to rows and words only at a switch. No row
     # is empty, as the graph is one component of 2+ vertices. The
-    # path-length sum is an exact Python int over all n * (n - 1)
+    # path-length sum is an exact int over all n * (n - 1)
     # ordered pairs.
     #
     # ``reduceat`` costs per row it reads, so the dense step ORs most
@@ -336,8 +319,7 @@ def k_stars_vector(g: TemporalGraph, horizons: Sequence[int], k: int) -> list[in
 
     Entry ``i`` is the number of vertices in the top-k at ``horizons[i]``
     that were not in the top-k at time 0 or at any earlier horizon. The
-    time-0 star set is empty when no vertex has joined by time 0. Join
-    or edge times past the int64 range raise ``OverflowError``. The
+    time-0 star set is empty when no vertex has joined by time 0. The
     sweep is :func:`k_stars_vectors`'s, for the one size ``k``.
     """
     return k_stars_vectors(g, horizons, [k])[0]
@@ -376,7 +358,6 @@ def k_stars_vectors(g: TemporalGraph, horizons: Sequence[int], ks: Sequence[int]
         prev = t
     # the degree of v at t counts v's events at or before t
     ev_t, ev_v, _ = g.first_links()
-    _require_int64(g.join, "join")
     n = g.n_vertices
     points = np.array([0, *horizons], dtype=np.int64)
     ends = np.searchsorted(ev_t, points, side="right").tolist()
@@ -486,15 +467,18 @@ def power_law_gamma(degrees: Iterable[int], x_min: int) -> float | None:
     return 1.0 + len(tail) / log_sum
 
 
-def compute_features(s: Snapshot, *, gamma_x_min: int = 2) -> FeatureVector:
-    """Assemble the full per-snapshot feature battery."""
+def compute_features(s: Snapshot, *, gamma_x_min: int = 2) -> dict:
+    """The full per-snapshot feature battery, keyed in the order of the
+    ``analyze`` columns: ``vertices``, ``edges``, ``density``,
+    ``avg_clustering``, ``avg_shortest_path``, ``max_degree`` and
+    ``gamma``; an undefined value is ``None``."""
     degrees = s.degrees()
-    return FeatureVector(
-        vertices=s.n_vertices,
-        edges=s.n_edges,
-        density=density(s),
-        avg_clustering=avg_clustering(s),
-        avg_shortest_path=avg_shortest_path(s),
-        max_degree=max(degrees, default=0),
-        gamma=power_law_gamma(degrees, gamma_x_min),
-    )
+    return {
+        "vertices": s.n_vertices,
+        "edges": s.n_edges,
+        "density": density(s),
+        "avg_clustering": avg_clustering(s),
+        "avg_shortest_path": avg_shortest_path(s),
+        "max_degree": max(degrees, default=0),
+        "gamma": power_law_gamma(degrees, gamma_x_min),
+    }

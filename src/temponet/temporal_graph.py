@@ -1,13 +1,12 @@
 """Core data model: networks whose vertices and edges carry arrival times.
 
-A :class:`TemporalGraph` is four integer numpy columns (int64, or Python
-ints where a value passes that range) and a first-link index built on
-first use; its ``join_times`` and ``edges`` tuples are built on each
-read. It is immutable, so any number of readers may take
+A :class:`TemporalGraph` is four int64 numpy columns and a first-link
+index built on first use; its ``join_times`` and ``edges`` tuples are
+built on each read. It is immutable, so any number of readers may take
 :class:`Snapshot` views concurrently.
 Timestamps are opaque non-negative integers in caller-defined units
-(weeks, years, iteration indices); the toolkit never converts calendar
-units.
+(weeks, years, iteration indices, epoch nanoseconds), below 2**63; the
+toolkit never converts calendar units.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import numpy as np
 Edge = tuple[int, int, int]  # (source, target, created)
 
 _META_SUFFIX = ".meta.json"
-# a horizon list holds a Python int per entry (~36 bytes), and every
+# a horizon list holds an int object per entry (~36 bytes), and every
 # caller does at least that much work per horizon: ~0.4 GB at the cap
 _MAX_HORIZONS = 10**7
 # what ``errors="surrogateescape"`` decodes an undecodable byte to
@@ -46,27 +45,29 @@ def _check_grid(count: int, interval: int) -> None:
         )
 
 
-def _require_int64(column: np.ndarray, what: str) -> None:
-    """Refuse a time column that holds Python ints past the int64 range
-    (see :func:`_int_column`), naming ``what`` times."""
-    if column.dtype != np.int64:
-        raise OverflowError(
-            f"{what} times pass the int64 range; zero-basing the stream"
-            " (as `stars` does) brings them into range if its span fits"
-        )
-
-
-def _int_column(values) -> np.ndarray:
-    """``values`` as an int64 array when every value fits, else as an
-    array of Python ints (dtype ``object``)."""
-    if not isinstance(values, np.ndarray):
-        values = list(values)
-    elif values.dtype != np.int64:
-        values = values.tolist()  # a cast would wrap uint64 values past the int64 range
+def _int_column(values, what: str) -> np.ndarray:
+    """``values`` as a new int64 array. Anything else raises
+    ``ValueError`` naming ``what``: an array whose kind is not integer,
+    or a value that is not an integer (no float is truncated and no
+    string parsed), then a value outside the int64 range (no uint64
+    value is wrapped)."""
+    if isinstance(values, np.ndarray):
+        if values.size and values.dtype.kind not in "iu":
+            raise ValueError(f"{what} must be integers")
+        rows = values if values.dtype == np.int64 else values.tolist()  # a cast would wrap uint64
+    else:
+        rows = list(values)
+        column = np.array(rows)
+        if column.dtype == np.int64:
+            return column
+        # the values as given, which that array may have turned into floats
+        cells = (x for row in rows for x in (row if isinstance(row, (list, tuple, np.ndarray)) else (row,)))
+        if not all(isinstance(x, (int, np.integer)) for x in cells):
+            raise ValueError(f"{what} must be integers")
     try:
-        return np.array(values, dtype=np.int64)
+        return np.array(rows, dtype=np.int64)
     except OverflowError:
-        return np.frompyfunc(int, 1, 1)(np.array(values, dtype=object))
+        raise ValueError(f"{what} must lie in the int64 range") from None
 
 
 def _pair_keys(u: np.ndarray, v: np.ndarray, n: int, directed: bool) -> np.ndarray:
@@ -94,14 +95,14 @@ class TemporalGraph:
     have joined no later than the edge was created. A repeated pair
     (ordered when ``directed``) is rejected, and so is a self-loop unless
     ``allow_self_loops`` is set. ``edges`` is an iterable of ``(source,
-    target, created)`` triples or an ``(E, 3)`` integer array.
+    target, created)`` triples or an ``(E, 3)`` integer array. A value
+    that is not an integer, or lies outside the int64 range, is refused
+    before any of these checks.
 
-    The graph is held in four read-only numpy columns: ``join``, the
-    join time of each vertex id, and ``u``, ``v``, ``t``, the source,
-    target and creation time of each edge in input order. ``u`` and
-    ``v`` are int64; ``join`` and ``t`` are int64 when every value fits
-    and hold Python ints (dtype ``object``) otherwise, so timestamps of
-    2**63 and above are kept exactly. Besides them the graph keeps only
+    The graph is held in four read-only int64 numpy columns: ``join``,
+    the join time of each vertex id, and ``u``, ``v``, ``t``, the
+    source, target and creation time of each edge in input order.
+    Besides them the graph keeps only
     its first-link index, built on first use (:meth:`first_links`); the
     tuples ``join_times`` and ``edges`` are built on each read.
     """
@@ -132,14 +133,12 @@ class TemporalGraph:
         self.allow_self_loops = bool(allow_self_loops)
         self.time_unit = time_unit
         self.info = dict(info) if info else {}
-        self.join = _int_column(join_times)
-        e = _int_column(edges)
+        self.join = _int_column(join_times, "join times")
+        e = _int_column(edges, "edge fields")
         if e.size and e.shape[1:] != (3,):
             raise ValueError("an edge is a (source, target, created) triple")
         self.u, self.v, self.t = e.reshape(-1, 3).T
         self._validate()
-        # every id is known now, so it fits
-        self.u, self.v = self.u.astype(np.int64, copy=False), self.v.astype(np.int64, copy=False)
         for column in (self.join, self.u, self.v, self.t):
             column.flags.writeable = False
         self._first_links = None  # built on first use
@@ -160,7 +159,7 @@ class TemporalGraph:
         known = (0 <= u) & (u < n) & (0 <= v) & (v < n)
         # the masks below look only at edges before the first unknown id
         end = len(known) if known.all() else int(known.argmin())
-        a, b, c = u[:end].astype(np.int64, copy=False), v[:end].astype(np.int64, copy=False), t[:end]
+        a, b, c = u[:end], v[:end], t[:end]
         bad = (join[a] > c) | (join[b] > c)
         if not self.allow_self_loops:
             bad |= a == b
@@ -187,10 +186,6 @@ class TemporalGraph:
         g.info = dict(self.info)
         g.u, g.v = self.u, self.v
         g.join, g.t = self.join - shift, self.t - shift
-        if g.join.dtype != np.int64:  # Python ints: those that now fit become int64
-            g.join = _int_column(g.join)
-        if g.t.dtype != np.int64:
-            g.t = _int_column(g.t)
         g.join.flags.writeable = g.t.flags.writeable = False
         g._first_links = None
         return g
@@ -271,11 +266,9 @@ class TemporalGraph:
         snapshot's undirected simple projection is thus a prefix.
 
         ``times`` is int64 and ``v``, ``w`` are int32. The index is built
-        on first use, so a graph whose raw timestamps do not fit in 64
-        bits can still be normalized; indexing it raises ``OverflowError``.
+        on first use.
         """
         if self._first_links is None:
-            _require_int64(self.t, "edge")
             u, v, times = self.u, self.v, self.t
             if (times[1:] < times[:-1]).any():  # generated graphs never sort
                 order = _stable_order(times)  # equal times stay in input order
@@ -347,9 +340,9 @@ class EdgeStreamParseError(ValueError):
 
 def _parse_records(source: Iterable[str]) -> np.ndarray:
     """The ``source target timestamp`` records of an edge list as an
-    ``(E, 3)`` integer array (see :func:`_int_column`): three integer
-    fields split by commas or whitespace, timestamps non-negative; blank
-    and ``#``-prefixed lines are skipped.
+    ``(E, 3)`` int64 array: three integer fields in the int64 range,
+    split by commas or whitespace, timestamps non-negative; blank and
+    ``#``-prefixed lines are skipped.
 
     A file object is read once, with ``read()``, and split into the
     lines, and line numbers, that iterating it gives when it was opened
@@ -444,7 +437,8 @@ def _read_records(lines: Iterable[str]) -> np.ndarray:
     :class:`EdgeStreamParseError` at the first line holding an
     undecodable byte (U+DC80-U+DCFF, as ``surrogateescape`` decodes it;
     comments and blank lines included), a wrong field count, a
-    non-integer field or a negative timestamp, checked in that order."""
+    non-integer field, a field outside the int64 range or a negative
+    timestamp, checked in that order."""
     fields: list[int] = []  # three per record
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -459,22 +453,24 @@ def _read_records(lines: Iterable[str]) -> np.ndarray:
             fields += map(int, parts)
         except ValueError:
             raise EdgeStreamParseError(line_no, line, "fields must be integers") from None
+        if min(fields[-3:]) < -(2**63) or max(fields[-3:]) >= 2**63:
+            raise EdgeStreamParseError(line_no, line, "fields must lie in the int64 range")
         if fields[-1] < 0:
             raise EdgeStreamParseError(line_no, line, "negative timestamp")
-    return _int_column(fields).reshape(-1, 3)
+    return np.array(fields, dtype=np.int64).reshape(-1, 3)
 
 
 def _stable_order(values: np.ndarray) -> np.ndarray:
     """``np.argsort(values, kind="stable")``, by one plain sort of
     ``(value - min) * len + position`` where that key fits in int64, and
-    otherwise (a wider range, or Python ints) by the default argsort,
-    then one plain sort of ``run * len + position``, which puts each run
-    of equal values back in input order. Either way is cheaper than
-    numpy's stable sort."""
+    otherwise (a wider range) by the default argsort, then one plain
+    sort of ``run * len + position``, which puts each run of equal
+    values back in input order. Either way is cheaper than numpy's
+    stable sort."""
     e = len(values)
-    if e and values.dtype == np.int64:
+    if e:
         low = int(values.min())
-        if (int(values.max()) - low + 1) * e < 2**63:  # Python ints: no wrap
+        if (int(values.max()) - low + 1) * e < 2**63:  # unbounded ints: no wrap
             key = values - low
             key *= e
             key += np.arange(e)
@@ -496,18 +492,18 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     returns: the sorted distinct values, the first position of each, and
     each position's index into them.
 
-    Int64 values that span no more than their count (``max - min + 1 <=
+    Values that span no more than their count (``max - min + 1 <=
     len``, as vertex ids do) are counted, not sorted: ``np.minimum.at``
     takes each value's first position into a table indexed by ``value -
     min``, whose filled slots are the distinct values in order and whose
-    running count of filled slots ranks each value for the inverse. Any
-    other input (a wider span, such as pair keys, or Python ints) takes
-    one :func:`_stable_order`, in whose order the head of each run of
-    equal values is its first position."""
+    running count of filled slots ranks each value for the inverse.
+    Values of a wider span, such as pair keys, take one
+    :func:`_stable_order`, in whose order the head of each run of equal
+    values is its first position."""
     e = len(values)
-    if e and values.dtype == np.int64:
+    if e:
         low = int(values.min())
-        span = int(values.max()) - low + 1  # Python ints: no wrap
+        span = int(values.max()) - low + 1  # unbounded ints: no wrap
         if span <= e:
             slot = values - low
             first = np.full(span, e, dtype=np.int64)  # e: no value there
@@ -614,7 +610,8 @@ def read_edge_list(path) -> TemporalGraph:
     written. Raises :class:`EdgeStreamParseError` on a malformed line
     and ``ValueError`` when the sidecar lacks a required key, holds a
     value of the wrong type, or an id below the largest has neither a
-    record nor an explicit join time, or the file repeats a pair. An old
+    record nor an explicit join time, an explicit join time lies past
+    the int64 range, or the file repeats a pair. An old
     sidecar's ``"simple"`` key must be true or false; it is ignored.
     """
     path = str(path)

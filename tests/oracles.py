@@ -20,11 +20,20 @@ from scipy.sparse.csgraph import connected_components
 from temponet import EdgeStreamParseError
 
 
+def in_int64(x):
+    return -(2**63) <= x < 2**63
+
+
 def validate_brute(join_times, edges, directed=False, allow_self_loops=False):
     """The constructor's checks as one loop over the join times and one
     over the edges: raises ``ValueError`` for the first fault in input
-    order."""
+    order, after a join time, then an edge field, outside the int64
+    range."""
     joins, loops_ok = join_times, allow_self_loops
+    if not all(in_int64(t) for t in joins):
+        raise ValueError("join times must lie in the int64 range")
+    if not all(in_int64(x) for edge in edges for x in edge):
+        raise ValueError("edge fields must lie in the int64 range")
     n = len(joins)
     prev = 0
     for t in joins:
@@ -52,7 +61,8 @@ def validate_brute(join_times, edges, directed=False, allow_self_loops=False):
 def parse_records_brute(lines):
     """The edge-list grammar as one loop over the lines: raises
     ``EdgeStreamParseError`` at the first line with a wrong field count,
-    a non-integer field or a negative timestamp, checked in that order."""
+    a non-integer field, a field outside the int64 range or a negative
+    timestamp, checked in that order."""
     records = []
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -65,6 +75,8 @@ def parse_records_brute(lines):
             u, v, t = (int(x) for x in fields)
         except ValueError:
             raise EdgeStreamParseError(line_no, line, "fields must be integers") from None
+        if not all(in_int64(x) for x in (u, v, t)):
+            raise EdgeStreamParseError(line_no, line, "fields must lie in the int64 range")
         if t < 0:
             raise EdgeStreamParseError(line_no, line, "negative timestamp")
         records.append((u, v, t))

@@ -81,10 +81,10 @@ ONE_LINE_ERRORS = {
     "analyze_time_past_int64": ({"g.txt": "0 1 5\n1 2 18446744073709551616\n"}, ANALYZE + "1"),
     "analyze_offset_past_int64": ({"g.txt": path_stream(2**64)}, ANALYZE + "1"),
     "analyze_horizon_grid_too_large": ({"g.txt": "0 1 0\n1 2 4611686018427387904\n"}, ANALYZE + "1"),
-    # a sidecar join time past int64, read by the star vector on a one-point grid
+    # a sidecar join time past int64, refused as the graph is built
     "analyze_join_time_past_int64": ({"g.csv": "0,1,5\n", "g.csv.meta.json": json.dumps(
                                          {**_META, "explicit_join_times": {"2": 2**64}})},
-                                     "analyze --in {d}/g.csv --out {d}/o.csv --interval " + str(2**65)),
+                                     "analyze --in {d}/g.csv --out {d}/o.csv --interval 1"),
     "analyze_sidecar_repeats_a_pair": ({"g.csv": "0,1,5\n1,0,6\n", "g.csv.meta.json": json.dumps(
                                            {**_META, "simple": False})},
                                        "analyze --in {d}/g.csv --out {d}/o.csv --interval 1"),
@@ -158,10 +158,6 @@ ONE_LINE_ERRORS = {
     # refused before the network whose join-rate grid is too long is read
     "stars_k_zero_before_a_faulty_network": ({"g.txt": "0 1 0\n1 2 2147483648\n"},
                                              "stars --dir {d} --k 0 --w 1 --interval 1 --out {d}/o.csv"),
-    # an edge time past int64 after zero-basing: the class grid (interval 10
-    # over an active time of 5) is empty, yet the network's fault is raised
-    "stars_vector_fault_in_a_class_too_short": ({"g.txt": f"0 1 0\n1 2 5\n0 2 {2**64}\n"},
-                                                "stars --dir {d} --k 1 --w 1 --interval 10 --out {d}/o.csv"),
     # refused before the unreadable a.txt gets its notice
     "stars_w_zero": ({"a.txt": "a b c\n", "g.txt": GRAPH},
                      "stars --dir {d} --k 1 --w 0 --interval 1 --out {d}/o.csv"),
@@ -169,9 +165,6 @@ ONE_LINE_ERRORS = {
                                 "stars --dir {d} --k 1 --w 1 --interval -1 --out {d}/o.csv"),
     "stars_threshold_nan": ({"a.txt": "a b c\n", "g.txt": GRAPH},
                             "stars --dir {d} --k 1 --w 1 --interval 1 --threshold nan --out {d}/o.csv"),
-    # a join time past int64 after zero-basing, refused by the join-rate curve
-    "stars_join_time_past_int64": ({"g.txt": "0 1 0\n1 2 9223372036854775812\n"},
-                                   "stars --dir {d} --k 1 --w 1 --interval 1 --out {d}/o.csv"),
     # the join-rate grid's last time, 2**63, would wrap to -2**63
     "stars_join_rate_grid_past_int64": ({"g.txt": "0 1 0\n1 2 9223372036854775807\n"},
                                         "stars --dir {d} --k 1 --w 1 --interval 4611686018427387904"
@@ -179,12 +172,14 @@ ONE_LINE_ERRORS = {
 }
 
 # What those errors must say, where the wording is pinned.
-PAST_INT64 = "edge times pass the int64 range; zero-basing the stream (as `stars` does)"
 ERROR_WORDING = {
-    "analyze_time_past_int64": PAST_INT64,
-    "analyze_offset_past_int64": PAST_INT64,
+    # a field past int64 is refused at its line, as the file is read
+    "analyze_time_past_int64":
+        "/g.txt: line 2: fields must lie in the int64 range: '1 2 18446744073709551616'\n",
+    "analyze_offset_past_int64":
+        "/g.txt: line 1: fields must lie in the int64 range: '0 1 18446744073709551616'\n",
     "analyze_horizon_grid_too_large": "interval 1 gives 4611686018427387904 horizons",
-    "analyze_join_time_past_int64": "error: join times pass the int64 range; zero-basing the stream",
+    "analyze_join_time_past_int64": "/g.csv: join times must lie in the int64 range\n",
     "analyze_sidecar_repeats_a_pair": "g.csv: duplicate edge (1, 0) in simple graph",
     "compare_xmin_string": "error: setting 0: xmin must be an integer, not '3'",
     "compare_xmin_bool": "error: setting 0: xmin must be an integer, not True",
@@ -197,8 +192,6 @@ ERROR_WORDING = {
     "stars_k_negative_classes_too_short": "error: k must be positive",
     "stars_k_zero_before_a_faulty_network": "error: k must be positive",
     # a network's fault names its file
-    "stars_vector_fault_in_a_class_too_short": "g.txt: " + PAST_INT64,
-    "stars_join_time_past_int64": "g.txt: join times pass the int64 range; zero-basing the stream",
     "stars_join_rate_grid_past_int64": "g.txt: interval 4611686018427387904 gives join-rate grid times past",
     "stars_w_zero": "error: w must be positive",
     "stars_interval_negative": "error: interval must be positive",
@@ -404,7 +397,7 @@ class TestAnalyze:
             want = []
             for i, h in enumerate(horizons):
                 s = g.snapshot_at(h)
-                row = {"t": h, **compute_features(s, gamma_x_min=x_min).to_dict()}
+                row = {"t": h, **compute_features(s, gamma_x_min=x_min)}
                 row["jrc"] = s.n_vertices / g.n_vertices
                 want.append({**row, **{f"new_stars_k{k}": stars[k][i] for k in k_values}})
             assert rows == want
@@ -475,7 +468,7 @@ class TestCompare:
         for seed in (1, 2, 3):
             g = tpa_generate(TpaParams(m=2, schedule=(10, 20, 40),
                                        f=TimeDiffFn.exp_base(2), seed=seed))
-            ccs.append(compute_features(g.snapshot_at(g.t_end), gamma_x_min=2).avg_clustering)
+            ccs.append(compute_features(g.snapshot_at(g.t_end), gamma_x_min=2)["avg_clustering"])
         assert float(rows[0]["avg_clustering"]) == pytest.approx(sum(ccs) / 3)
 
     def test_failed_setting_aborts_row_not_run(self, tmp_path, capsys):
@@ -553,8 +546,8 @@ class TestCompare:
         from temponet import baseline_generate, compute_features
 
         g = baseline_generate("ba", 70, seed=4, m=2)
-        fv = compute_features(g.snapshot_at(g.t_end), gamma_x_min=2)
-        assert float(row["max_degree"]) == fv.max_degree
+        features = compute_features(g.snapshot_at(g.t_end), gamma_x_min=2)
+        assert float(row["max_degree"]) == features["max_degree"]
 
     def test_thread_env_keeps_row_order(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TEMPONET_THREADS", "4")
@@ -794,18 +787,34 @@ class TestStars:
         assert [int(r["t"]) for r in rows] == [2, 4, 6]
         assert sum(int(r["total"]) for r in rows) > 0
 
-    def test_timestamps_past_int64_are_normalized(self, tmp_path):
-        # analyze refuses this stream; zero-basing brings it into range
-        rows = []
-        for name, offset in (("huge", 2**64), ("plain", 0)):
+    def test_a_file_past_int64_is_skipped_with_a_notice(self, tmp_path, capsys):
+        # the rest of the directory aggregates as it does alone
+        runs = []
+        for name, files in (("mixed", {"huge.txt": path_stream(2**64), "raw.txt": path_stream(0)}),
+                            ("plain", {"raw.txt": path_stream(0)})):
             d = tmp_path / name
             d.mkdir()
-            (d / "raw.txt").write_text(path_stream(offset))
+            for file_name, text in files.items():
+                (d / file_name).write_text(text)
             out = str(tmp_path / f"{name}.csv")
             assert run(["stars", "--dir", str(d), "--k", "2", "--w", "1",
                         "--interval", "1", "--out", out]) == 0
-            rows.append(read_bytes(out))
-        assert rows[0] == rows[1] and rows[0].count(b"\n") == 30
+            runs.append((read_bytes(out), capsys.readouterr().err))
+        (mixed, mixed_err), (plain, plain_err) = runs
+        assert mixed == plain and mixed.count(b"\n") == 30
+        huge = tmp_path / "mixed" / "huge.txt"
+        assert mixed_err == (f"notice: skipping {huge}: line 1: fields must lie in the int64 range:"
+                             f" '0 1 {2**64}'\n") + plain_err
+
+    def test_a_directory_of_files_past_int64_has_no_readable_network(self, tmp_path, capsys):
+        (tmp_path / "g.txt").write_text("0 1 0\n1 2 9223372036854775812\n")
+        assert run(["stars", "--dir", str(tmp_path), "--k", "1", "--w", "1", "--interval", "1",
+                    "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == (
+            f"notice: skipping {tmp_path}/g.txt: line 2: fields must lie in the int64 range:"
+            " '1 2 9223372036854775812'\nerror: no readable networks in directory\n"
+        )
+        assert os.listdir(tmp_path) == ["g.txt"]  # nothing written
 
     def test_slow_class_front_loads_emergence(self, tmp_path):
         # polynomial growth is fast (vibrancy 0.73), its reversal slow (0.27);

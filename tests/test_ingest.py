@@ -228,7 +228,7 @@ class TestNormalizeTimes:
             plain, wide = TestWideIdsAndOffsets.copies(seed)
             records = raw_stream_records(seed)
             texts = [wide, *("".join(f"{u} {v} {t + offset}\n" for u, v, t in records)
-                             for offset in (1000, 2**64))]
+                             for offset in (1000, 2**63 - 1000))]
             assert plain != texts[1]
             for text in texts:
                 for config, unit in configs:
@@ -449,12 +449,15 @@ BAD_LINES = ["1 2", "1,2", "1 2 3 4", "1,2,3,4", "a b c", "1 2 x", "1.5 2 3",
 
 
 def random_stream(rng):
-    """Records over a few raw ids (negative ones and ones past 2**64
-    among them) and times (some past 2**63 and 2**64), each written with
-    commas or whitespace, amid blank and comment lines; half the streams
-    carry one to three faulty lines."""
-    ids = [rng.choice([rng.randint(0, 30), -rng.randint(1, 9), 2**64 + rng.randint(0, 9)])
+    """Records over a few raw ids (negative ones and ones near the int64
+    limit among them, and in some streams one past 2**64) and times (in
+    some streams past 2**63 and 2**64), each written with commas or
+    whitespace, amid blank and comment lines; half the streams carry one
+    to three faulty lines."""
+    ids = [rng.choice([rng.randint(0, 30), -rng.randint(1, 9), 2**63 - 1 - rng.randint(0, 9)])
            for _ in range(rng.randint(1, 7))]
+    if rng.random() < 0.15:
+        ids[rng.randrange(len(ids))] = 2**64 + rng.randint(0, 9)
     big = rng.random() < 0.15
     lines = []
     for _ in range(rng.randint(0, 18)):
@@ -534,7 +537,8 @@ class TestIngestOracle:
             assert outcome(list_columnar) == outcome(list_brute), (text, meta)
         # every outcome occurs: graphs, each parse fault, other refusals
         assert {"graph", EdgeStreamParseError, ValueError} <= seen
-        assert {"expected 3 fields", "fields must be integers", "negative timestamp"} <= seen
+        assert {"expected 3 fields", "fields must be integers", "fields must lie in the int64 range",
+                "negative timestamp"} <= seen
 
 
 def _clean_field(rng, x):
@@ -618,6 +622,13 @@ class TestParserPaths:
         ("0 1 5 6\n1 2 3 4\n", "line 1: expected 3 fields: '0 1 5 6'"),
         ("0,1,5\n1,2\x1c,3\n", "line 2: fields must be integers: '1,2\\x1c,3'"),
         ("0,1,5\n  \n  # c\n1,2\n", "line 4: expected 3 fields: '1,2'"),
+        # a field past int64, as a line's fault among the others
+        (f"0 1 5\n1 2 {2**63}\n1 2 x\n", f"line 2: fields must lie in the int64 range: '1 2 {2**63}'"),
+        (f"0 1 5\n1 2 x\n1 2 {2**63}\n", "line 2: fields must be integers: '1 2 x'"),
+        (f"0,1,5\n{2**64},2,6\n1,2\n", f"line 2: fields must lie in the int64 range: '{2**64},2,6'"),
+        (f"0 1 5\n1 2\n{-(2**63) - 1} 2 6\n", "line 2: expected 3 fields: '1 2'"),
+        # the range is checked before the sign of the timestamp
+        (f"0 1 5\n1 2 -{2**63 + 1}\n", f"line 2: fields must lie in the int64 range: '1 2 -{2**63 + 1}'"),
     ])
     def test_faulty_streams_fall_back_to_the_loops_message(self, reader_calls, text, message):
         with pytest.raises(EdgeStreamParseError) as err:
@@ -646,7 +657,7 @@ class TestParserPaths:
 
     @pytest.mark.parametrize("text", [
         "# a comma file with one whitespace line\n0,1,5\n1 2 6\n2,3,7\n",
-        f"0 1 5\n1 2 {2**63}\n",
+        "0 1 5\n1 2 1_0\n",
         "0 1 5\n1 2 3\u0968\n",  # int() reads 32, numpy 2390
     ])
     def test_clean_streams_the_bulk_call_refuses_read_line_by_line(self, reader_calls, text):
@@ -654,11 +665,6 @@ class TestParserPaths:
         joins, edges = read_edge_stream_brute(stream(text))
         assert (g.join_times, g.edges) == (tuple(joins), tuple(edges))
         assert reader_calls
-
-    def test_times_past_int64_keep_a_python_int_column(self, reader_calls):
-        records = temporal_graph._parse_records(["0 1 5\n", f"1 2 {2**63}\n"])
-        assert records.dtype == object
-        assert records.tolist() == [[0, 1, 5], [1, 2, 2**63]]
 
     def test_lines_that_are_not_str_are_refused(self):
         with pytest.raises(TypeError):

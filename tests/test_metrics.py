@@ -471,11 +471,11 @@ class TestPowerLawGamma:
         assert 2.5 <= est <= 3.5
 
 
-class TestFeatureVector:
+class TestComputeFeatures:
     def test_serializes_undefined_as_null(self):
         g = TemporalGraph([0], [])
-        fv = compute_features(g.snapshot_at(0))
-        blob = json.loads(json.dumps(fv.to_dict()))
+        features = compute_features(g.snapshot_at(0))
+        blob = json.loads(json.dumps(features))
         assert blob["vertices"] == 1
         assert blob["density"] is None
         assert blob["avg_shortest_path"] is None
@@ -484,9 +484,12 @@ class TestFeatureVector:
     def test_matches_parts(self):
         g = tpa_generate(TpaParams(m=2, schedule=(20, 20), f=TimeDiffFn.exp_base(2), seed=1))
         s = g.snapshot_at(g.t_end)
-        fv = compute_features(s, gamma_x_min=2)
-        assert fv.vertices == 40
-        assert fv.edges == s.n_edges
-        assert fv.density == pytest.approx(density(s))
-        assert fv.avg_clustering == pytest.approx(avg_clustering(s))
-        assert fv.max_degree == max(s.degrees())
+        features = compute_features(s, gamma_x_min=2)
+        # the keys come in the order of the analyze columns
+        assert list(features) == ["vertices", "edges", "density", "avg_clustering",
+                                  "avg_shortest_path", "max_degree", "gamma"]
+        assert features["vertices"] == 40
+        assert features["edges"] == s.n_edges
+        assert features["density"] == pytest.approx(density(s))
+        assert features["avg_clustering"] == pytest.approx(avg_clustering(s))
+        assert features["max_degree"] == max(s.degrees())
