@@ -64,22 +64,22 @@ def jrc(g: TemporalGraph, interval: int) -> Jrc:
     joined strictly before ``t`` (arrivals complete at the end of the
     interval containing them), measured from the first arrival. The
     grid extends one step past the last arrival so the curve always
-    closes at 1. A zero-span network collapses to [(0, 0), (0, 1)]. A
-    grid of more than 10**7 samples raises ``ValueError``, and grid
-    times past the int64 range (an ``interval`` too large) raise
-    ``OverflowError``.
+    closes at 1. A grid of more than 10**7 samples raises
+    ``ValueError``, and grid times past the int64 range (an ``interval``
+    too large) raise ``OverflowError``. A zero-span network collapses to
+    [(0, 0), (0, 1)] once its one-step grid passes both checks.
     """
     if g.n_vertices == 0:
         raise ValueError("cannot compute a join-rate curve for an empty graph")
     if interval <= 0:
         raise ValueError("interval must be positive")
     span = g.active_time
-    if span == 0:
-        return Jrc(t=np.zeros(2, dtype=np.int64), value=np.array([0.0, 1.0]))
     steps = span // interval + 1
     _check_grid(steps + 1, interval)
     if g.t_min + steps * interval > np.iinfo(np.int64).max:
         raise OverflowError(f"interval {interval} gives join-rate grid times past the int64 range")
+    if span == 0:
+        return Jrc(t=np.zeros(2, dtype=np.int64), value=np.array([0.0, 1.0]))
     grid = np.arange(steps + 1, dtype=np.int64) * interval
     counts = np.searchsorted(g.join, g.t_min + grid, side="left")
     return Jrc(t=grid, value=counts / g.n_vertices)
@@ -190,9 +190,10 @@ def _event_steps(g: TemporalGraph, interval: int) -> np.ndarray:
     if interval <= 0:
         raise ValueError("interval must be positive")
     last = g.active_time // interval
-    # both time columns are sorted, so each one's steps are too
-    events = _run_heads(-(-g.first_links(last * interval)[0] // interval))
-    joins = _run_heads(-(-g.join // interval))
+    # both time columns are sorted, so their run heads are each distinct
+    # time once, and only those are divided
+    events = -(-_run_heads(g.first_links(last * interval)[0]) // interval)
+    joins = -(-_run_heads(g.join) // interval)
     steps = np.union1d(events, joins)
     return steps[(steps >= 1) & (steps <= last)]
 

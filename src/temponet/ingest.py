@@ -23,10 +23,17 @@ are counted, not sorted (see :func:`~temponet.temporal_graph._distinct`):
 a table indexed by ``id - min`` holds each id's first position. Wider
 ids, the pair keys, which give the dedupe, and the join times, which
 rank the vertices, are each sorted once, stably (see
-:func:`~temponet.temporal_graph._stable_order`). Where ``(max - min +
-1) * len`` of a key fits in int64 that is one plain sort of a packed
-value-and-position key; otherwise (ids or times spread wider) the
-default argsort, then one plain sort of a run-and-position key.
+:func:`~temponet.temporal_graph._stable_order`). Where a key spans
+fewer than ``2**16`` values (``max - min < 2**16``, as a stream's join
+times often do) that is numpy's radix sort of ``uint16`` offsets; else,
+where ``(max - min + 1) * len`` fits in int64, one plain sort of a
+packed value-and-position key; otherwise (ids or times spread wider)
+the default argsort, then one plain sort of a run-and-position key.
+
+The dedupe reads the runs of equal pair keys in their one stable
+order: the head of each run is its pair's first record, and
+``np.minimum.reduceat`` over the run gives the pair's earliest time;
+two scatters mark the kept records and stamp them.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from typing import Iterable
 import numpy as np
 
 from .temporal_graph import EdgeStreamParseError, TemporalGraph
-from .temporal_graph import _distinct, _first_seen, _pair_keys, _parse_records, _stable_order
+from .temporal_graph import _first_seen, _pair_keys, _parse_records, _runs, _stable_order
 
 
 def read_edge_stream(
@@ -61,8 +68,9 @@ def read_edge_stream(
     operation over dense vertex indices. Endpoint ids that span no more
     values than the stream has endpoints are counted, not sorted (see
     :func:`~temponet.temporal_graph._distinct`); wider ids, the pair keys
-    and the join times keep one stable sort each, by the packed route or
-    the run route of :func:`~temponet.temporal_graph._stable_order`. Raises
+    and the join times keep one stable sort each, by the radix, packed or
+    run route of :func:`~temponet.temporal_graph._stable_order`. Repeated
+    pairs merge by the runs of the pair keys in that order. Raises
     :class:`EdgeStreamParseError` naming the first malformed line, with
     the reason checked first (an undecodable byte, which a file opened
     with ``errors="surrogateescape"`` passes on, then a wrong field
@@ -86,11 +94,16 @@ def read_edge_stream(
     if not allow_self_loops:
         edge = u != v  # the vertex stays; only the loop edge is dropped
         u, v, t = u[edge], v[edge], t[edge]
-    _, firsts, pair = _distinct(_pair_keys(u, v, n, directed))
-    stamp = t[firsts]
-    np.minimum.at(stamp, pair, t)
-    kept = firsts[pair] == np.arange(len(pair))  # each pair's first record
-    u, v, t = u[kept], v[kept], stamp[pair[kept]]
+    # a run of equal pair keys is one pair's records: its head is the
+    # first record, and its minimum the earliest time
+    order, _, head = _runs(_pair_keys(u, v, n, directed))
+    heads = np.flatnonzero(head)
+    firsts = order[heads]
+    kept = np.zeros(len(order), dtype=bool)
+    kept[firsts] = True
+    stamp = np.empty_like(t)
+    stamp[firsts] = np.minimum.reduceat(t[order], heads)
+    u, v, t = u[kept], v[kept], stamp[kept]
 
     # join order, ties broken by first appearance: the vertices in
     # first-appearance order (marked at their first endpoint positions),

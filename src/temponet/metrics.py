@@ -26,9 +26,9 @@ Triangle counts and the path-length sum are exact integers.
 Star vectors read the first-link events once, in time order, and keep
 the top-K set from one horizon to the next, K the largest star size
 asked for; one sweep serves every size. A horizon whose events number
-at most an eighth of the present vertices, with the set full, takes the
-Python step: only the vertices those events touch can enter, so each is
-tested against the weakest member. Any other horizon takes the numpy
+at most 64 plus a sixteenth of the present vertices, with the set full,
+takes the Python step: only the vertices those events touch can enter,
+so each is tested against the weakest member. Any other horizon takes the numpy
 step, which ranks every present vertex. A smaller size's top-k is the k
 highest-scoring members of the top-K set, ranked again only where a
 touched vertex was a member or became one.
@@ -334,7 +334,8 @@ def k_stars_vectors(g: TemporalGraph, horizons: Sequence[int], ks: Sequence[int]
     the top-K set from one horizon to the next, K = ``max(ks)``. Degrees
     only grow, and a vertex that joins later has a larger id, so once
     the set holds K vertices only those touched by the horizon's events
-    can enter it. A horizon with few events (``8 * events <= nv``) and a
+    can enter it. A horizon with few events (``events <= 64 + nv // 16``:
+    the numpy step has a fixed cost besides its per-vertex one) and a
     full set takes the Python step: it adds the events to a degree list
     and admits each touched non-member that beats the weakest member,
     found on a heap of members that re-scores a member whose degree rose
@@ -375,7 +376,9 @@ def k_stars_vectors(g: TemporalGraph, horizons: Sequence[int], ks: Sequence[int]
     for i, (end, nv) in enumerate(zip(ends, present)):
         # horizons below 0 have nv = 0 and end = 0: the numpy step
         # empties the set there, and the next step catches up from synced
-        if full and k <= nv and 8 * (end - done) <= nv:
+        # the numpy step costs about what the Python step pays for 64
+        # events, plus one event per 16 present vertices
+        if full and k <= nv and end - done <= 64 + nv // 16:
             if deg is None:
                 deg = degrees.tolist()
                 members = set(stars.tolist())

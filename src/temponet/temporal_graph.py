@@ -25,6 +25,7 @@ import numpy as np
 Edge = tuple[int, int, int]  # (source, target, created)
 
 _META_SUFFIX = ".meta.json"
+_NOT_A_TRIPLE = "an edge is a (source, target, created) triple"
 # a horizon list holds an int object per entry (~36 bytes), and every
 # caller does at least that much work per horizon: ~0.4 GB at the cap
 _MAX_HORIZONS = 10**7
@@ -45,19 +46,23 @@ def _check_grid(count: int, interval: int) -> None:
         )
 
 
-def _int_column(values, what: str) -> np.ndarray:
+def _int_column(values, what: str, ragged: str = "") -> np.ndarray:
     """``values`` as a new int64 array. Anything else raises
     ``ValueError`` naming ``what``: an array whose kind is not integer,
     or a value that is not an integer (no float is truncated and no
     string parsed), then a value outside the int64 range (no uint64
-    value is wrapped)."""
+    value is wrapped). Rows of unequal lengths, of which numpy builds no
+    array, raise ``ragged`` (by default the not-integers message)."""
     if isinstance(values, np.ndarray):
         if values.size and values.dtype.kind not in "iu":
             raise ValueError(f"{what} must be integers")
         rows = values if values.dtype == np.int64 else values.tolist()  # a cast would wrap uint64
     else:
         rows = list(values)
-        column = np.array(rows)
+        try:
+            column = np.array(rows)
+        except ValueError:  # an inhomogeneous shape
+            raise ValueError(ragged or f"{what} must be integers") from None
         if column.dtype == np.int64:
             return column
         # the values as given, which that array may have turned into floats
@@ -134,9 +139,9 @@ class TemporalGraph:
         self.time_unit = time_unit
         self.info = dict(info) if info else {}
         self.join = _int_column(join_times, "join times")
-        e = _int_column(edges, "edge fields")
+        e = _int_column(edges, "edge fields", _NOT_A_TRIPLE)
         if e.size and e.shape[1:] != (3,):
-            raise ValueError("an edge is a (source, target, created) triple")
+            raise ValueError(_NOT_A_TRIPLE)
         self.u, self.v, self.t = e.reshape(-1, 3).T
         self._validate()
         for column in (self.join, self.u, self.v, self.t):
@@ -266,7 +271,9 @@ class TemporalGraph:
         snapshot's undirected simple projection is thus a prefix.
 
         ``times`` is int64 and ``v``, ``w`` are int32. The index is built
-        on first use.
+        on first use: the events fill one ``(2, 2E)`` array, ``v`` and
+        ``w`` its rows, and are copied through a mask only where the
+        graph holds a self-loop.
         """
         if self._first_links is None:
             u, v, times = self.u, self.v, self.t
@@ -276,13 +283,16 @@ class TemporalGraph:
             if self.directed:  # both arcs of a pair: the earlier is the first link
                 first = ~_repeated(_pair_keys(u, v, self.n_vertices, directed=False))
                 u, v, times = u[first], v[first], times[first]
-            keep = np.repeat(u != v, 2)
-            keep[::2] = True  # a self-loop is one event
-            self._first_links = (
-                np.repeat(times, 2)[keep],
-                np.column_stack([u, v]).ravel()[keep].astype(np.int32),
-                np.column_stack([v, u]).ravel()[keep].astype(np.int32),
-            )
+            # per edge the events (u, v) then (v, u), by strided assignment
+            ends = np.empty((2, 2 * len(u)), dtype=np.int32)
+            ends[0, 0::2] = ends[1, 1::2] = u
+            ends[0, 1::2] = ends[1, 0::2] = v
+            events = np.repeat(times, 2), ends[0], ends[1]
+            if self.allow_self_loops and (loop := u == v).any():
+                keep = np.repeat(~loop, 2)
+                keep[::2] = True  # a self-loop is one event
+                events = tuple(column[keep] for column in events)
+            self._first_links = events
         times, v, w = self._first_links
         end = len(times) if t is None else int(np.searchsorted(times, t, side="right"))
         return times[:end], v[:end], w[:end]
@@ -461,16 +471,22 @@ def _read_records(lines: Iterable[str]) -> np.ndarray:
 
 
 def _stable_order(values: np.ndarray) -> np.ndarray:
-    """``np.argsort(values, kind="stable")``, by one plain sort of
-    ``(value - min) * len + position`` where that key fits in int64, and
-    otherwise (a wider range) by the default argsort, then one plain
-    sort of ``run * len + position``, which puts each run of equal
-    values back in input order. Either way is cheaper than numpy's
-    stable sort."""
+    """``np.argsort(values, kind="stable")``, by the first of three
+    routes that fits. Values that span fewer than ``2**16`` (``max - min
+    < 2**16``, as a stream's few distinct times do) are moved to
+    ``uint16`` as ``value - min``, whose stable argsort is numpy's radix
+    sort. Otherwise one plain sort of ``(value - min) * len + position``
+    where that key fits in int64, and otherwise (a wider range) the
+    default argsort, then one plain sort of ``run * len + position``,
+    which puts each run of equal values back in input order. Each is
+    cheaper than numpy's stable sort of the int64 values."""
     e = len(values)
     if e:
         low = int(values.min())
-        if (int(values.max()) - low + 1) * e < 2**63:  # unbounded ints: no wrap
+        high = int(values.max())  # unbounded ints: no wrap
+        if high - low < 2**16:
+            return np.argsort((values - low).astype(np.uint16), kind="stable")
+        if (high - low + 1) * e < 2**63:
             key = values - low
             key *= e
             key += np.arange(e)
@@ -485,6 +501,17 @@ def _stable_order(values: np.ndarray) -> np.ndarray:
     key += order
     key.sort()
     return np.remainder(key, e, out=key)
+
+
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The :func:`_stable_order` of ``values``, the values in that
+    order, and a mask that is True at the head of each run of equal
+    values in it, which is the first position of that value."""
+    order = _stable_order(values)
+    ranked = values[order]
+    head = np.ones(len(values), dtype=bool)
+    head[1:] = ranked[1:] != ranked[:-1]
+    return order, ranked, head
 
 
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -512,10 +539,7 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             rank = np.cumsum(present)
             rank -= 1
             return np.flatnonzero(present) + low, first[present], rank[slot]
-    order = _stable_order(values)
-    ranked = values[order]
-    head = np.ones(len(values), dtype=bool)
-    head[1:] = ranked[1:] != ranked[:-1]
+    order, ranked, head = _runs(values)
     run = head.astype(np.int64)  # an int64 cumsum is several times a bool one
     np.cumsum(run, out=run)
     run -= 1

@@ -169,6 +169,10 @@ ONE_LINE_ERRORS = {
     "stars_join_rate_grid_past_int64": ({"g.txt": "0 1 0\n1 2 9223372036854775807\n"},
                                         "stars --dir {d} --k 1 --w 1 --interval 4611686018427387904"
                                         " --out {d}/o.csv"),
+    # a zero-span network's one grid step, 2**70, is past int64 as well
+    "stars_zero_span_join_rate_grid_past_int64": ({"a.txt": "0 1 5\n"},
+                                                  "stars --dir {d} --k 1 --w 1 --interval 1180591620717411303424"
+                                                  " --out {d}/o.csv"),
 }
 
 # What those errors must say, where the wording is pinned.
@@ -193,6 +197,8 @@ ERROR_WORDING = {
     "stars_k_zero_before_a_faulty_network": "error: k must be positive",
     # a network's fault names its file
     "stars_join_rate_grid_past_int64": "g.txt: interval 4611686018427387904 gives join-rate grid times past",
+    "stars_zero_span_join_rate_grid_past_int64":
+        "/a.txt: interval 1180591620717411303424 gives join-rate grid times past the int64 range\n",
     "stars_w_zero": "error: w must be positive",
     "stars_interval_negative": "error: interval must be positive",
     "stars_threshold_nan": "error: threshold must be a number, not nan",

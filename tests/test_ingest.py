@@ -274,17 +274,18 @@ class TestWideIdsAndOffsets:
                 "".join(f"{wide[u]} {wide[v]} {t + 10**15}\n" for u, v, t in records)]
 
     def test_read_and_normalize_give_the_same_columns(self, monkeypatch):
-        calls = []
+        calls = []  # the argsorts' argument dtypes: uint16 on the radix route, int64 on the run route
         argsort = np.argsort
-        monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(1) or argsort(*a, **k))
+        monkeypatch.setattr(np, "argsort", lambda a, *r, **k: calls.append(a.dtype.name) or argsort(a, *r, **k))
         for seed in range(4):
             graphs = []
             for text in self.copies(seed):
                 calls.clear()
                 g = normalize_times(read_edge_stream(stream(text)))
-                graphs.append((g, len(calls)))
+                graphs.append((g, set(calls)))
             (plain, plain_calls), (wide, wide_calls) = graphs
-            assert (plain_calls, wide_calls > 0) == (0, True)  # packed sorts only, then the wider route
+            # radix and packed sorts only, then the run route as well
+            assert (plain_calls, "int64" in wide_calls) == ({"uint16"}, True)
             for column in ("join", "u", "v", "t"):
                 a, b = getattr(plain, column), getattr(wide, column)
                 assert a.dtype == b.dtype == np.int64 and a.tolist() == b.tolist(), column
@@ -345,6 +346,37 @@ class TestCountedIds:
             for column in ("join", "u", "v", "t"):
                 assert getattr(back, column).tolist() == getattr(g, column).tolist(), column
             assert (back.directed, back.allow_self_loops) == (directed, False)
+
+
+class TestDedupe:
+    """Repeated pairs merge by the runs of their sorted pair keys: the
+    first record of a run keeps its orientation and position, stamped
+    with the run's earliest time, as the loop reader does."""
+
+    @pytest.mark.parametrize("allow_self_loops", [False, True])
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_repeated_pairs_at_tied_and_untied_times(self, directed, allow_self_loops):
+        rng = random.Random(f"{directed}{allow_self_loops}")
+        for _ in range(150):
+            n = rng.randint(1, 30)
+            records = []
+            for _ in range(rng.randint(1, 40)):
+                u, v, t = rng.randrange(n), rng.randrange(n), rng.randrange(50)
+                # each pair again in either orientation, at the same time,
+                # earlier or later
+                for _ in range(rng.choice([0, 1, 1, 3])):
+                    a, b = (u, v) if rng.random() < 0.5 else (v, u)
+                    records.append((a, b, rng.choice([t, t, max(0, t - rng.randint(1, 9)), t + rng.randint(1, 9)])))
+                records.append((u, v, t))
+            rng.shuffle(records)
+            lines = [f"{u} {v} {t}" for u, v, t in records]
+            g = read_edge_stream(lines, directed=directed, allow_self_loops=allow_self_loops)
+            want = read_edge_stream_brute(lines, directed=directed, allow_self_loops=allow_self_loops)
+            assert (list(g.join_times), list(g.edges)) == want
+
+    def test_a_stream_of_self_loops_alone_keeps_its_vertices(self):
+        g = read_edge_stream(["3 3 5", "4 4 2", "3 3 1"])
+        assert (g.join_times, g.edges) == ((1, 2), ())
 
 
 class TestFixedPoint:

@@ -18,6 +18,7 @@ from temponet import (
     k_stars_set,
     k_stars_vector,
     k_stars_vectors,
+    make_schedule,
     power_law_gamma,
     read_edge_stream,
     tpa_generate,
@@ -339,8 +340,9 @@ class TestKStars:
     ])
     def test_vector_matches_oracle_on_both_steps(self, case):
         # The sweep keeps its top-k set across horizons, updating it from
-        # a degree list while a horizon brings at most nv / 8 events and
-        # ranking every vertex in numpy otherwise; each case mixes both.
+        # a degree list while a horizon brings at most 64 + nv // 16
+        # events and ranking every vertex in numpy otherwise; each case
+        # mixes both.
         rng = random.Random(case)
         horizons, ks = None, (1, 5, 40)
         if case == "ba_interval_1":
@@ -349,10 +351,10 @@ class TestKStars:
             g = baseline_generate("hk", 300, seed=3, m=2, p_triangle=0.5)
         elif case == "single_events_and_bursts":
             # 120 vertices from time 0; odd times bring one edge or loop,
-            # even times 20 distinct pairs, over 120 / 8 events
+            # even times 40 distinct pairs, 80 events, over 64 + 120 // 16
             edges, used = [], set()
             for t in range(1, 61):
-                for _ in range(1 if t % 2 else 20):
+                for _ in range(1 if t % 2 else 40):
                     u, v = rng.randrange(120), rng.randrange(120)
                     while (min(u, v), max(u, v)) in used:
                         u, v = rng.randrange(120), rng.randrange(120)
@@ -395,6 +397,29 @@ class TestKStars:
         # one sweep for all sizes, the largest first and the smallest twice
         sizes = [*ks[::-1], ks[0]]
         assert k_stars_vectors(g, horizons, sizes) == [want[k] for k in sizes]
+
+    @pytest.mark.parametrize("case", ["ba_interval_15", "polynomial_1_12"])
+    def test_both_steps_run_after_the_set_fills(self, monkeypatch, case):
+        # The numpy step's fixed cost sends a horizon of up to 64 events
+        # to the Python step however few vertices are present: on the
+        # 700-vertex ba graph at interval 15 (90 events per horizon) while
+        # 416 or more are, on the polynomial graph (groups of x * x
+        # vertices) at its 14-vertex horizon
+        if case == "ba_interval_15":
+            g = baseline_generate("ba", 700, seed=3, m=3)
+            horizons = list(range(15, g.t_end + 15, 15))
+        else:
+            g = tpa_generate(TpaParams(m=3, schedule=make_schedule("polynomial", 1, 12),
+                                       f=TimeDiffFn.geometric(0.8, 0.2), seed=1))
+            horizons = list(range(1, g.t_end + 1))
+        ranked = []  # the present-vertex count of each numpy step
+        top_k = metrics._top_k
+        monkeypatch.setattr(metrics, "_top_k", lambda degrees, k: ranked.append(len(degrees)) or top_k(degrees, k))
+        ks = (1, 5)
+        joins, edges = list(g.join_times), list(g.edges)
+        assert k_stars_vectors(g, horizons, ks) == [k_stars_vector_brute(joins, edges, horizons, k) for k in ks]
+        assert len(ranked) < len(horizons) + 1  # a Python step at one point or more
+        assert any(nv > max(ks) for nv in ranked)  # and a numpy step that ranks more than the set
 
     def test_vectors_match_oracle_on_random_graphs_and_sizes(self):
         # sizes unsorted, repeated and up to past the vertex count; sorted

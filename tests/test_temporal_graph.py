@@ -89,6 +89,18 @@ class TestConstruction:
             TemporalGraph(joins, edges)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("joins, edges, message", [
+        ([0, 0, 0], [(0, 1, 2), (1, 2)], "an edge is a (source, target, created) triple"),
+        ([0, 0, 0], [(0, 1, 2), 5], "an edge is a (source, target, created) triple"),
+        ([0, 0, 0], [(0, 1, 0.5), (1, 2, 3, 4)], "an edge is a (source, target, created) triple"),
+        ([0, (1, 2)], [], "join times must be integers"),
+    ], ids=["short_edge", "bare_int", "float_and_long_edge", "join_pair"])
+    def test_rejects_ragged_rows(self, joins, edges, message):
+        # rows of unequal lengths, of which numpy builds no array
+        with pytest.raises(ValueError) as err:
+            TemporalGraph(joins, edges)
+        assert str(err.value) == message
+
     def test_empty_arrays_of_any_kind_construct(self):
         g = TemporalGraph(np.array([]), np.array([]))
         assert (g.n_vertices, g.n_edges, g.join.dtype, g.t.dtype) == (0, 0, np.int64, np.int64)
@@ -222,12 +234,16 @@ SORT_CASES = {
     "span_under_count_negative": np.array([-4, -1, -4, 0, -2, -1, -4]),
     "span_near_int64_max": np.array([2**63 - 1, 2**63 - 3, 2**63 - 1]),
     "span_near_int64_min": np.array([-(2**63) + 2, -(2**63), -(2**63) + 2, -(2**63)]),
+    # _stable_order takes its radix route where max - min < 2**16
+    "span_2_16_minus_1": np.array([-5, 2**16 - 6, 7, -5, 2**16 - 6, 0]),
+    "span_2_16": np.array([-5, 2**16 - 5, 7, -5, 2**16 - 5, 0]),
+    "span_2_16_minus_1_near_2_62": np.array([2**62 + 2**16 - 1, 2**62, 2**62 + 3, 2**62]),
 }
 
 
 class TestSortHelpers:
     """``_stable_order`` is numpy's stable argsort and ``_distinct`` its
-    ``unique`` with first positions and inverse, on either route."""
+    ``unique`` with first positions and inverse, on every route."""
 
     @pytest.mark.parametrize("name", sorted(SORT_CASES))
     def test_stable_order_is_the_stable_argsort(self, name):
@@ -279,6 +295,49 @@ class TestSortHelpers:
             assert got[0].dtype == expected[0].dtype
             for a, b in zip(got, expected):
                 assert a.tolist() == b.tolist()
+
+    @staticmethod
+    def route_spy(monkeypatch):
+        """Patch ``np.argsort`` to log its argument's dtype. Returns
+        ``route(values)``, which gives ``_stable_order(values)`` and the
+        route it took: ``radix`` (an argsort of uint16 offsets), ``run``
+        (the default argsort of the int64 values) or ``packed`` (no
+        argsort); and the unpatched argsort."""
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda a, *r, **k: calls.append(a.dtype.name) or argsort(a, *r, **k))
+
+        def route(values):
+            calls.clear()
+            order = temporal_graph._stable_order(values)
+            return order, {(): "packed", ("uint16",): "radix", ("int64",): "run"}[tuple(calls)]
+        return route, argsort
+
+    @pytest.mark.parametrize("name, expected", [
+        ("span_2_16_minus_1", "radix"), ("span_2_16", "packed"), ("span_2_16_minus_1_near_2_62", "radix"),
+        ("negative", "radix"), ("one", "radix"), ("all_equal", "radix"), ("empty", "run"),
+        ("bound_7_below", "packed"), ("bound_7_above", "run"), ("int64_extremes", "run"),
+    ])
+    def test_stable_order_takes_the_first_route_that_fits(self, monkeypatch, name, expected):
+        values = SORT_CASES[name]
+        route, argsort = self.route_spy(monkeypatch)
+        order, taken = route(values)
+        assert taken == expected
+        assert order.dtype == np.int64
+        assert order.tolist() == argsort(values, kind="stable").tolist()
+
+    def test_random_values_on_every_route(self, monkeypatch):
+        route, argsort = self.route_spy(monkeypatch)
+        rng = np.random.default_rng(29)
+        taken = []
+        for _ in range(400):
+            span = int(rng.choice([1, 2**16 - 1, 2**16, 2**40, 2**62]))
+            low = int(rng.choice([-(2**16), 0, 10**15]))
+            values = rng.integers(low, low + span, int(rng.integers(0, 200)), endpoint=True)
+            order, name = route(values)
+            taken.append(name)
+            assert order.tolist() == argsort(values, kind="stable").tolist()
+        assert min(taken.count(name) for name in ("radix", "packed", "run")) > 20
 
     def test_random_values_on_both_routes(self):
         rng = np.random.default_rng(5)
@@ -522,6 +581,29 @@ class TestFirstLinks:
             times, v, w = g.first_links()
             assert (times.tolist(), v.tolist(), w.tolist()) == first_links_ordered_brute(edges)
 
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("loops", [False, True])
+    def test_events_match_the_oracle_with_and_without_self_loops(self, directed, loops):
+        # unsorted times over a narrow and a wide span (the radix and the
+        # packed sort); a graph that allows loops but holds none builds its
+        # events unmasked, as one without the allowance does
+        rng = random.Random(f"{directed}{loops}")
+        for trial in range(200):
+            n = rng.randint(1, 25)
+            span = rng.choice([3, 2**16 + 5, 2**40])
+            edges = [(rng.randrange(n), rng.randrange(n), rng.randrange(span))
+                     for _ in range(rng.randint(0, 120))]
+            if not loops or trial % 4 == 0:
+                edges = [e for e in edges if e[0] != e[1]]
+            edges = distinct_pairs(edges, directed)
+            g = TemporalGraph([0] * n, edges, directed=directed, allow_self_loops=loops)
+            times, v, w = g.first_links()
+            assert (times.dtype, v.dtype, w.dtype) == (np.int64, np.int32, np.int32)
+            assert v.flags.c_contiguous and w.flags.c_contiguous
+            assert (times.tolist(), v.tolist(), w.tolist()) == first_links_ordered_brute(edges)
+            end = max(e[2] for e in edges) // 2 if edges else 0
+            assert sorted(zip(*(column.tolist() for column in g.first_links(end)))) == first_links_brute(edges, end)
 
     def test_directed_pair_keeps_its_earlier_arc(self):
         # both arcs of each pair, the later arc first in input order
