@@ -158,7 +158,7 @@ def _generate_graph(setting: dict) -> TemporalGraph:
 
 
 def cmd_generate(args) -> int:
-    cfg = _load_json(args.config) if args.config else {}
+    cfg = _load_json(args.config) if args.config is not None else {}
     flags = {
         key: getattr(args, key)
         for key in ("model", *_INT_KEYS, *_REAL_KEYS, "schedule", "f")
@@ -215,7 +215,7 @@ def _write_rows(rows: list[dict], out: str, fmt: str):
 
 
 def cmd_analyze(args) -> int:
-    k_values = _read_text("--k", args.k, _int_list) if args.k else _STAR_SIZES
+    k_values = _read_text("--k", args.k, _int_list) if args.k is not None else _STAR_SIZES
     _require_positive(interval=args.interval, k=min(k_values), x_min=args.xmin)
     try:
         graph = _load_graph(args.input)

@@ -46,17 +46,14 @@ from .temporal_graph import EdgeStreamParseError, TemporalGraph
 from .temporal_graph import _first_seen, _pair_keys, _parse_records, _runs, _stable_order
 
 
-def read_edge_stream(
-    source: Iterable[str], *, directed: bool = False, allow_self_loops: bool = False
-) -> TemporalGraph:
+def read_edge_stream(source: Iterable[str], *, directed: bool = False) -> TemporalGraph:
     """Parse a line-oriented edge stream into a TemporalGraph.
 
-    The graph is ``directed`` or not, and keeps self-loop records when
-    ``allow_self_loops`` is set. Duplicate edges (same endpoints,
+    The graph is ``directed`` or not. Duplicate edges (same endpoints,
     unordered when undirected) collapse to one edge: the first record's
     orientation and position, stamped with the earliest timestamp of any
-    of them. Self-loop records keep their endpoint as a vertex even
-    when loops themselves are disallowed. Raw vertex ids are remapped to
+    of them. A self-loop record is dropped, but its endpoint is kept as
+    a vertex. Raw vertex ids are remapped to
     dense ids in join order (ties broken by first appearance), which
     leaves conforming streams unchanged.
 
@@ -91,9 +88,8 @@ def read_edge_stream(
     n = len(ids)
     u, v, t = index[0::2], index[1::2], records[:, 2]
 
-    if not allow_self_loops:
-        edge = u != v  # the vertex stays; only the loop edge is dropped
-        u, v, t = u[edge], v[edge], t[edge]
+    edge = u != v  # the vertex stays; only the loop edge is dropped
+    u, v, t = u[edge], v[edge], t[edge]
     # a run of equal pair keys is one pair's records: its head is the
     # first record, and its minimum the earliest time
     order, _, head = _runs(_pair_keys(u, v, n, directed))
@@ -114,12 +110,7 @@ def read_edge_stream(
     ranked = seen[_stable_order(join[seen])]
     remap = np.empty(n, dtype=np.int64)
     remap[ranked] = np.arange(n)
-    return TemporalGraph(
-        join[ranked],
-        np.column_stack([remap[u], remap[v], t]),
-        directed=directed,
-        allow_self_loops=allow_self_loops,
-    )
+    return TemporalGraph(join[ranked], np.column_stack([remap[u], remap[v], t]), directed=directed)
 
 
 def normalize_times(g: TemporalGraph) -> TemporalGraph:

@@ -6,10 +6,10 @@ edge as two directed links. Undefined values are returned as ``None``
 and serialize to JSON null.
 
 Both read the snapshot's pairs ``(v, w)``, two int64 arrays: the
-graph's first-link events up to the horizon minus the self-loops, which
-hold each undirected pair once per endpoint, so both directions are
-present. The only compressed-row adjacency is the giant's, built for
-the BFS with its rows numbered by falling degree.
+graph's first-link events up to the horizon, which hold each undirected
+pair once per endpoint, so both directions are present. The only
+compressed-row adjacency is the giant's, built for the BFS with its rows
+numbered by falling degree.
 
 Triangles are counted by the degree-ordered forward algorithm; the giant
 component comes from min-label propagation, each component labelled by
@@ -57,13 +57,12 @@ _GAMMA_MIN_TAIL = 50
 
 def _simple_pairs(s: Snapshot) -> tuple[np.ndarray, np.ndarray]:
     """The snapshot's undirected simple projection as int64 pairs ``(v,
-    w)``: its first-link events up to the horizon minus the self-loops,
-    each pair once per endpoint, so both directions are present. An
+    w)``: its first-link events up to the horizon, each pair once per
+    endpoint, so both directions are present. An
     edge never precedes its endpoints' join, so every id is below
     ``s.n_vertices``."""
     _, v, w = s.parent.first_links(s.horizon)
-    link = v != w
-    return v[link].astype(np.int64), w[link].astype(np.int64)
+    return v.astype(np.int64), w.astype(np.int64)
 
 
 def density(s: Snapshot) -> float | None:
@@ -72,12 +71,7 @@ def density(s: Snapshot) -> float | None:
     n = s.n_vertices
     if n < 2:
         return None
-    if s.directed:
-        count = s.n_edges
-    else:
-        p = s.parent
-        loops = int(np.count_nonzero((p.u == p.v) & (p.t <= s.horizon)))
-        count = 2 * (s.n_edges - loops) + loops
+    count = s.n_edges if s.directed else 2 * s.n_edges
     return count / (n * (n - 1))
 
 

@@ -98,8 +98,8 @@ class TemporalGraph:
     Vertex ids are dense integers in ``[0, n)`` assigned in join order,
     so ``join_times`` must be non-decreasing. Every edge endpoint must
     have joined no later than the edge was created. A repeated pair
-    (ordered when ``directed``) is rejected, and so is a self-loop unless
-    ``allow_self_loops`` is set. ``edges`` is an iterable of ``(source,
+    (ordered when ``directed``) is rejected, and so is a self-loop.
+    ``edges`` is an iterable of ``(source,
     target, created)`` triples or an ``(E, 3)`` integer array. A value
     that is not an integer, or lies outside the int64 range, is refused
     before any of these checks.
@@ -114,7 +114,6 @@ class TemporalGraph:
 
     __slots__ = (
         "directed",
-        "allow_self_loops",
         "time_unit",
         "info",
         "join",
@@ -130,12 +129,10 @@ class TemporalGraph:
         edges: Iterable[Edge] | np.ndarray,
         *,
         directed: bool = False,
-        allow_self_loops: bool = False,
         time_unit: str = "",
         info: dict | None = None,
     ):
         self.directed = bool(directed)
-        self.allow_self_loops = bool(allow_self_loops)
         self.time_unit = time_unit
         self.info = dict(info) if info else {}
         self.join = _int_column(join_times, "join times")
@@ -165,9 +162,7 @@ class TemporalGraph:
         # the masks below look only at edges before the first unknown id
         end = len(known) if known.all() else int(known.argmin())
         a, b, c = u[:end], v[:end], t[:end]
-        bad = (join[a] > c) | (join[b] > c)
-        if not self.allow_self_loops:
-            bad |= a == b
+        bad = (join[a] > c) | (join[b] > c) | (a == b)
         bad |= _repeated(_pair_keys(a, b, n, self.directed))
         i = int(bad.argmax()) if bad.any() else end
         if i == len(known):
@@ -177,7 +172,7 @@ class TemporalGraph:
             raise ValueError(f"edge ({x}, {y}) references unknown vertex")
         if join[x] > z or join[y] > z:
             raise ValueError(f"edge ({x}, {y}) created at {z} before an endpoint joined")
-        if x == y and not self.allow_self_loops:
+        if x == y:
             raise ValueError("self-loops are not allowed in this graph")
         raise ValueError(f"duplicate edge ({x}, {y}) in simple graph")
 
@@ -187,7 +182,7 @@ class TemporalGraph:
         again: a uniform shift by no more than the earliest time keeps
         join order, ``join <= t`` and non-negative times."""
         g = TemporalGraph.__new__(TemporalGraph)
-        g.directed, g.allow_self_loops, g.time_unit = self.directed, self.allow_self_loops, self.time_unit
+        g.directed, g.time_unit = self.directed, self.time_unit
         g.info = dict(self.info)
         g.u, g.v = self.u, self.v
         g.join, g.t = self.join - shift, self.t - shift
@@ -266,14 +261,13 @@ class TemporalGraph:
         as arrays ``(times, v, w)``, sorted by time with equal times in
         edge input order: vertex ``v[i]`` first touched its distinct
         neighbour ``w[i]`` at ``times[i]``, by an edge in either
-        direction. A pair of distinct vertices gives two events
-        at the same time, one per endpoint; a self-loop gives one. Every
-        snapshot's undirected simple projection is thus a prefix.
+        direction. Each pair gives two events at the same time, one per
+        endpoint. Every snapshot's undirected simple projection is thus a
+        prefix.
 
         ``times`` is int64 and ``v``, ``w`` are int32. The index is built
         on first use: the events fill one ``(2, 2E)`` array, ``v`` and
-        ``w`` its rows, and are copied through a mask only where the
-        graph holds a self-loop.
+        ``w`` its rows.
         """
         if self._first_links is None:
             u, v, times = self.u, self.v, self.t
@@ -287,19 +281,14 @@ class TemporalGraph:
             ends = np.empty((2, 2 * len(u)), dtype=np.int32)
             ends[0, 0::2] = ends[1, 1::2] = u
             ends[0, 1::2] = ends[1, 0::2] = v
-            events = np.repeat(times, 2), ends[0], ends[1]
-            if self.allow_self_loops and (loop := u == v).any():
-                keep = np.repeat(~loop, 2)
-                keep[::2] = True  # a self-loop is one event
-                events = tuple(column[keep] for column in events)
-            self._first_links = events
+            self._first_links = np.repeat(times, 2), ends[0], ends[1]
         times, v, w = self._first_links
         end = len(times) if t is None else int(np.searchsorted(times, t, side="right"))
         return times[:end], v[:end], w[:end]
 
     def degree_at(self, v: int, t: int) -> int:
         """Number of distinct vertices linked to ``v`` by time ``t``,
-        counting both edge directions; a self-loop contributes 1."""
+        counting both edge directions."""
         if not (0 <= v < self.n_vertices):
             raise KeyError(f"unknown vertex {v}")
         return int(np.count_nonzero(self.first_links(t)[1] == v))
@@ -613,7 +602,7 @@ def write_edge_list(graph: TemporalGraph, path) -> None:
     }
     meta = {
         "directed": graph.directed,
-        "allow_self_loops": graph.allow_self_loops,
+        "allow_self_loops": False,  # kept so older readers accept the file
         "time_unit_label": graph.time_unit,
     }
     if explicit:
@@ -635,8 +624,9 @@ def read_edge_list(path) -> TemporalGraph:
     and ``ValueError`` when the sidecar lacks a required key, holds a
     value of the wrong type, or an id below the largest has neither a
     record nor an explicit join time, an explicit join time lies past
-    the int64 range, or the file repeats a pair. An old
-    sidecar's ``"simple"`` key must be true or false; it is ignored.
+    the int64 range, or the file repeats a pair or holds a self-loop.
+    The sidecar's self-loop key and an old sidecar's ``"simple"`` must
+    be true or false; both are ignored.
     """
     path = str(path)
     sidecar = path + _META_SUFFIX
@@ -675,6 +665,5 @@ def read_edge_list(path) -> TemporalGraph:
         join_times,
         records,
         directed=meta["directed"],
-        allow_self_loops=meta["allow_self_loops"],
         time_unit=meta.get("time_unit_label", ""),
     )

@@ -24,12 +24,12 @@ def in_int64(x):
     return -(2**63) <= x < 2**63
 
 
-def validate_brute(join_times, edges, directed=False, allow_self_loops=False):
+def validate_brute(join_times, edges, directed=False):
     """The constructor's checks as one loop over the join times and one
     over the edges: raises ``ValueError`` for the first fault in input
     order, after a join time, then an edge field, outside the int64
     range."""
-    joins, loops_ok = join_times, allow_self_loops
+    joins = join_times
     if not all(in_int64(t) for t in joins):
         raise ValueError("join times must lie in the int64 range")
     if not all(in_int64(x) for edge in edges for x in edge):
@@ -50,7 +50,7 @@ def validate_brute(join_times, edges, directed=False, allow_self_loops=False):
             raise ValueError(
                 f"edge ({u}, {v}) created at {t} before an endpoint joined"
             )
-        if u == v and not loops_ok:
+        if u == v:
             raise ValueError("self-loops are not allowed in this graph")
         key = (u, v) if directed or u <= v else (v, u)
         if key in seen:
@@ -93,7 +93,7 @@ def first_seen_brute(records):
     return first
 
 
-def read_edge_stream_brute(lines, directed=False, allow_self_loops=False):
+def read_edge_stream_brute(lines, directed=False):
     """Raw-stream ingest with dicts and loops: returns ``(join_times,
     edges)`` lists after the loop drop, dedupe (first record's
     orientation and position, earliest timestamp) and the remap to ids
@@ -104,7 +104,7 @@ def read_edge_stream_brute(lines, directed=False, allow_self_loops=False):
     join = first_seen_brute(records)
     first = {}
     for u, v, t in records:
-        if u == v and not allow_self_loops:
+        if u == v:
             continue
         key = (u, v) if directed or u <= v else (v, u)
         u0, v0, t0 = first.setdefault(key, (u, v, t))
@@ -130,7 +130,7 @@ def read_edge_list_brute(lines, explicit):
     return [joins[x] for x in range(max(joins, default=-1) + 1)], edges
 
 
-def edge_list_text_brute(join_times, edges, directed, allow_self_loops, time_unit=""):
+def edge_list_text_brute(join_times, edges, directed, time_unit=""):
     """The edge-list file and its JSON sidecar as text: one
     ``u,v,t`` line per edge in input order; a join time goes to
     ``explicit_join_times`` unless it equals the earliest record naming
@@ -142,7 +142,7 @@ def edge_list_text_brute(join_times, edges, directed, allow_self_loops, time_uni
         first[v] = min(first.get(v, t), t)
     meta = {
         "directed": directed,
-        "allow_self_loops": allow_self_loops,
+        "allow_self_loops": False,
         "time_unit_label": time_unit,
     }
     explicit = {str(v): jt for v, jt in enumerate(join_times) if first.get(v) != jt}
@@ -153,20 +153,21 @@ def edge_list_text_brute(join_times, edges, directed, allow_self_loops, time_uni
 
 
 def distinct_pairs(edges, directed=False):
-    """``edges`` without each record whose pair (unordered when
-    undirected) an earlier record holds: the edges a graph can hold."""
+    """``edges`` without each self-loop and each record whose pair
+    (unordered when undirected) an earlier record holds: the edges a
+    graph can hold."""
     seen = set()
     kept = []
     for u, v, t in edges:
         key = (u, v) if directed or u <= v else (v, u)
-        if key not in seen:
+        if u != v and key not in seen:
             seen.add(key)
             kept.append((u, v, t))
     return kept
 
 
 def degree_brute(edges, v, t):
-    """Distinct vertices linked to v by time t; a self-loop counts v itself."""
+    """Distinct vertices linked to v by time t."""
     neighbours = set()
     for a, b, created in edges:
         if created > t:
@@ -190,13 +191,12 @@ def degrees_brute(n, edges, t):
 
 def first_links_brute(edges, t):
     """Sorted ``(time, v, w)``: v first touched its distinct neighbour w
-    at time, by an edge in either direction created by t; a self-loop
-    gives one event."""
+    at time, by an edge in either direction created by t."""
     first = {}
     for a, b, created in edges:
         if created > t:
             continue
-        for key in {(a, b), (b, a)}:
+        for key in ((a, b), (b, a)):
             first[key] = min(first.get(key, created), created)
     return sorted((created, v, w) for (v, w), created in first.items())
 
@@ -205,14 +205,14 @@ def first_links_ordered_brute(edges):
     """``(times, v, w)`` lists in the order ``first_links`` gives them:
     the edges by time, equal times in input order (Python's sort is
     stable); the first edge of each unordered pair gives one event per
-    endpoint, source first, and a self-loop one."""
+    endpoint, source first."""
     seen = set()
     times, vs, ws = [], [], []
     for a, b, created in sorted(edges, key=lambda e: e[2]):
         if (min(a, b), max(a, b)) in seen:
             continue
         seen.add((min(a, b), max(a, b)))
-        for x, y in [(a, b), (b, a)][: 1 + (a != b)]:
+        for x, y in ((a, b), (b, a)):
             times.append(created)
             vs.append(x)
             ws.append(y)
@@ -222,14 +222,12 @@ def first_links_ordered_brute(edges):
 def density_brute(n, edges, directed):
     if n < 2:
         return None
-    count = 0
-    for a, b, _ in edges:
-        count += 1 if (directed or a == b) else 2
+    count = len(edges) if directed else 2 * len(edges)
     return count / (n * (n - 1))
 
 
 def undirected_simple(edges):
-    return {(min(a, b), max(a, b)) for a, b, _ in edges if a != b}
+    return {(min(a, b), max(a, b)) for a, b, _ in edges}
 
 
 def clustering_brute(n, edges):

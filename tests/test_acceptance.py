@@ -329,7 +329,7 @@ def test_criterion_8_determinism_and_round_trip():
                 u, v = rng.randrange(n), rng.randrange(n)
                 lines.append(f"{u} {v} {rng.randint(0, 40)}")
             text = "\n".join(lines) + "\n"
-            g1 = read_edge_stream(iter(text.splitlines()), allow_self_loops=True)
+            g1 = read_edge_stream(iter(text.splitlines()))
             p1 = os.path.join(tmp, f"s{case}a.csv")
             p2 = os.path.join(tmp, f"s{case}b.csv")
             write_edge_list(g1, p1)

@@ -88,6 +88,12 @@ ONE_LINE_ERRORS = {
     "analyze_sidecar_repeats_a_pair": ({"g.csv": "0,1,5\n1,0,6\n", "g.csv.meta.json": json.dumps(
                                            {**_META, "simple": False})},
                                        "analyze --in {d}/g.csv --out {d}/o.csv --interval 1"),
+    "analyze_sidecar_holds_a_loop": ({"g.csv": "0,0,0\n", "g.csv.meta.json": json.dumps(
+                                         {**_META, "allow_self_loops": True})},
+                                     "analyze --in {d}/g.csv --out {d}/o.csv --interval 1"),
+    # an empty value is refused, not read as the flag's absence
+    "analyze_k_empty": ({"g.txt": GRAPH}, ANALYZE + "1 --k="),
+    "generate_config_empty": ({}, "generate --config= --model ba --n 10 --out {d}/o.csv"),
     "compare_missing_settings": ({}, "compare --settings {d}/s.json --out {d}/o.csv"),
     "compare_repeats_zero": ({"s.json": '[{"model": "ba", "m": 2, "n": 20}]'},
                              "compare --settings {d}/s.json --repeats 0 --out {d}/o.csv"),
@@ -185,6 +191,9 @@ ERROR_WORDING = {
     "analyze_horizon_grid_too_large": "interval 1 gives 4611686018427387904 horizons",
     "analyze_join_time_past_int64": "/g.csv: join times must lie in the int64 range\n",
     "analyze_sidecar_repeats_a_pair": "g.csv: duplicate edge (1, 0) in simple graph",
+    "analyze_sidecar_holds_a_loop": "/g.csv: self-loops are not allowed in this graph\n",
+    "analyze_k_empty": "error: --k '': invalid literal for int() with base 10: ''\n",
+    "generate_config_empty": "error: [Errno 2] No such file or directory: ''\n",
     "compare_xmin_string": "error: setting 0: xmin must be an integer, not '3'",
     "compare_xmin_bool": "error: setting 0: xmin must be an integer, not True",
     "analyze_interval_zero_before_a_faulty_input": "error: interval must be positive",
@@ -347,6 +356,25 @@ class TestAnalyze:
         out = str(tmp_path / "raw.csv")
         assert run(["analyze", "--in", str(path), "--interval", "2", "--out", out]) == 0
 
+    def test_sidecar_self_loop_key_is_ignored(self, tmp_path):
+        # a true key over loop-free records reads back the graph a false
+        # key gives, and every output written from it is the same
+        outputs = []
+        for loops in (False, True):
+            d = tmp_path / str(loops)
+            d.mkdir()
+            path = str(d / "g.csv")
+            (d / "g.csv").write_text("0,1,5\n2,1,7\n")
+            (d / "g.csv.meta.json").write_text(json.dumps(
+                {**_META, "allow_self_loops": loops, "explicit_join_times": {"2": 6}}))
+            g = read_edge_list(path)
+            assert (g.join_times, g.edges) == ((5, 5, 6), ((0, 1, 5), (2, 1, 7)))
+            write_edge_list(g, str(d / "w.csv"))
+            assert run(["analyze", "--in", path, "--interval", "1", "--out", str(d / "f.csv")]) == 0
+            outputs.append([read_bytes(str(d / name)) for name in ("w.csv", "w.csv.meta.json", "f.csv")])
+        assert outputs[0] == outputs[1]
+        assert b'"allow_self_loops":false' in outputs[1][1]
+
     def test_reanalyze_identical_bytes(self, tmp_path):
         graph_path = str(tmp_path / "g.csv")
         run(["generate", "--model", "ba", "--m", "2", "--n", "60",
@@ -390,8 +418,7 @@ class TestAnalyze:
             n = rng.randint(2, 12)
             text = "".join(f"{rng.randrange(n)} {rng.randrange(n)} {rng.randint(0, 60)}\n"
                            for _ in range(rng.randint(1, 15)))
-            g = read_edge_stream(io.StringIO(text), directed=rng.random() < 0.5,
-                                 allow_self_loops=rng.random() < 0.5)
+            g = read_edge_stream(io.StringIO(text), directed=rng.random() < 0.5)
             interval, x_min, k_values = rng.choice([1, 2, 3, 7]), rng.randint(1, 3), [1, 2, 5]
             calls.clear()
             rows = cli._analysis_rows(g, interval, k_values, x_min)
@@ -413,8 +440,8 @@ class TestAnalyze:
 
     def test_snapshot_only_where_a_join_or_edge_falls(self, monkeypatch):
         # a row whose horizon brings no join and no edge since the row
-        # before reuses that row's snapshot; a directed reverse arc or a
-        # self-loop brings an edge but no first link
+        # before reuses that row's snapshot; a directed reverse arc brings
+        # an edge but no first link
         calls = []
         snapshot_at = TemporalGraph.snapshot_at
         monkeypatch.setattr(TemporalGraph, "snapshot_at", lambda g, t: calls.append(t) or snapshot_at(g, t))
@@ -424,8 +451,7 @@ class TestAnalyze:
             n = rng.randint(2, 12)
             text = "".join(f"{rng.randrange(n)} {rng.randrange(n)} {rng.randint(0, 60)}\n"
                            for _ in range(rng.randint(1, 15)))
-            g = read_edge_stream(io.StringIO(text), directed=rng.random() < 0.5,
-                                 allow_self_loops=rng.random() < 0.5)
+            g = read_edge_stream(io.StringIO(text), directed=rng.random() < 0.5)
             calls.clear()
             horizons = [row["t"] for row in cli._analysis_rows(g, rng.choice([1, 2, 3, 7]), [1], 1)]
             times = [*g.join_times, *(t for _, _, t in g.edges)]
@@ -793,14 +819,20 @@ class TestStars:
         assert [int(r["t"]) for r in rows] == [2, 4, 6]
         assert sum(int(r["total"]) for r in rows) > 0
 
-    def test_a_file_past_int64_is_skipped_with_a_notice(self, tmp_path, capsys):
+    @pytest.mark.parametrize("files, notice", [
+        ({"bad.txt": path_stream(2**64)}, f"line 1: fields must lie in the int64 range: '0 1 {2**64}'"),
+        # a sidecar-backed self-loop, whatever the sidecar's key says
+        ({"bad.csv": "0,0,0\n", "bad.csv.meta.json": json.dumps({**_META, "allow_self_loops": True})},
+         "self-loops are not allowed in this graph"),
+    ], ids=["past_int64", "sidecar_self_loop"])
+    def test_a_refused_file_is_skipped_with_a_notice(self, tmp_path, capsys, files, notice):
         # the rest of the directory aggregates as it does alone
         runs = []
-        for name, files in (("mixed", {"huge.txt": path_stream(2**64), "raw.txt": path_stream(0)}),
-                            ("plain", {"raw.txt": path_stream(0)})):
+        for name, present in (("mixed", {**files, "raw.txt": path_stream(0)}),
+                              ("plain", {"raw.txt": path_stream(0)})):
             d = tmp_path / name
             d.mkdir()
-            for file_name, text in files.items():
+            for file_name, text in present.items():
                 (d / file_name).write_text(text)
             out = str(tmp_path / f"{name}.csv")
             assert run(["stars", "--dir", str(d), "--k", "2", "--w", "1",
@@ -808,9 +840,8 @@ class TestStars:
             runs.append((read_bytes(out), capsys.readouterr().err))
         (mixed, mixed_err), (plain, plain_err) = runs
         assert mixed == plain and mixed.count(b"\n") == 30
-        huge = tmp_path / "mixed" / "huge.txt"
-        assert mixed_err == (f"notice: skipping {huge}: line 1: fields must lie in the int64 range:"
-                             f" '0 1 {2**64}'\n") + plain_err
+        bad = tmp_path / "mixed" / min(files)
+        assert mixed_err == f"notice: skipping {bad}: {notice}\n" + plain_err
 
     def test_a_directory_of_files_past_int64_has_no_readable_network(self, tmp_path, capsys):
         (tmp_path / "g.txt").write_text("0 1 0\n1 2 9223372036854775812\n")

@@ -37,12 +37,6 @@ class TestReadEdgeStream:
         assert g.edges[0] == (0, 1, 5)
         assert list(g.join_times) == [5, 5, 6]
 
-    def test_self_loop_kept_when_allowed(self):
-        g = read_edge_stream(stream("3 3 7\n"), allow_self_loops=True)
-        assert g.n_vertices == 1
-        assert g.n_edges == 1
-        assert g.edges[0][0] == g.edges[0][1]
-
     def test_self_loop_dropped_but_vertex_kept(self):
         g = read_edge_stream(stream("0 1 5\n3 3 7\n"))
         assert g.n_vertices == 3
@@ -180,6 +174,12 @@ class TestReadEdgeList:
         with pytest.raises(ValueError, match="vertex 1 has no record"):
             read_edge_list(self.write(tmp_path, "0,5,1\n"))
 
+    @pytest.mark.parametrize("loops", [False, True])
+    def test_self_loop_is_rejected_whatever_the_sidecar_says(self, tmp_path, loops):
+        path = self.write(tmp_path, "0,1,5\n1,1,6\n", {**self.META, "allow_self_loops": loops})
+        with pytest.raises(ValueError, match="^self-loops are not allowed in this graph$"):
+            read_edge_list(path)
+
     def test_sidecar_without_directed_is_rejected(self, tmp_path):
         meta = {"allow_self_loops": False}
         with pytest.raises(ValueError, match="'directed'"):
@@ -219,11 +219,10 @@ class TestNormalizeTimes:
             shift = g.t_min
             return TemporalGraph(
                 g.join - shift, np.column_stack([g.u, g.v, g.t - shift]),
-                directed=g.directed, allow_self_loops=g.allow_self_loops,
-                time_unit=g.time_unit, info=g.info,
+                directed=g.directed, time_unit=g.time_unit, info=g.info,
             )
 
-        configs = [({}, ""), ({"directed": True, "allow_self_loops": True}, "wk")]
+        configs = [({}, ""), ({"directed": True}, "wk")]
         for seed in range(3):
             plain, wide = TestWideIdsAndOffsets.copies(seed)
             records = raw_stream_records(seed)
@@ -241,7 +240,7 @@ class TestNormalizeTimes:
                         assert a.dtype == b.dtype == np.int64 and a.tolist() == b.tolist(), column
                         assert not a.flags.writeable
                     assert got.u is g.u and got.v is g.v
-                    for attr in ("directed", "allow_self_loops", "time_unit", "info"):
+                    for attr in ("directed", "time_unit", "info"):
                         assert getattr(got, attr) == getattr(want, attr), attr
                     for a, b in zip(got.first_links(), want.first_links()):
                         assert a.dtype == b.dtype and a.tolist() == b.tolist()
@@ -345,7 +344,7 @@ class TestCountedIds:
             back = read_edge_list(path)
             for column in ("join", "u", "v", "t"):
                 assert getattr(back, column).tolist() == getattr(g, column).tolist(), column
-            assert (back.directed, back.allow_self_loops) == (directed, False)
+            assert back.directed == directed
 
 
 class TestDedupe:
@@ -353,10 +352,9 @@ class TestDedupe:
     first record of a run keeps its orientation and position, stamped
     with the run's earliest time, as the loop reader does."""
 
-    @pytest.mark.parametrize("allow_self_loops", [False, True])
     @pytest.mark.parametrize("directed", [False, True])
-    def test_repeated_pairs_at_tied_and_untied_times(self, directed, allow_self_loops):
-        rng = random.Random(f"{directed}{allow_self_loops}")
+    def test_repeated_pairs_at_tied_and_untied_times(self, directed):
+        rng = random.Random(f"{directed}")
         for _ in range(150):
             n = rng.randint(1, 30)
             records = []
@@ -370,8 +368,8 @@ class TestDedupe:
                 records.append((u, v, t))
             rng.shuffle(records)
             lines = [f"{u} {v} {t}" for u, v, t in records]
-            g = read_edge_stream(lines, directed=directed, allow_self_loops=allow_self_loops)
-            want = read_edge_stream_brute(lines, directed=directed, allow_self_loops=allow_self_loops)
+            g = read_edge_stream(lines, directed=directed)
+            want = read_edge_stream_brute(lines, directed=directed)
             assert (list(g.join_times), list(g.edges)) == want
 
     def test_a_stream_of_self_loops_alone_keeps_its_vertices(self):
@@ -391,7 +389,7 @@ class TestFixedPoint:
                     v = rng.randrange(n)
                     lines.append(f"{u} {v} {rng.randint(0, 30)}")
                 text = "\n".join(lines) + "\n"
-                g1 = read_edge_stream(stream(text), allow_self_loops=True)
+                g1 = read_edge_stream(stream(text))
                 p1 = os.path.join(tmp, f"a{case}.csv")
                 p2 = os.path.join(tmp, f"b{case}.csv")
                 write_edge_list(g1, p1)
@@ -446,10 +444,10 @@ def raw_streams(draw):
 
 
 class TestRoundTripProperty:
-    @given(raw_streams(), st.booleans(), st.booleans())
+    @given(raw_streams(), st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_ingest_write_read_keeps_every_horizon(self, text, directed, loops):
-        g = read_edge_stream(stream(text), directed=directed, allow_self_loops=loops)
+    def test_ingest_write_read_keeps_every_horizon(self, text, directed):
+        g = read_edge_stream(stream(text), directed=directed)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "g.csv")
             write_edge_list(g, path)
@@ -514,8 +512,8 @@ def random_stream(rng):
 
 
 def random_keywords(rng):
-    """``read_edge_stream``'s two keywords, drawn at random."""
-    return {"directed": rng.random() < 0.5, "allow_self_loops": rng.random() < 0.5}
+    """``read_edge_stream``'s keyword, drawn at random."""
+    return {"directed": rng.random() < 0.5}
 
 
 def outcome(read):
@@ -552,7 +550,9 @@ class TestIngestOracle:
 
             # the same lines as a sidecar-backed file, ids kept as written
             explicit = {rng.randint(0, 6): rng.randint(0, 12) for _ in range(rng.randint(0, 2))}
-            meta = {**cfg, "explicit_join_times": {str(x): jt for x, jt in explicit.items()}}
+            # the sidecar's self-loop key is ignored, whatever it holds
+            meta = {**cfg, "allow_self_loops": rng.random() < 0.5,
+                    "explicit_join_times": {str(x): jt for x, jt in explicit.items()}}
             path = tmp_path / f"g{case}.csv"
             path.write_text(text)
             (tmp_path / f"g{case}.csv.meta.json").write_text(json.dumps(meta))

@@ -96,8 +96,8 @@ class TestClustering:
 
 
 def oracle_graphs():
-    """Generated graphs of every model plus random graphs with
-    self-loops, many components and isolated vertices."""
+    """Generated graphs of every model plus random graphs with many
+    components and isolated vertices."""
     rng = random.Random(11)
     f = TimeDiffFn.exp_base(2)
     yield tpa_generate(TpaParams(m=3, schedule=(20, 40, 80), f=f, seed=1))
@@ -113,7 +113,7 @@ def oracle_graphs():
         for _ in range(rng.randrange(2 * n)):
             u, v = rng.randrange(n), rng.randrange(n)
             edges.append((u, v, max(joins[u], joins[v]) + rng.randrange(3)))
-        yield TemporalGraph(joins, distinct_pairs(edges), allow_self_loops=True)
+        yield TemporalGraph(joins, distinct_pairs(edges))
 
 
 class TestSparseOracles:
@@ -187,7 +187,7 @@ class TestShortestPath:
     @pytest.mark.parametrize("shape", ["path", "star", "random"])
     def test_matches_bfs_oracle_at_word_and_block_boundaries(self, n, shape):
         edges = shaped_edges(n, shape)
-        g = TemporalGraph([0] * n, edges, allow_self_loops=True)
+        g = TemporalGraph([0] * n, edges)
         assert avg_shortest_path(g.snapshot_at(0)) == avg_sp_bfs(n, edges)
 
     # Up to 1024 vertices all sources are one block, above that blocks
@@ -202,7 +202,7 @@ class TestShortestPath:
     ])
     def test_matches_bfs_oracle_around_one_block_with_each_step(self, shape, n, monkeypatch):
         edges = shaped_edges(n, shape)
-        s = TemporalGraph([0] * n, edges, allow_self_loops=True).snapshot_at(0)
+        s = TemporalGraph([0] * n, edges).snapshot_at(0)
         expected = avg_sp_bfs(n, edges)
         for share in (metrics._SP_SPARSE, 2.0, 0.0):  # frontier edges never reach 2 * nnz
             monkeypatch.setattr(metrics, "_SP_SPARSE", share)
@@ -213,7 +213,7 @@ class TestShortestPath:
         for n in (40, 130, 600):
             for _ in range(3):
                 edges = distinct_pairs([(rng.randrange(n), rng.randrange(n), 0) for _ in range(n)])
-                g = TemporalGraph([0] * n, edges, allow_self_loops=True)
+                g = TemporalGraph([0] * n, edges)
                 assert avg_shortest_path(g.snapshot_at(0)) == avg_sp_bfs(n, edges)
 
     @pytest.mark.parametrize("path_first", [True, False])
@@ -312,15 +312,14 @@ class TestKStars:
                     assert k_stars_set(g.snapshot_at(t), k) == k_stars_brute(joins, edges, t, k)
 
     def test_vector_matches_oracle_on_ingested_stream(self):
-        # self-loops kept and duplicates merged; horizons start below 0
+        # self-loops dropped and duplicates merged; horizons start below 0
         # (before the time-0 star set the sweep begins with) and run past
         # t_end; k up to and beyond the vertex count
         rng = random.Random(11)
         lines = ["0 1 0", "0 1 0", "2 2 0", "2 2 4"]
         lines += [f"{rng.randrange(20)} {rng.randrange(20)} {rng.randint(0, 30)}" for _ in range(150)]
-        g = read_edge_stream(lines, allow_self_loops=True)
+        g = read_edge_stream(lines)
         joins, edges = list(g.join_times), list(g.edges)
-        assert any(u == v for u, v, _ in edges)
         horizons = list(range(-3, g.t_end + 4))
         for k in (1, 2, 5, g.n_vertices, g.n_vertices + 3):
             assert k_stars_vector(g, horizons, k) == k_stars_vector_brute(joins, edges, horizons, k)
@@ -350,17 +349,17 @@ class TestKStars:
         elif case == "hk_interval_1":
             g = baseline_generate("hk", 300, seed=3, m=2, p_triangle=0.5)
         elif case == "single_events_and_bursts":
-            # 120 vertices from time 0; odd times bring one edge or loop,
-            # even times 40 distinct pairs, 80 events, over 64 + 120 // 16
+            # 120 vertices from time 0; odd times bring one edge, even
+            # times 40 distinct pairs, 80 events, over 64 + 120 // 16
             edges, used = [], set()
             for t in range(1, 61):
                 for _ in range(1 if t % 2 else 40):
                     u, v = rng.randrange(120), rng.randrange(120)
-                    while (min(u, v), max(u, v)) in used:
+                    while u == v or (min(u, v), max(u, v)) in used:
                         u, v = rng.randrange(120), rng.randrange(120)
                     used.add((min(u, v), max(u, v)))
                     edges.append((u, v, t))
-            g = TemporalGraph([0] * 120, edges, allow_self_loops=True)
+            g = TemporalGraph([0] * 120, edges)
             ks = (1, 3, 10)
         elif case == "ties":
             # a ring closed one edge per step in random order: degrees
@@ -387,8 +386,8 @@ class TestKStars:
         else:
             lines = [f"{rng.randrange(150)} {rng.randrange(150)} {rng.randint(0, 300)}" for _ in range(1500)]
             lines += [f"{v} {v} {rng.randint(0, 300)}" for v in range(0, 150, 7)]
-            g = read_edge_stream(lines, directed=True, allow_self_loops=True)
-            assert g.directed and any(u == v for u, v, _ in g.edges)
+            g = read_edge_stream(lines, directed=True)  # the loop records are dropped
+            assert g.directed
         joins, edges = list(g.join_times), list(g.edges)
         horizons = horizons or list(range(1, g.t_end + 1))
         want = {k: k_stars_vector_brute(joins, edges, horizons, k) for k in ks}
@@ -438,7 +437,7 @@ class TestKStars:
                 n = rng.randint(2, 40)
                 lines = [f"{rng.randrange(n)} {rng.randrange(n)} {rng.randint(3, 40)}"
                          for _ in range(rng.randint(1, 200))]
-                g = read_edge_stream(lines, directed=rng.random() < 0.3, allow_self_loops=True)
+                g = read_edge_stream(lines, directed=rng.random() < 0.3)
             n = g.n_vertices
             ks = [rng.randint(1, n + 3) for _ in range(rng.randint(1, 4))]
             ks += rng.sample(ks, rng.randint(0, len(ks))) + [n + rng.randint(0, 2)]

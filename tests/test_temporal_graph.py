@@ -47,11 +47,9 @@ class TestConstruction:
         g = TemporalGraph([0, 0], [(0, 1, 0), (1, 0, 1)], directed=True)
         assert g.n_edges == 2
 
-    def test_rejects_self_loop_unless_allowed(self):
-        with pytest.raises(ValueError, match="self-loop"):
+    def test_rejects_self_loop(self):
+        with pytest.raises(ValueError, match="self-loops are not allowed in this graph"):
             TemporalGraph([0], [(0, 0, 0)])
-        g = TemporalGraph([0], [(0, 0, 0)], allow_self_loops=True)
-        assert g.n_edges == 1
 
     def test_rejects_ids_out_of_join_order(self):
         with pytest.raises(ValueError, match="join order"):
@@ -135,11 +133,12 @@ def random_constructor_input(rng):
             continue
         bad_id = rng.random() < 0.08
         u = rng.choice([-1, n, n + 2, 2**64]) if bad_id else rng.randrange(max(n, 1))
-        v = u if rng.random() < 0.15 else rng.randrange(max(n, 1))
+        # a loop by choice only: else a vertex other than u, where there is one
+        v = u if rng.random() < 0.15 else rng.choice([x for x in range(n) if x != u] or [0])
         late = max(joins[x] for x in (u, v) if 0 <= x < n) if 0 <= u < n and 0 <= v < n else 0
         t = late + rng.randint(-1 if rng.random() < 0.25 else 0, 3)
         edges.append((u, v, t))
-    flags = dict(directed=rng.random() < 0.5, allow_self_loops=rng.random() < 0.5)
+    flags = dict(directed=rng.random() < 0.5)
     return joins, edges, flags
 
 
@@ -359,7 +358,7 @@ class TestSortHelpers:
                      for _ in range(rng.randint(2, 60))]
             directed = rng.random() < 0.5
             edges = distinct_pairs(edges, directed)
-            g = TemporalGraph([0] * n, edges, directed=directed, allow_self_loops=True)
+            g = TemporalGraph([0] * n, edges, directed=directed)
             times, v, w = g.first_links()
             assert (times.tolist(), v.tolist(), w.tolist()) == first_links_ordered_brute(edges)
 
@@ -438,10 +437,6 @@ class TestDegree:
         with pytest.raises(KeyError):
             star_graph().degree_at(42, 1)
 
-    def test_self_loop_contributes_one(self):
-        g = TemporalGraph([0], [(0, 0, 0)], allow_self_loops=True)
-        assert g.degree_at(0, 0) == 1
-
     def test_matches_brute_force_on_random_graphs(self):
         rng = random.Random(7)
         for _ in range(200):
@@ -468,19 +463,18 @@ def temporal_graphs(draw):
     n = draw(st.integers(min_value=0, max_value=7))
     joins = sorted(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)))
     directed = draw(st.booleans())
-    loops = draw(st.booleans())
     # a vertex with a lag, or with no edge, joins before its first record
     # shows it, so the writer must keep its join time in the sidecar
     lags = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     edges = []
     for u in range(n):
         for v in range(n) if directed else range(u, n):
-            if u == v and not loops:
+            if u == v:
                 continue
             if draw(st.booleans()):
                 offset = draw(st.integers(0, 4))
                 edges.append((u, v, max(joins[u] + lags[u], joins[v] + lags[v]) + offset))
-    return TemporalGraph(joins, edges, directed=directed, allow_self_loops=loops)
+    return TemporalGraph(joins, edges, directed=directed)
 
 
 class TestProperties:
@@ -502,7 +496,7 @@ class TestProperties:
             path = os.path.join(tmp, "graph.csv")
             write_edge_list(g, path)
             back = read_edge_list(path)
-        assert (back.directed, back.allow_self_loops) == (g.directed, g.allow_self_loops)
+        assert back.directed == g.directed
         assert back.join_times == g.join_times
         assert back.edges == g.edges
         for t in range(0, 12):
@@ -513,18 +507,15 @@ class TestProperties:
     @settings(max_examples=200, deadline=None)
     def test_written_files_match_oracle(self, g, from_array):
         if from_array:
-            g = TemporalGraph(
-                g.join_times, np.array(g.edges, dtype=np.int64).reshape(-1, 3),
-                directed=g.directed, allow_self_loops=g.allow_self_loops,
-            )
+            g = TemporalGraph(g.join_times, np.array(g.edges, dtype=np.int64).reshape(-1, 3), directed=g.directed)
         assert_writes_oracle_text(g)
 
     @pytest.mark.parametrize("g", [
         TemporalGraph([], []),
         TemporalGraph([0, 3, 3], [], directed=True),
         TemporalGraph([0, 1, 2], np.array([[0, 1, 4], [2, 1, 2], [1, 0, 5]]), directed=True),
-        TemporalGraph([0, 2**63 - 4], [(0, 1, 2**63 - 4), (1, 1, 2**63 - 3), (0, 0, 2**63 - 1)],
-                      allow_self_loops=True, time_unit="week"),
+        TemporalGraph([0, 2**63 - 4, 2**63 - 3], [(0, 1, 2**63 - 4), (1, 2, 2**63 - 3), (2, 0, 2**63 - 1)],
+                      time_unit="week"),
     ], ids=["empty", "isolated", "array", "int64_max"])
     def test_written_files_match_oracle_on_edge_cases(self, g):
         assert_writes_oracle_text(g)
@@ -537,7 +528,7 @@ def assert_writes_oracle_text(g):
         with open(path, newline="") as fh, open(path + ".meta.json") as meta:
             written = fh.read(), meta.read()
     assert written == edge_list_text_brute(
-        list(g.join_times), list(g.edges), g.directed, g.allow_self_loops, g.time_unit
+        list(g.join_times), list(g.edges), g.directed, g.time_unit
     )
 
 
@@ -545,7 +536,7 @@ class TestFirstLinks:
     @given(temporal_graphs())
     @settings(max_examples=200, deadline=None)
     def test_every_horizon_matches_brute_force(self, g):
-        # directed graphs with both arcs, self-loops and isolated vertices
+        # directed graphs with both arcs and isolated vertices
         # all come from the strategy
         edges = list(g.edges)
         times, v, w = g.first_links()
@@ -577,41 +568,39 @@ class TestFirstLinks:
                 edges.sort(key=lambda e: e[2])
             directed = rng.random() < 0.5
             edges = distinct_pairs(edges, directed)
-            g = TemporalGraph([0] * n, edges, directed=directed, allow_self_loops=True)
+            g = TemporalGraph([0] * n, edges, directed=directed)
             times, v, w = g.first_links()
             assert (times.tolist(), v.tolist(), w.tolist()) == first_links_ordered_brute(edges)
 
 
     @pytest.mark.parametrize("directed", [False, True])
-    @pytest.mark.parametrize("loops", [False, True])
-    def test_events_match_the_oracle_with_and_without_self_loops(self, directed, loops):
+    def test_events_match_the_oracle(self, directed):
         # unsorted times over a narrow and a wide span (the radix and the
-        # packed sort); a graph that allows loops but holds none builds its
-        # events unmasked, as one without the allowance does
-        rng = random.Random(f"{directed}{loops}")
+        # packed sort); each unordered pair gives exactly two events
+        rng = random.Random(f"{directed}")
         for trial in range(200):
             n = rng.randint(1, 25)
             span = rng.choice([3, 2**16 + 5, 2**40])
             edges = [(rng.randrange(n), rng.randrange(n), rng.randrange(span))
                      for _ in range(rng.randint(0, 120))]
-            if not loops or trial % 4 == 0:
-                edges = [e for e in edges if e[0] != e[1]]
             edges = distinct_pairs(edges, directed)
-            g = TemporalGraph([0] * n, edges, directed=directed, allow_self_loops=loops)
+            g = TemporalGraph([0] * n, edges, directed=directed)
             times, v, w = g.first_links()
             assert (times.dtype, v.dtype, w.dtype) == (np.int64, np.int32, np.int32)
             assert v.flags.c_contiguous and w.flags.c_contiguous
+            assert len(times) == 2 * len(undirected_simple(edges))
             assert (times.tolist(), v.tolist(), w.tolist()) == first_links_ordered_brute(edges)
+            assert sorted(zip(times.tolist(), v.tolist(), w.tolist())) == first_links_brute(edges, span)
             end = max(e[2] for e in edges) // 2 if edges else 0
             assert sorted(zip(*(column.tolist() for column in g.first_links(end)))) == first_links_brute(edges, end)
 
     def test_directed_pair_keeps_its_earlier_arc(self):
         # both arcs of each pair, the later arc first in input order
-        edges = [(1, 0, 7), (0, 1, 3), (2, 1, 4), (1, 2, 9), (2, 2, 5)]
-        g = TemporalGraph([0, 0, 0], edges, directed=True, allow_self_loops=True)
+        edges = [(1, 0, 7), (0, 1, 3), (2, 1, 4), (1, 2, 9)]
+        g = TemporalGraph([0, 0, 0], edges, directed=True)
         times, v, w = g.first_links()
         got = (times.tolist(), v.tolist(), w.tolist())
-        assert got == first_links_ordered_brute(edges) == ([3, 3, 4, 4, 5], [0, 1, 2, 1, 2], [1, 0, 1, 2, 2])
+        assert got == first_links_ordered_brute(edges) == ([3, 3, 4, 4], [0, 1, 2, 1], [1, 0, 1, 2])
 
 
 class TestAtomicWrite:
