@@ -287,10 +287,12 @@ def cmd_stars(args) -> int:
     _require_positive(k=args.k, w=args.w, interval=args.interval)
     if math.isnan(args.threshold):  # it would class every network slow
         raise ValueError("threshold must be a number, not nan")
+    out = os.path.realpath(args.out)  # a rerun must not read its own earlier output
     paths = sorted(
         os.path.join(args.dir, name)
         for name in os.listdir(args.dir)
         if not name.endswith(".meta.json") and not name.endswith(".manifest.json")
+        and os.path.realpath(os.path.join(args.dir, name)) != out
     )
     networks = []  # (class, active time, sparse star vector) per readable network
     for path in paths:

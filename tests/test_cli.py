@@ -1,3 +1,4 @@
+import bisect
 import csv
 import ctypes
 import io
@@ -90,6 +91,9 @@ ONE_LINE_ERRORS = {
                                        "analyze --in {d}/g.csv --out {d}/o.csv --interval 1"),
     "analyze_sidecar_holds_a_loop": ({"g.csv": "0,0,0\n", "g.csv.meta.json": json.dumps(
                                          {**_META, "allow_self_loops": True})},
+                                     "analyze --in {d}/g.csv --out {d}/o.csv --interval 1"),
+    "analyze_sidecar_label_number": ({"g.csv": "0,1,1\n", "g.csv.meta.json": json.dumps(
+                                         {**_META, "time_unit_label": 5})},
                                      "analyze --in {d}/g.csv --out {d}/o.csv --interval 1"),
     # an empty value is refused, not read as the flag's absence
     "analyze_k_empty": ({"g.txt": GRAPH}, ANALYZE + "1 --k="),
@@ -192,6 +196,7 @@ ERROR_WORDING = {
     "analyze_join_time_past_int64": "/g.csv: join times must lie in the int64 range\n",
     "analyze_sidecar_repeats_a_pair": "g.csv: duplicate edge (1, 0) in simple graph",
     "analyze_sidecar_holds_a_loop": "/g.csv: self-loops are not allowed in this graph\n",
+    "analyze_sidecar_label_number": "/g.csv.meta.json: 'time_unit_label' must be a string\n",
     "analyze_k_empty": "error: --k '': invalid literal for int() with base 10: ''\n",
     "generate_config_empty": "error: [Errno 2] No such file or directory: ''\n",
     "compare_xmin_string": "error: setting 0: xmin must be an integer, not '3'",
@@ -403,6 +408,65 @@ class TestAnalyze:
             assert together == alone
             assert any(c != "0" for c in together[1:])
 
+    def test_star_size_of_every_vertex_fills_the_set_only_at_the_end(self, tmp_path):
+        # 700 horizons of one join each, and k = n: every vertex is a star
+        # from its join on, and the other columns are those of a run without it
+        graph_path = str(tmp_path / "ba.csv")
+        assert run(["generate", "--model", "ba", "--m", "3", "--n", "700", "--seed", "7", "--out", graph_path]) == 0
+        tables = []
+        for ks in ("1,5,700", "1,5"):
+            out = str(tmp_path / f"f{ks}.csv")
+            assert run(["analyze", "--in", graph_path, "--interval", "1", "--k", ks, "--xmin", "3",
+                        "--out", out]) == 0
+            with open(out) as fh:
+                tables.append(list(csv.DictReader(fh)))
+        together, alone = tables
+        joins = sorted(read_edge_list(graph_path).join_times)
+        horizons = [int(row["t"]) for row in together]
+        assert len(horizons) == 700
+        assert [int(row.pop("new_stars_k700")) for row in together] == [
+            bisect.bisect_right(joins, h) - bisect.bisect_right(joins, low)
+            for low, h in zip([0, *horizons], horizons)
+        ]
+        assert together == alone
+
+    @pytest.mark.parametrize("form", ["comma_header_repeat_loop", "tab_space_header", "times_x65537"])
+    def test_raw_stream_forms_give_the_same_rows(self, tmp_path, form):
+        # the worked example's records as a shuffled raw stream, and again
+        # in another form: a header, and a later repeat of a pair and a
+        # self-loop after the last record, change no row; a tab and a space
+        # delimit as commas do; times multiplied by 65537 = 2**16 + 1 take
+        # the packed time sort where the original's take the radix sort,
+        # and at interval 65537 only the t column changes
+        graph_path = tmp_path / "g.csv"
+        assert run(["generate", "--model", "tpa", "--m", "3", "--schedule", "100,200,400", "--f", "exp2",
+                    "--seed", "9", "--out", str(graph_path)]) == 0
+        records = [line.split(",") for line in graph_path.read_text().splitlines() if not line.startswith("#")]
+        random.Random(1).shuffle(records)
+        u, v, t = records[0]
+        scale = 65537 if form == "times_x65537" else 1
+        texts = {
+            "plain": "".join(f"{a},{b},{c}\n" for a, b, c in records),
+            "comma_header_repeat_loop": "# source,target,timestamp\n"
+                                        + "".join(f"{a},{b},{c}\n" for a, b, c in records)
+                                        + f"{v},{u},{int(t) + 1}\n{u},{u},{t}\n",
+            "tab_space_header": "# source target timestamp\n" + "".join(f"{a}\t{b} {c}\n" for a, b, c in records),
+            "times_x65537": "".join(f"{a},{b},{int(c) * 65537}\n" for a, b, c in records),
+        }
+        tables = []
+        for name, interval in (("plain", 1), (form, scale)):
+            (tmp_path / f"{name}.txt").write_text(texts[name])
+            out = str(tmp_path / f"{name}.csv")
+            assert run(["analyze", "--in", str(tmp_path / f"{name}.txt"), "--interval", str(interval),
+                        "--out", out]) == 0
+            with open(out) as fh:
+                tables.append(list(csv.DictReader(fh)))
+        plain, other = tables
+        assert len(plain) == len(other) > 1
+        for a, b in zip(plain, other):
+            assert int(b.pop("t")) == int(a.pop("t")) * scale
+            assert a == b
+
     def test_features_once_per_distinct_snapshot(self, monkeypatch):
         # on sparse streams most horizons add nothing to the snapshot before
         calls = []
@@ -581,14 +645,14 @@ class TestCompare:
         features = compute_features(g.snapshot_at(g.t_end), gamma_x_min=2)
         assert float(row["max_degree"]) == features["max_degree"]
 
-    def test_thread_env_keeps_row_order(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TEMPONET_THREADS", "4")
-        out = str(tmp_path / "t.csv")
-        assert run(["compare", "--settings", self.settings_file(tmp_path),
-                    "--repeats", "2", "--out", out]) == 0
+    def test_label_with_a_comma_is_quoted(self, tmp_path):
+        path = tmp_path / "settings.json"
+        path.write_text(json.dumps([{"label": "ba, m=2", "model": "ba", "m": 2, "n": 60}]))
+        out = tmp_path / "t.csv"
+        assert run(["compare", "--settings", str(path), "--repeats", "2", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].startswith('"ba, m=2",2,')
         with open(out) as fh:
-            rows = list(csv.DictReader(fh))
-        assert [r["setting"] for r in rows] == ["tpa_small", "ba_small"]
+            assert [r["setting"] for r in csv.DictReader(fh)] == ["ba, m=2"]
 
 
 class TestStars:
@@ -727,6 +791,16 @@ class TestStars:
             " at most 10000000 are supported\n"
         )
         assert sorted(os.listdir(tmp_path)) == ["nets"]
+
+    def test_output_inside_the_directory_is_not_read_back(self, tmp_path, capsys):
+        # a rerun leaves its own earlier output out of the listing, as it
+        # leaves out sidecars and manifests, whatever path spells it
+        d = self.make_network_dir(tmp_path, [("a", [5] * 5, 1), ("b", [5] * 8, 2)])
+        written = []
+        for out in (os.path.join(d, "stars.csv"), os.path.join(d, os.pardir, "nets", "stars.csv")):
+            assert run(["stars", "--dir", d, "--k", "2", "--w", "1", "--interval", "1", "--out", out]) == 0
+            written.append((read_bytes(out), capsys.readouterr().err))
+        assert written[0] == written[1] and written[0][0].count(b"\n") > 1
 
     def test_subdirectory_is_skipped_with_notice(self, tmp_path, capsys):
         d = self.make_network_dir(tmp_path, [("one", [10] * 5, 1)])
@@ -1063,10 +1137,39 @@ class TestFreedHeap:
         assert written["tuned"]["s.csv"].count(b"\n") > 1
 
 
-def test_cli_imports_neither_scipy_nor_networkx():
-    # numpy is the one runtime dependency; scipy and networkx are test oracles
-    code = ("import sys, temponet.cli; "
-            "print(sorted(m for m in ('scipy', 'networkx') if m in sys.modules))")
+def test_cli_imports_neither_scipy_nor_networkx(tmp_path):
+    # numpy is the one runtime dependency; scipy and networkx are test
+    # oracles. Every command runs (generate for every model, analyze on a
+    # sidecar file, a raw stream and a deep network whose BFS levels take
+    # both the dense and the sparse step, compare and stars) and neither
+    # module is loaded after, whether imported eagerly, lazily or guarded
+    (tmp_path / "nets").mkdir()
+    (tmp_path / "nets" / "raw.txt").write_text(path_stream(1000))
+    (tmp_path / "settings.json").write_text(json.dumps([
+        {"label": "grouped_lin", "model": "tpa", "m": 3, "schedule": "linear:10:30", "f": "geom:0.8:0.2"},
+        {"label": "ba", "model": "ba", "m": 3, "n": 100},
+    ]))
+    commands = [
+        "generate --model tpa --m 3 --schedule 100,200,400 --f exp2 --seed 7 --out nets/tpa.csv",
+        "generate --model tpa --m 3 --schedule linear:10:100 --f geom:0.8:0.2 --seed 7 --out deep.csv",
+        "generate --model ba --m 3 --n 100 --seed 7 --out ba.csv",
+        "generate --model hk --m 3 --n 100 --p-triangle 0.5 --seed 7 --out hk.csv",
+        "generate --model ff --n 100 --p-forward 0.3 --seed 7 --out ff.csv",
+        "generate --model ws --n 100 --k 4 --p 0.1 --seed 7 --out ws.csv",
+        "generate --model nw --n 100 --k 4 --p 0.1 --seed 7 --out nw.csv",
+        "analyze --in nets/tpa.csv --interval 1 --out tpa_features.csv",
+        "analyze --in nets/raw.txt --interval 1 --out raw_features.csv",
+        "analyze --in deep.csv --interval 10 --out deep_features.csv",
+        "compare --settings settings.json --repeats 2 --out table.csv",
+        "stars --dir nets --k 5 --w 1 --interval 1 --out stars.csv",
+    ]
+    code = ("import sys\nfrom temponet import cli\n"
+            f"failed = [argv for argv in {commands!r} if cli.main(argv.split())]\n"
+            "print(failed, sorted({'scipy', 'networkx'} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": SRC}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout == "[]\n"
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.splitlines()[-1:] == ["[] []"], done.stderr
+    for argv in commands:
+        out = argv.split()[-1]
+        assert os.path.getsize(tmp_path / out) > 0 and os.path.exists(tmp_path / f"{out}.manifest.json")
