@@ -19,7 +19,8 @@ for ``np.bitwise_count``). A giant of up to 1024 vertices runs as one
 block of all its sources, a larger one in blocks of 512. Each BFS level
 takes a sparse push step, over the frontier rows' neighbours only, when
 those rows hold under 0.4 of the edge slots, and a dense step over every
-row otherwise; the dense step ORs the first 16 neighbour slots of every
+row otherwise. The dense step gathers every neighbour word straight into
+one preallocated buffer, then ORs the first 16 neighbour slots of every
 row as contiguous slabs, which the falling-degree row order allows.
 Triangle counts and the path-length sum are exact integers.
 
@@ -44,11 +45,15 @@ import numpy as np
 
 from .temporal_graph import Snapshot, TemporalGraph
 
-_SP_BLOCK = 512  # sources per block of a giant above _SP_ONE_BLOCK vertices
+# sources per block of a giant above _SP_ONE_BLOCK vertices (1024 took
+# about 6% less time on 6200-vertex giants, but doubles the dense step's
+# gather buffer there, 2.4 to 4.8 MB)
+_SP_BLOCK = 512
 _SP_ONE_BLOCK = 1024
 # a BFS level whose frontier rows hold fewer than this share of the nnz
-# edge slots takes the sparse step (on 700- and 6200-vertex giants any
-# value from 0.2 to 0.4 measured the same)
+# edge slots takes the sparse step (on the 700-vertex giants of compare,
+# 0.1 to 0.5 measured within about 5% of each other; on 6200-vertex
+# giants 0.2 took 12-16% less time than 0.4)
 _SP_SPARSE = 0.4
 # neighbour slots per row that the dense BFS step ORs as contiguous slabs
 _SP_SLABS = 16
@@ -178,11 +183,11 @@ def _mean_bfs_distance(indptr: np.ndarray, indices: np.ndarray, sources: np.ndar
     # (Beamer, Asanovic & Patterson, SC 2012). Below _SP_SPARSE * nnz,
     # the sparse push step gathers only those rows' CSR slices, sorts
     # their targets and ``reduceat``s per target. Otherwise the dense step
-    # gathers all nnz neighbour words into a preallocated buffer and ORs
-    # them per row. The dense step keeps the full frontier array in
-    # place; it is converted to rows and words only at a switch. No row
-    # is empty, as the graph is one component of 2+ vertices. The
-    # path-length sum is an exact int over all n * (n - 1)
+    # gathers all nnz neighbour words straight into a preallocated buffer,
+    # with no temporary, and ORs them per row. The dense step keeps the
+    # full frontier array in place; it is converted to rows and words only
+    # at a switch. No row is empty, as the graph is one component of 2+
+    # vertices. The path-length sum is an exact int over all n * (n - 1)
     # ordered pairs.
     #
     # ``reduceat`` costs per row it reads, so the dense step ORs most
@@ -256,7 +261,10 @@ def _mean_bfs_distance(indptr: np.ndarray, indices: np.ndarray, sources: np.ndar
                     frontier.fill(0)
                     frontier[rows] = words
                     dense = True
-                np.take(frontier, layout, axis=0, out=gathered)
+                # under the default mode="raise", np.take with out= writes
+                # to a temporary and copies it; "clip" writes to gathered
+                # directly, and never clamps, as layout holds rows below n
+                np.take(frontier, layout, axis=0, out=gathered, mode="clip")
                 np.copyto(following, gathered[:n])  # every row has a neighbour
                 for at, count in slabs:
                     head = following[:count]

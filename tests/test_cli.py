@@ -3,6 +3,7 @@ import csv
 import ctypes
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -466,6 +467,32 @@ class TestAnalyze:
         for a, b in zip(plain, other):
             assert int(b.pop("t")) == int(a.pop("t")) * scale
             assert a == b
+
+    def test_raw_stream_and_sidecar_file_agree_but_for_float_sums_and_star_ties(self, tmp_path):
+        # a shuffled raw stream is renumbered in join order, first
+        # appearance within one join time: clustering and gamma sum floats
+        # in id order, so only their last digits may differ, and top-k
+        # ties break by id, so new_stars_k* may differ (here k1 at t=1, 2)
+        graph_path = str(tmp_path / "g.csv")
+        assert run(["generate", "--model", "tpa", "--m", "3", "--schedule", "100,200,400", "--f", "exp2",
+                    "--seed", "9", "--out", graph_path]) == 0
+        with open(graph_path) as fh:
+            records = [line for line in fh if not line.startswith("#")]
+        random.Random(0).shuffle(records)
+        (tmp_path / "raw.txt").write_text("".join(records))
+        tables = []
+        for name in (graph_path, str(tmp_path / "raw.txt")):
+            out = name + ".features.csv"
+            assert run(["analyze", "--in", name, "--interval", "1", "--out", out]) == 0
+            with open(out) as fh:
+                tables.append(list(csv.DictReader(fh)))
+        sidecar, raw = tables
+        assert [row["t"] for row in sidecar] == [row["t"] for row in raw] == ["0", "1", "2"]
+        for a, b in zip(sidecar, raw):
+            for name in ("vertices", "edges", "density", "avg_shortest_path", "max_degree", "jrc"):
+                assert a[name] == b[name]
+            for name in ("avg_clustering", "gamma"):
+                assert math.isclose(float(a[name]), float(b[name]), rel_tol=1e-15)
 
     def test_features_once_per_distinct_snapshot(self, monkeypatch):
         # on sparse streams most horizons add nothing to the snapshot before

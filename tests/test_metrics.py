@@ -208,13 +208,20 @@ class TestShortestPath:
             monkeypatch.setattr(metrics, "_SP_SPARSE", share)
             assert avg_shortest_path(s) == expected
 
-    def test_matches_bfs_oracle_on_random_multi_component_graphs(self):
+    # the dense step gathers with mode="clip", so a row id out of range
+    # would give a wrong sum, not an IndexError: each graph runs with the
+    # step chosen per level, then every level sparse, then every level dense
+    def test_matches_bfs_oracle_on_random_multi_component_graphs(self, monkeypatch):
         rng = random.Random(5)
+        shares = (metrics._SP_SPARSE, 2.0, 0.0)
         for n in (40, 130, 600):
             for _ in range(3):
                 edges = distinct_pairs([(rng.randrange(n), rng.randrange(n), 0) for _ in range(n)])
-                g = TemporalGraph([0] * n, edges)
-                assert avg_shortest_path(g.snapshot_at(0)) == avg_sp_bfs(n, edges)
+                s = TemporalGraph([0] * n, edges).snapshot_at(0)
+                expected = avg_sp_bfs(n, edges)
+                for share in shares:
+                    monkeypatch.setattr(metrics, "_SP_SPARSE", share)
+                    assert avg_shortest_path(s) == expected
 
     @pytest.mark.parametrize("path_first", [True, False])
     def test_equal_largest_components_smaller_id_wins(self, path_first):
