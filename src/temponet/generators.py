@@ -204,10 +204,10 @@ def _cumulative_weights(weights: Sequence[float]) -> list[float]:
 
 
 def _edge_array(flat: list[int]) -> np.ndarray:
-    """The ``(E, 3)`` int64 array of a flat ``source, target, created``
-    list, which numpy converts several times faster than a list of
-    tuples."""
-    return np.array(flat, dtype=np.int64).reshape(-1, 3)
+    """The source, target and created int64 columns, as the rows of a
+    ``(3, E)`` array, of a flat ``source, target, created`` list, which
+    numpy converts several times faster than a list of tuples."""
+    return np.array(flat, dtype=np.int64).reshape(-1, 3).T
 
 
 def tpa_generate(params: TpaParams) -> TemporalGraph:
@@ -284,19 +284,15 @@ def tpa_generate(params: TpaParams) -> TemporalGraph:
                 own_append(v)
             ends.append(len(targets))
 
-    # vertices wire in id order, so the sources run in blocks of their placed edges
+    # vertices wire in id order, so the sources run in blocks of their placed
+    # edges; unchecked, as targets are from earlier or the same groups, are
+    # never the source and never already linked
     placed = np.diff(ends, prepend=0)
-    edges = np.empty((len(targets), 3), dtype=np.int64)
-    edges[:, 0] = np.repeat(np.arange(next_id), placed)
-    edges[:, 1] = targets
-    edges[:, 2] = np.repeat(join_times, placed)
-    return TemporalGraph(
-        join_times,
-        edges,
-        directed=False,
-        time_unit="iteration",
-        info={"skipped_edges": skipped, "model": "tpa"},
-    )
+    join = np.array(join_times, dtype=np.int64)
+    sources = np.repeat(np.arange(next_id, dtype=np.int64), placed)
+    return TemporalGraph.__new__(TemporalGraph)._build(
+        join, sources, np.array(targets, dtype=np.int64), np.repeat(join, placed),
+        time_unit="iteration", info={"skipped_edges": skipped, "model": "tpa"})
 
 
 def baseline_generate(model: str, n: int, seed: int = 0, **model_params) -> TemporalGraph:
@@ -318,16 +314,15 @@ def baseline_generate(model: str, n: int, seed: int = 0, **model_params) -> Temp
             if n <= m:
                 raise ValueError(f"{model} model needs n > m")
             if model == "ba":
-                edges = _barabasi_albert(n, m, rng)
+                columns = _barabasi_albert(n, m, rng)
             else:
                 p_t = float(model_params["p_triangle"])
                 if not (0 <= p_t <= 1):
                     raise ValueError("hk triangle probability must be in [0, 1]")
                 adj = _holme_kim(n, m, p_t, rng)
                 # v > u joins later
-                edges = _edge_array([x for u, v in _graph_edges(adj) for x in (u, v, v)])
-            return TemporalGraph(list(range(n)), edges, directed=False, info={"model": model})
-        if model in ("ws", "nw"):
+                columns = _edge_array([x for u, v in _graph_edges(adj) for x in (u, v, v)])
+        elif model in ("ws", "nw"):
             k = int(model_params["k"])
             p = float(model_params["p"])
             if k < 0 or not (0 <= p <= 1):
@@ -335,20 +330,22 @@ def baseline_generate(model: str, n: int, seed: int = 0, **model_params) -> Temp
             if n <= k:
                 raise ValueError(f"{model} model needs n > k")
             sampler = _watts_strogatz if model == "ws" else _newman_watts_strogatz
-            edges = [x for u, v in _graph_edges(sampler(n, k, p, rng)) for x in (u, v, 0)]
-            return TemporalGraph(
-                [0] * n, _edge_array(edges), directed=False, info={"model": model}
-            )
-        if model == "ff":
+            columns = _edge_array([x for u, v in _graph_edges(sampler(n, k, p, rng)) for x in (u, v, 0)])
+        elif model == "ff":
             p_f = float(model_params["p_forward"])
             if not (0 <= p_f < 1):
                 raise ValueError("ff forward probability must be in [0, 1)")
             if n < 1:
                 raise ValueError("ff model needs n >= 1")
-            return _forest_fire(n, p_f, rng)
+            columns = _forest_fire(n, p_f, rng)
+        else:
+            raise ValueError(f"unknown baseline model: {model!r}")
     except KeyError as exc:
         raise ValueError(f"model {model!r} is missing parameter {exc}") from exc
-    raise ValueError(f"unknown baseline model: {model!r}")
+    # unchecked: each pair comes once and never as a loop, and an edge is
+    # created when its later end joins (in ws and nw all join at 0)
+    join = np.zeros(n, dtype=np.int64) if model in ("ws", "nw") else np.arange(n, dtype=np.int64)
+    return TemporalGraph.__new__(TemporalGraph)._build(join, *columns, info={"model": model})
 
 
 # The four ports below follow networkx 3's generators draw for draw.
@@ -384,12 +381,12 @@ def _random_subset(seq: list[int], m: int, rng: random.Random) -> set[int]:
     return targets
 
 
-def _barabasi_albert(n: int, m: int, rng: random.Random) -> np.ndarray:
+def _barabasi_albert(n: int, m: int, rng: random.Random) -> tuple[np.ndarray, ...]:
     """``nx.barabasi_albert_graph``: a star on ``0 .. m`` centred at 0,
     then each new vertex links to ``m`` distinct targets drawn with
-    weight equal to their degree. Returns the ``(E, 3)`` edge array in
-    ``nx.Graph.edges()`` order, each edge created when its later end
-    joins."""
+    weight equal to their degree. Returns the int64 source, target and
+    created columns in ``nx.Graph.edges()`` order; an edge is created
+    when its later end, the target, joins, so the last two are one."""
     repeated = [0] * m + list(range(1, m + 1))
     for source in range(m + 1, n):
         targets = _random_subset(repeated, m, rng)
@@ -403,7 +400,8 @@ def _barabasi_albert(n: int, m: int, rng: random.Random) -> np.ndarray:
     ends = np.array(repeated, dtype=np.int64).reshape(-1, 2, m)
     lower, later = ends[:, 0].ravel(), ends[:, 1].ravel()
     order = np.lexsort((later, lower))
-    return np.stack([lower[order], later[order], later[order]], axis=1)
+    later = later[order]
+    return lower[order], later, later
 
 
 def _holme_kim(n: int, m: int, p: float, rng: random.Random) -> Adjacency:
@@ -489,11 +487,11 @@ def _newman_watts_strogatz(n: int, k: int, p: float, rng: random.Random) -> Adja
     return adj
 
 
-def _forest_fire(n: int, p_forward: float, rng: random.Random) -> TemporalGraph:
+def _forest_fire(n: int, p_forward: float, rng: random.Random) -> np.ndarray:
     """Undirected forest-fire growth: each new vertex links to a random
     ambassador, then burns outward through its neighbourhood, spreading
     to a geometric number of unvisited neighbours (mean p/(1-p)) and
-    linking to every burned vertex."""
+    linking to every burned vertex. Returns :func:`_edge_array` columns."""
     adjacency: list[set[int]] = [set()]
     edges: list[int] = []  # source, target, created of each edge in turn
     for v in range(1, n):
@@ -519,6 +517,4 @@ def _forest_fire(n: int, p_forward: float, rng: random.Random) -> TemporalGraph:
             adjacency[v].add(u)
             adjacency[u].add(v)
             edges += (v, u, v)
-    return TemporalGraph(
-        list(range(n)), _edge_array(edges), directed=False, info={"model": "ff"}
-    )
+    return _edge_array(edges)

@@ -110,17 +110,23 @@ def read_edge_stream(source: Iterable[str], *, directed: bool = False) -> Tempor
     ranked = seen[_stable_order(join[seen])]
     remap = np.empty(n, dtype=np.int64)
     remap[ranked] = np.arange(n)
-    return TemporalGraph(join[ranked], np.column_stack([remap[u], remap[v], t]), directed=directed)
+    # unchecked: joins are >= 0 (the parser refuses negative times), ids
+    # in join order (the stable sort), join[x] <= t (a pair's stamp is the
+    # minimum over records naming both ends), loops dropped, and one edge
+    # kept per run of pair keys
+    return TemporalGraph.__new__(TemporalGraph)._build(join[ranked], remap[u], remap[v], t, directed)
 
 
 def normalize_times(g: TemporalGraph) -> TemporalGraph:
     """Shift all timestamps so the first arrival sits at 0; pairwise
     differences are preserved. Already-normalized graphs come back
     equal. The shifted graph shares the edge endpoint columns of ``g``
-    and is not validated again."""
+    and, like the readers' and generators' graphs, is not validated."""
     if g.n_vertices == 0:
         raise ValueError("cannot normalize an empty graph")
     shift = g.t_min
     if shift == 0:
         return g
-    return g._shifted(shift)
+    # a shift by the first join time keeps join order, join <= t and times >= 0
+    return TemporalGraph.__new__(TemporalGraph)._build(
+        g.join - shift, g.u, g.v, g.t - shift, g.directed, g.time_unit, g.info)

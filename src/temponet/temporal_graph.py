@@ -4,6 +4,8 @@ A :class:`TemporalGraph` is four int64 numpy columns and a first-link
 index built on first use; its ``join_times`` and ``edges`` tuples are
 built on each read. It is immutable, so any number of readers may take
 :class:`Snapshot` views concurrently.
+The public constructor validates input from outside the program; the
+library's own producers build unchecked, and the tests check them.
 Timestamps are opaque non-negative integers in caller-defined units
 (weeks, years, iteration indices, epoch nanoseconds), below 2**63; the
 toolkit never converts calendar units.
@@ -102,7 +104,9 @@ class TemporalGraph:
     ``edges`` is an iterable of ``(source,
     target, created)`` triples or an ``(E, 3)`` integer array. A value
     that is not an integer, or lies outside the int64 range, is refused
-    before any of these checks.
+    before any of these checks. Every graph is built by :meth:`_build`;
+    this constructor then checks it, while the library's producers,
+    which hold every rule by construction, are checked by the tests.
 
     The graph is held in four read-only int64 numpy columns: ``join``,
     the join time of each vertex id, and ``u``, ``v``, ``t``, the
@@ -132,18 +136,25 @@ class TemporalGraph:
         time_unit: str = "",
         info: dict | None = None,
     ):
-        self.directed = bool(directed)
-        self.time_unit = time_unit
-        self.info = dict(info) if info else {}
-        self.join = _int_column(join_times, "join times")
+        join = _int_column(join_times, "join times")
         e = _int_column(edges, "edge fields", _NOT_A_TRIPLE)
         if e.size and e.shape[1:] != (3,):
             raise ValueError(_NOT_A_TRIPLE)
-        self.u, self.v, self.t = e.reshape(-1, 3).T
+        self._build(join, *e.reshape(-1, 3).T, directed, time_unit, info)
         self._validate()
-        for column in (self.join, self.u, self.v, self.t):
+
+    def _build(self, join, u, v, t, directed=False, time_unit="", info=None) -> "TemporalGraph":
+        """Set the slots to the int64 columns ``join``, ``u``, ``v``,
+        ``t``, frozen but neither copied nor checked; returns ``self``,
+        which a producer takes from ``TemporalGraph.__new__``."""
+        for column in (join, u, v, t):
             column.flags.writeable = False
+        self.join, self.u, self.v, self.t = join, u, v, t
+        self.directed = bool(directed)
+        self.time_unit = time_unit
+        self.info = dict(info) if info else {}
         self._first_links = None  # built on first use
+        return self
 
     def _validate(self) -> None:
         # One fault mask per check finds the first faulty position in
@@ -175,20 +186,6 @@ class TemporalGraph:
         if x == y:
             raise ValueError("self-loops are not allowed in this graph")
         raise ValueError(f"duplicate edge ({x}, {y}) in simple graph")
-
-    def _shifted(self, shift: int) -> "TemporalGraph":
-        """This graph with every time lowered by ``shift``, at most its
-        first join time, sharing ``u`` and ``v``. It is not validated
-        again: a uniform shift by no more than the earliest time keeps
-        join order, ``join <= t`` and non-negative times."""
-        g = TemporalGraph.__new__(TemporalGraph)
-        g.directed, g.time_unit = self.directed, self.time_unit
-        g.info = dict(self.info)
-        g.u, g.v = self.u, self.v
-        g.join, g.t = self.join - shift, self.t - shift
-        g.join.flags.writeable = g.t.flags.writeable = False
-        g._first_links = None
-        return g
 
     @property
     def join_times(self) -> tuple[int, ...]:
@@ -621,12 +618,12 @@ def read_edge_list(path) -> TemporalGraph:
 
     Records follow the edge-stream grammar and keep their ids as
     written. Raises :class:`EdgeStreamParseError` on a malformed line
-    and ``ValueError`` when the sidecar lacks a required key, holds a
+    and ``ValueError`` when the sidecar lacks ``"directed"``, holds a
     value of the wrong type, or an id below the largest has neither a
     record nor an explicit join time, an explicit join time lies past
     the int64 range, or the file repeats a pair or holds a self-loop.
-    The sidecar's self-loop key and an old sidecar's ``"simple"`` must
-    be true or false; both are ignored.
+    The sidecar's self-loop key and an old sidecar's ``"simple"`` may be
+    absent, or true or false; both are ignored.
     """
     path = str(path)
     sidecar = path + _META_SUFFIX
@@ -634,9 +631,8 @@ def read_edge_list(path) -> TemporalGraph:
         meta = json.load(fh)
     if not isinstance(meta, dict):
         raise ValueError(f"{sidecar} is not a JSON object")
-    for key in ("directed", "allow_self_loops"):
-        if key not in meta:
-            raise ValueError(f"{sidecar} lacks {key!r}")
+    if "directed" not in meta:
+        raise ValueError(f"{sidecar} lacks 'directed'")
     for key in ("directed", "allow_self_loops", "simple"):
         if not isinstance(meta.get(key, True), bool):
             raise ValueError(f"{sidecar}: {key!r} must be true or false")

@@ -363,23 +363,25 @@ class TestAnalyze:
         assert run(["analyze", "--in", str(path), "--interval", "2", "--out", out]) == 0
 
     def test_sidecar_self_loop_key_is_ignored(self, tmp_path):
-        # a true key over loop-free records reads back the graph a false
-        # key gives, and every output written from it is the same
+        # a true key over loop-free records, or no key, reads back the
+        # graph a false key gives, and every output written from it is the same
         outputs = []
-        for loops in (False, True):
+        for loops in (False, True, None):
             d = tmp_path / str(loops)
             d.mkdir()
             path = str(d / "g.csv")
             (d / "g.csv").write_text("0,1,5\n2,1,7\n")
-            (d / "g.csv.meta.json").write_text(json.dumps(
-                {**_META, "allow_self_loops": loops, "explicit_join_times": {"2": 6}}))
+            meta = {**_META, "allow_self_loops": loops, "explicit_join_times": {"2": 6}}
+            if loops is None:
+                del meta["allow_self_loops"]
+            (d / "g.csv.meta.json").write_text(json.dumps(meta))
             g = read_edge_list(path)
             assert (g.join_times, g.edges) == ((5, 5, 6), ((0, 1, 5), (2, 1, 7)))
             write_edge_list(g, str(d / "w.csv"))
             assert run(["analyze", "--in", path, "--interval", "1", "--out", str(d / "f.csv")]) == 0
             outputs.append([read_bytes(str(d / name)) for name in ("w.csv", "w.csv.meta.json", "f.csv")])
-        assert outputs[0] == outputs[1]
-        assert b'"allow_self_loops":false' in outputs[1][1]
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert b'"allow_self_loops":false' in outputs[2][1]
 
     def test_reanalyze_identical_bytes(self, tmp_path):
         graph_path = str(tmp_path / "g.csv")

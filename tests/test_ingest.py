@@ -15,6 +15,7 @@ from temponet import (
     TemporalGraph,
     TimeDiffFn,
     TpaParams,
+    baseline_generate,
     normalize_times,
     read_edge_list,
     read_edge_stream,
@@ -211,40 +212,6 @@ class TestNormalizeTimes:
             for i in range(5):
                 for j in range(5):
                     assert n.join_times[i] - n.join_times[j] == g.join_times[i] - g.join_times[j]
-
-
-    def test_shifted_graph_equals_a_validated_construction(self):
-        # the graph that normalize_times once built and validated anew
-        def rebuilt(g):
-            shift = g.t_min
-            return TemporalGraph(
-                g.join - shift, np.column_stack([g.u, g.v, g.t - shift]),
-                directed=g.directed, time_unit=g.time_unit, info=g.info,
-            )
-
-        configs = [({}, ""), ({"directed": True}, "wk")]
-        for seed in range(3):
-            plain, wide = TestWideIdsAndOffsets.copies(seed)
-            records = raw_stream_records(seed)
-            texts = [wide, *("".join(f"{u} {v} {t + offset}\n" for u, v, t in records)
-                             for offset in (1000, 2**63 - 1000))]
-            assert plain != texts[1]
-            for text in texts:
-                for config, unit in configs:
-                    g = read_edge_stream(stream(text), **config)
-                    g.info["source"], g.time_unit = "raw", unit
-                    got, want = normalize_times(g), rebuilt(g)
-                    assert got.t_min == 0
-                    for column in ("join", "u", "v", "t"):
-                        a, b = getattr(got, column), getattr(want, column)
-                        assert a.dtype == b.dtype == np.int64 and a.tolist() == b.tolist(), column
-                        assert not a.flags.writeable
-                    assert got.u is g.u and got.v is g.v
-                    for attr in ("directed", "time_unit", "info"):
-                        assert getattr(got, attr) == getattr(want, attr), attr
-                    for a, b in zip(got.first_links(), want.first_links()):
-                        assert a.dtype == b.dtype and a.tolist() == b.tolist()
-                    got._validate()
 
 
 def raw_stream_records(seed):
@@ -707,3 +674,106 @@ class TestParserPaths:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^empty edge stream$"):
                 read_edge_stream(stream("# source,target,timestamp\n\n  # nothing\n"))
+
+
+def stream_texts():
+    """The streams drawn above: per seed the shuffled raw tpa stream of
+    :func:`raw_stream_records` (loops, later reversed repeats), with wide
+    ids, and with times offset by 1000 and to near 2**63; then random
+    streams of :func:`random_stream` that parse, with negative ids and
+    ids near the int64 limit among them."""
+    texts = []
+    for seed in range(3):
+        records = raw_stream_records(seed)
+        texts += TestWideIdsAndOffsets.copies(seed)
+        texts += ["".join(f"{u} {v} {t + offset}\n" for u, v, t in records) for offset in (1000, 2**63 - 1000)]
+    rng = random.Random(31)
+    while len(texts) < 52:
+        text = random_stream(rng)
+        try:
+            read_edge_stream(stream(text))
+        except ValueError:  # a faulty line
+            continue
+        texts.append(text)
+    return texts
+
+
+def streamed():
+    for text in stream_texts():
+        for directed in (False, True):
+            yield read_edge_stream(stream(text), directed=directed), {"directed": directed, "time_unit": "", "info": {}}
+
+
+def normalized():
+    for g, _ in streamed():
+        g.info["source"], g.time_unit = "raw", "wk"
+        got = normalize_times(g)
+        assert got.t_min == 0
+        assert got.u is g.u and got.v is g.v  # shared, not copied
+        assert got is g or got.info is not g.info
+        yield got, {"directed": g.directed, "time_unit": "wk", "info": {"source": "raw"}}
+
+
+TPA_GRID = [  # m, schedule, weights, retry limit
+    (3, [20, 40, 80, 40], TimeDiffFn.exp_base(2), 1000),
+    (3, [1], TimeDiffFn.exp_base(2), 1000),  # a lone vertex: every edge skipped
+    (2, [1, 4, 1, 1, 6], TimeDiffFn.geometric(0.9, 0.5), 1000),  # singleton groups
+    (5, [2] * 30, TimeDiffFn.geometric(1, 0), 50),  # saturated groups, exhausted retries
+    (4, [3, 5], TimeDiffFn.exp_base(2), 1),  # one draw per edge
+]
+
+
+def tpa_graphs():
+    for m, schedule, f, limit in TPA_GRID:
+        for seed in range(3):
+            g = tpa_generate(TpaParams(m=m, schedule=schedule, f=f, seed=seed, retry_limit=limit))
+            info = {"skipped_edges": g.info["skipped_edges"], "model": "tpa"}
+            yield g, {"directed": False, "time_unit": "iteration", "info": info}
+
+
+BASELINE_GRID = {  # model: (n, parameters) settings
+    "ba": [(n, {"m": m}) for m, n in ((1, 2), (3, 4), (2, 40), (3, 120))],
+    "hk": [(n, {"m": m, "p_triangle": p}) for m, n in ((1, 2), (2, 40), (3, 120)) for p in (0.0, 0.5, 1.0)],
+    "ws": [(n, {"k": k, "p": p}) for k, n in ((0, 1), (2, 3), (4, 30)) for p in (0.0, 0.3, 1.0)],
+    "nw": [(n, {"k": k, "p": p}) for k, n in ((0, 1), (2, 3), (4, 30)) for p in (0.0, 0.3, 1.0)],
+    "ff": [(n, {"p_forward": p}) for n in (1, 2, 60) for p in (0.0, 0.5, 0.9)],
+}
+
+
+def baseline_graphs(model):
+    for n, params in BASELINE_GRID[model]:
+        for seed in range(3):
+            g = baseline_generate(model, n, seed=seed, **params)
+            yield g, {"directed": False, "time_unit": "", "info": {"model": model}}
+
+
+PRODUCERS = {
+    "read_edge_stream": streamed,
+    "normalize_times": normalized,
+    "tpa_generate": tpa_graphs,
+    **{model: lambda model=model: baseline_graphs(model) for model in BASELINE_GRID},
+}
+
+
+class TestTrustedProducers:
+    """The graphs the library builds without the constructor's checks
+    (ingest, normalize_times and the generators) pass those checks, and
+    equal the graph the public constructor builds from their columns."""
+
+    @pytest.mark.parametrize("producer", list(PRODUCERS))
+    def test_graphs_equal_a_validated_construction(self, producer):
+        count = 0
+        for g, attrs in PRODUCERS[producer]():
+            validate_brute(g.join_times, g.edges, directed=g.directed)
+            want = TemporalGraph(g.join, np.column_stack([g.u, g.v, g.t]),
+                                 directed=g.directed, time_unit=g.time_unit, info=g.info)
+            for column in ("join", "u", "v", "t"):
+                a = getattr(g, column)
+                assert (a.ndim, a.dtype, a.flags.writeable) == (1, np.int64, False), column
+                assert a.tolist() == getattr(want, column).tolist(), column
+            for a, b in zip(g.first_links(), want.first_links()):
+                assert a.dtype == b.dtype and a.tolist() == b.tolist()
+            assert {attr: getattr(g, attr) for attr in attrs} == attrs
+            assert type(g.directed) is bool
+            count += 1
+        assert count >= 9
