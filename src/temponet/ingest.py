@@ -2,9 +2,10 @@
 
 Accepts whitespace- or comma-delimited text with three integer columns
 ``source target timestamp``, each in the int64 range; ``#``-prefixed
-lines are comments. Records
-need not be time-ordered. A vertex's join time is the earliest
-timestamp of any record mentioning it. The grammar and the join rule are
+lines are comments. Records need not be time-ordered, and the graph is
+undirected: records that join one pair in either order are one edge. A
+vertex's join time is the earliest timestamp of any record mentioning
+it. The grammar and the join rule are
 the ones :func:`temponet.temporal_graph.read_edge_list` applies to a
 sidecar-backed file.
 
@@ -46,16 +47,15 @@ from .temporal_graph import EdgeStreamParseError, TemporalGraph
 from .temporal_graph import _first_seen, _pair_keys, _parse_records, _runs, _stable_order
 
 
-def read_edge_stream(source: Iterable[str], *, directed: bool = False) -> TemporalGraph:
+def read_edge_stream(source: Iterable[str]) -> TemporalGraph:
     """Parse a line-oriented edge stream into a TemporalGraph.
 
-    The graph is ``directed`` or not. Duplicate edges (same endpoints,
-    unordered when undirected) collapse to one edge: the first record's
-    orientation and position, stamped with the earliest timestamp of any
-    of them. A self-loop record is dropped, but its endpoint is kept as
-    a vertex. Raw vertex ids are remapped to
-    dense ids in join order (ties broken by first appearance), which
-    leaves conforming streams unchanged.
+    The graph is undirected. Duplicate edges (the same unordered pair of
+    endpoints) collapse to one edge: the first record's orientation and
+    position, stamped with the earliest timestamp of any of them. A
+    self-loop record is dropped, but its endpoint is kept as a vertex.
+    Raw vertex ids are remapped to dense ids in join order (ties broken
+    by first appearance), which leaves conforming streams unchanged.
 
     The records are parsed into int64 columns, by one ``np.loadtxt``
     call when the stream is ASCII, uses the delimiter of its first
@@ -92,7 +92,7 @@ def read_edge_stream(source: Iterable[str], *, directed: bool = False) -> Tempor
     u, v, t = u[edge], v[edge], t[edge]
     # a run of equal pair keys is one pair's records: its head is the
     # first record, and its minimum the earliest time
-    order, _, head = _runs(_pair_keys(u, v, n, directed))
+    order, _, head = _runs(_pair_keys(u, v, n))
     heads = np.flatnonzero(head)
     firsts = order[heads]
     kept = np.zeros(len(order), dtype=bool)
@@ -114,7 +114,7 @@ def read_edge_stream(source: Iterable[str], *, directed: bool = False) -> Tempor
     # in join order (the stable sort), join[x] <= t (a pair's stamp is the
     # minimum over records naming both ends), loops dropped, and one edge
     # kept per run of pair keys
-    return TemporalGraph.__new__(TemporalGraph)._build(join[ranked], remap[u], remap[v], t, directed)
+    return TemporalGraph.__new__(TemporalGraph)._build(join[ranked], remap[u], remap[v], t)
 
 
 def normalize_times(g: TemporalGraph) -> TemporalGraph:
@@ -129,4 +129,4 @@ def normalize_times(g: TemporalGraph) -> TemporalGraph:
         return g
     # a shift by the first join time keeps join order, join <= t and times >= 0
     return TemporalGraph.__new__(TemporalGraph)._build(
-        g.join - shift, g.u, g.v, g.t - shift, g.directed, g.time_unit, g.info)
+        g.join - shift, g.u, g.v, g.t - shift, g.time_unit, g.info)

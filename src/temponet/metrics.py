@@ -1,14 +1,13 @@
 """Per-snapshot topological features and the top-k star machinery.
 
-Clustering and shortest paths run on the snapshot's undirected
-projection even for directed graphs; density treats each undirected
-edge as two directed links. Undefined values are returned as ``None``
-and serialize to JSON null.
+Every graph is undirected and simple, so density is ``2 * edges / (n *
+(n - 1))``. Undefined values are returned as ``None`` and serialize to
+JSON null.
 
-Both read the snapshot's pairs ``(v, w)``, two int64 arrays: the
-graph's first-link events up to the horizon, which hold each undirected
-pair once per endpoint, so both directions are present. The only
-compressed-row adjacency is the giant's, built for the BFS with its rows
+Clustering and shortest paths read the snapshot's pairs ``(v, w)``, two
+int64 arrays: the graph's first-link events up to the horizon, which
+hold each edge once per endpoint, so both directions are present. The
+only compressed-row adjacency is the giant's, built for the BFS with its rows
 numbered by falling degree.
 
 Triangles are counted by the degree-ordered forward algorithm; the giant
@@ -61,28 +60,26 @@ _GAMMA_MIN_TAIL = 50
 
 
 def _simple_pairs(s: Snapshot) -> tuple[np.ndarray, np.ndarray]:
-    """The snapshot's undirected simple projection as int64 pairs ``(v,
-    w)``: its first-link events up to the horizon, each pair once per
-    endpoint, so both directions are present. An
-    edge never precedes its endpoints' join, so every id is below
-    ``s.n_vertices``."""
+    """The snapshot's edges as int64 pairs ``(v, w)``: its first-link
+    events up to the horizon, each edge once per endpoint, so both
+    directions are present. An edge never precedes its endpoints' join,
+    so every id is below ``s.n_vertices``."""
     _, v, w = s.parent.first_links(s.horizon)
     return v.astype(np.int64), w.astype(np.int64)
 
 
 def density(s: Snapshot) -> float | None:
-    """Edges over ordered vertex pairs; undirected edges count twice
-    (each is treated as two directed links). ``None`` below 2 vertices."""
+    """Edges over vertex pairs, ``2 * edges / (n * (n - 1))``; ``None``
+    below 2 vertices."""
     n = s.n_vertices
     if n < 2:
         return None
-    count = s.n_edges if s.directed else 2 * s.n_edges
-    return count / (n * (n - 1))
+    return 2 * s.n_edges / (n * (n - 1))
 
 
 def avg_clustering(s: Snapshot) -> float | None:
     """Mean local clustering coefficient over all vertices; vertices of
-    degree below 2 contribute 0. Runs on the undirected projection."""
+    degree below 2 contribute 0."""
     n = s.n_vertices
     if n == 0:
         return None
@@ -124,9 +121,9 @@ def _triangles_per_vertex(deg: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.n
 
 
 def avg_shortest_path(s: Snapshot) -> float | None:
-    """Mean pairwise distance over the largest connected component of
-    the undirected projection, the one holding the smallest id among
-    equal largest; ``None`` when no component has 2+ vertices."""
+    """Mean pairwise distance over the largest connected component, the
+    one holding the smallest id among equal largest; ``None`` when no
+    component has 2+ vertices."""
     n = s.n_vertices
     if n < 2:
         return None

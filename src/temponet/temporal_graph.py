@@ -1,8 +1,9 @@
 """Core data model: networks whose vertices and edges carry arrival times.
 
-A :class:`TemporalGraph` is four int64 numpy columns and a first-link
-index built on first use; its ``join_times`` and ``edges`` tuples are
-built on each read. It is immutable, so any number of readers may take
+A :class:`TemporalGraph` is undirected and simple: a pair of vertices is
+unordered and joined by at most one edge, and no edge is a loop. It is
+four int64 numpy columns and a first-link index built on first use; its
+``join_times`` and ``edges`` tuples are built on each read. It is immutable, so any number of readers may take
 :class:`Snapshot` views concurrently.
 The public constructor validates input from outside the program; the
 library's own producers build unchecked, and the tests check them.
@@ -77,21 +78,18 @@ def _int_column(values, what: str, ragged: str = "") -> np.ndarray:
         raise ValueError(f"{what} must lie in the int64 range") from None
 
 
-def _pair_keys(u: np.ndarray, v: np.ndarray, n: int, directed: bool) -> np.ndarray:
+def _pair_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     """One integer per edge of an ``n``-vertex graph, equal for the edges
-    that join the same pair, ordered only when ``directed``."""
-    if directed:
-        return u * n + v
+    that join the same unordered pair."""
     return np.minimum(u, v) * n + np.maximum(u, v)
 
 
 def _repeated(keys: np.ndarray) -> np.ndarray:
     """True at each position whose key occurs at an earlier position."""
-    ranked = np.sort(keys)
-    if not (ranked[1:] == ranked[:-1]).any():
-        return np.zeros(len(keys), dtype=bool)
-    _, first, index = _distinct(keys)
-    return first[index] != np.arange(len(keys))
+    order, _, head = _runs(keys)
+    repeated = np.ones(len(keys), dtype=bool)
+    repeated[order[head]] = False  # a run's head is its key's first position
+    return repeated
 
 
 class TemporalGraph:
@@ -99,8 +97,9 @@ class TemporalGraph:
 
     Vertex ids are dense integers in ``[0, n)`` assigned in join order,
     so ``join_times`` must be non-decreasing. Every edge endpoint must
-    have joined no later than the edge was created. A repeated pair
-    (ordered when ``directed``) is rejected, and so is a self-loop.
+    have joined no later than the edge was created. A pair is
+    unordered, so ``(u, v)`` and ``(v, u)`` name one pair; a repeated
+    pair is rejected, and so is a self-loop.
     ``edges`` is an iterable of ``(source,
     target, created)`` triples or an ``(E, 3)`` integer array. A value
     that is not an integer, or lies outside the int64 range, is refused
@@ -117,7 +116,6 @@ class TemporalGraph:
     """
 
     __slots__ = (
-        "directed",
         "time_unit",
         "info",
         "join",
@@ -132,7 +130,6 @@ class TemporalGraph:
         join_times: Sequence[int] | np.ndarray,
         edges: Iterable[Edge] | np.ndarray,
         *,
-        directed: bool = False,
         time_unit: str = "",
         info: dict | None = None,
     ):
@@ -140,17 +137,16 @@ class TemporalGraph:
         e = _int_column(edges, "edge fields", _NOT_A_TRIPLE)
         if e.size and e.shape[1:] != (3,):
             raise ValueError(_NOT_A_TRIPLE)
-        self._build(join, *e.reshape(-1, 3).T, directed, time_unit, info)
+        self._build(join, *e.reshape(-1, 3).T, time_unit, info)
         self._validate()
 
-    def _build(self, join, u, v, t, directed=False, time_unit="", info=None) -> "TemporalGraph":
+    def _build(self, join, u, v, t, time_unit="", info=None) -> "TemporalGraph":
         """Set the slots to the int64 columns ``join``, ``u``, ``v``,
         ``t``, frozen but neither copied nor checked; returns ``self``,
         which a producer takes from ``TemporalGraph.__new__``."""
         for column in (join, u, v, t):
             column.flags.writeable = False
         self.join, self.u, self.v, self.t = join, u, v, t
-        self.directed = bool(directed)
         self.time_unit = time_unit
         self.info = dict(info) if info else {}
         self._first_links = None  # built on first use
@@ -174,7 +170,7 @@ class TemporalGraph:
         end = len(known) if known.all() else int(known.argmin())
         a, b, c = u[:end], v[:end], t[:end]
         bad = (join[a] > c) | (join[b] > c) | (a == b)
-        bad |= _repeated(_pair_keys(a, b, n, self.directed))
+        bad |= _repeated(_pair_keys(a, b, n))
         i = int(bad.argmax()) if bad.any() else end
         if i == len(known):
             return
@@ -257,10 +253,9 @@ class TemporalGraph:
         """First-link events up to time ``t`` (all of them when ``None``)
         as arrays ``(times, v, w)``, sorted by time with equal times in
         edge input order: vertex ``v[i]`` first touched its distinct
-        neighbour ``w[i]`` at ``times[i]``, by an edge in either
-        direction. Each pair gives two events at the same time, one per
-        endpoint. Every snapshot's undirected simple projection is thus a
-        prefix.
+        neighbour ``w[i]`` at ``times[i]``. Each edge gives two events at
+        its time, one per endpoint, and every snapshot's simple graph is
+        thus a prefix.
 
         ``times`` is int64 and ``v``, ``w`` are int32. The index is built
         on first use: the events fill one ``(2, 2E)`` array, ``v`` and
@@ -271,9 +266,6 @@ class TemporalGraph:
             if (times[1:] < times[:-1]).any():  # generated graphs never sort
                 order = _stable_order(times)  # equal times stay in input order
                 u, v, times = u[order], v[order], times[order]
-            if self.directed:  # both arcs of a pair: the earlier is the first link
-                first = ~_repeated(_pair_keys(u, v, self.n_vertices, directed=False))
-                u, v, times = u[first], v[first], times[first]
             # per edge the events (u, v) then (v, u), by strided assignment
             ends = np.empty((2, 2 * len(u)), dtype=np.int32)
             ends[0, 0::2] = ends[1, 1::2] = u
@@ -284,8 +276,7 @@ class TemporalGraph:
         return times[:end], v[:end], w[:end]
 
     def degree_at(self, v: int, t: int) -> int:
-        """Number of distinct vertices linked to ``v`` by time ``t``,
-        counting both edge directions."""
+        """Number of distinct vertices linked to ``v`` by time ``t``."""
         if not (0 <= v < self.n_vertices):
             raise KeyError(f"unknown vertex {v}")
         return int(np.count_nonzero(self.first_links(t)[1] == v))
@@ -295,8 +286,7 @@ class TemporalGraph:
         return np.bincount(self.first_links(t)[1], minlength=self.n_vertices).tolist()
 
     def __repr__(self) -> str:  # pragma: no cover
-        kind = "directed" if self.directed else "undirected"
-        return f"<TemporalGraph {kind} |V|={self.n_vertices} |E|={self.n_edges}>"
+        return f"<TemporalGraph |V|={self.n_vertices} |E|={self.n_edges}>"
 
 
 class Snapshot:
@@ -311,10 +301,6 @@ class Snapshot:
         self.horizon = horizon
         self.n_vertices = n_vertices
         self.n_edges = n_edges
-
-    @property
-    def directed(self) -> bool:
-        return self.parent.directed
 
     def degrees(self) -> list[int]:
         return self.parent.degrees_at(self.horizon)[: self.n_vertices]
@@ -598,8 +584,9 @@ def write_edge_list(graph: TemporalGraph, path) -> None:
         for x, jt in zip(np.flatnonzero(~implied).tolist(), join[~implied].tolist())
     }
     meta = {
-        "directed": graph.directed,
-        "allow_self_loops": False,  # kept so older readers accept the file
+        # both kept so older readers accept the file
+        "directed": False,
+        "allow_self_loops": False,
         "time_unit_label": graph.time_unit,
     }
     if explicit:
@@ -618,12 +605,13 @@ def read_edge_list(path) -> TemporalGraph:
 
     Records follow the edge-stream grammar and keep their ids as
     written. Raises :class:`EdgeStreamParseError` on a malformed line
-    and ``ValueError`` when the sidecar lacks ``"directed"``, holds a
-    value of the wrong type, or an id below the largest has neither a
-    record nor an explicit join time, an explicit join time lies past
-    the int64 range, or the file repeats a pair or holds a self-loop.
-    The sidecar's self-loop key and an old sidecar's ``"simple"`` may be
-    absent, or true or false; both are ignored.
+    and ``ValueError`` when the sidecar holds ``"directed": true`` (every
+    graph is undirected) or a value of the wrong type, or an id below
+    the largest has neither a record nor an explicit join time, an
+    explicit join time lies past the int64 range, or the file repeats a
+    pair, in either order, or holds a self-loop. ``"directed"`` may be
+    absent or false; the sidecar's self-loop key and an old sidecar's
+    ``"simple"`` may be absent, or true or false, and are ignored.
     """
     path = str(path)
     sidecar = path + _META_SUFFIX
@@ -631,11 +619,11 @@ def read_edge_list(path) -> TemporalGraph:
         meta = json.load(fh)
     if not isinstance(meta, dict):
         raise ValueError(f"{sidecar} is not a JSON object")
-    if "directed" not in meta:
-        raise ValueError(f"{sidecar} lacks 'directed'")
     for key in ("directed", "allow_self_loops", "simple"):
         if not isinstance(meta.get(key, True), bool):
             raise ValueError(f"{sidecar}: {key!r} must be true or false")
+    if meta.get("directed", False):
+        raise ValueError(f"{sidecar}: directed graphs are not supported")
     if not isinstance(meta.get("time_unit_label", ""), str):
         raise ValueError(f"{sidecar}: 'time_unit_label' must be a string")
     explicit = meta.get("explicit_join_times", {})
@@ -657,9 +645,4 @@ def read_edge_list(path) -> TemporalGraph:
         join_times = [joins[v] for v in range(max(joins, default=-1) + 1)]
     except KeyError as exc:
         raise ValueError(f"vertex {exc.args[0]} has no record and no explicit join time") from None
-    return TemporalGraph(
-        join_times,
-        records,
-        directed=meta["directed"],
-        time_unit=meta.get("time_unit_label", ""),
-    )
+    return TemporalGraph(join_times, records, time_unit=meta.get("time_unit_label", ""))

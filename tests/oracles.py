@@ -24,7 +24,7 @@ def in_int64(x):
     return -(2**63) <= x < 2**63
 
 
-def validate_brute(join_times, edges, directed=False):
+def validate_brute(join_times, edges):
     """The constructor's checks as one loop over the join times and one
     over the edges: raises ``ValueError`` for the first fault in input
     order, after a join time, then an edge field, outside the int64
@@ -52,7 +52,7 @@ def validate_brute(join_times, edges, directed=False):
             )
         if u == v:
             raise ValueError("self-loops are not allowed in this graph")
-        key = (u, v) if directed or u <= v else (v, u)
+        key = (min(u, v), max(u, v))
         if key in seen:
             raise ValueError(f"duplicate edge ({u}, {v}) in simple graph")
         seen.add(key)
@@ -93,7 +93,7 @@ def first_seen_brute(records):
     return first
 
 
-def read_edge_stream_brute(lines, directed=False):
+def read_edge_stream_brute(lines):
     """Raw-stream ingest with dicts and loops: returns ``(join_times,
     edges)`` lists after the loop drop, dedupe (first record's
     orientation and position, earliest timestamp) and the remap to ids
@@ -106,7 +106,7 @@ def read_edge_stream_brute(lines, directed=False):
     for u, v, t in records:
         if u == v:
             continue
-        key = (u, v) if directed or u <= v else (v, u)
+        key = (min(u, v), max(u, v))
         u0, v0, t0 = first.setdefault(key, (u, v, t))
         if t < t0:
             first[key] = (u0, v0, t)
@@ -130,7 +130,7 @@ def read_edge_list_brute(lines, explicit):
     return [joins[x] for x in range(max(joins, default=-1) + 1)], edges
 
 
-def edge_list_text_brute(join_times, edges, directed, time_unit=""):
+def edge_list_text_brute(join_times, edges, time_unit=""):
     """The edge-list file and its JSON sidecar as text: one
     ``u,v,t`` line per edge in input order; a join time goes to
     ``explicit_join_times`` unless it equals the earliest record naming
@@ -141,7 +141,7 @@ def edge_list_text_brute(join_times, edges, directed, time_unit=""):
         first[u] = min(first.get(u, t), t)
         first[v] = min(first.get(v, t), t)
     meta = {
-        "directed": directed,
+        "directed": False,
         "allow_self_loops": False,
         "time_unit_label": time_unit,
     }
@@ -152,14 +152,13 @@ def edge_list_text_brute(join_times, edges, directed, time_unit=""):
     return "\n".join(lines) + "\n", sidecar
 
 
-def distinct_pairs(edges, directed=False):
-    """``edges`` without each self-loop and each record whose pair
-    (unordered when undirected) an earlier record holds: the edges a
-    graph can hold."""
+def distinct_pairs(edges):
+    """``edges`` without each self-loop and each record whose unordered
+    pair an earlier record holds: the edges a graph can hold."""
     seen = set()
     kept = []
     for u, v, t in edges:
-        key = (u, v) if directed or u <= v else (v, u)
+        key = (min(u, v), max(u, v))
         if u != v and key not in seen:
             seen.add(key)
             kept.append((u, v, t))
@@ -204,14 +203,9 @@ def first_links_brute(edges, t):
 def first_links_ordered_brute(edges):
     """``(times, v, w)`` lists in the order ``first_links`` gives them:
     the edges by time, equal times in input order (Python's sort is
-    stable); the first edge of each unordered pair gives one event per
-    endpoint, source first."""
-    seen = set()
+    stable); each edge gives one event per endpoint, source first."""
     times, vs, ws = [], [], []
     for a, b, created in sorted(edges, key=lambda e: e[2]):
-        if (min(a, b), max(a, b)) in seen:
-            continue
-        seen.add((min(a, b), max(a, b)))
         for x, y in ((a, b), (b, a)):
             times.append(created)
             vs.append(x)
@@ -219,11 +213,10 @@ def first_links_ordered_brute(edges):
     return times, vs, ws
 
 
-def density_brute(n, edges, directed):
+def density_brute(n, edges):
     if n < 2:
         return None
-    count = len(edges) if directed else 2 * len(edges)
-    return count / (n * (n - 1))
+    return 2 * len(edges) / (n * (n - 1))
 
 
 def undirected_simple(edges):

@@ -241,7 +241,7 @@ def test_criterion_7_oracle_equivalence():
         s = g.snapshot_at(g.t_end)
         n = g.n_vertices
 
-        mine, ref = density(s), density_brute(n, edges, False)
+        mine, ref = density(s), density_brute(n, edges)
         passed &= (mine is None and ref is None) or abs(mine - ref) <= 1e-9
 
         mine, ref = avg_clustering(s), clustering_brute(n, edges)

@@ -41,7 +41,6 @@ MALFORMED = {
     "two_fields": ("0,1\n", _META),
     "negative_time": ("0,1,-4\n", _META),
     "id_gap": ("0,5,1\n", _META),
-    "no_directed": ("0,1,1\n", {"allow_self_loops": False}),
     "directed_string": ("0,1,1\n", {**_META, "directed": "false"}),
     "loops_null": ("0,1,1\n", {**_META, "allow_self_loops": None}),
     "simple_string": ("0,1,1\n", {**_META, "simple": "no"}),
@@ -96,6 +95,10 @@ ONE_LINE_ERRORS = {
     "analyze_sidecar_label_number": ({"g.csv": "0,1,1\n", "g.csv.meta.json": json.dumps(
                                          {**_META, "time_unit_label": 5})},
                                      "analyze --in {d}/g.csv --out {d}/o.csv --interval 1"),
+    # every graph is undirected, so a directed sidecar is refused
+    "analyze_sidecar_directed": ({"g.csv": "0,1,1\n", "g.csv.meta.json": json.dumps(
+                                     {**_META, "directed": True})},
+                                 "analyze --in {d}/g.csv --out {d}/o.csv --interval 1"),
     # an empty value is refused, not read as the flag's absence
     "analyze_k_empty": ({"g.txt": GRAPH}, ANALYZE + "1 --k="),
     "generate_config_empty": ({}, "generate --config= --model ba --n 10 --out {d}/o.csv"),
@@ -198,6 +201,7 @@ ERROR_WORDING = {
     "analyze_sidecar_repeats_a_pair": "g.csv: duplicate edge (1, 0) in simple graph",
     "analyze_sidecar_holds_a_loop": "/g.csv: self-loops are not allowed in this graph\n",
     "analyze_sidecar_label_number": "/g.csv.meta.json: 'time_unit_label' must be a string\n",
+    "analyze_sidecar_directed": "/g.csv.meta.json: directed graphs are not supported\n",
     "analyze_k_empty": "error: --k '': invalid literal for int() with base 10: ''\n",
     "generate_config_empty": "error: [Errno 2] No such file or directory: ''\n",
     "compare_xmin_string": "error: setting 0: xmin must be an integer, not '3'",
@@ -362,26 +366,31 @@ class TestAnalyze:
         out = str(tmp_path / "raw.csv")
         assert run(["analyze", "--in", str(path), "--interval", "2", "--out", out]) == 0
 
-    def test_sidecar_self_loop_key_is_ignored(self, tmp_path):
-        # a true key over loop-free records, or no key, reads back the
-        # graph a false key gives, and every output written from it is the same
+    @pytest.mark.parametrize("key, values", [
+        ("allow_self_loops", (False, True, None)),  # a true key over loop-free records
+        ("directed", (False, None)),  # a true key is refused
+    ], ids=["allow_self_loops", "directed"])
+    def test_vestigial_sidecar_key(self, tmp_path, key, values):
+        # each value, or no key (None), reads back the graph a false key
+        # gives, every output written from it is the same, and the
+        # writer puts the false key back
         outputs = []
-        for loops in (False, True, None):
-            d = tmp_path / str(loops)
+        for value in values:
+            d = tmp_path / str(value)
             d.mkdir()
             path = str(d / "g.csv")
             (d / "g.csv").write_text("0,1,5\n2,1,7\n")
-            meta = {**_META, "allow_self_loops": loops, "explicit_join_times": {"2": 6}}
-            if loops is None:
-                del meta["allow_self_loops"]
+            meta = {**_META, key: value, "explicit_join_times": {"2": 6}}
+            if value is None:
+                del meta[key]
             (d / "g.csv.meta.json").write_text(json.dumps(meta))
             g = read_edge_list(path)
             assert (g.join_times, g.edges) == ((5, 5, 6), ((0, 1, 5), (2, 1, 7)))
             write_edge_list(g, str(d / "w.csv"))
             assert run(["analyze", "--in", path, "--interval", "1", "--out", str(d / "f.csv")]) == 0
             outputs.append([read_bytes(str(d / name)) for name in ("w.csv", "w.csv.meta.json", "f.csv")])
-        assert outputs[0] == outputs[1] == outputs[2]
-        assert b'"allow_self_loops":false' in outputs[2][1]
+        assert all(output == outputs[0] for output in outputs)
+        assert f'"{key}":false'.encode() in outputs[-1][1]
 
     def test_reanalyze_identical_bytes(self, tmp_path):
         graph_path = str(tmp_path / "g.csv")
@@ -511,7 +520,7 @@ class TestAnalyze:
             n = rng.randint(2, 12)
             text = "".join(f"{rng.randrange(n)} {rng.randrange(n)} {rng.randint(0, 60)}\n"
                            for _ in range(rng.randint(1, 15)))
-            g = read_edge_stream(io.StringIO(text), directed=rng.random() < 0.5)
+            g = read_edge_stream(io.StringIO(text))
             interval, x_min, k_values = rng.choice([1, 2, 3, 7]), rng.randint(1, 3), [1, 2, 5]
             calls.clear()
             rows = cli._analysis_rows(g, interval, k_values, x_min)
@@ -533,8 +542,7 @@ class TestAnalyze:
 
     def test_snapshot_only_where_a_join_or_edge_falls(self, monkeypatch):
         # a row whose horizon brings no join and no edge since the row
-        # before reuses that row's snapshot; a directed reverse arc brings
-        # an edge but no first link
+        # before reuses that row's snapshot
         calls = []
         snapshot_at = TemporalGraph.snapshot_at
         monkeypatch.setattr(TemporalGraph, "snapshot_at", lambda g, t: calls.append(t) or snapshot_at(g, t))
@@ -544,7 +552,7 @@ class TestAnalyze:
             n = rng.randint(2, 12)
             text = "".join(f"{rng.randrange(n)} {rng.randrange(n)} {rng.randint(0, 60)}\n"
                            for _ in range(rng.randint(1, 15)))
-            g = read_edge_stream(io.StringIO(text), directed=rng.random() < 0.5)
+            g = read_edge_stream(io.StringIO(text))
             calls.clear()
             horizons = [row["t"] for row in cli._analysis_rows(g, rng.choice([1, 2, 3, 7]), [1], 1)]
             times = [*g.join_times, *(t for _, _, t in g.edges)]
@@ -927,7 +935,9 @@ class TestStars:
         # a sidecar-backed self-loop, whatever the sidecar's key says
         ({"bad.csv": "0,0,0\n", "bad.csv.meta.json": json.dumps({**_META, "allow_self_loops": True})},
          "self-loops are not allowed in this graph"),
-    ], ids=["past_int64", "sidecar_self_loop"])
+        ({"bad.csv": "0,1,0\n", "bad.csv.meta.json": json.dumps({**_META, "directed": True})},
+         "{bad}.meta.json: directed graphs are not supported"),
+    ], ids=["past_int64", "sidecar_self_loop", "sidecar_directed"])
     def test_a_refused_file_is_skipped_with_a_notice(self, tmp_path, capsys, files, notice):
         # the rest of the directory aggregates as it does alone
         runs = []
@@ -944,7 +954,7 @@ class TestStars:
         (mixed, mixed_err), (plain, plain_err) = runs
         assert mixed == plain and mixed.count(b"\n") == 30
         bad = tmp_path / "mixed" / min(files)
-        assert mixed_err == f"notice: skipping {bad}: {notice}\n" + plain_err
+        assert mixed_err == f"notice: skipping {bad}: {notice.format(bad=bad)}\n" + plain_err
 
     def test_a_directory_of_files_past_int64_has_no_readable_network(self, tmp_path, capsys):
         (tmp_path / "g.txt").write_text("0 1 0\n1 2 9223372036854775812\n")

@@ -139,9 +139,10 @@ class TestReadEdgeStream:
         assert list(g.join_times) == [4, 4, 10]
         assert g.edges == ((0, 2, 10), (1, 0, 4))
 
-    def test_directed_keeps_opposite_arcs(self):
-        g = read_edge_stream(stream("0 1 5\n1 0 6\n"), directed=True)
-        assert g.n_edges == 2
+    def test_opposite_records_are_one_pair(self):
+        # the first record keeps its orientation, stamped with the earlier time
+        g = read_edge_stream(stream("0 1 6\n1 0 5\n"))
+        assert g.edges == ((0, 1, 5),)
 
     def test_unsorted_timestamps(self):
         g = read_edge_stream(stream("1 2 9\n0 1 2\n"))
@@ -181,10 +182,15 @@ class TestReadEdgeList:
         with pytest.raises(ValueError, match="^self-loops are not allowed in this graph$"):
             read_edge_list(path)
 
-    def test_sidecar_without_directed_is_rejected(self, tmp_path):
-        meta = {"allow_self_loops": False}
-        with pytest.raises(ValueError, match="'directed'"):
-            read_edge_list(self.write(tmp_path, "0,1,1\n", meta))
+
+    def test_directed_sidecar_is_refused(self, tmp_path):
+        path = self.write(tmp_path, "0,1,1\n", {**self.META, "directed": True})
+        with pytest.raises(ValueError, match=r"^.*/g\.csv\.meta\.json: directed graphs are not supported$"):
+            read_edge_list(path)
+
+    def test_sidecar_without_directed_reads_the_undirected_graph(self, tmp_path):
+        g = read_edge_list(self.write(tmp_path, "0,1,1\n2,1,3\n", {"allow_self_loops": False}))
+        assert (g.join_times, g.edges) == ((1, 1, 3), ((0, 1, 1), (2, 1, 3)))
 
 
 class TestNormalizeTimes:
@@ -294,8 +300,7 @@ class TestCountedIds:
         return [f"{moved[u]} {moved[v]} {t}\n" for u, v, t in records], 2 * len(records)
 
     @pytest.mark.parametrize("extra, sorted_ids", [(0, False), (1, True)])
-    @pytest.mark.parametrize("directed", [False, True])
-    def test_reader_matches_oracle_and_round_trips(self, tmp_path, monkeypatch, extra, sorted_ids, directed):
+    def test_reader_matches_oracle_and_round_trips(self, tmp_path, monkeypatch, extra, sorted_ids):
         lengths = []
         stable_order = temporal_graph._stable_order
         monkeypatch.setattr(temporal_graph, "_stable_order",
@@ -303,15 +308,14 @@ class TestCountedIds:
         for seed in range(3):
             lines, endpoints = self.spread(seed, extra)
             lengths.clear()
-            g = read_edge_stream(lines, directed=directed)
+            g = read_edge_stream(lines)
             assert (endpoints in lengths) == sorted_ids  # only the endpoint sequence is that long
-            assert (list(g.join_times), list(g.edges)) == read_edge_stream_brute(lines, directed=directed)
+            assert (list(g.join_times), list(g.edges)) == read_edge_stream_brute(lines)
             path = str(tmp_path / f"g{seed}.csv")
             write_edge_list(g, path)
             back = read_edge_list(path)
             for column in ("join", "u", "v", "t"):
                 assert getattr(back, column).tolist() == getattr(g, column).tolist(), column
-            assert back.directed == directed
 
 
 class TestDedupe:
@@ -319,9 +323,8 @@ class TestDedupe:
     first record of a run keeps its orientation and position, stamped
     with the run's earliest time, as the loop reader does."""
 
-    @pytest.mark.parametrize("directed", [False, True])
-    def test_repeated_pairs_at_tied_and_untied_times(self, directed):
-        rng = random.Random(f"{directed}")
+    def test_repeated_pairs_at_tied_and_untied_times(self):
+        rng = random.Random(5)
         for _ in range(150):
             n = rng.randint(1, 30)
             records = []
@@ -335,8 +338,8 @@ class TestDedupe:
                 records.append((u, v, t))
             rng.shuffle(records)
             lines = [f"{u} {v} {t}" for u, v, t in records]
-            g = read_edge_stream(lines, directed=directed)
-            want = read_edge_stream_brute(lines, directed=directed)
+            g = read_edge_stream(lines)
+            want = read_edge_stream_brute(lines)
             assert (list(g.join_times), list(g.edges)) == want
 
     def test_a_stream_of_self_loops_alone_keeps_its_vertices(self):
@@ -411,10 +414,10 @@ def raw_streams(draw):
 
 
 class TestRoundTripProperty:
-    @given(raw_streams(), st.booleans())
+    @given(raw_streams())
     @settings(max_examples=150, deadline=None)
-    def test_ingest_write_read_keeps_every_horizon(self, text, directed):
-        g = read_edge_stream(stream(text), directed=directed)
+    def test_ingest_write_read_keeps_every_horizon(self, text):
+        g = read_edge_stream(stream(text))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "g.csv")
             write_edge_list(g, path)
@@ -478,11 +481,6 @@ def random_stream(rng):
     return "".join(line + "\n" for line in lines)
 
 
-def random_keywords(rng):
-    """``read_edge_stream``'s keyword, drawn at random."""
-    return {"directed": rng.random() < 0.5}
-
-
 def outcome(read):
     """What ``read()`` returns or raises, as comparable values."""
     try:
@@ -497,19 +495,18 @@ class TestIngestOracle:
         seen = set()
         for case in range(2500):
             text = random_stream(rng)
-            cfg = random_keywords(rng)
 
             def brute():
-                joins, edges = read_edge_stream_brute(text.splitlines(True), **cfg)
-                validate_brute(joins, edges, **cfg)
+                joins, edges = read_edge_stream_brute(text.splitlines(True))
+                validate_brute(joins, edges)
                 return tuple(joins), tuple(edges)
 
             def columnar():
-                g = read_edge_stream(stream(text), **cfg)
+                g = read_edge_stream(stream(text))
                 return g.join_times, g.edges
 
             expected = outcome(brute)
-            assert outcome(columnar) == expected, (text, cfg)
+            assert outcome(columnar) == expected, text
             kind = expected[0] if isinstance(expected[0], type) else "graph"
             seen.add(kind)
             if kind is EdgeStreamParseError:
@@ -518,15 +515,17 @@ class TestIngestOracle:
             # the same lines as a sidecar-backed file, ids kept as written
             explicit = {rng.randint(0, 6): rng.randint(0, 12) for _ in range(rng.randint(0, 2))}
             # the sidecar's self-loop key is ignored, whatever it holds
-            meta = {**cfg, "allow_self_loops": rng.random() < 0.5,
+            meta = {"allow_self_loops": rng.random() < 0.5,
                     "explicit_join_times": {str(x): jt for x, jt in explicit.items()}}
+            if rng.random() < 0.5:  # else the sidecar leaves "directed" out
+                meta["directed"] = False
             path = tmp_path / f"g{case}.csv"
             path.write_text(text)
             (tmp_path / f"g{case}.csv.meta.json").write_text(json.dumps(meta))
 
             def list_brute():
                 joins, edges = read_edge_list_brute(text.splitlines(True), explicit)
-                validate_brute(joins, edges, **cfg)
+                validate_brute(joins, edges)
                 return tuple(joins), tuple(edges)
 
             def list_columnar():
@@ -599,18 +598,17 @@ class TestParserPaths:
         seen = set()
         for _ in range(600):
             text, style = single_style_stream(rng)
-            cfg = random_keywords(rng)
 
             def brute():
-                joins, edges = read_edge_stream_brute(text.splitlines(True), **cfg)
+                joins, edges = read_edge_stream_brute(text.splitlines(True))
                 return tuple(joins), tuple(edges)
 
             def bulk():
-                g = read_edge_stream(stream(text), **cfg)
+                g = read_edge_stream(stream(text))
                 return g.join_times, g.edges
 
             expected = outcome(brute)
-            assert outcome(bulk) == expected, (text, cfg)
+            assert outcome(bulk) == expected, text
             seen.add((style, "graph" if isinstance(expected[0], tuple) else expected[0]))
         assert {(style, "graph") for style in (",", " , ", "whitespace")} <= seen
 
@@ -700,8 +698,7 @@ def stream_texts():
 
 def streamed():
     for text in stream_texts():
-        for directed in (False, True):
-            yield read_edge_stream(stream(text), directed=directed), {"directed": directed, "time_unit": "", "info": {}}
+        yield read_edge_stream(stream(text)), {"time_unit": "", "info": {}}
 
 
 def normalized():
@@ -711,7 +708,7 @@ def normalized():
         assert got.t_min == 0
         assert got.u is g.u and got.v is g.v  # shared, not copied
         assert got is g or got.info is not g.info
-        yield got, {"directed": g.directed, "time_unit": "wk", "info": {"source": "raw"}}
+        yield got, {"time_unit": "wk", "info": {"source": "raw"}}
 
 
 TPA_GRID = [  # m, schedule, weights, retry limit
@@ -728,7 +725,7 @@ def tpa_graphs():
         for seed in range(3):
             g = tpa_generate(TpaParams(m=m, schedule=schedule, f=f, seed=seed, retry_limit=limit))
             info = {"skipped_edges": g.info["skipped_edges"], "model": "tpa"}
-            yield g, {"directed": False, "time_unit": "iteration", "info": info}
+            yield g, {"time_unit": "iteration", "info": info}
 
 
 BASELINE_GRID = {  # model: (n, parameters) settings
@@ -744,7 +741,7 @@ def baseline_graphs(model):
     for n, params in BASELINE_GRID[model]:
         for seed in range(3):
             g = baseline_generate(model, n, seed=seed, **params)
-            yield g, {"directed": False, "time_unit": "", "info": {"model": model}}
+            yield g, {"time_unit": "", "info": {"model": model}}
 
 
 PRODUCERS = {
@@ -764,9 +761,8 @@ class TestTrustedProducers:
     def test_graphs_equal_a_validated_construction(self, producer):
         count = 0
         for g, attrs in PRODUCERS[producer]():
-            validate_brute(g.join_times, g.edges, directed=g.directed)
-            want = TemporalGraph(g.join, np.column_stack([g.u, g.v, g.t]),
-                                 directed=g.directed, time_unit=g.time_unit, info=g.info)
+            validate_brute(g.join_times, g.edges)
+            want = TemporalGraph(g.join, np.column_stack([g.u, g.v, g.t]), time_unit=g.time_unit, info=g.info)
             for column in ("join", "u", "v", "t"):
                 a = getattr(g, column)
                 assert (a.ndim, a.dtype, a.flags.writeable) == (1, np.int64, False), column
@@ -774,6 +770,5 @@ class TestTrustedProducers:
             for a, b in zip(g.first_links(), want.first_links()):
                 assert a.dtype == b.dtype and a.tolist() == b.tolist()
             assert {attr: getattr(g, attr) for attr in attrs} == attrs
-            assert type(g.directed) is bool
             count += 1
         assert count >= 9

@@ -40,30 +40,25 @@ from oracles import (
 )
 
 
-def snap(joins, edges, directed=False):
-    g = TemporalGraph(joins, edges, directed=directed)
+def snap(joins, edges):
+    g = TemporalGraph(joins, edges)
     return g.snapshot_at(g.t_end)
 
 
-def random_graph(rng, n_max=8, directed=False):
+def random_graph(rng, n_max=8):
     n = rng.randint(0, n_max)
     joins = sorted(rng.randint(0, 5) for _ in range(n))
     edges = []
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < 0.4:
-                t = max(joins[u], joins[v]) + rng.randint(0, 2)
-                if directed and rng.random() < 0.5:
-                    edges.append((v, u, t))
-                else:
-                    edges.append((u, v, t))
-    return TemporalGraph(joins, edges, directed=directed)
+                edges.append((u, v, max(joins[u], joins[v]) + rng.randint(0, 2)))
+    return TemporalGraph(joins, edges)
 
 
 class TestDensity:
-    def test_complete_directed_triangle(self):
-        edges = [(u, v, 0) for u in range(3) for v in range(3) if u != v]
-        assert density(snap([0, 0, 0], edges, directed=True)) == 1.0
+    def test_complete_triangle(self):
+        assert density(snap([0, 0, 0], [(0, 1, 0), (2, 1, 0), (0, 2, 0)])) == 1.0
 
     def test_undirected_single_edge(self):
         assert density(snap([0, 0], [(0, 1, 0)])) == 1.0
@@ -71,6 +66,12 @@ class TestDensity:
     def test_undirected_path(self):
         edges = [(i, i + 1, 0) for i in range(4)]
         assert density(snap([0] * 5, edges)) == pytest.approx(0.4)
+
+    def test_orientation_does_not_change_density(self):
+        # one formula, 2 * edges / (n * (n - 1)), whichever way each edge is written
+        forward = [(0, 1, 0), (1, 2, 0), (2, 3, 0)]
+        backward = [(v, u, t) for u, v, t in forward]
+        assert density(snap([0] * 4, forward)) == density(snap([0] * 4, backward)) == 0.5
 
     def test_undefined_below_two_vertices(self):
         assert density(snap([0], [])) is None
@@ -342,7 +343,7 @@ class TestKStars:
 
     @pytest.mark.parametrize("case", [
         "ba_interval_1", "hk_interval_1", "single_events_and_bursts", "ties",
-        "k_crosses_vertex_count", "below_zero_after_time_zero_stars", "directed_with_loops",
+        "k_crosses_vertex_count", "below_zero_after_time_zero_stars", "stream_with_loops",
     ])
     def test_vector_matches_oracle_on_both_steps(self, case):
         # The sweep keeps its top-k set across horizons, updating it from
@@ -393,8 +394,7 @@ class TestKStars:
         else:
             lines = [f"{rng.randrange(150)} {rng.randrange(150)} {rng.randint(0, 300)}" for _ in range(1500)]
             lines += [f"{v} {v} {rng.randint(0, 300)}" for v in range(0, 150, 7)]
-            g = read_edge_stream(lines, directed=True)  # the loop records are dropped
-            assert g.directed
+            g = read_edge_stream(lines)  # the loop records and repeated pairs are dropped
         joins, edges = list(g.join_times), list(g.edges)
         horizons = horizons or list(range(1, g.t_end + 1))
         want = {k: k_stars_vector_brute(joins, edges, horizons, k) for k in ks}
@@ -444,7 +444,7 @@ class TestKStars:
                 n = rng.randint(2, 40)
                 lines = [f"{rng.randrange(n)} {rng.randrange(n)} {rng.randint(3, 40)}"
                          for _ in range(rng.randint(1, 200))]
-                g = read_edge_stream(lines, directed=rng.random() < 0.3)
+                g = read_edge_stream(lines)
             n = g.n_vertices
             ks = [rng.randint(1, n + 3) for _ in range(rng.randint(1, 4))]
             ks += rng.sample(ks, rng.randint(0, len(ks))) + [n + rng.randint(0, 2)]

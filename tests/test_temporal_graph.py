@@ -43,9 +43,6 @@ class TestConstruction:
     def test_rejects_duplicate_pair(self):
         with pytest.raises(ValueError, match="duplicate"):
             TemporalGraph([0, 0], [(0, 1, 0), (1, 0, 1)])
-        # directed graphs treat opposite arcs as distinct
-        g = TemporalGraph([0, 0], [(0, 1, 0), (1, 0, 1)], directed=True)
-        assert g.n_edges == 2
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loops are not allowed in this graph"):
@@ -138,8 +135,7 @@ def random_constructor_input(rng):
         late = max(joins[x] for x in (u, v) if 0 <= x < n) if 0 <= u < n and 0 <= v < n else 0
         t = late + rng.randint(-1 if rng.random() < 0.25 else 0, 3)
         edges.append((u, v, t))
-    flags = dict(directed=rng.random() < 0.5)
-    return joins, edges, flags
+    return joins, edges
 
 
 def raised(fn, *args, **kwargs):
@@ -155,9 +151,9 @@ class TestValidationOracle:
         rng = random.Random(2024)
         messages = []
         for _ in range(5000):
-            joins, edges, flags = random_constructor_input(rng)
-            expected = raised(validate_brute, joins, edges, **flags)
-            assert raised(TemporalGraph, joins, edges, **flags) == expected, (joins, edges, flags)
+            joins, edges = random_constructor_input(rng)
+            expected = raised(validate_brute, joins, edges)
+            assert raised(TemporalGraph, joins, edges) == expected, (joins, edges)
             messages.append(expected)
         # every rule fired, and plenty of inputs passed
         for rule in ("int64 range", "non-negative", "join order", "unknown vertex", "before an endpoint",
@@ -356,9 +352,8 @@ class TestSortHelpers:
             n = rng.randint(1, 12)
             edges = [(rng.randrange(n), rng.randrange(n), rng.choice(stamps))
                      for _ in range(rng.randint(2, 60))]
-            directed = rng.random() < 0.5
-            edges = distinct_pairs(edges, directed)
-            g = TemporalGraph([0] * n, edges, directed=directed)
+            edges = distinct_pairs(edges)
+            g = TemporalGraph([0] * n, edges)
             times, v, w = g.first_links()
             assert (times.tolist(), v.tolist(), w.tolist()) == first_links_ordered_brute(edges)
 
@@ -428,10 +423,10 @@ class TestDegree:
     def test_star_hub(self):
         assert star_graph().degree_at(0, 1) == 5
 
-    def test_directed_pair_counts_one_neighbour(self):
-        g = TemporalGraph([0, 0], [(0, 1, 0), (1, 0, 1)], directed=True)
-        assert g.degree_at(0, 1) == 1
-        assert g.degree_at(1, 1) == 1
+    def test_either_orientation_counts_for_both_endpoints(self):
+        g = TemporalGraph([0, 0, 0], [(1, 0, 0), (0, 2, 1)])
+        assert [g.degree_at(v, 0) for v in range(3)] == [1, 1, 0]
+        assert [g.degree_at(v, 1) for v in range(3)] == [2, 1, 1]
 
     def test_unknown_vertex(self):
         with pytest.raises(KeyError):
@@ -462,19 +457,17 @@ class TestDegree:
 def temporal_graphs(draw):
     n = draw(st.integers(min_value=0, max_value=7))
     joins = sorted(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)))
-    directed = draw(st.booleans())
     # a vertex with a lag, or with no edge, joins before its first record
     # shows it, so the writer must keep its join time in the sidecar
     lags = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     edges = []
     for u in range(n):
-        for v in range(n) if directed else range(u, n):
-            if u == v:
-                continue
+        for v in range(u + 1, n):
             if draw(st.booleans()):
                 offset = draw(st.integers(0, 4))
-                edges.append((u, v, max(joins[u] + lags[u], joins[v] + lags[v]) + offset))
-    return TemporalGraph(joins, edges, directed=directed)
+                t = max(joins[u] + lags[u], joins[v] + lags[v]) + offset
+                edges.append((v, u, t) if draw(st.booleans()) else (u, v, t))  # either orientation
+    return TemporalGraph(joins, edges)
 
 
 class TestProperties:
@@ -496,7 +489,6 @@ class TestProperties:
             path = os.path.join(tmp, "graph.csv")
             write_edge_list(g, path)
             back = read_edge_list(path)
-        assert back.directed == g.directed
         assert back.join_times == g.join_times
         assert back.edges == g.edges
         for t in range(0, 12):
@@ -507,13 +499,13 @@ class TestProperties:
     @settings(max_examples=200, deadline=None)
     def test_written_files_match_oracle(self, g, from_array):
         if from_array:
-            g = TemporalGraph(g.join_times, np.array(g.edges, dtype=np.int64).reshape(-1, 3), directed=g.directed)
+            g = TemporalGraph(g.join_times, np.array(g.edges, dtype=np.int64).reshape(-1, 3))
         assert_writes_oracle_text(g)
 
     @pytest.mark.parametrize("g", [
         TemporalGraph([], []),
-        TemporalGraph([0, 3, 3], [], directed=True),
-        TemporalGraph([0, 1, 2], np.array([[0, 1, 4], [2, 1, 2], [1, 0, 5]]), directed=True),
+        TemporalGraph([0, 3, 3], []),
+        TemporalGraph([0, 1, 2], np.array([[0, 1, 4], [2, 1, 2], [2, 0, 5]])),
         TemporalGraph([0, 2**63 - 4, 2**63 - 3], [(0, 1, 2**63 - 4), (1, 2, 2**63 - 3), (2, 0, 2**63 - 1)],
                       time_unit="week"),
     ], ids=["empty", "isolated", "array", "int64_max"])
@@ -528,7 +520,7 @@ def assert_writes_oracle_text(g):
         with open(path, newline="") as fh, open(path + ".meta.json") as meta:
             written = fh.read(), meta.read()
     assert written == edge_list_text_brute(
-        list(g.join_times), list(g.edges), g.directed, g.time_unit
+        list(g.join_times), list(g.edges), g.time_unit
     )
 
 
@@ -536,8 +528,8 @@ class TestFirstLinks:
     @given(temporal_graphs())
     @settings(max_examples=200, deadline=None)
     def test_every_horizon_matches_brute_force(self, g):
-        # directed graphs with both arcs and isolated vertices
-        # all come from the strategy
+        # edges of either orientation and isolated vertices all come
+        # from the strategy
         edges = list(g.edges)
         times, v, w = g.first_links()
         assert (times.dtype, v.dtype, w.dtype) == (np.int64, np.int32, np.int32)
@@ -566,25 +558,23 @@ class TestFirstLinks:
                      for _ in range(rng.randint(0, 400))]
             if rng.random() < 1 / 3:
                 edges.sort(key=lambda e: e[2])
-            directed = rng.random() < 0.5
-            edges = distinct_pairs(edges, directed)
-            g = TemporalGraph([0] * n, edges, directed=directed)
+            edges = distinct_pairs(edges)
+            g = TemporalGraph([0] * n, edges)
             times, v, w = g.first_links()
             assert (times.tolist(), v.tolist(), w.tolist()) == first_links_ordered_brute(edges)
 
 
-    @pytest.mark.parametrize("directed", [False, True])
-    def test_events_match_the_oracle(self, directed):
+    def test_events_match_the_oracle(self):
         # unsorted times over a narrow and a wide span (the radix and the
         # packed sort); each unordered pair gives exactly two events
-        rng = random.Random(f"{directed}")
+        rng = random.Random(5)
         for trial in range(200):
             n = rng.randint(1, 25)
             span = rng.choice([3, 2**16 + 5, 2**40])
             edges = [(rng.randrange(n), rng.randrange(n), rng.randrange(span))
                      for _ in range(rng.randint(0, 120))]
-            edges = distinct_pairs(edges, directed)
-            g = TemporalGraph([0] * n, edges, directed=directed)
+            edges = distinct_pairs(edges)
+            g = TemporalGraph([0] * n, edges)
             times, v, w = g.first_links()
             assert (times.dtype, v.dtype, w.dtype) == (np.int64, np.int32, np.int32)
             assert v.flags.c_contiguous and w.flags.c_contiguous
@@ -594,13 +584,21 @@ class TestFirstLinks:
             end = max(e[2] for e in edges) // 2 if edges else 0
             assert sorted(zip(*(column.tolist() for column in g.first_links(end)))) == first_links_brute(edges, end)
 
-    def test_directed_pair_keeps_its_earlier_arc(self):
-        # both arcs of each pair, the later arc first in input order
-        edges = [(1, 0, 7), (0, 1, 3), (2, 1, 4), (1, 2, 9)]
-        g = TemporalGraph([0, 0, 0], edges, directed=True)
-        times, v, w = g.first_links()
+    @given(temporal_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_reversing_every_edge_keeps_the_events(self, g):
+        # a pair is unordered, so an edge gives the same two events
+        # whichever way it is written
+        back = TemporalGraph(g.join_times, [(v, u, t) for u, v, t in g.edges])
+        assert (sorted(zip(*(column.tolist() for column in back.first_links())))
+                == sorted(zip(*(column.tolist() for column in g.first_links()))))
+
+    def test_each_edge_gives_two_events_in_stable_time_order(self):
+        # the later edge first in input order; a tie keeps input order
+        edges = [(1, 0, 7), (0, 2, 3), (2, 1, 3)]
+        times, v, w = TemporalGraph([0, 0, 0], edges).first_links()
         got = (times.tolist(), v.tolist(), w.tolist())
-        assert got == first_links_ordered_brute(edges) == ([3, 3, 4, 4], [0, 1, 2, 1], [1, 0, 1, 2])
+        assert got == first_links_ordered_brute(edges) == ([3, 3, 3, 3, 7, 7], [0, 2, 2, 1, 1, 0], [2, 0, 1, 2, 0, 1])
 
 
 class TestAtomicWrite:
