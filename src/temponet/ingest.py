@@ -15,7 +15,13 @@ ranking and remap are numpy operations over dense vertex indices. A
 clean ASCII stream in one delimiter style is parsed by a single
 ``np.loadtxt`` call; any other stream is read line by line, and a
 malformed one raises for its first faulty line, with the reason that
-reader gives it first.
+reader gives it first. When the clean stream is a regular file opened
+with ``open()``, read from its start, not named as a compressed file
+(``.gz``, ``.bz2``, ``.xz``, ``.lzma``) and free of ``"\\r"``, that call
+reads the file from its path, so the text is never split into lines;
+the array is kept only if the path still names the unchanged file.
+FIFOs, other file objects and iterables of lines load the lines of the
+text already read.
 
 The endpoint ids give the vertices, their first appearance and join
 times. Ids that span no more values than the stream has endpoints
@@ -61,6 +67,10 @@ def read_edge_stream(source: Iterable[str]) -> TemporalGraph:
     call when the stream is ASCII, uses the delimiter of its first
     record throughout and has no fault, and otherwise by a line-by-line
     reader, which gives the same columns; a file object is read once.
+    The call reads a regular file opened with ``open()`` from its path,
+    unless the file was read part way, is named as a compressed file or
+    holds ``"\\r"``, or changed after it was read; a FIFO, any other
+    file object and an iterable of lines give it their lines.
     Every later step (loop drop, dedupe, ranking, remap) is a numpy
     operation over dense vertex indices. Endpoint ids that span no more
     values than the stream has endpoints are counted, not sorted (see
@@ -82,39 +92,47 @@ def read_edge_stream(source: Iterable[str]) -> TemporalGraph:
     any line is checked.
     """
     records = _parse_records(source)
-    if not len(records):
+    e = len(records)
+    if not e:
         raise ValueError("empty edge stream")
+    # each array is dropped after its last use, which bounds the peak
     ids, join, first, index = _first_seen(records)
     n = len(ids)
-    u, v, t = index[0::2], index[1::2], records[:, 2]
-
-    edge = u != v  # the vertex stays; only the loop edge is dropped
-    u, v, t = u[edge], v[edge], t[edge]
-    # a run of equal pair keys is one pair's records: its head is the
-    # first record, and its minimum the earliest time
-    order, _, head = _runs(_pair_keys(u, v, n))
-    heads = np.flatnonzero(head)
-    firsts = order[heads]
-    kept = np.zeros(len(order), dtype=bool)
-    kept[firsts] = True
-    stamp = np.empty_like(t)
-    stamp[firsts] = np.minimum.reduceat(t[order], heads)
-    u, v, t = u[kept], v[kept], stamp[kept]
-
     # join order, ties broken by first appearance: the vertices in
     # first-appearance order (marked at their first endpoint positions),
     # then stably sorted by join time
-    appears = np.zeros(2 * len(records), dtype=bool)
+    appears = np.zeros(2 * e, dtype=bool)
     appears[first] = True
     seen = index[np.flatnonzero(appears)]
+    del ids, first, appears
+
+    edge = index[0::2] != index[1::2]  # the vertex stays; only the loop edge is dropped
+    u, v, t = index[0::2][edge], index[1::2][edge], records[edge, 2]
+    del records, index, edge
+    # a run of equal pair keys is one pair's records: its head is the
+    # first record, and its minimum the earliest time
+    order, keys, head = _runs(_pair_keys(u, v, n))
+    heads = np.flatnonzero(head)
+    del keys, head
+    firsts = order[heads]
+    stamp = np.empty_like(t)
+    stamp[firsts] = np.minimum.reduceat(t[order], heads)
+    del order, heads
+    kept = np.zeros(len(t), dtype=bool)
+    kept[firsts] = True
+    del firsts
+    u, v, t = u[kept], v[kept], stamp[kept]
+    del stamp, kept
+
     ranked = seen[_stable_order(join[seen])]
     remap = np.empty(n, dtype=np.int64)
     remap[ranked] = np.arange(n)
+    u, v = remap[u], remap[v]
     # unchecked: joins are >= 0 (the parser refuses negative times), ids
     # in join order (the stable sort), join[x] <= t (a pair's stamp is the
     # minimum over records naming both ends), loops dropped, and one edge
     # kept per run of pair keys
-    return TemporalGraph.__new__(TemporalGraph)._build(join[ranked], remap[u], remap[v], t)
+    return TemporalGraph.__new__(TemporalGraph)._build(join[ranked], u, v, t)
 
 
 def normalize_times(g: TemporalGraph) -> TemporalGraph:

@@ -19,6 +19,7 @@ import io
 import json
 import os
 import re
+import stat
 import warnings
 from contextlib import contextmanager
 from typing import Iterable, Iterator, Sequence
@@ -37,6 +38,12 @@ _UNDECODABLE = re.compile("[\udc80-\udcff]")
 # a line of blanks or an indented comment, which loadtxt reads in a
 # comma file as a record of one empty field
 _INDENTED_SKIP = re.compile(r"^[^\S\n]+(?:#|$)", re.MULTILINE)
+# a line whose first non-blank character is not ``#``: a record
+_RECORD_LINE = re.compile(r"^[^\S\n]*[^\s#].*", re.MULTILINE)
+# the names whose files numpy's opener decompresses
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+# the edge records write_edge_list formats and writes at a time
+_WRITE_ROWS = 65536
 
 
 def _check_grid(count: int, interval: int) -> None:
@@ -332,8 +339,10 @@ def _parse_records(source: Iterable[str]) -> np.ndarray:
     ``newline="\\n"``: at ``"\\n"``, and in a ``newline=""`` file also
     at ``"\\r"``. Any other iterable is taken as its lines.
 
-    Clean input is parsed by one ``np.loadtxt`` call (see
-    :func:`_load_records`); anything it cannot vouch for goes to
+    Clean input (see :func:`_first_record`) is parsed by one
+    ``np.loadtxt`` call (a comma file that loadtxt refuses and that
+    holds a line of blanks or an indented comment, by a second call
+    without its blank and comment lines); anything else goes to
     :func:`_read_records`, a plain line-by-line reader that raises at
     the first faulty line. That first-fault rule holds for files opened
     with ``errors="surrogateescape"``, as :func:`read_edge_list` and the
@@ -341,77 +350,127 @@ def _parse_records(source: Iterable[str]) -> np.ndarray:
     fault of its line. Under the default ``errors="strict"`` the file
     object itself raises ``UnicodeDecodeError`` while it is read,
     before any line is checked.
+
+    A text file opened with ``open()`` on a regular file, read from its
+    start, and whose text is clean and holds no ``"\\r"`` is loaded from
+    its path, which numpy reads in chunks, so the text is never split
+    into lines. The array is kept only if the path still names the
+    file that was read, unchanged (:func:`_file_key`), before and after
+    the load. A name that numpy's opener would decompress (``.gz``,
+    ``.bz2``, ``.xz``, ``.lzma``), a FIFO or other non-regular file, a
+    file object of another kind, an iterable and any refusal from
+    loadtxt take the lines of the text already read instead.
     """
-    text = None
+    path = lines = None
     if hasattr(source, "read"):
+        path = _disk_path(source)  # before the read moves the position
         text = source.read()
-        if "\r" in text and getattr(source, "newlines", None) is not None:
-            source, text = io.StringIO(text, newline=""), None  # opened with newline=""
-        else:
-            lines = text.split("\n")
-    if text is None:
+        if "\r" in text:
+            path = None
+            if getattr(source, "newlines", None) is not None:  # opened with newline=""
+                lines = list(io.StringIO(text, newline=""))
+                text = "\n".join(lines)
+    else:
         lines = list(source)
         text = "\n".join(lines)  # a line that is not a str raises TypeError
-    records = _load_records(text, lines)
+    first = _first_record(text)
+    delimiter = "," if first and "," in first else None
+    if first is not None and path is not None:
+        key = _file_key(path, source)
+        if key is not None:
+            records = _loadtxt(path, delimiter, source.encoding)
+            if records is not None and _file_key(path, source) == key:
+                return records
+    if lines is None:
+        lines = text.split("\n")
+    records = None if first is None else _loadtxt(lines, delimiter)
+    if records is None and delimiter and _INDENTED_SKIP.search(text):
+        # without the blank and comment lines, which the reader skips too
+        records = _loadtxt([x for x in lines if x.strip()[:1] not in ("", "#")], delimiter)
     return _read_records(lines) if records is None else records
 
 
-def _load_records(text: str, lines: list[str]) -> np.ndarray | None:
-    """The records of ``lines`` (``text`` is them joined by ``"\\n"``)
-    as ``np.loadtxt`` reads them, with the delimiter of the first record
-    line (commas if it holds one, else whitespace), or ``None`` unless
-    the result is the one :func:`_read_records` would return: every
-    line an ASCII string, at least one record, ``#`` only as a line's
-    first non-blank character (where loadtxt would cut a comment off
-    mid-line, the reader counts fields), three int64 columns and no
-    negative timestamp. loadtxt
-    itself rejects the rest of what ``int()`` reads differently or not
-    at all: a line with another delimiter, ``_`` digit groups, values
-    past int64, line breaks or NULs inside a line.
+def _disk_path(source) -> str | None:
+    """The absolute path of the regular file that ``source``, a text
+    file from ``open()``, reads from its start, or ``None``: for another
+    kind of file object, a FIFO or other non-regular file, a file read
+    part way, a name that is not a ``str`` or a name that numpy's
+    opener would decompress."""
+    name = getattr(source, "name", None)
+    if not (isinstance(source, io.TextIOWrapper) and isinstance(name, str)) or name.endswith(_COMPRESSED):
+        return None
+    try:
+        if stat.S_ISREG(os.fstat(source.fileno()).st_mode) and source.tell() == 0:
+            return os.path.abspath(name)
+    except (OSError, ValueError):  # not seekable, iterated with next(), closed
+        pass
+    return None
+
+
+def _file_key(path: str, source) -> tuple | None:
+    """``st_dev``, ``st_ino``, ``st_size`` and ``st_mtime_ns`` of the
+    file at ``path`` if they are those of the file ``source`` has open
+    and ``source``, read to its end, has read ``st_size`` bytes; else
+    ``None``. Equal keys before and after a load show that the load
+    read the bytes that ``source`` read."""
+    try:
+        named, opened = os.stat(path), os.fstat(source.fileno())
+    except OSError:
+        return None
+    key = (named.st_dev, named.st_ino, named.st_size, named.st_mtime_ns)
+    if key != (opened.st_dev, opened.st_ino, opened.st_size, opened.st_mtime_ns):
+        return None
+    return key if source.tell() == named.st_size else None
+
+
+def _first_record(text: str) -> str | None:
+    """The first record line of ``text`` if ``np.loadtxt`` reads the
+    records of ``text`` as :func:`_read_records` would, or may refuse,
+    with the delimiter of that line (commas if it holds one, else
+    whitespace); ``None`` if it cannot vouch for that: ``text`` is not
+    ASCII, holds no record (loadtxt would warn "no data"), holds ``#``
+    after a line's first non-blank character (where loadtxt would cut a
+    comment off mid-line, the reader counts fields), or is a comma file
+    holding U+001C-U+001F. loadtxt itself rejects the rest of what
+    ``int()`` reads differently or not at all: a line with another
+    delimiter, ``_`` digit groups, values past int64, line breaks or
+    NULs inside a line.
 
     Outside ASCII, numpy 2.4 reads some letters and digits as numbers
     (``3`` then U+0968, a Devanagari two, as 2390 where ``int()`` reads
     32), and around a comma-split field it strips the separators
-    U+001C-U+001F, which ``int()`` refuses; both go to the reader.
-
-    A comma file that loadtxt refuses and that holds a line of blanks
-    or an indented comment is loaded once more without its blank and
-    comment lines, which the reader skips too."""
+    U+001C-U+001F, which ``int()`` refuses; both go to the reader."""
     if not text.isascii():
         return None
-    for line in lines:
-        line = line.strip()
-        if line and line[0] != "#":
-            break
-    else:
-        return None  # no record; loadtxt would warn "no data"
+    first = _RECORD_LINE.search(text)
+    if first is None:
+        return None
     mark = text.find("#")
     while mark >= 0:
         if text[text.rfind("\n", 0, mark) + 1 : mark].strip():
             return None
         end = text.find("\n", mark)
         mark = text.find("#", end) if end >= 0 else -1
-    delimiter = "," if "," in line else None
-    if delimiter and any(c in text for c in "\x1c\x1d\x1e\x1f"):
+    if "," in first[0] and any(c in text for c in "\x1c\x1d\x1e\x1f"):
         return None
-    records = _loadtxt(lines, delimiter)
-    if records is None and delimiter and _INDENTED_SKIP.search(text):
-        records = _loadtxt([x for x in lines if x.strip()[:1] not in ("", "#")], delimiter)
-    if records is None or records.shape[1] != 3 or (records[:, 2] < 0).any():
-        return None
-    return records
+    return first[0]
 
 
-def _loadtxt(lines: list[str], delimiter: str | None) -> np.ndarray | None:
-    """``np.loadtxt`` of int64 records, or ``None`` where it raises or
-    warns."""
+def _loadtxt(source: list[str] | str, delimiter: str | None, encoding: str | None = None) -> np.ndarray | None:
+    """The records ``np.loadtxt`` reads with ``delimiter`` from
+    ``source``, lines or the path of a file in ``encoding``; ``None``
+    where it raises or warns (a path that cannot be opened included),
+    or unless they are three int64 columns with no negative timestamp."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return np.loadtxt(lines, dtype=np.int64, comments="#",
-                              delimiter=delimiter, ndmin=2)
-    except (ValueError, Warning):
+            records = np.loadtxt(source, dtype=np.int64, comments="#",
+                                 delimiter=delimiter, ndmin=2, encoding=encoding)
+    except (OSError, ValueError, Warning):
         return None
+    if records.shape[1] != 3 or (records[:, 2] < 0).any():
+        return None
+    return records
 
 
 def _read_records(lines: Iterable[str]) -> np.ndarray:
@@ -560,7 +619,9 @@ def _replacing(path: str, newline: str | None = None) -> Iterator:
 
 def write_edge_list(graph: TemporalGraph, path) -> None:
     """Write ``source,target,timestamp`` lines plus a JSON metadata
-    sidecar at ``<path>.meta.json``.
+    sidecar at ``<path>.meta.json``. The lines are formatted and written
+    ``_WRITE_ROWS`` at a time, so the text of the whole file is never
+    held at once.
 
     Join times that cannot be recovered from the edge records (isolated
     vertices, or vertices that joined before their first edge) are kept
@@ -573,7 +634,6 @@ def write_edge_list(graph: TemporalGraph, path) -> None:
         if os.path.isdir(target):  # no file can replace it: refuse before writing either
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
     join, u, v, t = graph.join, graph.u, graph.v, graph.t
-    body = "%d,%d,%d\n" * len(t) % tuple(np.column_stack([u, v, t]).ravel().tolist())
     # No record precedes its endpoints' join, so a vertex's earliest
     # record carries its join time exactly when some record does.
     implied = np.zeros(len(join), dtype=bool)
@@ -594,7 +654,10 @@ def write_edge_list(graph: TemporalGraph, path) -> None:
     # both files are written out before either replaces its target, so
     # a failure leaves the old pair whole
     with _replacing(path) as fh, _replacing(path + _META_SUFFIX) as meta_fh:
-        fh.write("# source,target,timestamp\n" + body)
+        fh.write("# source,target,timestamp\n")
+        for start in range(0, len(t), _WRITE_ROWS):  # the text of one chunk at a time
+            rows = np.column_stack([column[start : start + _WRITE_ROWS] for column in (u, v, t)])
+            fh.write("%d,%d,%d\n" * len(rows) % tuple(rows.ravel().tolist()))
         fh.flush()
         json.dump(meta, meta_fh, sort_keys=True, separators=(",", ":"))
         meta_fh.write("\n")

@@ -349,6 +349,21 @@ class TestAnalyze:
         assert rows[-1]["jrc"] == "1.0"
         assert "new_stars_k1" in rows[0] and "new_stars_k5" in rows[0]
 
+    def test_a_raw_stream_reaches_the_reader_as_an_open_named_file(self, tmp_path, monkeypatch):
+        # the benchmark's tracer counts a stream's records from the name
+        # of the file the reader was handed
+        path = tmp_path / "g.txt"
+        path.write_text(GRAPH)
+        handed = []
+
+        def reader(source):
+            handed.append((source.name, source.closed, hasattr(source, "read")))
+            return read_edge_stream(source)
+
+        monkeypatch.setattr(cli, "read_edge_stream", reader)
+        assert cli._load_graph(str(path)).n_edges == 3
+        assert handed == [(str(path), False, True)]
+
     def test_single_vertex_graph_has_undefined_markers(self, tmp_path):
         path = str(tmp_path / "tiny.csv")
         write_edge_list(TemporalGraph([0], []), path)

@@ -3,13 +3,14 @@ import json
 import os
 import random
 import tempfile
+import threading
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import read_edge_list_brute, read_edge_stream_brute, validate_brute
+from oracles import parse_records_brute, read_edge_list_brute, read_edge_stream_brute, validate_brute
 from temponet import (
     EdgeStreamParseError,
     TemporalGraph,
@@ -489,6 +490,22 @@ def outcome(read):
         return type(exc), str(exc)
 
 
+def read_file(path, newline=None):
+    """``read_edge_stream`` of the file at ``path``, opened as the CLI
+    opens it."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
+        return read_edge_stream(fh)
+
+
+def graph_of(g):
+    return g.join_times, g.edges
+
+
+def brute_graph(lines):
+    joins, edges = read_edge_stream_brute(lines)
+    return tuple(joins), tuple(edges)
+
+
 class TestIngestOracle:
     def test_graphs_and_errors_match_the_loop_reader(self, tmp_path):
         rng = random.Random(909)
@@ -522,6 +539,8 @@ class TestIngestOracle:
             path = tmp_path / f"g{case}.csv"
             path.write_text(text)
             (tmp_path / f"g{case}.csv.meta.json").write_text(json.dumps(meta))
+            # the file itself, as a raw stream: loaded from its path when clean
+            assert outcome(lambda: graph_of(read_file(path))) == expected, text
 
             def list_brute():
                 joins, edges = read_edge_list_brute(text.splitlines(True), explicit)
@@ -587,6 +606,20 @@ def reader_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def loadtxt_sources(monkeypatch):
+    """What each ``np.loadtxt`` call was handed: a path or lines."""
+    sources = []
+    load = np.loadtxt
+
+    def recorded(source, *args, **kwargs):
+        sources.append(source)
+        return load(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", recorded)
+    return sources
+
+
 def refuse(*args):
     raise AssertionError("the line-by-line reader ran")
 
@@ -612,6 +645,21 @@ class TestParserPaths:
             seen.add((style, "graph" if isinstance(expected[0], tuple) else expected[0]))
         assert {(style, "graph") for style in (",", " , ", "whitespace")} <= seen
 
+    def test_single_style_files_are_loaded_from_their_path(self, tmp_path, monkeypatch, loadtxt_sources):
+        monkeypatch.setattr(temporal_graph, "_read_records", refuse)
+        rng = random.Random(1313)
+        path = tmp_path / "g.txt"
+        for _ in range(300):
+            text, style = single_style_stream(rng)
+            path.write_text(text)
+            loadtxt_sources.clear()
+            assert outcome(lambda: graph_of(read_file(path))) == outcome(lambda: brute_graph(text.splitlines(True))), text
+            assert loadtxt_sources[0] == str(path)
+            # the lines are loaded only where loadtxt reads a blank or
+            # indented comment line of a comma file as a record
+            if len(loadtxt_sources) > 1:
+                assert style != "whitespace" and temporal_graph._INDENTED_SKIP.search(text), text
+
     @pytest.mark.parametrize("text, message", [
         ("0 1 5\n1 2 3 # c\n", "line 2: expected 3 fields: '1 2 3 # c'"),
         ("0 1 5\n1 2 3.0\n", "line 2: fields must be integers: '1 2 3.0'"),
@@ -627,9 +675,16 @@ class TestParserPaths:
         # the range is checked before the sign of the timestamp
         (f"0 1 5\n1 2 -{2**63 + 1}\n", f"line 2: fields must lie in the int64 range: '1 2 -{2**63 + 1}'"),
     ])
-    def test_faulty_streams_fall_back_to_the_loops_message(self, reader_calls, text, message):
+    def test_faulty_streams_fall_back_to_the_loops_message(self, tmp_path, reader_calls, text, message):
         with pytest.raises(EdgeStreamParseError) as err:
             read_edge_stream(stream(text))
+        assert str(err.value) == message
+        assert reader_calls
+        reader_calls.clear()
+        path = tmp_path / "g.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(EdgeStreamParseError) as err:
+            read_file(path)
         assert str(err.value) == message
         assert reader_calls
         with pytest.raises(EdgeStreamParseError) as err:
@@ -657,11 +712,33 @@ class TestParserPaths:
         "0 1 5\n1 2 1_0\n",
         "0 1 5\n1 2 3\u0968\n",  # int() reads 32, numpy 2390
     ])
-    def test_clean_streams_the_bulk_call_refuses_read_line_by_line(self, reader_calls, text):
+    def test_clean_streams_the_bulk_call_refuses_read_line_by_line(self, tmp_path, reader_calls, text):
         g = read_edge_stream(stream(text))
-        joins, edges = read_edge_stream_brute(stream(text))
-        assert (g.join_times, g.edges) == (tuple(joins), tuple(edges))
+        assert graph_of(g) == brute_graph(stream(text))
         assert reader_calls
+        reader_calls.clear()
+        path = tmp_path / "g.txt"
+        path.write_text(text, encoding="utf-8")
+        assert graph_of(read_file(path)) == brute_graph(stream(text))
+        assert reader_calls
+
+    @pytest.mark.parametrize("newline", [None, "", "\n"])
+    @pytest.mark.parametrize("data", [
+        b"0 1 5\n1 2\x006\n", b"0 1 5\n1 2 6\x00\n", b"0,1,5\n\x00\n1,2,6\n",
+        b"0 1 5\n1\x0b2 6\n", b"0 1 5\n1 2 6\x0c\n", b"0,1,5\n\x0c\n1,2,6\n", b"0,1,5\n1,\x0b2,6\n",
+        b"0,1,5\n1,2\x1c,3\n", b"0 1 5\n1\x1c2 3\n", b"0 1 5\n1 2\x1d3\n", b"0,1,5\n1,2,3\x1e\n",
+        b"0 1 5\n\x1f1 2 3\n",
+        b"0 1 5\r\n1 2 6\r\n", b"0,1,5\r1,2,6\r", b"0 1 5\r\n1 2 x\r\n", b"0 1 5\n1 2 6",
+    ], ids=["nul_in_field", "nul_at_end", "nul_line", "vt_in_line", "ff_at_end", "ff_line",
+            "vt_in_comma_field", "fs_in_comma_field", "fs_in_line", "gs_in_line", "rs_at_end",
+            "us_at_start", "crlf", "lone_cr", "crlf_fault", "no_final_newline"])
+    def test_files_with_control_characters_or_other_line_ends(self, tmp_path, newline, data):
+        # a file read from its path gives what its lines give
+        path = tmp_path / "g.txt"
+        path.write_bytes(data)
+        with open(path, newline=newline) as fh:
+            lines = list(fh)
+        assert outcome(lambda: graph_of(read_file(path, newline))) == outcome(lambda: brute_graph(lines))
 
     def test_lines_that_are_not_str_are_refused(self):
         with pytest.raises(TypeError):
@@ -672,6 +749,100 @@ class TestParserPaths:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^empty edge stream$"):
                 read_edge_stream(stream("# source,target,timestamp\n\n  # nothing\n"))
+
+
+STREAM = "0 1 5\n1 2 6\n# c\n0 2 7\n"
+
+
+def parsed(path, skip=None):
+    """The records of the file at ``path``, opened as the CLI opens it,
+    after ``skip`` (``"readline"`` or ``"next"``) took its first line."""
+    with open(path, errors="surrogateescape") as fh:
+        if skip == "readline":
+            fh.readline()
+        elif skip == "next":
+            next(fh)
+        return temporal_graph._parse_records(fh).tolist()
+
+
+class TestLinesRoute:
+    """Files whose records come from the lines of the text first read,
+    which is never read again."""
+
+    EXPECTED = [list(r) for r in parse_records_brute(STREAM.splitlines(True))]
+
+    @pytest.fixture(autouse=True)
+    def no_second_open(self, loadtxt_sources):
+        yield
+        assert not [x for x in loadtxt_sources if isinstance(x, str)]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="POSIX FIFOs")
+    def test_a_fifo(self, tmp_path):
+        path = tmp_path / "g.fifo"
+        os.mkfifo(path)
+        got = []
+        writer = threading.Thread(target=path.write_text, args=(STREAM,), daemon=True)
+        reader = threading.Thread(target=lambda: got.append(parsed(path)), daemon=True)
+        writer.start()
+        reader.start()
+        reader.join(timeout=30)
+        writer.join(timeout=30)
+        assert not reader.is_alive() and not writer.is_alive(), "an open of the FIFO blocked"
+        assert got == [self.EXPECTED]
+
+    def test_the_null_device(self):
+        assert parsed(os.devnull) == []
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_a_plain_text_file_with_a_compressed_name(self, tmp_path, suffix):
+        path = tmp_path / f"g{suffix}"
+        path.write_text(STREAM)
+        assert parsed(path) == self.EXPECTED
+
+    @pytest.mark.parametrize("skip", ["readline", "next"])
+    def test_a_file_read_part_way(self, tmp_path, skip):
+        path = tmp_path / "g.txt"
+        path.write_text(STREAM)
+        assert parsed(path, skip) == self.EXPECTED[1:]
+
+    def test_a_file_that_grew_after_the_read(self, tmp_path):
+        class Growing(io.TextIOWrapper):
+            def read(self, *args):
+                text = super().read(*args)
+                with open(self.name, "a") as fh:
+                    fh.write("7 8 9\n")
+                return text
+
+        path = tmp_path / "g.txt"
+        path.write_text(STREAM)
+        with Growing(open(path, "rb")) as fh:
+            assert temporal_graph._parse_records(fh).tolist() == self.EXPECTED
+
+
+@pytest.mark.parametrize("change", ["replace", "rewrite", "rewrite_same_size"])
+def test_a_file_changed_before_the_load_gives_the_text_first_read(tmp_path, monkeypatch, change):
+    path = tmp_path / "g.txt"
+    path.write_text(STREAM)
+    load = np.loadtxt
+    sources = []
+
+    def changing(source, *args, **kwargs):
+        if not sources:  # between the read and the load from the path
+            if change == "replace":
+                (tmp_path / "new.txt").write_text("5 6 9\n")
+                os.replace(tmp_path / "new.txt", path)
+            else:
+                before = os.stat(path)
+                path.write_text("5 6 9\n7 8 10\n" if change == "rewrite" else STREAM.replace("0 2", "3 4"))
+                # a rewrite moves the mtime; past a clock tick coarser than
+                # this test, it would keep the old one
+                os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 1))
+        sources.append(source)
+        return load(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", changing)
+    assert parsed(path) == TestLinesRoute.EXPECTED
+    assert sources[0] == str(path)  # loaded from the path, then dropped
 
 
 def stream_texts():
