@@ -195,8 +195,12 @@ def _analysis_rows(graph: TemporalGraph, interval: int, k_values: list[int], x_m
         row = {"t": horizon, **features}
         # joined at or before t; evolution.jrc counts strictly before t_min + t
         row["jrc"] = row["vertices"] / graph.n_vertices
+        # new stars count from the stars at the first arrival, row 0, as
+        # on a zero-based network. The vectors count from the stars at
+        # time 0, none where the network starts later; the stars seen
+        # after row 0 are the same either way, so only row 0 differs
         for k in k_values:
-            row[f"new_stars_k{k}"] = star_vectors[k][i]
+            row[f"new_stars_k{k}"] = star_vectors[k][i] if i else 0
         rows.append(row)
     return rows
 

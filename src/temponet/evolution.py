@@ -112,8 +112,7 @@ def join_time_diff_prob(g: TemporalGraph, bin_width: int = 1) -> list[tuple[int,
         raise ValueError("need at least 2 vertices")
     if bin_width <= 0:
         raise ValueError("bin width must be positive")
-    joins = g.join_times
-    counts = Counter(joins)
+    counts = Counter(g.join_times)
     times = sorted(counts)
     pairs: Counter = Counter()
     for i, t1 in enumerate(times):
@@ -124,9 +123,8 @@ def join_time_diff_prob(g: TemporalGraph, bin_width: int = 1) -> list[tuple[int,
     # each connected pair is the one first-link event with v < w
     _, v, w = g.first_links()
     pair = v < w
-    connected = Counter(
-        abs(joins[a] - joins[b]) // bin_width for a, b in zip(v[pair].tolist(), w[pair].tolist())
-    )
+    diffs = np.abs(g.join[v[pair]] - g.join[w[pair]])
+    connected = Counter(d // bin_width for d in diffs.tolist())  # Python ints: any width
     return [
         (b * bin_width, connected.get(b, 0) / p)
         for b, p in sorted(pairs.items())

@@ -4,11 +4,14 @@ Every graph is undirected and simple, so density is ``2 * edges / (n *
 (n - 1))``. Undefined values are returned as ``None`` and serialize to
 JSON null.
 
-Clustering and shortest paths read the snapshot's pairs ``(v, w)``, two
-int64 arrays: the graph's first-link events up to the horizon, which
-hold each edge once per endpoint, so both directions are present. The
-only compressed-row adjacency is the giant's, built for the BFS with its rows
-numbered by falling degree.
+Clustering, shortest paths and star sets read the snapshot's pairs
+``(v, w)`` as stored: the graph's first-link events up to the horizon,
+which hold each edge once per endpoint, so both directions are present.
+An edge never precedes its endpoints' join, so every id is below the
+snapshot's ``n_vertices``, and ``np.bincount(v, minlength=n_vertices)``
+is exactly one degree per present vertex. The only compressed-row
+adjacency is the giant's, built for the BFS with its rows numbered by
+falling degree.
 
 Triangles are counted by the degree-ordered forward algorithm; the giant
 component comes from min-label propagation, each component labelled by
@@ -59,15 +62,6 @@ _SP_SLABS = 16
 _GAMMA_MIN_TAIL = 50
 
 
-def _simple_pairs(s: Snapshot) -> tuple[np.ndarray, np.ndarray]:
-    """The snapshot's edges as int64 pairs ``(v, w)``: its first-link
-    events up to the horizon, each edge once per endpoint, so both
-    directions are present. An edge never precedes its endpoints' join,
-    so every id is below ``s.n_vertices``."""
-    _, v, w = s.parent.first_links(s.horizon)
-    return v.astype(np.int64), w.astype(np.int64)
-
-
 def density(s: Snapshot) -> float | None:
     """Edges over vertex pairs, ``2 * edges / (n * (n - 1))``; ``None``
     below 2 vertices."""
@@ -83,7 +77,7 @@ def avg_clustering(s: Snapshot) -> float | None:
     n = s.n_vertices
     if n == 0:
         return None
-    v, w = _simple_pairs(s)
+    _, v, w = s.parent.first_links(s.horizon)
     deg = np.bincount(v, minlength=n)
     closed = 2 * _triangles_per_vertex(deg, v, w)  # ordered neighbour pairs
     possible = np.maximum(deg * (deg - 1), 1)
@@ -127,7 +121,7 @@ def avg_shortest_path(s: Snapshot) -> float | None:
     n = s.n_vertices
     if n < 2:
         return None
-    v, w = _simple_pairs(s)
+    _, v, w = s.parent.first_links(s.horizon)
     members = _giant_component(n, v, w)
     giant = np.flatnonzero(members)
     if len(giant) < 2:
@@ -309,7 +303,7 @@ def k_stars_set(s: Snapshot, k: int) -> set[int]:
     """The ``min(k, |V|)`` vertices with the highest degree at the
     snapshot horizon. Ties break toward earlier join time, then smaller
     id, which keeps star vectors reproducible."""
-    degrees = np.array(s.degrees(), dtype=np.int64)
+    degrees = np.bincount(s.parent.first_links(s.horizon)[1], minlength=s.n_vertices)
     return set(_top_k(degrees, k).tolist())
 
 

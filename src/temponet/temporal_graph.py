@@ -237,7 +237,7 @@ class TemporalGraph:
     def snapshot_at(self, t: int) -> "Snapshot":
         """Restrict the graph to activity up to time ``t`` (inclusive)."""
         nv = int(np.searchsorted(self.join, t, side="right"))
-        return Snapshot(self, t, nv, int(np.count_nonzero(self.t <= t)))
+        return Snapshot(self, t, nv, len(self.first_links(t)[0]) // 2)  # two events per edge
 
     def horizons(self, interval: int) -> list[int]:
         """Snapshot times ``t_min + interval, t_min + 2*interval, ...``,
@@ -264,9 +264,9 @@ class TemporalGraph:
         its time, one per endpoint, and every snapshot's simple graph is
         thus a prefix.
 
-        ``times`` is int64 and ``v``, ``w`` are int32. The index is built
-        on first use: the events fill one ``(2, 2E)`` array, ``v`` and
-        ``w`` its rows.
+        All three are int64 and read-only, like the graph's columns. The
+        index is built on first use: the events fill one ``(2, 2E)``
+        array, ``v`` and ``w`` its rows.
         """
         if self._first_links is None:
             u, v, times = self.u, self.v, self.t
@@ -274,10 +274,12 @@ class TemporalGraph:
                 order = _stable_order(times)  # equal times stay in input order
                 u, v, times = u[order], v[order], times[order]
             # per edge the events (u, v) then (v, u), by strided assignment
-            ends = np.empty((2, 2 * len(u)), dtype=np.int32)
+            ends = np.empty((2, 2 * len(u)), dtype=np.int64)
             ends[0, 0::2] = ends[1, 1::2] = u
             ends[0, 1::2] = ends[1, 0::2] = v
-            self._first_links = np.repeat(times, 2), ends[0], ends[1]
+            times = np.repeat(times, 2)
+            times.flags.writeable = ends.flags.writeable = False
+            self._first_links = times, ends[0], ends[1]
         times, v, w = self._first_links
         end = len(times) if t is None else int(np.searchsorted(times, t, side="right"))
         return times[:end], v[:end], w[:end]

@@ -15,7 +15,8 @@ import pytest
 
 from temponet import cli
 from temponet.cli import main
-from temponet import TemporalGraph, compute_features, k_stars_vector, read_edge_list, read_edge_stream, write_edge_list
+from temponet import (TemporalGraph, compute_features, k_stars_vector, normalize_times, read_edge_list,
+                      read_edge_stream, write_edge_list)
 
 
 SRC = str(Path(cli.__file__).resolve().parents[1])  # for child processes
@@ -520,6 +521,38 @@ class TestAnalyze:
             for name in ("avg_clustering", "gamma"):
                 assert math.isclose(float(a[name]), float(b[name]), rel_tol=1e-15)
 
+    @pytest.mark.parametrize("kind", ["sidecar", "raw_stream"])
+    def test_rows_but_t_do_not_depend_on_absolute_time(self, tmp_path, kind):
+        # new stars count from the stars at the first arrival, so a network
+        # whose every join and edge comes later by 1000 gives the same rows
+        # but for t, the first one included
+        graph_path = str(tmp_path / "g.csv")
+        assert run(["generate", "--model", "tpa", "--m", "3", "--schedule", "100,200,400", "--f", "exp2",
+                    "--seed", "7", "--out", graph_path]) == 0
+        g = read_edge_list(graph_path)
+        later = TemporalGraph([x + 1000 for x in g.join_times], [(u, v, t + 1000) for u, v, t in g.edges])
+        tables = []
+        for name, graph in (("plain", g), ("later", later)):
+            path = str(tmp_path / f"{name}.csv")
+            if kind == "sidecar":
+                write_edge_list(graph, path)
+            else:
+                records = list(graph.edges)
+                random.Random(3).shuffle(records)
+                Path(path).write_text("".join(f"{a} {b} {c}\n" for a, b, c in records))
+            out = str(tmp_path / f"{name}.features.csv")
+            assert run(["analyze", "--in", path, "--interval", "1", "--out", out]) == 0
+            with open(out) as fh:
+                tables.append(list(csv.DictReader(fh)))
+        plain, shifted = tables
+        assert [int(row["t"]) for row in shifted] == [int(row["t"]) + 1000 for row in plain] == [1000, 1001, 1002]
+        for a, b in zip(plain, shifted):
+            del a["t"], b["t"]
+            assert a == b
+        if kind == "sidecar":
+            assert [(row["new_stars_k1"], row["new_stars_k5"]) for row in shifted] == [
+                ("0", "0"), ("1", "1"), ("0", "2")]
+
     def test_features_once_per_distinct_snapshot(self, monkeypatch):
         # on sparse streams most horizons add nothing to the snapshot before
         calls = []
@@ -543,7 +576,9 @@ class TestAnalyze:
             horizons = g.horizons(interval)
             if horizons[0] > g.t_min:
                 horizons.insert(0, g.t_min)
-            stars = {k: k_stars_vector(g, horizons, k) for k in k_values}
+            # new stars count from the first arrival: time 0 of the zero-based graph
+            shifted = [h - g.t_min for h in horizons]
+            stars = {k: k_stars_vector(normalize_times(g), shifted, k) for k in k_values}
             want = []
             for i, h in enumerate(horizons):
                 s = g.snapshot_at(h)

@@ -25,7 +25,7 @@ from temponet import (
 )
 
 from temponet import metrics
-from temponet.metrics import _giant_component, _simple_pairs
+from temponet.metrics import _giant_component
 
 from oracles import (
     avg_sp_bfs,
@@ -130,7 +130,7 @@ class TestSparseOracles:
             for t in range(g.t_min, g.t_end + 1, max(1, g.t_end // 5)):
                 s = g.snapshot_at(t)
                 edges = [e for e in g.edges if e[2] <= t]
-                members = _giant_component(s.n_vertices, *_simple_pairs(s))
+                members = _giant_component(s.n_vertices, *g.first_links(t)[1:])
                 assert np.flatnonzero(members).tolist() == giant_sparse(s.n_vertices, edges)
 
     @pytest.mark.parametrize("path_first", [True, False])
@@ -138,7 +138,7 @@ class TestSparseOracles:
         evens, odds = [0, 2, 4, 6], [1, 3, 5, 7]
         a, b = (evens, odds) if path_first else (odds, evens)
         edges = [(x, y, 0) for x, y in zip(a, a[1:])] + [(b[0], y, 0) for y in b[1:]]
-        members = _giant_component(8, *_simple_pairs(snap([0] * 8, edges)))
+        members = _giant_component(8, *TemporalGraph([0] * 8, edges).first_links()[1:])
         assert np.flatnonzero(members).tolist() == evens == giant_sparse(8, edges)
 
 

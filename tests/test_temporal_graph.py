@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from temponet import TemporalGraph, read_edge_list, write_edge_list, tpa_generate, TpaParams, TimeDiffFn
 from temponet import temporal_graph
 from temponet.ingest import normalize_times, read_edge_stream
-from temponet.metrics import _simple_pairs
 from temponet.temporal_graph import _replacing
 
 from oracles import (
@@ -532,7 +531,7 @@ class TestFirstLinks:
         # from the strategy
         edges = list(g.edges)
         times, v, w = g.first_links()
-        assert (times.dtype, v.dtype, w.dtype) == (np.int64, np.int32, np.int32)
+        assert (times.dtype, v.dtype, w.dtype) == (np.int64, np.int64, np.int64)
         assert (np.diff(times) >= 0).all()
         for t in range(-1, g.t_end + 2):
             times, v, w = g.first_links(t)
@@ -541,9 +540,9 @@ class TestFirstLinks:
             assert g.degrees_at(t) == degrees == degrees_brute(g.n_vertices, edges, t)
             assert [g.degree_at(x, t) for x in range(g.n_vertices)] == degrees
             s = g.snapshot_at(t)
-            v, w = _simple_pairs(s)
+            _, v, w = s.parent.first_links(s.horizon)
             pairs = undirected_simple([e for e in edges if e[2] <= t])
-            assert (v.dtype, w.dtype) == (np.int64, np.int64)
+            assert s.n_edges == len(pairs)
             assert len(v) == len(w) == 2 * len(pairs)
             assert set(zip(v.tolist(), w.tolist())) == pairs | {(b, a) for a, b in pairs}
 
@@ -576,13 +575,28 @@ class TestFirstLinks:
             edges = distinct_pairs(edges)
             g = TemporalGraph([0] * n, edges)
             times, v, w = g.first_links()
-            assert (times.dtype, v.dtype, w.dtype) == (np.int64, np.int32, np.int32)
+            assert (times.dtype, v.dtype, w.dtype) == (np.int64, np.int64, np.int64)
             assert v.flags.c_contiguous and w.flags.c_contiguous
             assert len(times) == 2 * len(undirected_simple(edges))
             assert (times.tolist(), v.tolist(), w.tolist()) == first_links_ordered_brute(edges)
             assert sorted(zip(times.tolist(), v.tolist(), w.tolist())) == first_links_brute(edges, span)
             end = max(e[2] for e in edges) // 2 if edges else 0
             assert sorted(zip(*(column.tolist() for column in g.first_links(end)))) == first_links_brute(edges, end)
+
+    def test_returned_arrays_are_read_only(self):
+        # the index is the graph's, so a caller's write would change
+        # every later degree; it raises instead, as on the four columns
+        g = tpa_generate(TpaParams(m=3, schedule=(100, 200, 400), f=TimeDiffFn.exp_base(2), seed=7))
+        degrees = g.degrees_at(2)
+        assert degrees[:5] == [16, 8, 4, 26, 6]
+        for t in (None, 0, 1, 2):
+            for column in g.first_links(t):
+                assert column.dtype == np.int64
+                with pytest.raises(ValueError, match="read-only"):
+                    column[:] = 0
+                with pytest.raises(ValueError):
+                    column.flags.writeable = True
+        assert g.degrees_at(2) == degrees
 
     @given(temporal_graphs())
     @settings(max_examples=100, deadline=None)
