@@ -7,7 +7,6 @@ from .generators import (
     TimeDiffFn,
     TpaParams,
     baseline_generate,
-    group_probabilities,
     make_schedule,
     tpa_generate,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "TimeDiffFn",
     "TpaParams",
     "baseline_generate",
-    "group_probabilities",
     "make_schedule",
     "tpa_generate",
     "avg_clustering",

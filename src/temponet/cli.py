@@ -31,7 +31,7 @@ from .evolution import (
 from .generators import TimeDiffFn, TpaParams, baseline_generate, make_schedule, tpa_generate
 from .ingest import normalize_times, read_edge_stream
 from .metrics import compute_features, k_stars_number, k_stars_vectors
-from .temporal_graph import TemporalGraph, _replacing, read_edge_list, write_edge_list
+from .temporal_graph import _META_SUFFIX, TemporalGraph, _replacing, read_edge_list, write_edge_list
 
 _INT_KEYS = ("m", "n", "k", "seed", "retry_limit", "xmin")
 _REAL_KEYS = ("p", "p_triangle", "p_forward")
@@ -104,7 +104,7 @@ def _write_manifest(args, params: dict, seed):
 
 
 def _load_graph(path: str) -> TemporalGraph:
-    if os.path.exists(path + ".meta.json"):
+    if os.path.exists(path + _META_SUFFIX):
         return read_edge_list(path)
     with open(path, errors="surrogateescape") as fh:
         return read_edge_stream(fh)
@@ -295,7 +295,7 @@ def cmd_stars(args) -> int:
     paths = sorted(
         os.path.join(args.dir, name)
         for name in os.listdir(args.dir)
-        if not name.endswith(".meta.json") and not name.endswith(".manifest.json")
+        if not name.endswith((_META_SUFFIX, ".manifest.json"))
         and os.path.realpath(os.path.join(args.dir, name)) != out
     )
     networks = []  # (class, active time, sparse star vector) per readable network
@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--config", help="JSON config mirroring these flags")
     gen.add_argument("--out", required=True)
     # each command writes <out><suffix> for these suffixes, then <out>.manifest.json
-    gen.set_defaults(func=cmd_generate, out_suffixes=("", ".meta.json"))
+    gen.set_defaults(func=cmd_generate, out_suffixes=("", _META_SUFFIX))
 
     ana = sub.add_parser("analyze", help="per-horizon feature table for one network")
     ana.add_argument("--in", dest="input", required=True)

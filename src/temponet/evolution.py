@@ -139,14 +139,9 @@ def _average_ranks(values: Sequence[float]) -> np.ndarray:
     a = np.asarray(values)
     if np.isnan(a).any():
         return np.full(len(a), np.nan)
-    order = np.argsort(a, kind="stable")
-    ordered = a[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], len(a)]
-    group = np.repeat(np.arange(len(starts)), ends - starts)
-    ranks = np.empty(len(a))
-    ranks[order] = ((starts + ends + 1) / 2)[group]
-    return ranks
+    _, group, counts = np.unique(a, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)  # a tie group holds the ranks ends - counts + 1 .. ends
+    return ((2 * ends - counts + 1) / 2)[group]
 
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float | None:
@@ -207,7 +202,7 @@ def sparse_star_vector(g: TemporalGraph, k: int, interval: int) -> list[tuple[in
     or a join, so its cost does not depend on the span; every other
     entry is 0."""
     steps = _event_steps(g, interval)
-    counts = k_stars_vector(g, (steps * interval).tolist(), k)
+    counts = k_stars_vector(g, steps * interval, k)
     return [(j - 1, c) for j, c in zip(steps.tolist(), counts) if c]
 
 

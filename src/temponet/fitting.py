@@ -10,7 +10,7 @@ space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,9 +38,6 @@ class SeriesFit:
     r_squared: float | None
     residual_norm: float
     converged: bool = True
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def r_squared(ys: Sequence[float], predictions: Sequence[float]) -> float | None:

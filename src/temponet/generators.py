@@ -41,6 +41,14 @@ def _real(name: str, x) -> float:
     return x
 
 
+def _integer(name: str, x) -> int:
+    """``x`` as an ``int`` when it is an integer (numpy's included)
+    other than a bool."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {x!r}")
+    return int(x)
+
+
 class TimeDiffFn:
     """Monotonically non-increasing weight over group-index differences.
 
@@ -138,22 +146,26 @@ def make_schedule(kind: str, *args: int) -> list[int]:
     * ``polynomial(coef, max_x_exclusive)``: ``coef * x**2`` for
       ``x = 1 .. max_x_exclusive - 1``
     * ``sigmoidal(coef, max_x_exclusive)``: the polynomial list reversed
+
+    Both values must be integers, as every count of this module must:
+    numpy's are taken as ``int``, and a bool or a float raises
+    ``ValueError`` naming the value.
     """
     if kind not in ("linear", "polynomial", "sigmoidal"):
         raise ValueError(f"unknown schedule kind: {kind!r}")
     if len(args) != 2:
         raise ValueError(f"a {kind} schedule takes 2 values, got {len(args)}")
     if kind == "linear":
-        step, iterations = args
+        step, iterations = _integer("step", args[0]), _integer("iterations", args[1])
         if step <= 0 or iterations <= 0:
             raise ValueError("linear schedule needs positive step and iterations")
-        return [int(step)] * int(iterations)
-    coef, max_x = args
+        return [step] * iterations
+    coef, max_x = _integer("coef", args[0]), _integer("max_x_exclusive", args[1])
     if coef <= 0:
         raise ValueError("schedule coefficient must be positive")
     if max_x <= 1:
         raise ValueError("max_x_exclusive must exceed 1")
-    sizes = [int(coef) * x * x for x in range(1, int(max_x))]
+    sizes = [coef * x * x for x in range(1, max_x)]
     return sizes if kind == "polynomial" else sizes[::-1]
 
 
@@ -163,7 +175,9 @@ class TpaParams:
 
     ``retry_limit`` bounds the rejection loop used while sampling an
     edge target inside a time group; an exhausted edge is skipped and
-    counted rather than aborting the run.
+    counted rather than aborting the run. ``m``, ``seed``,
+    ``retry_limit`` and the schedule entries are integers (see
+    :func:`make_schedule`); the schedule is kept as a list of ints.
     """
 
     m: int
@@ -173,6 +187,10 @@ class TpaParams:
     retry_limit: int = 1000
 
     def __post_init__(self):
+        self.m = _integer("m", self.m)
+        self.seed = _integer("seed", self.seed)
+        self.retry_limit = _integer("retry_limit", self.retry_limit)
+        self.schedule = [_integer("a schedule entry", s) for s in self.schedule]
         if self.m < 1:
             raise ValueError("m must be at least 1")
         if self.retry_limit < 1:
@@ -181,17 +199,6 @@ class TpaParams:
             raise ValueError("schedule must be non-empty")
         if any(s < 1 for s in self.schedule):
             raise ValueError("every schedule entry must be at least 1")
-
-
-def group_probabilities(f: TimeDiffFn, current_group: int) -> list[float]:
-    """Probability of targeting each group ``0 .. current_group`` from a
-    vertex in ``current_group``: the weight of group ``j`` is
-    ``f(current_group - j)``, normalized over all existing groups."""
-    if current_group < 0:
-        raise ValueError("current_group must be non-negative")
-    weights = [f(current_group - j) for j in range(current_group + 1)]
-    total = _cumulative_weights(weights)[-1]
-    return [x / total for x in weights]
 
 
 def _cumulative_weights(weights: Sequence[float]) -> list[float]:
@@ -302,13 +309,15 @@ def baseline_generate(model: str, n: int, seed: int = 0, **model_params) -> Temp
     join time equals insertion index and an edge appears when its later
     endpoint joins; ``ff(p_forward)`` likewise. ``ws(k, p)`` and
     ``nw(k, p)`` are static small-world models whose vertices all carry
-    join time 0.
+    join time 0. ``n``, ``seed``, ``m`` and ``k`` are integers (see
+    :func:`make_schedule`) and the probabilities real numbers.
     """
     model = model.lower()
-    rng = random.Random(seed)
+    n = _integer("n", n)
+    rng = random.Random(_integer("seed", seed))
     try:
         if model in ("ba", "hk"):
-            m = int(model_params["m"])
+            m = _integer("m", model_params["m"])
             if m < 1:
                 raise ValueError(f"{model} model needs m >= 1")
             if n <= m:
@@ -316,15 +325,15 @@ def baseline_generate(model: str, n: int, seed: int = 0, **model_params) -> Temp
             if model == "ba":
                 columns = _barabasi_albert(n, m, rng)
             else:
-                p_t = float(model_params["p_triangle"])
+                p_t = _real("p_triangle", model_params["p_triangle"])
                 if not (0 <= p_t <= 1):
                     raise ValueError("hk triangle probability must be in [0, 1]")
                 adj = _holme_kim(n, m, p_t, rng)
                 # v > u joins later
                 columns = _edge_array([x for u, v in _graph_edges(adj) for x in (u, v, v)])
         elif model in ("ws", "nw"):
-            k = int(model_params["k"])
-            p = float(model_params["p"])
+            k = _integer("k", model_params["k"])
+            p = _real("p", model_params["p"])
             if k < 0 or not (0 <= p <= 1):
                 raise ValueError(f"{model} model needs k >= 0 and p in [0, 1]")
             if n <= k:
@@ -332,7 +341,7 @@ def baseline_generate(model: str, n: int, seed: int = 0, **model_params) -> Temp
             sampler = _watts_strogatz if model == "ws" else _newman_watts_strogatz
             columns = _edge_array([x for u, v in _graph_edges(sampler(n, k, p, rng)) for x in (u, v, 0)])
         elif model == "ff":
-            p_f = float(model_params["p_forward"])
+            p_f = _real("p_forward", model_params["p_forward"])
             if not (0 <= p_f < 1):
                 raise ValueError("ff forward probability must be in [0, 1)")
             if n < 1:

@@ -13,28 +13,11 @@ is exactly one degree per present vertex. The only compressed-row
 adjacency is the giant's, built for the BFS with its rows numbered by
 falling degree.
 
-Triangles are counted by the degree-ordered forward algorithm; the giant
-component comes from min-label propagation, each component labelled by
-its smallest id; the mean shortest path is a bit-packed multi-source
-BFS over the giant, 64 sources per ``uint64`` word (numpy 2.0 or later
-for ``np.bitwise_count``). A giant of up to 1024 vertices runs as one
-block of all its sources, a larger one in blocks of 512. Each BFS level
-takes a sparse push step, over the frontier rows' neighbours only, when
-those rows hold under 0.4 of the edge slots, and a dense step over every
-row otherwise. The dense step gathers every neighbour word straight into
-one preallocated buffer, then ORs the first 16 neighbour slots of every
-row as contiguous slabs, which the falling-degree row order allows.
-Triangle counts and the path-length sum are exact integers.
-
-Star vectors read the first-link events once, in time order, and keep
-the top-K set from one horizon to the next, K the largest star size
-asked for; one sweep serves every size. A horizon whose events number
-at most 64 plus a sixteenth of the present vertices, with the set full,
-takes the Python step: only the vertices those events touch can enter,
-so each is tested against the weakest member. Any other horizon takes the numpy
-step, which ranks every present vertex. A smaller size's top-k is the k
-highest-scoring members of the top-K set, ranked again only where a
-touched vertex was a member or became one.
+Triangle counts and the shortest-path length sum are exact integers.
+The giant component, the BFS behind the mean shortest path (numpy 2.0
+or later, for ``np.bitwise_count``) and the star-vector sweep are
+described where they are defined: :func:`_giant_component`,
+:func:`_mean_bfs_distance` and :func:`k_stars_vectors`.
 """
 
 from __future__ import annotations
@@ -45,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .temporal_graph import Snapshot, TemporalGraph
+from .temporal_graph import Snapshot, TemporalGraph, _int_column
 
 # sources per block of a giant above _SP_ONE_BLOCK vertices (1024 took
 # about 6% less time on 6200-vertex giants, but doubles the dense step's
@@ -307,21 +290,25 @@ def k_stars_set(s: Snapshot, k: int) -> set[int]:
     return set(_top_k(degrees, k).tolist())
 
 
-def k_stars_vector(g: TemporalGraph, horizons: Sequence[int], k: int) -> list[int]:
+def k_stars_vector(g: TemporalGraph, horizons: Iterable[int], k: int) -> list[int]:
     """Count newly emerging stars per horizon.
 
-    Entry ``i`` is the number of vertices in the top-k at ``horizons[i]``
-    that were not in the top-k at time 0 or at any earlier horizon. The
-    time-0 star set is empty when no vertex has joined by time 0. The
-    sweep is :func:`k_stars_vectors`'s, for the one size ``k``.
+    Entry ``i`` is the number of vertices in the top-k at the ``i``-th
+    horizon that were not in the top-k at time 0 or at any earlier
+    horizon. The time-0 star set is empty when no vertex has joined by
+    time 0. The sweep is :func:`k_stars_vectors`'s, for the one size
+    ``k``, and takes the horizons as it does.
     """
     return k_stars_vectors(g, horizons, [k])[0]
 
 
-def k_stars_vectors(g: TemporalGraph, horizons: Sequence[int], ks: Sequence[int]) -> list[list[int]]:
+def k_stars_vectors(g: TemporalGraph, horizons: Iterable[int], ks: Sequence[int]) -> list[list[int]]:
     """The :func:`k_stars_vector` of each star size in ``ks``, from one
     sweep: entry ``j`` is the vector of ``ks[j]``. The sizes may come in
-    any order and repeat.
+    any order and repeat. ``horizons`` may be any iterable of strictly
+    increasing integers in the int64 range (an iterator included); any
+    other value raises ``ValueError`` naming the horizons, and no float
+    is truncated.
 
     The sweep reads the first-link events once, in time order, and keeps
     the top-K set from one horizon to the next, K = ``max(ks)``. Degrees
@@ -345,15 +332,13 @@ def k_stars_vectors(g: TemporalGraph, horizons: Sequence[int], ks: Sequence[int]
     """
     if min(ks, default=0) <= 0:
         raise ValueError("k must be positive")
-    prev = None
-    for t in horizons:
-        if prev is not None and t <= prev:
-            raise ValueError("horizons must be strictly increasing")
-        prev = t
+    horizons = _int_column(horizons, "horizons")
+    if np.any(horizons[1:] <= horizons[:-1]):
+        raise ValueError("horizons must be strictly increasing")
     # the degree of v at t counts v's events at or before t
     ev_t, ev_v, _ = g.first_links()
     n = g.n_vertices
-    points = np.array([0, *horizons], dtype=np.int64)
+    points = np.concatenate(([0], horizons))
     ends = np.searchsorted(ev_t, points, side="right").tolist()
     present = np.searchsorted(g.join, points, side="right").tolist()
     *smaller, k = sorted(set(ks))

@@ -357,16 +357,17 @@ def k_stars_vector_brute(joins, edges, horizons, k):
     return out
 
 
-def spearman_brute(xs, ys):
-    def mean_ranks(values):
-        ranks = []
-        for v in values:
-            below = sum(1 for w in values if w < v)
-            equal = sum(1 for w in values if w == v)
-            ranks.append(below + (equal + 1) / 2)
-        return ranks
+def mean_ranks_brute(values):
+    ranks = []
+    for v in values:
+        below = sum(1 for w in values if w < v)
+        equal = sum(1 for w in values if w == v)
+        ranks.append(below + (equal + 1) / 2)
+    return ranks
 
-    rx, ry = mean_ranks(list(xs)), mean_ranks(list(ys))
+
+def spearman_brute(xs, ys):
+    rx, ry = mean_ranks_brute(list(xs)), mean_ranks_brute(list(ys))
     n = len(rx)
     mx, my = sum(rx) / n, sum(ry) / n
     cov = sum((a - mx) * (b - my) for a, b in zip(rx, ry))

@@ -29,6 +29,7 @@ from temponet.evolution import _average_ranks, _event_steps
 from oracles import (
     jrc_brute,
     k_stars_vector_brute,
+    mean_ranks_brute,
     pair_prob_brute,
     spearman_brute,
     stars_aggregate_brute,
@@ -225,6 +226,15 @@ class TestSpearman:
                     assert np.array_equal(ranks, rankdata(xs, method="average"))
         with_nan = [1.0, math.nan, 1.0]
         assert np.array_equal(_average_ranks(with_nan), rankdata(with_nan), equal_nan=True)
+
+    def test_average_ranks_equal_the_mean_rank_formula_exactly(self):
+        # below + (equal + 1) / 2 per value, with -0.0 and 0.0 one tie
+        rng = random.Random(11)
+        pool = [-0.0, 0.0, 0.5, -1.5, 2.0, 1e300, -1e-300, math.inf, -math.inf]
+        for _ in range(300):
+            xs = [rng.choice(pool) for _ in range(rng.randint(1, 40))]
+            assert _average_ranks(xs).tolist() == mean_ranks_brute(xs)
+        assert _average_ranks([0.0, -0.0, 1.0, -0.0]).tolist() == [2.0, 2.0, 4.0, 2.0]
 
     def test_constant_input_is_undefined(self):
         assert spearman([1, 1, 1], [1, 2, 3]) is None

@@ -206,10 +206,3 @@ class TestRationalFits:
         )
         assert not converged
         assert params.tolist() == [200.0]
-
-    def test_serialization_shape(self):
-        xs = [x / 2 for x in range(1, 30)]
-        ys = [(0.2 - 0.01 * x**0.642) / (1.5 + x**0.642) for x in xs]
-        blob = fit_rational_power(xs, ys).to_dict()
-        assert set(blob) == {"family", "coefficients", "r_squared", "residual_norm", "converged"}
-        assert blob["family"] == "rational_power"

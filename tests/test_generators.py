@@ -4,6 +4,7 @@ import random
 from collections import Counter
 
 import networkx as nx
+import numpy as np
 import pytest
 from scipy.stats import chisquare
 
@@ -11,7 +12,6 @@ from temponet import (
     TimeDiffFn,
     TpaParams,
     baseline_generate,
-    group_probabilities,
     make_schedule,
     tpa_generate,
 )
@@ -70,34 +70,6 @@ class TestTimeDiffFn:
         assert TimeDiffFn.from_config("exp2")(0) == 0.5
 
 
-class TestGroupProbabilities:
-    def test_two_groups_two_to_one(self):
-        assert group_probabilities(exp2(), 1) == pytest.approx([1 / 3, 2 / 3])
-
-    def test_three_groups_four_two_one(self):
-        assert group_probabilities(exp2(), 2) == pytest.approx([1 / 7, 2 / 7, 4 / 7])
-
-    def test_single_group(self):
-        assert group_probabilities(exp2(), 0) == [1.0]
-
-    def test_sums_to_one(self):
-        for cur in range(12):
-            assert sum(group_probabilities(TimeDiffFn.geometric(0.8, 0.2), cur)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_negative_group_is_refused(self):
-        with pytest.raises(ValueError, match="current_group must be non-negative"):
-            group_probabilities(exp2(), -1)
-
-    def test_degenerate_distribution(self):
-        f = TimeDiffFn.tabulated([1.0])
-        # current group beyond the table only sees zero weights except its own;
-        # force full degeneracy through a zero-everywhere callable
-        zero = TimeDiffFn("tabulated", lambda t: 0.0, {})
-        with pytest.raises(ValueError, match="degenerate"):
-            group_probabilities(zero, 2)
-        assert group_probabilities(f, 0) == [1.0]
-
-
 class TestMakeSchedule:
     def test_polynomial_700(self):
         sched = make_schedule("polynomial", 5, 8)
@@ -126,6 +98,21 @@ class TestMakeSchedule:
         for kind in ("polynomial", "sigmoidal"):
             with pytest.raises(ValueError, match="schedule coefficient must be positive"):
                 make_schedule(kind, 0, 8)
+
+    @pytest.mark.parametrize("kind, args, message", [
+        ("polynomial", (5.7, 4), "coef must be an integer, not 5.7"),
+        ("sigmoidal", (5, 4.0), "max_x_exclusive must be an integer, not 4.0"),
+        ("linear", (True, 4), "step must be an integer, not True"),
+        ("linear", (10, "7"), "iterations must be an integer, not '7'"),
+    ])
+    def test_a_value_that_is_not_an_integer_is_refused(self, kind, args, message):
+        with pytest.raises(ValueError, match=message):
+            make_schedule(kind, *args)
+
+    def test_numpy_integers_give_ints(self):
+        sched = make_schedule("polynomial", np.int64(5), np.int32(4))
+        assert sched == [5, 20, 45]
+        assert all(type(x) is int for x in sched)
 
 
 def worked_example(seed):
@@ -266,9 +253,10 @@ class TestTpaGenerate:
             if ju == last and jv == last:
                 target = last
             observed[target] += 1
-        probs = group_probabilities(f, last)
+        # group j draws with weight f(last - j), normalized over the groups
+        weights = [f(last - j) for j in range(last + 1)]
         total = sum(observed.values())
-        expected = [p * total for p in probs]
+        expected = [x / sum(weights) * total for x in weights]
         stat, p_value = chisquare([observed[i] for i in range(last + 1)], expected)
         assert p_value > 1e-3
 
@@ -308,6 +296,25 @@ class TestTpaGenerate:
             TpaParams(m=1, schedule=(0, 5), f=exp2())
         with pytest.raises(ValueError, match="retry_limit must be at least 1"):
             TpaParams(m=1, schedule=(5,), f=exp2(), retry_limit=0)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"m": 2.5}, "m must be an integer, not 2.5"),
+        ({"m": True}, "m must be an integer, not True"),
+        ({"schedule": (5, 2.5)}, "a schedule entry must be an integer, not 2.5"),
+        ({"seed": 1.0}, "seed must be an integer, not 1.0"),
+        ({"seed": "7"}, "seed must be an integer, not '7'"),
+        ({"retry_limit": 10.0}, "retry_limit must be an integer, not 10.0"),
+    ])
+    def test_a_count_that_is_not_an_integer_is_refused(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            TpaParams(**{"m": 2, "schedule": (5, 5), "f": exp2(), **fields})
+
+    def test_numpy_integers_give_the_graph_of_ints(self):
+        given = TpaParams(m=np.int64(2), schedule=np.array([5, 8]), f=exp2(), seed=np.int32(3),
+                          retry_limit=np.uint8(9))
+        assert all(type(x) is int for x in (given.m, given.seed, given.retry_limit, *given.schedule))
+        plain = TpaParams(m=2, schedule=[5, 8], f=exp2(), seed=3, retry_limit=9)
+        assert tpa_generate(given).edges == tpa_generate(plain).edges
 
 
 NETWORKX = {
@@ -416,3 +423,21 @@ class TestBaselines:
                 baseline_generate("ff", 10, seed=0, p_forward=p_forward)
         with pytest.raises(ValueError, match="ff model needs n >= 1"):
             baseline_generate("ff", 0, seed=0, p_forward=0.5)
+
+    @pytest.mark.parametrize("model, n, params, message", [
+        ("ba", 10, {"m": 2.5}, "m must be an integer, not 2.5"),
+        ("ba", 10, {"m": "3"}, "m must be an integer, not '3'"),
+        ("hk", 10.0, {"m": 2, "p_triangle": 0.5}, "n must be an integer, not 10.0"),
+        ("ws", 10, {"k": 2.0, "p": 0.1}, "k must be an integer, not 2.0"),
+        ("nw", 10, {"k": 2, "p": "0.1"}, "p must be a real number, not '0.1'"),
+        ("hk", 10, {"m": 2, "p_triangle": None}, "p_triangle must be a real number, not None"),
+        ("ff", 10, {"p_forward": True}, "p_forward must be a real number, not True"),
+        ("ff", 10, {"p_forward": 0.5, "seed": 0.5}, "seed must be an integer, not 0.5"),
+    ])
+    def test_a_value_of_the_wrong_type_is_refused(self, model, n, params, message):
+        with pytest.raises(ValueError, match=message):
+            baseline_generate(model, n, **params)
+
+    def test_numpy_integers_give_the_graph_of_ints(self):
+        given = baseline_generate("ba", np.int64(30), seed=np.int64(4), m=np.int32(2))
+        assert given.edges == baseline_generate("ba", 30, seed=4, m=2).edges

@@ -818,6 +818,21 @@ class TestLinesRoute:
         with Growing(open(path, "rb")) as fh:
             assert temporal_graph._parse_records(fh).tolist() == self.EXPECTED
 
+    def test_a_file_unlinked_after_the_read(self, tmp_path, loadtxt_sources):
+        class Unlinking(io.TextIOWrapper):
+            def read(self, *args):
+                text = super().read(*args)
+                os.unlink(self.name)  # the path names no file when it is checked
+                return text
+
+        path = tmp_path / "g.txt"
+        path.write_text(STREAM)
+        with Unlinking(open(path, "rb")) as fh:
+            assert temporal_graph._disk_path(fh) == str(path)  # the path route, until the check
+            assert temporal_graph._parse_records(fh).tolist() == self.EXPECTED
+        assert not path.exists()
+        assert loadtxt_sources and all(isinstance(x, list) for x in loadtxt_sources)  # the lines read
+
 
 @pytest.mark.parametrize("change", ["replace", "rewrite", "rewrite_same_size"])
 def test_a_file_changed_before_the_load_gives_the_text_first_read(tmp_path, monkeypatch, change):

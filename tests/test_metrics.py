@@ -294,6 +294,27 @@ class TestKStars:
         with pytest.raises(ValueError):
             k_stars_vector(g, [2, 1], 1)
 
+    def test_vector_takes_any_iterable_of_horizons(self):
+        g = baseline_generate("ba", 40, seed=1, m=2)
+        horizons = range(1, 40, 3)
+        expected = k_stars_vector(g, list(horizons), 3)
+        assert expected == k_stars_vector_brute(g.join_times, g.edges, list(horizons), 3)
+        assert len(expected) == 13
+        assert k_stars_vector(g, iter(horizons), 3) == expected
+        assert k_stars_vector(g, horizons, 3) == expected
+        assert k_stars_vector(g, np.array(horizons, dtype=np.uint8), 3) == expected
+
+    @pytest.mark.parametrize("horizons, message", [
+        ([1, 2.5], "horizons must be integers"),
+        ([1, 2.5, 4], "horizons must be integers"),
+        (np.array([1.0, 2.0]), "horizons must be integers"),
+        ([1, 2**63], "horizons must lie in the int64 range"),
+    ])
+    def test_vector_refuses_a_horizon_that_is_not_an_int64(self, horizons, message):
+        g = TemporalGraph([0, 1], [(0, 1, 1)])
+        with pytest.raises(ValueError, match=message):
+            k_stars_vector(g, horizons, 1)
+
     @pytest.mark.parametrize("k", [0, -1])
     def test_rejects_non_positive_k(self, k):
         g = TemporalGraph([0, 1], [(0, 1, 1)])
