@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .temporal_graph import Snapshot, TemporalGraph, read_edge_list, write_edge_list
+from .temporal_graph import TemporalGraph, read_edge_list, write_edge_list
 from .generators import (
     TimeDiffFn,
     TpaParams,
@@ -44,7 +44,6 @@ from .fitting import (
 from .ingest import EdgeStreamParseError, normalize_times, read_edge_stream
 
 __all__ = [
-    "Snapshot",
     "TemporalGraph",
     "read_edge_list",
     "write_edge_list",

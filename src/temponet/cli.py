@@ -241,7 +241,7 @@ def cmd_analyze(args) -> int:
 def _setting_features(merged: dict, interval: int) -> dict:
     graph = _generate_graph(merged)
     x_min = merged.get("xmin", merged.get("m", 2))
-    features = compute_features(graph.snapshot_at(graph.t_end), gamma_x_min=x_min)
+    features = compute_features(graph, gamma_x_min=x_min)
     horizons = graph.horizons(interval)
     for k, vector in zip(_STAR_SIZES, k_stars_vectors(graph, horizons, _STAR_SIZES)):
         features[f"stars_k{k}"] = k_stars_number(vector)

@@ -1,17 +1,18 @@
-"""Per-snapshot topological features and the top-k star machinery.
+"""Topological features of a graph, and the top-k star machinery.
 
 Every graph is undirected and simple, so density is ``2 * edges / (n *
 (n - 1))``. Undefined values are returned as ``None`` and serialize to
 JSON null.
 
-Clustering, shortest paths and star sets read the snapshot's pairs
-``(v, w)`` as stored: the graph's first-link events up to the horizon,
-which hold each edge once per endpoint, so both directions are present.
-An edge never precedes its endpoints' join, so every id is below the
-snapshot's ``n_vertices``, and ``np.bincount(v, minlength=n_vertices)``
-is exactly one degree per present vertex. The only compressed-row
-adjacency is the giant's, built for the BFS with its rows numbered by
-falling degree.
+A feature is of the graph it is given; a snapshot is the graph that
+:meth:`~temponet.temporal_graph.TemporalGraph.snapshot_at` returns, and
+a whole graph is its own last snapshot. Clustering, shortest paths and
+star sets read the graph's pairs ``(v, w)`` as stored: its first-link
+events, which hold each edge once per endpoint, so both directions are
+present. Every id is below ``n_vertices``, so ``np.bincount(v,
+minlength=n_vertices)`` is exactly one degree per vertex. The only
+compressed-row adjacency is the giant's, built for the BFS with its rows
+numbered by falling degree.
 
 Triangle counts and the shortest-path length sum are exact integers.
 The giant component, the BFS behind the mean shortest path (numpy 2.0
@@ -28,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .temporal_graph import Snapshot, TemporalGraph, _int_column
+from .temporal_graph import TemporalGraph, _int_column
 
 # sources per block of a giant above _SP_ONE_BLOCK vertices (1024 took
 # about 6% less time on 6200-vertex giants, but doubles the dense step's
@@ -45,22 +46,22 @@ _SP_SLABS = 16
 _GAMMA_MIN_TAIL = 50
 
 
-def density(s: Snapshot) -> float | None:
+def density(g: TemporalGraph) -> float | None:
     """Edges over vertex pairs, ``2 * edges / (n * (n - 1))``; ``None``
     below 2 vertices."""
-    n = s.n_vertices
+    n = g.n_vertices
     if n < 2:
         return None
-    return 2 * s.n_edges / (n * (n - 1))
+    return 2 * g.n_edges / (n * (n - 1))
 
 
-def avg_clustering(s: Snapshot) -> float | None:
+def avg_clustering(g: TemporalGraph) -> float | None:
     """Mean local clustering coefficient over all vertices; vertices of
     degree below 2 contribute 0."""
-    n = s.n_vertices
+    n = g.n_vertices
     if n == 0:
         return None
-    _, v, w = s.parent.first_links(s.horizon)
+    _, v, w = g.first_links()
     deg = np.bincount(v, minlength=n)
     closed = 2 * _triangles_per_vertex(deg, v, w)  # ordered neighbour pairs
     possible = np.maximum(deg * (deg - 1), 1)
@@ -97,14 +98,14 @@ def _triangles_per_vertex(deg: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.n
     )
 
 
-def avg_shortest_path(s: Snapshot) -> float | None:
+def avg_shortest_path(g: TemporalGraph) -> float | None:
     """Mean pairwise distance over the largest connected component, the
     one holding the smallest id among equal largest; ``None`` when no
     component has 2+ vertices."""
-    n = s.n_vertices
+    n = g.n_vertices
     if n < 2:
         return None
-    _, v, w = s.parent.first_links(s.horizon)
+    _, v, w = g.first_links()
     members = _giant_component(n, v, w)
     giant = np.flatnonzero(members)
     if len(giant) < 2:
@@ -282,11 +283,12 @@ def _top_k(degrees: np.ndarray, k: int) -> np.ndarray:
     return np.argpartition(score, nv - k)[nv - k :]
 
 
-def k_stars_set(s: Snapshot, k: int) -> set[int]:
-    """The ``min(k, |V|)`` vertices with the highest degree at the
-    snapshot horizon. Ties break toward earlier join time, then smaller
-    id, which keeps star vectors reproducible."""
-    degrees = np.bincount(s.parent.first_links(s.horizon)[1], minlength=s.n_vertices)
+def k_stars_set(g: TemporalGraph, k: int) -> set[int]:
+    """The ``min(k, |V|)`` vertices of ``g`` with the highest degree;
+    for the stars at a horizon, pass the graph's snapshot there. Ties
+    break toward earlier join time, then smaller id, which keeps star
+    vectors reproducible."""
+    degrees = np.bincount(g.first_links()[1], minlength=g.n_vertices)
     return set(_top_k(degrees, k).tolist())
 
 
@@ -448,18 +450,18 @@ def power_law_gamma(degrees: Iterable[int], x_min: int) -> float | None:
     return 1.0 + len(tail) / log_sum
 
 
-def compute_features(s: Snapshot, *, gamma_x_min: int = 2) -> dict:
-    """The full per-snapshot feature battery, keyed in the order of the
-    ``analyze`` columns: ``vertices``, ``edges``, ``density``,
-    ``avg_clustering``, ``avg_shortest_path``, ``max_degree`` and
-    ``gamma``; an undefined value is ``None``."""
-    degrees = s.degrees()
+def compute_features(g: TemporalGraph, *, gamma_x_min: int = 2) -> dict:
+    """The full feature battery of ``g``, a whole graph or a snapshot,
+    keyed in the order of the ``analyze`` columns: ``vertices``,
+    ``edges``, ``density``, ``avg_clustering``, ``avg_shortest_path``,
+    ``max_degree`` and ``gamma``; an undefined value is ``None``."""
+    degrees = g.degrees_at(g.t_end)
     return {
-        "vertices": s.n_vertices,
-        "edges": s.n_edges,
-        "density": density(s),
-        "avg_clustering": avg_clustering(s),
-        "avg_shortest_path": avg_shortest_path(s),
+        "vertices": g.n_vertices,
+        "edges": g.n_edges,
+        "density": density(g),
+        "avg_clustering": avg_clustering(g),
+        "avg_shortest_path": avg_shortest_path(g),
         "max_degree": max(degrees, default=0),
         "gamma": power_law_gamma(degrees, gamma_x_min),
     }

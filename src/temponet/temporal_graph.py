@@ -3,8 +3,9 @@
 A :class:`TemporalGraph` is undirected and simple: a pair of vertices is
 unordered and joined by at most one edge, and no edge is a loop. It is
 four int64 numpy columns and a first-link index built on first use; its
-``join_times`` and ``edges`` tuples are built on each read. It is immutable, so any number of readers may take
-:class:`Snapshot` views concurrently.
+``join_times`` and ``edges`` tuples are built on each read. It is
+immutable, so a snapshot is a ``TemporalGraph`` too, built from views of
+its parent's arrays, and any number of readers may share them.
 The public constructor validates input from outside the program; the
 library's own producers build unchecked, and the tests check them.
 Timestamps are opaque non-negative integers in caller-defined units
@@ -234,13 +235,24 @@ class TemporalGraph:
 
     # -- snapshots -----------------------------------------------------
 
-    def snapshot_at(self, t: int) -> "Snapshot":
-        """Restrict the graph to activity up to time ``t`` (inclusive)."""
+    def snapshot_at(self, t: int) -> "TemporalGraph":
+        """The graph of the activity up to time ``t`` (inclusive): the
+        vertices that joined by ``t``, an id prefix since ids follow join
+        order, and the edges created by ``t``, in time order with equal
+        times in input order, with this graph's ``time_unit`` and no
+        ``info``. Its columns are views of ``join`` and of the first-link
+        index, whose prefix up to ``t`` is its own: nothing is copied."""
+        times, v, w = self.first_links(t)
         nv = int(np.searchsorted(self.join, t, side="right"))
-        return Snapshot(self, t, nv, len(self.first_links(t)[0]) // 2)  # two events per edge
+        # the first of each edge's two events is (source, target)
+        s = TemporalGraph.__new__(TemporalGraph)._build(
+            self.join[:nv], v[0::2], w[0::2], times[0::2], self.time_unit
+        )
+        s._first_links = times, v, w
+        return s
 
     def horizons(self, interval: int) -> list[int]:
-        """Snapshot times ``t_min + interval, t_min + 2*interval, ...``,
+        """The snapshot times ``t_min + interval, t_min + 2*interval, ...``,
         ending at ``t_end`` with a final shorter interval when the span
         does not divide evenly; empty for an empty graph. A grid of more
         than ``_MAX_HORIZONS`` times raises ``ValueError``."""
@@ -252,8 +264,9 @@ class TemporalGraph:
         _check_grid(max(1, -(-(end - self.t_min) // interval)), interval)
         return [*range(self.t_min + interval, end, interval), end]
 
-    def snapshot_series(self, interval: int) -> list["Snapshot"]:
-        """Snapshots at every time of :meth:`horizons`."""
+    def snapshot_series(self, interval: int) -> list["TemporalGraph"]:
+        """The :meth:`snapshot_at` graphs at the times of
+        :meth:`horizons`, in that order."""
         return [self.snapshot_at(h) for h in self.horizons(interval)]
 
     def first_links(self, t: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -296,26 +309,6 @@ class TemporalGraph:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<TemporalGraph |V|={self.n_vertices} |E|={self.n_edges}>"
-
-
-class Snapshot:
-    """The parent graph restricted to vertices and edges that arrived by
-    ``horizon``. A lightweight read-only view; vertices form the id
-    prefix ``range(n_vertices)`` because ids follow join order."""
-
-    __slots__ = ("parent", "horizon", "n_vertices", "n_edges")
-
-    def __init__(self, parent: TemporalGraph, horizon: int, n_vertices: int, n_edges: int):
-        self.parent = parent
-        self.horizon = horizon
-        self.n_vertices = n_vertices
-        self.n_edges = n_edges
-
-    def degrees(self) -> list[int]:
-        return self.parent.degrees_at(self.horizon)[: self.n_vertices]
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Snapshot t<={self.horizon} |V|={self.n_vertices} |E|={self.n_edges}>"
 
 
 # -- serialization -----------------------------------------------------

@@ -23,6 +23,25 @@ from oracles import (
 )
 
 
+def same_graph(a, b):
+    """``a`` and ``b`` hold equal columns, first-link indexes and time
+    units."""
+    columns = [(x.join, x.u, x.v, x.t, *x.first_links()) for x in (a, b)]
+    return a.time_unit == b.time_unit and all(
+        p.dtype == q.dtype and p.tolist() == q.tolist() for p, q in zip(*columns)
+    )
+
+
+def assert_series_at(g, interval, horizons, sizes):
+    """``snapshot_series`` gives the snapshots at the times of
+    ``horizons()``, with ``sizes`` vertices and edges."""
+    assert g.horizons(interval) == horizons
+    series = g.snapshot_series(interval)
+    assert [(s.n_vertices, s.n_edges) for s in series] == sizes
+    assert len(series) == len(horizons)
+    assert all(same_graph(s, g.snapshot_at(h)) for s, h in zip(series, horizons))
+
+
 def star_graph():
     # hub 0 with 5 leaves, all at time 1
     joins = [1, 1, 1, 1, 1, 1]
@@ -382,19 +401,13 @@ class TestSnapshots:
         assert (s.n_vertices, s.n_edges) == (2, 1)
 
     def test_series_even_division(self):
-        g = TemporalGraph([0, 12], [])
-        assert [s.horizon for s in g.snapshot_series(4)] == [4, 8, 12]
-        assert g.horizons(4) == [4, 8, 12]
+        assert_series_at(TemporalGraph([0, 12], []), 4, [4, 8, 12], [(1, 0), (1, 0), (2, 0)])
 
     def test_series_final_partial_interval(self):
-        g = TemporalGraph([0, 10], [])
-        assert [s.horizon for s in g.snapshot_series(4)] == [4, 8, 10]
-        assert g.horizons(4) == [4, 8, 10]
+        assert_series_at(TemporalGraph([0, 10], []), 4, [4, 8, 10], [(1, 0), (1, 0), (2, 0)])
 
     def test_series_single_short_interval(self):
-        g = TemporalGraph([0, 3], [])
-        assert [s.horizon for s in g.snapshot_series(4)] == [3]
-        assert g.horizons(4) == [3]
+        assert_series_at(TemporalGraph([0, 3], []), 4, [3], [(2, 0)])
 
     def test_series_rejects_zero_interval(self):
         g = TemporalGraph([0, 3], [])
@@ -406,8 +419,7 @@ class TestSnapshots:
     def test_series_covers_late_edges(self):
         # edge created after the last vertex joined still lands in the series
         g = TemporalGraph([0, 2], [(0, 1, 9)])
-        assert [s.horizon for s in g.snapshot_series(4)] == [4, 8, 9]
-        assert g.horizons(4) == [4, 8, 9]
+        assert_series_at(g, 4, [4, 8, 9], [(2, 0), (2, 0), (2, 1)])
 
     def test_series_longer_than_the_cap_is_refused_before_it_is_built(self, monkeypatch):
         monkeypatch.setattr(temporal_graph, "_MAX_HORIZONS", 3)
@@ -540,7 +552,7 @@ class TestFirstLinks:
             assert g.degrees_at(t) == degrees == degrees_brute(g.n_vertices, edges, t)
             assert [g.degree_at(x, t) for x in range(g.n_vertices)] == degrees
             s = g.snapshot_at(t)
-            _, v, w = s.parent.first_links(s.horizon)
+            _, v, w = s.first_links()
             pairs = undirected_simple([e for e in edges if e[2] <= t])
             assert s.n_edges == len(pairs)
             assert len(v) == len(w) == 2 * len(pairs)
