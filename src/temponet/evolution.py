@@ -22,14 +22,17 @@ empty when the grid is shorter than one interval.
 from __future__ import annotations
 
 import bisect
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .metrics import k_stars_vector
-from .temporal_graph import TemporalGraph, _check_grid
+from .temporal_graph import TemporalGraph, _check_grid, _integer
+
+# the pair counts join_time_diff_prob holds before it folds them into
+# their bins (as many as the bins where those are more)
+_PAIRS_HELD = 1 << 18
 
 
 @dataclass
@@ -71,6 +74,7 @@ def jrc(g: TemporalGraph, interval: int) -> Jrc:
     """
     if g.n_vertices == 0:
         raise ValueError("cannot compute a join-rate curve for an empty graph")
+    interval = _integer("interval", interval)
     if interval <= 0:
         raise ValueError("interval must be positive")
     span = g.active_time
@@ -107,29 +111,54 @@ def join_time_diff_prob(g: TemporalGraph, bin_width: int = 1) -> list[tuple[int,
     divided by the number of all vertex pairs in the bin. Bins without
     any eligible pair are omitted. Returns ``(bin_lower_bound, prob)``
     sorted by difference.
+
+    The pairs are counted in numpy per offset ``k`` of the sorted
+    distinct join times, where the times ``k`` apart pair ``counts[k:] *
+    counts[:-k]`` vertices, so the time is quadratic in the distinct
+    times. The counts are folded into their bins whenever they outnumber
+    the bins (and ``_PAIRS_HELD``), so the memory follows the bins.
     """
     if g.n_vertices < 2:
         raise ValueError("need at least 2 vertices")
+    bin_width = _integer("bin width", bin_width)
     if bin_width <= 0:
         raise ValueError("bin width must be positive")
-    counts = Counter(g.join_times)
-    times = sorted(counts)
-    pairs: Counter = Counter()
-    for i, t1 in enumerate(times):
-        c1 = counts[t1]
-        pairs[0] += c1 * (c1 - 1) // 2
-        for t2 in times[i + 1 :]:
-            pairs[(t2 - t1) // bin_width] += c1 * counts[t2]
-    # each connected pair is the one first-link event with v < w
+    # join times are non-negative, so as uint64 each difference and any
+    # width up to 2**64 - 1 fit; a wider one bins every difference at 0
+    join = g.join.view(np.uint64)
+    width = np.uint64(min(bin_width, 2**64 - 1))
+    times, counts = np.unique(join, return_counts=True)
+    bins = [np.zeros(1, dtype=np.uint64)]
+    pairs = [(counts * (counts - 1) // 2).sum(keepdims=True)]  # within one time
+    held = 0
+    for k in range(1, len(times)):
+        bins.append((times[k:] - times[:-k]) // width)
+        pairs.append(counts[k:] * counts[:-k])
+        held += len(times) - k
+        if held > max(_PAIRS_HELD, len(bins[0])):
+            b, p = _fold(bins, pairs)
+            bins, pairs, held = [b], [p], 0
+    bins, pairs = _fold(bins, pairs)
+    # each connected pair is the one first-link event with v < w; ids
+    # follow join order, so join[w] >= join[v], and its bin is in bins
     _, v, w = g.first_links()
     pair = v < w
-    diffs = np.abs(g.join[v[pair]] - g.join[w[pair]])
-    connected = Counter(d // bin_width for d in diffs.tolist())  # Python ints: any width
+    diffs = join[w[pair]] - join[v[pair]]
+    connected = np.bincount(np.searchsorted(bins, diffs // width), minlength=len(bins))
     return [
-        (b * bin_width, connected.get(b, 0) / p)
-        for b, p in sorted(pairs.items())
+        (b * bin_width, c / p)
+        for b, c, p in zip(bins.tolist(), connected.tolist(), pairs.tolist())
         if p > 0
     ]
+
+
+def _fold(bins: list[np.ndarray], pairs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of the arrays ``bins`` and, per value,
+    the sum of the ``pairs`` entries at its positions."""
+    bins, index = np.unique(np.concatenate(bins), return_inverse=True)
+    total = np.zeros(len(bins), dtype=np.int64)
+    np.add.at(total, index, np.concatenate(pairs))
+    return bins, total
 
 
 def _average_ranks(values: Sequence[float]) -> np.ndarray:
@@ -162,6 +191,7 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float | None:
 def w_max_time(active_times: Sequence[int], w: int) -> int:
     """The largest horizon at which at least ``w`` of the networks are
     still active: the w-th largest of their active times."""
+    w = _integer("w", w)
     if not (1 <= w <= len(active_times)):
         raise ValueError(f"w must be in [1, {len(active_times)}]")
     return sorted(active_times, reverse=True)[w - 1]
@@ -180,8 +210,6 @@ def _event_steps(g: TemporalGraph, interval: int) -> np.ndarray:
     interval]`` holds a first-link event or a join: at most ``n + E`` of
     them. At any other step the degrees and the present vertices are
     those of the step before, so no star can enter there."""
-    if interval <= 0:
-        raise ValueError("interval must be positive")
     last = g.active_time // interval
     # both time columns are sorted, so their run heads are each distinct
     # time once, and only those are divided
@@ -201,6 +229,9 @@ def sparse_star_vector(g: TemporalGraph, k: int, interval: int) -> list[tuple[in
     event horizons only, the grid points that follow a first-link event
     or a join, so its cost does not depend on the span; every other
     entry is 0."""
+    interval = _integer("interval", interval)
+    if interval <= 0:
+        raise ValueError("interval must be positive")
     steps = _event_steps(g, interval)
     counts = k_stars_vector(g, steps * interval, k)
     return [(j - 1, c) for j, c in zip(steps.tolist(), counts) if c]
@@ -230,6 +261,7 @@ def stars_aggregate(
     """
     if not networks:
         raise ValueError("no networks to aggregate")
+    interval = _integer("interval", interval)
     if interval < 1:
         raise ValueError("interval must be positive")
     spans = sorted(active_time for active_time, _ in networks)

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .temporal_graph import TemporalGraph
+from .temporal_graph import TemporalGraph, _integer
 
 
 def _real(name: str, x) -> float:
@@ -39,14 +39,6 @@ def _real(name: str, x) -> float:
     if isinstance(x, bool) or not isinstance(x, numbers.Real) or math.isnan(x):
         raise ValueError(f"{name} must be a real number, not {x!r}")
     return x
-
-
-def _integer(name: str, x) -> int:
-    """``x`` as an ``int`` when it is an integer (numpy's included)
-    other than a bool."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, not {x!r}")
-    return int(x)
 
 
 class TimeDiffFn:

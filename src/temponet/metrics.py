@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .temporal_graph import TemporalGraph, _int_column
+from .temporal_graph import TemporalGraph, _int_column, _integer
 
 # sources per block of a giant above _SP_ONE_BLOCK vertices (1024 took
 # about 6% less time on 6200-vertex giants, but doubles the dense step's
@@ -274,8 +274,6 @@ def _top_k(degrees: np.ndarray, k: int) -> np.ndarray:
     id)`` is unique per vertex and orders exactly that way, so a partial
     sort picks the set a full sort would.
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
     nv = len(degrees)
     if k >= nv:
         return np.arange(nv)
@@ -288,6 +286,9 @@ def k_stars_set(g: TemporalGraph, k: int) -> set[int]:
     for the stars at a horizon, pass the graph's snapshot there. Ties
     break toward earlier join time, then smaller id, which keeps star
     vectors reproducible."""
+    k = _integer("k", k)
+    if k <= 0:
+        raise ValueError("k must be positive")
     degrees = np.bincount(g.first_links()[1], minlength=g.n_vertices)
     return set(_top_k(degrees, k).tolist())
 
@@ -332,6 +333,7 @@ def k_stars_vectors(g: TemporalGraph, horizons: Iterable[int], ks: Sequence[int]
     member or became one: anywhere else no member's score changed, and
     so no smaller top-k did.
     """
+    ks = [_integer("k", k) for k in ks]
     if min(ks, default=0) <= 0:
         raise ValueError("k must be positive")
     horizons = _int_column(horizons, "horizons")

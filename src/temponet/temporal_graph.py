@@ -18,6 +18,7 @@ from __future__ import annotations
 import errno
 import io
 import json
+import numbers
 import os
 import re
 import stat
@@ -84,6 +85,15 @@ def _int_column(values, what: str, ragged: str = "") -> np.ndarray:
         return np.array(rows, dtype=np.int64)
     except OverflowError:
         raise ValueError(f"{what} must lie in the int64 range") from None
+
+
+def _integer(name: str, x) -> int:
+    """``x`` as an ``int`` when it is an integer (numpy's included)
+    other than a bool; anything else raises ``ValueError`` naming
+    ``name``."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {x!r}")
+    return int(x)
 
 
 def _pair_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -255,7 +265,9 @@ class TemporalGraph:
         """The snapshot times ``t_min + interval, t_min + 2*interval, ...``,
         ending at ``t_end`` with a final shorter interval when the span
         does not divide evenly; empty for an empty graph. A grid of more
-        than ``_MAX_HORIZONS`` times raises ``ValueError``."""
+        than ``_MAX_HORIZONS`` times raises ``ValueError``, and so does
+        an ``interval`` that is not a positive integer."""
+        interval = _integer("interval", interval)
         if interval <= 0:
             raise ValueError("interval must be positive")
         if self.n_vertices == 0:

@@ -45,6 +45,9 @@ def schedule_graph(schedule, seed=0, m=2):
 
 
 class TestJrc:
+    def test_takes_only_an_integer_interval(self, integer_rule):
+        integer_rule(lambda interval: jrc(schedule_graph([3, 1, 4, 1, 5]), interval), "interval", 2)
+
     def test_instant_network(self):
         g = TemporalGraph([0, 0, 0], [(0, 1, 0)])
         j = jrc(g, 4)
@@ -186,6 +189,25 @@ class TestJoinTimeDiffProb:
                 for (_, p), (_, q) in zip(mine, ref):
                     assert p == pytest.approx(q, abs=1e-12)
 
+    def test_takes_only_an_integer_bin_width(self, integer_rule):
+        g = tpa_generate(TpaParams(m=2, schedule=[5, 1, 7, 3], f=TimeDiffFn.exp_base(2), seed=3))
+        integer_rule(lambda width: join_time_diff_prob(g, width), "bin width", 2)
+
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_path_graphs_match_enumeration(self, n):
+        joins = list(range(n))
+        edges = [(i, i + 1, i + 1) for i in range(n - 1)]
+        assert join_time_diff_prob(TemporalGraph(joins, edges)) == pair_prob_brute(joins, edges, 1)
+
+    def test_widths_past_every_difference_give_one_bin(self):
+        # the widest difference is the int64 limit itself
+        joins = [0, 5, 2**63 - 1]
+        edges = [(0, 1, 5), (1, 2, 2**63 - 1)]
+        g = TemporalGraph(joins, edges)
+        for width in (1, 7, 2**62, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**80):
+            assert join_time_diff_prob(g, width) == pair_prob_brute(joins, edges, width)
+        assert join_time_diff_prob(g, 2**80) == [(0, 2 / 3)]
+
     def test_refuses_a_lone_vertex_and_a_width_below_one(self):
         with pytest.raises(ValueError, match="need at least 2 vertices"):
             join_time_diff_prob(TemporalGraph([0], []), 1)
@@ -310,6 +332,13 @@ class TestCollections:
             c = [g.active_time for g in graphs]
             for w in range(1, len(spans) + 1):
                 assert w_max_time(c, w) == w_max_brute(spans, w)
+
+    def test_w_max_time_takes_only_an_integer_w(self, integer_rule):
+        integer_rule(lambda w: w_max_time([10, 30, 20], w), "w", 2)
+
+    def test_aggregate_takes_only_an_integer_interval(self, integer_rule):
+        networks = star_data([toy_network(6, 2, seed=3), toy_network(9, 4, seed=4)], 2)
+        integer_rule(lambda interval: stars_aggregate(networks, 1, interval), "interval", 1)
 
     def test_w_out_of_range(self):
         c = [TemporalGraph([0, 5], []).active_time]
@@ -459,6 +488,11 @@ class TestSparseStarVector:
         # vertex 1 takes the lead when vertex 2 links to it; vertex 3's
         # link only ties vertex 0 with it
         assert sparse_star_vector(g, 1, 1) == [(5 * 10**6 - 1, 1)]
+
+    def test_takes_only_an_integer_size_and_interval(self, integer_rule):
+        g = toy_network(9, 4, seed=4)
+        integer_rule(lambda interval: sparse_star_vector(g, 2, interval), "interval", 2)
+        integer_rule(lambda k: sparse_star_vector(g, k, 1), "k", 2)
 
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError):

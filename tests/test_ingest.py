@@ -930,18 +930,33 @@ def baseline_graphs(model):
             yield g, {"time_unit": "", "info": {"model": model}}
 
 
+def snapshots():
+    """Prefix graphs of ingested and generated graphs: below the first
+    join, at it, in between (at an event time among others), at and
+    past the last event."""
+    parents = [*streamed(), *normalized(), *tpa_graphs(), *baseline_graphs("ba"), *baseline_graphs("hk")]
+    for g, attrs in parents:
+        times = g.first_links()[0].tolist()
+        middle = [times[len(times) // 2]] if times else []
+        lo, hi = g.t_min, g.t_end
+        for t in sorted({-1, lo - 1, lo, (lo + hi) // 2, *middle, hi - 1, hi, hi + 1, 2**70}):
+            yield g.snapshot_at(t), {"time_unit": attrs["time_unit"], "info": {}}
+
+
 PRODUCERS = {
     "read_edge_stream": streamed,
     "normalize_times": normalized,
     "tpa_generate": tpa_graphs,
     **{model: lambda model=model: baseline_graphs(model) for model in BASELINE_GRID},
+    "snapshot_at": snapshots,
 }
 
 
 class TestTrustedProducers:
     """The graphs the library builds without the constructor's checks
-    (ingest, normalize_times and the generators) pass those checks, and
-    equal the graph the public constructor builds from their columns."""
+    (ingest, normalize_times, the generators and snapshot_at) pass those
+    checks, and equal the graph the public constructor builds from their
+    columns."""
 
     @pytest.mark.parametrize("producer", list(PRODUCERS))
     def test_graphs_equal_a_validated_construction(self, producer):

@@ -32,6 +32,7 @@ from oracles import (
     avg_sp_brute,
     clustering_brute,
     clustering_sparse,
+    degrees_brute,
     giant_sparse,
     density_brute,
     distinct_pairs,
@@ -315,6 +316,18 @@ class TestKStars:
         with pytest.raises(ValueError, match=message):
             k_stars_vector(g, horizons, 1)
 
+    def test_vector_takes_only_an_integer_star_size(self, integer_rule):
+        g = baseline_generate("ba", 40, seed=1, m=2)
+        integer_rule(lambda k: k_stars_vector(g, range(1, 40, 3), k), "k", 2)
+
+    def test_vectors_take_only_integer_star_sizes(self, integer_rule):
+        g = baseline_generate("ba", 40, seed=1, m=2)
+        integer_rule(lambda k: k_stars_vectors(g, range(1, 40, 3), [3, k, 1]), "k", 2)
+
+    def test_set_takes_only_an_integer_star_size(self, integer_rule):
+        g = baseline_generate("ba", 40, seed=1, m=2)
+        integer_rule(lambda k: k_stars_set(g.snapshot_at(20), k), "k", 3)
+
     @pytest.mark.parametrize("k", [0, -1])
     def test_rejects_non_positive_k(self, k):
         g = TemporalGraph([0, 1], [(0, 1, 1)])
@@ -532,6 +545,37 @@ class TestComputeFeatures:
         assert blob["density"] is None
         assert blob["avg_shortest_path"] is None
         assert blob["gamma"] is None
+
+    def test_a_graph_has_the_features_of_its_last_snapshot(self):
+        rng = random.Random(3)
+        graphs = [
+            tpa_generate(TpaParams(m=2, schedule=(20, 30, 10), f=TimeDiffFn.exp_base(2), seed=1)),
+            baseline_generate("ba", 120, seed=2, m=3),
+            baseline_generate("hk", 120, seed=2, m=2, p_triangle=0.5),
+            TemporalGraph([], []),
+            TemporalGraph([4], []),
+        ]
+        for _ in range(30):
+            g = random_graph(rng)
+            # the same edges in shuffled order, so not in time order
+            edges = list(g.edges)
+            rng.shuffle(edges)
+            graphs += [g, TemporalGraph(g.join_times, edges)]
+        for g in graphs:
+            want = compute_features(g, gamma_x_min=2)
+            assert repr(compute_features(g.snapshot_at(g.t_end), gamma_x_min=2)) == repr(want)
+
+    def test_degrees_count_the_edges_after_the_last_join(self):
+        # a hub whose 60 links all come after the last vertex joined
+        g = TemporalGraph(list(range(61)), [(0, i, 100 + i) for i in range(1, 61)])
+        features = compute_features(g, gamma_x_min=1)
+        assert features["max_degree"] == 60
+        assert features["gamma"] == power_law_gamma([60] + [1] * 60, 1)
+        rng = random.Random(4)
+        for _ in range(100):
+            g = random_graph(rng)
+            degrees = degrees_brute(g.n_vertices, list(g.edges), g.t_end)
+            assert compute_features(g)["max_degree"] == max(degrees, default=0)
 
     def test_matches_parts(self):
         g = tpa_generate(TpaParams(m=2, schedule=(20, 20), f=TimeDiffFn.exp_base(2), seed=1))

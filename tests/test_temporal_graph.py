@@ -421,6 +421,21 @@ class TestSnapshots:
         g = TemporalGraph([0, 2], [(0, 1, 9)])
         assert_series_at(g, 4, [4, 8, 9], [(2, 0), (2, 0), (2, 1)])
 
+    def test_horizons_take_only_an_integer_interval(self, integer_rule):
+        g = TemporalGraph([0, 2], [(0, 1, 9)])
+        integer_rule(g.horizons, "interval", 4)
+
+    def test_a_snapshot_is_a_graph_on_views_of_its_parents_arrays(self):
+        g = TemporalGraph([0, 1, 1, 3], [(2, 0, 3), (1, 0, 1), (1, 2, 2)], time_unit="day", info={"a": 1})
+        times, v, w = g.first_links()
+        s = g.snapshot_at(2)
+        assert type(s) is TemporalGraph
+        assert (s.time_unit, s.info, s.join_times, s.edges) == ("day", {}, (0, 1, 1), ((1, 0, 1), (1, 2, 2)))
+        for a, b in [(s.join, g.join), (s.u, v), (s.v, w), (s.t, times)]:
+            assert np.shares_memory(a, b) and not a.flags.writeable
+        for a, b in zip(s.first_links(), g.first_links(2)):
+            assert np.shares_memory(a, b) and a.tolist() == b.tolist()
+
     def test_series_longer_than_the_cap_is_refused_before_it_is_built(self, monkeypatch):
         monkeypatch.setattr(temporal_graph, "_MAX_HORIZONS", 3)
         assert TemporalGraph([5, 7], [(0, 1, 11)]).horizons(2) == [7, 9, 11]
@@ -492,6 +507,11 @@ class TestProperties:
         assert (s1.n_edges, s2.n_edges) == tuple(sum(1 for e in g.edges if e[2] <= t) for t in (t1, t2))
         for v in range(s1.n_vertices):
             assert g.degree_at(v, t1) <= g.degree_at(v, t2)
+
+    @given(temporal_graphs(), st.integers(-2, 12), st.integers(-2, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_a_snapshot_of_a_snapshot_is_the_earlier_snapshot(self, g, a, b):
+        assert same_graph(g.snapshot_at(a).snapshot_at(b), g.snapshot_at(min(a, b)))
 
     @given(temporal_graphs())
     @settings(max_examples=100, deadline=None)
