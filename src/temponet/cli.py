@@ -30,8 +30,8 @@ from .evolution import (
 )
 from .generators import TimeDiffFn, TpaParams, baseline_generate, make_schedule, tpa_generate
 from .ingest import normalize_times, read_edge_stream
-from .metrics import compute_features, k_stars_number, k_stars_vectors
-from .temporal_graph import _META_SUFFIX, TemporalGraph, _replacing, read_edge_list, write_edge_list
+from .metrics import _ordered_sum, compute_features, k_stars_number, k_stars_vectors
+from .temporal_graph import _META_SUFFIX, TemporalGraph, _positive, _replacing, read_edge_list, write_edge_list
 
 _INT_KEYS = ("m", "n", "k", "seed", "retry_limit", "xmin")
 _REAL_KEYS = ("p", "p_triangle", "p_forward")
@@ -58,8 +58,7 @@ def _read_text(name: str, text: str, parse):
 def _require_positive(**values) -> None:
     """Refuse the first of ``values`` below 1, naming it."""
     for name, value in values.items():
-        if value < 1:
-            raise ValueError(f"{name} must be positive")
+        _positive(name, value)
 
 
 def _refuse_constant(name: str):
@@ -274,7 +273,7 @@ def cmd_compare(args) -> int:
         row = {"setting": label, "repeats": args.repeats}
         for key in per_seed[0]:
             values = [p[key] for p in per_seed if p[key] is not None]
-            row[key] = sum(values) / len(values) if values else None
+            row[key] = _ordered_sum(values) / len(values) if values else None
         rows.append(row)
     _write_rows(rows, args.out, args.format)
     _write_manifest(

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .metrics import k_stars_vector
-from .temporal_graph import TemporalGraph, _check_grid, _integer
+from .temporal_graph import TemporalGraph, _check_grid, _integer, _positive
 
 # the pair counts join_time_diff_prob holds before it folds them into
 # their bins (as many as the bins where those are more)
@@ -74,9 +74,7 @@ def jrc(g: TemporalGraph, interval: int) -> Jrc:
     """
     if g.n_vertices == 0:
         raise ValueError("cannot compute a join-rate curve for an empty graph")
-    interval = _integer("interval", interval)
-    if interval <= 0:
-        raise ValueError("interval must be positive")
+    interval = _positive("interval", interval)
     span = g.active_time
     steps = span // interval + 1
     _check_grid(steps + 1, interval)
@@ -120,9 +118,7 @@ def join_time_diff_prob(g: TemporalGraph, bin_width: int = 1) -> list[tuple[int,
     """
     if g.n_vertices < 2:
         raise ValueError("need at least 2 vertices")
-    bin_width = _integer("bin width", bin_width)
-    if bin_width <= 0:
-        raise ValueError("bin width must be positive")
+    bin_width = _positive("bin width", bin_width)
     # join times are non-negative, so as uint64 each difference and any
     # width up to 2**64 - 1 fit; a wider one bins every difference at 0
     join = g.join.view(np.uint64)
@@ -229,9 +225,7 @@ def sparse_star_vector(g: TemporalGraph, k: int, interval: int) -> list[tuple[in
     event horizons only, the grid points that follow a first-link event
     or a join, so its cost does not depend on the span; every other
     entry is 0."""
-    interval = _integer("interval", interval)
-    if interval <= 0:
-        raise ValueError("interval must be positive")
+    interval = _positive("interval", interval)
     steps = _event_steps(g, interval)
     counts = k_stars_vector(g, steps * interval, k)
     return [(j - 1, c) for j, c in zip(steps.tolist(), counts) if c]
@@ -261,9 +255,7 @@ def stars_aggregate(
     """
     if not networks:
         raise ValueError("no networks to aggregate")
-    interval = _integer("interval", interval)
-    if interval < 1:
-        raise ValueError("interval must be positive")
+    interval = _positive("interval", interval)
     spans = sorted(active_time for active_time, _ in networks)
     m = w_max_time(spans, w) // interval
     _check_grid(m, interval)

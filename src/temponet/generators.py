@@ -21,8 +21,6 @@ is the one the stdlib call would make.
 
 from __future__ import annotations
 
-import math
-import numbers
 import random
 from bisect import bisect
 from dataclasses import dataclass
@@ -31,14 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .temporal_graph import TemporalGraph, _integer
-
-
-def _real(name: str, x) -> float:
-    """``x`` when it is a real number other than a bool or NaN."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real) or math.isnan(x):
-        raise ValueError(f"{name} must be a real number, not {x!r}")
-    return x
+from .temporal_graph import TemporalGraph, _integer, _positive, _real
 
 
 class TimeDiffFn:
@@ -139,22 +130,17 @@ def make_schedule(kind: str, *args: int) -> list[int]:
       ``x = 1 .. max_x_exclusive - 1``
     * ``sigmoidal(coef, max_x_exclusive)``: the polynomial list reversed
 
-    Both values must be integers, as every count of this module must:
-    numpy's are taken as ``int``, and a bool or a float raises
-    ``ValueError`` naming the value.
+    Both values must be integers, and all but ``max_x_exclusive``
+    positive: numpy's are taken as ``int``, and a bool, a float or a
+    value below 1 raises ``ValueError`` naming the value.
     """
     if kind not in ("linear", "polynomial", "sigmoidal"):
         raise ValueError(f"unknown schedule kind: {kind!r}")
     if len(args) != 2:
         raise ValueError(f"a {kind} schedule takes 2 values, got {len(args)}")
     if kind == "linear":
-        step, iterations = _integer("step", args[0]), _integer("iterations", args[1])
-        if step <= 0 or iterations <= 0:
-            raise ValueError("linear schedule needs positive step and iterations")
-        return [step] * iterations
-    coef, max_x = _integer("coef", args[0]), _integer("max_x_exclusive", args[1])
-    if coef <= 0:
-        raise ValueError("schedule coefficient must be positive")
+        return [_positive("step", args[0])] * _positive("iterations", args[1])
+    coef, max_x = _positive("coef", args[0]), _integer("max_x_exclusive", args[1])
     if max_x <= 1:
         raise ValueError("max_x_exclusive must exceed 1")
     sizes = [coef * x * x for x in range(1, max_x)]
@@ -167,9 +153,9 @@ class TpaParams:
 
     ``retry_limit`` bounds the rejection loop used while sampling an
     edge target inside a time group; an exhausted edge is skipped and
-    counted rather than aborting the run. ``m``, ``seed``,
-    ``retry_limit`` and the schedule entries are integers (see
-    :func:`make_schedule`); the schedule is kept as a list of ints.
+    counted rather than aborting the run. ``seed`` is an integer, and
+    ``m``, ``retry_limit`` and the schedule entries positive integers
+    (see :func:`make_schedule`); the schedule is kept as a list of ints.
     """
 
     m: int
@@ -179,18 +165,12 @@ class TpaParams:
     retry_limit: int = 1000
 
     def __post_init__(self):
-        self.m = _integer("m", self.m)
+        self.m = _positive("m", self.m)
         self.seed = _integer("seed", self.seed)
-        self.retry_limit = _integer("retry_limit", self.retry_limit)
-        self.schedule = [_integer("a schedule entry", s) for s in self.schedule]
-        if self.m < 1:
-            raise ValueError("m must be at least 1")
-        if self.retry_limit < 1:
-            raise ValueError("retry_limit must be at least 1")
+        self.retry_limit = _positive("retry_limit", self.retry_limit)
+        self.schedule = [_positive("a schedule entry", s) for s in self.schedule]
         if not self.schedule:
             raise ValueError("schedule must be non-empty")
-        if any(s < 1 for s in self.schedule):
-            raise ValueError("every schedule entry must be at least 1")
 
 
 def _cumulative_weights(weights: Sequence[float]) -> list[float]:
@@ -301,17 +281,15 @@ def baseline_generate(model: str, n: int, seed: int = 0, **model_params) -> Temp
     join time equals insertion index and an edge appears when its later
     endpoint joins; ``ff(p_forward)`` likewise. ``ws(k, p)`` and
     ``nw(k, p)`` are static small-world models whose vertices all carry
-    join time 0. ``n``, ``seed``, ``m`` and ``k`` are integers (see
-    :func:`make_schedule`) and the probabilities real numbers.
+    join time 0. ``n``, ``seed``, ``m`` (positive) and ``k`` are integers
+    (see :func:`make_schedule`) and the probabilities real numbers.
     """
     model = model.lower()
     n = _integer("n", n)
     rng = random.Random(_integer("seed", seed))
     try:
         if model in ("ba", "hk"):
-            m = _integer("m", model_params["m"])
-            if m < 1:
-                raise ValueError(f"{model} model needs m >= 1")
+            m = _positive("m", model_params["m"])
             if n <= m:
                 raise ValueError(f"{model} model needs n > m")
             if model == "ba":

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .temporal_graph import TemporalGraph, _int_column, _integer
+from .temporal_graph import TemporalGraph, _int_column, _positive
 
 # sources per block of a giant above _SP_ONE_BLOCK vertices (1024 took
 # about 6% less time on 6200-vertex giants, but doubles the dense step's
@@ -286,9 +286,7 @@ def k_stars_set(g: TemporalGraph, k: int) -> set[int]:
     for the stars at a horizon, pass the graph's snapshot there. Ties
     break toward earlier join time, then smaller id, which keeps star
     vectors reproducible."""
-    k = _integer("k", k)
-    if k <= 0:
-        raise ValueError("k must be positive")
+    k = _positive("k", k)
     degrees = np.bincount(g.first_links()[1], minlength=g.n_vertices)
     return set(_top_k(degrees, k).tolist())
 
@@ -333,8 +331,8 @@ def k_stars_vectors(g: TemporalGraph, horizons: Iterable[int], ks: Sequence[int]
     member or became one: anywhere else no member's score changed, and
     so no smaller top-k did.
     """
-    ks = [_integer("k", k) for k in ks]
-    if min(ks, default=0) <= 0:
+    ks = [_positive("k", k) for k in ks]
+    if not ks:
         raise ValueError("k must be positive")
     horizons = _int_column(horizons, "horizons")
     if np.any(horizons[1:] <= horizons[:-1]):
@@ -431,22 +429,29 @@ def k_stars_number(vector: Sequence[int]) -> int:
     return int(sum(vector))
 
 
+def _ordered_sum(values: Iterable):
+    """The values added in order from int 0, as ``sum`` adds them before Python 3.12."""
+    total = 0
+    for x in values:
+        total += x
+    return total
+
+
 def power_law_gamma(degrees: Iterable[int], x_min: int) -> float | None:
     """Continuous maximum-likelihood exponent for the degree tail.
 
-    Fits ``d ** -gamma`` to the degrees at or above ``x_min`` using the
-    half-step-shifted estimator suited to integer data. Returns ``None``
-    with fewer than 50 tail samples or a degenerate (constant) tail.
+    Fits ``d ** -gamma`` to the degrees at or above ``x_min`` (a positive
+    integer) by the half-step-shifted estimator suited to integer data.
+    Returns ``None`` with fewer than 50 tail samples or a constant tail.
     """
-    if x_min < 1:
-        raise ValueError("x_min must be positive")
+    x_min = _positive("x_min", x_min)
     tail = [d for d in degrees if d >= x_min]
     if len(tail) < _GAMMA_MIN_TAIL:
         return None
     if min(tail) == max(tail):
         return None
     shift = x_min - 0.5
-    log_sum = sum(math.log(d / shift) for d in tail)
+    log_sum = _ordered_sum(math.log(d / shift) for d in tail)
     if log_sum == 0:
         return None
     return 1.0 + len(tail) / log_sum
@@ -457,6 +462,7 @@ def compute_features(g: TemporalGraph, *, gamma_x_min: int = 2) -> dict:
     keyed in the order of the ``analyze`` columns: ``vertices``,
     ``edges``, ``density``, ``avg_clustering``, ``avg_shortest_path``,
     ``max_degree`` and ``gamma``; an undefined value is ``None``."""
+    _positive("x_min", gamma_x_min)  # before any feature work
     degrees = g.degrees_at(g.t_end)
     return {
         "vertices": g.n_vertices,

@@ -19,3 +19,17 @@ def integer_rule():
             assert repr(call(dtype(value))) == want
 
     return check
+
+
+@pytest.fixture
+def positive_rule(integer_rule):
+    """``integer_rule``'s check, and a check that ``call(x)`` refuses 0
+    and -1 as not positive, naming ``name``."""
+
+    def check(call, name, value):
+        integer_rule(call, name, value)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match=re.escape(f"{name} must be positive")):
+                call(bad)
+
+    return check

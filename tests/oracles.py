@@ -357,6 +357,21 @@ def k_stars_vector_brute(joins, edges, horizons, k):
     return out
 
 
+def power_law_gamma_brute(degrees, x_min):
+    """The continuous MLE exponent of the degrees at or above ``x_min``,
+    whose log terms are added one at a time from 0, in order, as
+    Python's ``sum`` adds them before 3.12 (3.12's compensates rounding)."""
+    tail = [d for d in degrees if d >= x_min]
+    if len(tail) < 50 or len(set(tail)) == 1:
+        return None
+    log_sum = 0
+    for d in tail:
+        log_sum = log_sum + math.log(d / (x_min - 0.5))
+    if log_sum == 0:
+        return None
+    return 1.0 + len(tail) / log_sum
+
+
 def mean_ranks_brute(values):
     ranks = []
     for v in values:

@@ -1,6 +1,7 @@
 import bisect
 import csv
 import ctypes
+import hashlib
 import io
 import json
 import math
@@ -20,6 +21,7 @@ from temponet import (TemporalGraph, compute_features, k_stars_vector, normalize
 
 
 SRC = str(Path(cli.__file__).resolve().parents[1])  # for child processes
+DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 
 
 def refuse_constant(name):
@@ -155,6 +157,9 @@ ONE_LINE_ERRORS = {
                                    "compare --settings {d}/s.json --out {d}/o.csv"),
     "analyze_k_empty_field": ({"g.txt": GRAPH}, ANALYZE + "1 --k 1,,2"),
     "generate_ba_m_zero": ({}, "generate --model ba --m 0 --n 10 --out {d}/o.csv"),
+    "generate_tpa_m_zero": ({}, "generate --model tpa --m 0 --schedule 5,5 --f exp2 --out {d}/o.csv"),
+    "generate_schedule_entry_zero": ({}, "generate --model tpa --m 1 --schedule 0,5 --f exp2 --out {d}/o.csv"),
+    "generate_linear_step_zero": ({}, "generate --model tpa --m 1 --schedule linear:0:5 --f exp2 --out {d}/o.csv"),
     "generate_ba_no_n": ({}, "generate --model ba --m 3 --out {d}/o.csv"),
     "generate_f_no_form": ({"c.json": TPA_F % '{"b": 2}'}, "generate --config {d}/c.json --out {d}/o.csv"),
     "generate_f_no_r": ({"c.json": TPA_F % '{"form": "geometric", "a": 0.8}'},
@@ -240,7 +245,17 @@ ERROR_WORDING = {
     "generate_ws_p_above_one": "error: ws model needs k >= 0 and p in [0, 1]",
     "generate_nw_p_below_zero": "error: nw model needs k >= 0 and p in [0, 1]",
     "generate_nw_k_negative": "error: nw model needs k >= 0 and p in [0, 1]",
+    "generate_ba_m_zero": "error: m must be positive",
+    "generate_tpa_m_zero": "error: m must be positive",
+    "generate_schedule_entry_zero": "error: a schedule entry must be positive",
+    "generate_linear_step_zero": "error: --schedule 'linear:0:5': step must be positive",
 }
+
+
+def test_required_counts_follow_the_positive_rule(positive_rule):
+    positive_rule(lambda value: cli._require_positive(k=1, w=value), "w", 2)
+    with pytest.raises(ValueError, match="^k must be positive$"):
+        cli._require_positive(k=0, w=0)
 
 
 def write_malformed(directory, name):
@@ -731,6 +746,31 @@ class TestCompare:
         g = baseline_generate("ba", 70, seed=4, m=2)
         features = compute_features(g.snapshot_at(g.t_end), gamma_x_min=2)
         assert float(row["max_degree"]) == features["max_degree"]
+
+    def test_means_add_left_to_right(self, tmp_path, monkeypatch):
+        # a compensated sum, as Python 3.12's sum is, would give 2.0
+        values = [1.0, 1e100, 1.0, -1e100]
+        monkeypatch.setattr(cli, "_setting_features", lambda merged, interval: {"x": values[merged["seed"]]})
+        path = tmp_path / "settings.json"
+        path.write_text(json.dumps([{"label": "s", "model": "ba", "m": 2, "n": 10}]))
+        out = tmp_path / "t.csv"
+        assert run(["compare", "--settings", str(path), "--repeats", "4", "--seed", "0", "--out", str(out)]) == 0
+        with open(out) as fh:
+            assert list(csv.DictReader(fh)) == [{"setting": "s", "repeats": "4", "x": "0.0"}]
+
+    def test_readme_settings_give_the_recorded_table(self, tmp_path, monkeypatch):
+        # the benchmark's compare-readme call at seed 0, whose table's
+        # digest is recorded: every Python version must write its bytes
+        with open(DIGESTS) as fh:
+            want = json.load(fh)["compare-readme"]["table.csv"]
+        monkeypatch.chdir(tmp_path)
+        Path("settings.json").write_text(json.dumps([
+            {"label": "grouped_lin", "model": "tpa", "m": 3, "schedule": "linear:10:70", "f": "geom:0.8:0.2"},
+            {"label": "ba", "model": "ba", "m": 3, "n": 700},
+        ]))
+        assert run(["compare", "--settings", "settings.json", "--repeats", "10", "--seed", "0",
+                    "--interval", "1", "--out", "table.csv"]) == 0
+        assert hashlib.sha256(read_bytes("table.csv")).hexdigest() == want
 
     def test_label_with_a_comma_is_quoted(self, tmp_path):
         path = tmp_path / "settings.json"

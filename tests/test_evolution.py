@@ -45,8 +45,8 @@ def schedule_graph(schedule, seed=0, m=2):
 
 
 class TestJrc:
-    def test_takes_only_an_integer_interval(self, integer_rule):
-        integer_rule(lambda interval: jrc(schedule_graph([3, 1, 4, 1, 5]), interval), "interval", 2)
+    def test_takes_only_an_integer_interval(self, positive_rule):
+        positive_rule(lambda interval: jrc(schedule_graph([3, 1, 4, 1, 5]), interval), "interval", 2)
 
     def test_instant_network(self):
         g = TemporalGraph([0, 0, 0], [(0, 1, 0)])
@@ -189,9 +189,9 @@ class TestJoinTimeDiffProb:
                 for (_, p), (_, q) in zip(mine, ref):
                     assert p == pytest.approx(q, abs=1e-12)
 
-    def test_takes_only_an_integer_bin_width(self, integer_rule):
+    def test_takes_only_an_integer_bin_width(self, positive_rule):
         g = tpa_generate(TpaParams(m=2, schedule=[5, 1, 7, 3], f=TimeDiffFn.exp_base(2), seed=3))
-        integer_rule(lambda width: join_time_diff_prob(g, width), "bin width", 2)
+        positive_rule(lambda width: join_time_diff_prob(g, width), "bin width", 2)
 
     @pytest.mark.parametrize("n", [1000, 2000])
     def test_path_graphs_match_enumeration(self, n):
@@ -336,9 +336,9 @@ class TestCollections:
     def test_w_max_time_takes_only_an_integer_w(self, integer_rule):
         integer_rule(lambda w: w_max_time([10, 30, 20], w), "w", 2)
 
-    def test_aggregate_takes_only_an_integer_interval(self, integer_rule):
+    def test_aggregate_takes_only_an_integer_interval(self, positive_rule):
         networks = star_data([toy_network(6, 2, seed=3), toy_network(9, 4, seed=4)], 2)
-        integer_rule(lambda interval: stars_aggregate(networks, 1, interval), "interval", 1)
+        positive_rule(lambda interval: stars_aggregate(networks, 1, interval), "interval", 1)
 
     def test_w_out_of_range(self):
         c = [TemporalGraph([0, 5], []).active_time]
@@ -489,10 +489,10 @@ class TestSparseStarVector:
         # link only ties vertex 0 with it
         assert sparse_star_vector(g, 1, 1) == [(5 * 10**6 - 1, 1)]
 
-    def test_takes_only_an_integer_size_and_interval(self, integer_rule):
+    def test_takes_only_an_integer_size_and_interval(self, positive_rule):
         g = toy_network(9, 4, seed=4)
-        integer_rule(lambda interval: sparse_star_vector(g, 2, interval), "interval", 2)
-        integer_rule(lambda k: sparse_star_vector(g, k, 1), "k", 2)
+        positive_rule(lambda interval: sparse_star_vector(g, 2, interval), "interval", 2)
+        positive_rule(lambda k: sparse_star_vector(g, k, 1), "k", 2)
 
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError):

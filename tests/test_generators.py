@@ -91,12 +91,14 @@ class TestMakeSchedule:
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
             make_schedule("polynomial", 5, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="step must be positive"):
             make_schedule("linear", 0, 5)
+        with pytest.raises(ValueError, match="iterations must be positive"):
+            make_schedule("linear", 5, 0)
         with pytest.raises(ValueError, match="unknown schedule kind: 'cubic'"):
             make_schedule("cubic", 5, 8)
         for kind in ("polynomial", "sigmoidal"):
-            with pytest.raises(ValueError, match="schedule coefficient must be positive"):
+            with pytest.raises(ValueError, match="coef must be positive"):
                 make_schedule(kind, 0, 8)
 
     @pytest.mark.parametrize("kind, args, message", [
@@ -108,6 +110,12 @@ class TestMakeSchedule:
     def test_a_value_that_is_not_an_integer_is_refused(self, kind, args, message):
         with pytest.raises(ValueError, match=message):
             make_schedule(kind, *args)
+
+    def test_counts_follow_the_positive_rule(self, positive_rule):
+        positive_rule(lambda step: make_schedule("linear", step, 3), "step", 2)
+        positive_rule(lambda iterations: make_schedule("linear", 2, iterations), "iterations", 3)
+        for kind in ("polynomial", "sigmoidal"):
+            positive_rule(lambda coef: make_schedule(kind, coef, 4), "coef", 2)
 
     def test_numpy_integers_give_ints(self):
         sched = make_schedule("polynomial", np.int64(5), np.int32(4))
@@ -288,13 +296,13 @@ class TestTpaGenerate:
             tpa_generate(TpaParams(m=1, schedule=(2, 2), f=TimeDiffFn.exp_base(math.inf)))
 
     def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="m must be positive"):
             TpaParams(m=0, schedule=(5,), f=exp2())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="schedule must be non-empty"):
             TpaParams(m=1, schedule=(), f=exp2())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="a schedule entry must be positive"):
             TpaParams(m=1, schedule=(0, 5), f=exp2())
-        with pytest.raises(ValueError, match="retry_limit must be at least 1"):
+        with pytest.raises(ValueError, match="retry_limit must be positive"):
             TpaParams(m=1, schedule=(5,), f=exp2(), retry_limit=0)
 
     @pytest.mark.parametrize("fields, message", [
@@ -308,6 +316,13 @@ class TestTpaGenerate:
     def test_a_count_that_is_not_an_integer_is_refused(self, fields, message):
         with pytest.raises(ValueError, match=message):
             TpaParams(**{"m": 2, "schedule": (5, 5), "f": exp2(), **fields})
+
+    def test_counts_follow_the_positive_rule(self, positive_rule):
+        f = exp2()
+        positive_rule(lambda m: TpaParams(m=m, schedule=(5, 5), f=f).m, "m", 2)
+        positive_rule(lambda limit: TpaParams(m=2, schedule=(5, 5), f=f, retry_limit=limit).retry_limit,
+                      "retry_limit", 10)
+        positive_rule(lambda entry: TpaParams(m=2, schedule=(5, entry), f=f).schedule, "a schedule entry", 3)
 
     def test_numpy_integers_give_the_graph_of_ints(self):
         given = TpaParams(m=np.int64(2), schedule=np.array([5, 8]), f=exp2(), seed=np.int32(3),
@@ -437,6 +452,10 @@ class TestBaselines:
     def test_a_value_of_the_wrong_type_is_refused(self, model, n, params, message):
         with pytest.raises(ValueError, match=message):
             baseline_generate(model, n, **params)
+
+    @pytest.mark.parametrize("model, params", [("ba", {}), ("hk", {"p_triangle": 0.5})])
+    def test_m_follows_the_positive_rule(self, positive_rule, model, params):
+        positive_rule(lambda m: baseline_generate(model, 12, seed=1, m=m, **params).edges, "m", 2)
 
     def test_numpy_integers_give_the_graph_of_ints(self):
         given = baseline_generate("ba", np.int64(30), seed=np.int64(4), m=np.int32(2))

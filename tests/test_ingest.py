@@ -4,6 +4,7 @@ import os
 import random
 import tempfile
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -176,6 +177,22 @@ class TestReadEdgeList:
     def test_id_gap_is_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="vertex 1 has no record"):
             read_edge_list(self.write(tmp_path, "0,5,1\n"))
+
+    @pytest.mark.parametrize("key", ["10000000000", "99999999999999999999999"])
+    def test_a_key_far_past_the_last_id_fails_at_the_first_gap(self, tmp_path, key):
+        path = self.write(tmp_path, "0,1,1\n", {**self.META, "explicit_join_times": {key: 5}})
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^vertex 2 has no record and no explicit join time$"):
+                read_edge_list(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # nothing of the key's size is allocated
+
+    def test_of_equal_ids_in_the_sidecar_the_last_wins(self, tmp_path):
+        path = self.write(tmp_path, "0,1,1\n", {**self.META, "explicit_join_times": {"2": 9, "02": 3}})
+        assert read_edge_list(path).join_times == (1, 1, 3)
 
     @pytest.mark.parametrize("loops", [False, True])
     def test_self_loop_is_rejected_whatever_the_sidecar_says(self, tmp_path, loops):

@@ -38,6 +38,7 @@ from oracles import (
     distinct_pairs,
     k_stars_brute,
     k_stars_vector_brute,
+    power_law_gamma_brute,
 )
 
 
@@ -316,17 +317,17 @@ class TestKStars:
         with pytest.raises(ValueError, match=message):
             k_stars_vector(g, horizons, 1)
 
-    def test_vector_takes_only_an_integer_star_size(self, integer_rule):
+    def test_vector_takes_only_an_integer_star_size(self, positive_rule):
         g = baseline_generate("ba", 40, seed=1, m=2)
-        integer_rule(lambda k: k_stars_vector(g, range(1, 40, 3), k), "k", 2)
+        positive_rule(lambda k: k_stars_vector(g, range(1, 40, 3), k), "k", 2)
 
-    def test_vectors_take_only_integer_star_sizes(self, integer_rule):
+    def test_vectors_take_only_integer_star_sizes(self, positive_rule):
         g = baseline_generate("ba", 40, seed=1, m=2)
-        integer_rule(lambda k: k_stars_vectors(g, range(1, 40, 3), [3, k, 1]), "k", 2)
+        positive_rule(lambda k: k_stars_vectors(g, range(1, 40, 3), [3, k, 1]), "k", 2)
 
-    def test_set_takes_only_an_integer_star_size(self, integer_rule):
+    def test_set_takes_only_an_integer_star_size(self, positive_rule):
         g = baseline_generate("ba", 40, seed=1, m=2)
-        integer_rule(lambda k: k_stars_set(g.snapshot_at(20), k), "k", 3)
+        positive_rule(lambda k: k_stars_set(g.snapshot_at(20), k), "k", 3)
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_rejects_non_positive_k(self, k):
@@ -535,6 +536,17 @@ class TestPowerLawGamma:
         est = power_law_gamma(g.degrees_at(g.t_max), 3)
         assert 2.5 <= est <= 3.5
 
+    def test_equals_the_left_to_right_sum_exactly(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            degrees = [int(rng.paretovariate(1.5)) for _ in range(rng.randint(40, 400))]
+            x_min = rng.randint(1, 4)
+            assert power_law_gamma(degrees, x_min) == power_law_gamma_brute(degrees, x_min)
+
+    def test_x_min_follows_the_positive_rule(self, positive_rule):
+        degrees = baseline_generate("ba", 200, seed=5, m=3).degrees_at(199)
+        positive_rule(lambda x_min: power_law_gamma(degrees, x_min), "x_min", 2)
+
 
 class TestComputeFeatures:
     def test_serializes_undefined_as_null(self):
@@ -576,6 +588,21 @@ class TestComputeFeatures:
             g = random_graph(rng)
             degrees = degrees_brute(g.n_vertices, list(g.edges), g.t_end)
             assert compute_features(g)["max_degree"] == max(degrees, default=0)
+
+    def test_x_min_follows_the_positive_rule(self, positive_rule):
+        g = baseline_generate("ba", 60, seed=5, m=2)
+        positive_rule(lambda x_min: compute_features(g, gamma_x_min=x_min), "x_min", 2)
+
+    def test_x_min_is_refused_before_any_feature(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("a feature was computed")
+
+        for name in ("density", "avg_clustering", "avg_shortest_path"):
+            monkeypatch.setattr(metrics, name, refuse)
+        g = baseline_generate("ba", 60, seed=5, m=2)
+        for x_min in (0, -1, 2.5, True):
+            with pytest.raises(ValueError, match="x_min must be"):
+                compute_features(g, gamma_x_min=x_min)
 
     def test_matches_parts(self):
         g = tpa_generate(TpaParams(m=2, schedule=(20, 20), f=TimeDiffFn.exp_base(2), seed=1))

@@ -421,9 +421,9 @@ class TestSnapshots:
         g = TemporalGraph([0, 2], [(0, 1, 9)])
         assert_series_at(g, 4, [4, 8, 9], [(2, 0), (2, 0), (2, 1)])
 
-    def test_horizons_take_only_an_integer_interval(self, integer_rule):
+    def test_horizons_take_only_an_integer_interval(self, positive_rule):
         g = TemporalGraph([0, 2], [(0, 1, 9)])
-        integer_rule(g.horizons, "interval", 4)
+        positive_rule(g.horizons, "interval", 4)
 
     def test_a_snapshot_is_a_graph_on_views_of_its_parents_arrays(self):
         g = TemporalGraph([0, 1, 1, 3], [(2, 0, 3), (1, 0, 1), (1, 2, 2)], time_unit="day", info={"a": 1})
