@@ -21,6 +21,8 @@ is the one the stdlib call would make.
 
 from __future__ import annotations
 
+import math
+import numbers
 import random
 from bisect import bisect
 from dataclasses import dataclass
@@ -29,7 +31,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .temporal_graph import TemporalGraph, _integer, _positive, _real
+from .temporal_graph import TemporalGraph, _integer, _positive
+
+
+def _real(name: str, x) -> float:
+    """``x`` when it is a real number other than a bool or NaN."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or math.isnan(x):
+        raise ValueError(f"{name} must be a real number, not {x!r}")
+    return x
 
 
 class TimeDiffFn:

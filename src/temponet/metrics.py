@@ -462,8 +462,8 @@ def compute_features(g: TemporalGraph, *, gamma_x_min: int = 2) -> dict:
     keyed in the order of the ``analyze`` columns: ``vertices``,
     ``edges``, ``density``, ``avg_clustering``, ``avg_shortest_path``,
     ``max_degree`` and ``gamma``; an undefined value is ``None``."""
-    _positive("x_min", gamma_x_min)  # before any feature work
     degrees = g.degrees_at(g.t_end)
+    gamma = power_law_gamma(degrees, gamma_x_min)  # checks x_min before any other feature
     return {
         "vertices": g.n_vertices,
         "edges": g.n_edges,
@@ -471,5 +471,5 @@ def compute_features(g: TemporalGraph, *, gamma_x_min: int = 2) -> dict:
         "avg_clustering": avg_clustering(g),
         "avg_shortest_path": avg_shortest_path(g),
         "max_degree": max(degrees, default=0),
-        "gamma": power_law_gamma(degrees, gamma_x_min),
+        "gamma": gamma,
     }

@@ -10,10 +10,9 @@ The public constructor validates input from outside the program; the
 library's own producers build unchecked, and the tests check them.
 Timestamps are opaque non-negative integers in caller-defined units
 (weeks, years, iteration indices, epoch nanoseconds), below 2**63; the
-toolkit never converts calendar units. Every module's numeric rules are
-here: :func:`_integer` (an int or numpy integer, not a bool),
-:func:`_positive` (such an integer, at least 1) and :func:`_real` (a
-real number, not a bool or NaN).
+toolkit never converts calendar units. Every module checks its counts
+by :func:`_integer` (an int or numpy integer, not a bool) and
+:func:`_positive` (such an integer, at least 1).
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import errno
 import io
 import json
-import math
 import numbers
 import os
 import re
@@ -105,13 +103,6 @@ def _positive(name: str, x) -> int:
     x = _integer(name, x)
     if x < 1:
         raise ValueError(f"{name} must be positive")
-    return x
-
-
-def _real(name: str, x) -> float:
-    """``x`` when it is a real number other than a bool or NaN."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real) or math.isnan(x):
-        raise ValueError(f"{name} must be a real number, not {x!r}")
     return x
 
 
@@ -725,18 +716,11 @@ def read_edge_list(path) -> TemporalGraph:
     with open(path, errors="surrogateescape") as fh:
         records = _parse_records(fh)
     ids, join, _, _ = _first_seen(records)
-    ids, join = ids[ids >= 0], join[ids >= 0]  # the constructor refuses a negative id's edge
-    explicit = {int(key): jt for key, jt in explicit.items()}  # of equal ids, the last
-    # c distinct ids are 0 .. c - 1 only if none is c or more, so an id at
-    # or past `few` lies past a gap, and only the smaller ones are marked
-    few = len(ids) + len(explicit)
-    seen = np.zeros(few + 1, dtype=bool)
-    seen[ids[ids < few]] = True
-    seen[[key for key in explicit if key < few]] = True
-    n = int(seen.argmin())  # the first id with no join time: the vertex count, if no id is larger
-    if max([*ids[-1:].tolist(), *explicit], default=n) > n:
-        raise ValueError(f"vertex {n} has no record and no explicit join time")
-    join_times = np.empty(n, dtype=np.int64)
-    join_times[ids] = join
-    join_times[list(explicit)] = _int_column(list(explicit.values()), "join times")
+    joins = dict(zip(ids.tolist(), join.tolist()))
+    for key, jt in explicit.items():
+        joins[int(key)] = jt
+    try:
+        join_times = [joins[v] for v in range(max(joins, default=-1) + 1)]
+    except KeyError as exc:
+        raise ValueError(f"vertex {exc.args[0]} has no record and no explicit join time") from None
     return TemporalGraph(join_times, records, time_unit=meta.get("time_unit_label", ""))

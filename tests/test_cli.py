@@ -760,7 +760,8 @@ class TestCompare:
 
     def test_readme_settings_give_the_recorded_table(self, tmp_path, monkeypatch):
         # the benchmark's compare-readme call at seed 0, whose table's
-        # digest is recorded: every Python version must write its bytes
+        # digest is recorded; perfbench checks it on the Linux legs, and
+        # this test also on macos, which cannot run perfbench
         with open(DIGESTS) as fh:
             want = json.load(fh)["compare-readme"]["table.csv"]
         monkeypatch.chdir(tmp_path)
