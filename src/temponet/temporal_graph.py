@@ -46,6 +46,9 @@ _INDENTED_SKIP = re.compile(r"^[^\S\n]+(?:#|$)", re.MULTILINE)
 _RECORD_LINE = re.compile(r"^[^\S\n]*[^\s#].*", re.MULTILINE)
 # the names whose files numpy's opener decompresses
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+# the characters a text must exceed to be loaded from its file's path:
+# below, numpy's opener and the file checks cost more than the lines
+_PATH_FLOOR = 20_000
 # the edge records write_edge_list formats and writes at a time
 _WRITE_ROWS = 65536
 
@@ -298,21 +301,21 @@ class TemporalGraph:
         thus a prefix.
 
         All three are int64 and read-only, like the graph's columns. The
-        index is built on first use: the events fill one ``(2, 2E)``
-        array, ``v`` and ``w`` its rows.
+        index is built on first use: the events fill one ``(3, 2E)``
+        array by strided writes, ``times``, ``v`` and ``w`` its rows.
         """
         if self._first_links is None:
             u, v, times = self.u, self.v, self.t
             if (times[1:] < times[:-1]).any():  # generated graphs never sort
                 order = _stable_order(times)  # equal times stay in input order
                 u, v, times = u[order], v[order], times[order]
-            # per edge the events (u, v) then (v, u), by strided assignment
-            ends = np.empty((2, 2 * len(u)), dtype=np.int64)
-            ends[0, 0::2] = ends[1, 1::2] = u
-            ends[0, 1::2] = ends[1, 0::2] = v
-            times = np.repeat(times, 2)
-            times.flags.writeable = ends.flags.writeable = False
-            self._first_links = times, ends[0], ends[1]
+            # per edge the events (t, u, v) then (t, v, u), by strided assignment
+            events = np.empty((3, 2 * len(u)), dtype=np.int64)
+            events[0, 0::2] = events[0, 1::2] = times
+            events[1, 0::2] = events[2, 1::2] = u
+            events[1, 1::2] = events[2, 0::2] = v
+            events.flags.writeable = False
+            self._first_links = events[0], events[1], events[2]
         times, v, w = self._first_links
         end = len(times) if t is None else int(np.searchsorted(times, t, side="right"))
         return times[:end], v[:end], w[:end]
@@ -367,11 +370,12 @@ def _parse_records(source: Iterable[str]) -> np.ndarray:
     before any line is checked.
 
     A text file opened with ``open()`` on a regular file, read from its
-    start, and whose text is clean and holds no ``"\\r"`` is loaded from
-    its path, which numpy reads in chunks, so the text is never split
-    into lines. The array is kept only if the path still names the
-    file that was read, unchanged (:func:`_file_key`), before and after
-    the load. A name that numpy's opener would decompress (``.gz``,
+    start, and whose text is clean, holds no ``"\\r"`` and is longer than
+    ``_PATH_FLOOR`` characters is loaded from its path, which numpy
+    reads in chunks, so the text is never split into lines. The array
+    is kept only if the path still names the file that was read,
+    unchanged (:func:`_file_key`), before and after the load. A shorter
+    text, a name that numpy's opener would decompress (``.gz``,
     ``.bz2``, ``.xz``, ``.lzma``), a FIFO or other non-regular file, a
     file object of another kind, an iterable and any refusal from
     loadtxt take the lines of the text already read instead.
@@ -390,7 +394,7 @@ def _parse_records(source: Iterable[str]) -> np.ndarray:
         text = "\n".join(lines)  # a line that is not a str raises TypeError
     first = _first_record(text)
     delimiter = "," if first and "," in first else None
-    if first is not None and path is not None:
+    if first is not None and path is not None and len(text) > _PATH_FLOOR:
         key = _file_key(path, source)
         if key is not None:
             records = _loadtxt(path, delimiter, source.encoding)
@@ -601,11 +605,20 @@ def _first_seen(records: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     ``first``, its first position in the endpoint sequence ``u0, v0, u1,
     v1, ...`` (source before target); ``index`` maps that sequence to
     positions in ``ids``. Ids that span no more values than the sequence
-    holds are counted, not sorted (see :func:`_distinct`)."""
-    ids, first, index = _distinct(records[:, :2].ravel())
-    times = np.repeat(records[:, 2], 2)
-    join = times[first]
-    np.minimum.at(join, index, times)
+    holds are counted, not sorted (see :func:`_distinct`).
+
+    The sequence is an ``(E, 2)`` array filled by two column writes,
+    read flat. No repeated time column is built: a vertex starts from
+    the time of the record at its first position, and ``np.minimum.at``
+    over the sources and over the targets folds in the record times."""
+    ends = np.empty((len(records), 2), dtype=np.int64)
+    ends[:, 0] = records[:, 0]
+    ends[:, 1] = records[:, 1]
+    ids, first, index = _distinct(ends.reshape(-1))
+    times = records[:, 2]
+    join = times[first >> 1]  # endpoint position p is record p // 2
+    np.minimum.at(join, index[0::2], times)
+    np.minimum.at(join, index[1::2], times)
     return ids, join, first, index
 
 

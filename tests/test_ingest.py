@@ -637,6 +637,13 @@ def loadtxt_sources(monkeypatch):
     return sources
 
 
+@pytest.fixture
+def no_path_floor(monkeypatch):
+    """Every file passes the floor below which the lines route is taken,
+    so the path route's own checks decide."""
+    monkeypatch.setattr(temporal_graph, "_PATH_FLOOR", 0)
+
+
 def refuse(*args):
     raise AssertionError("the line-by-line reader ran")
 
@@ -662,7 +669,8 @@ class TestParserPaths:
             seen.add((style, "graph" if isinstance(expected[0], tuple) else expected[0]))
         assert {(style, "graph") for style in (",", " , ", "whitespace")} <= seen
 
-    def test_single_style_files_are_loaded_from_their_path(self, tmp_path, monkeypatch, loadtxt_sources):
+    def test_single_style_files_are_loaded_from_their_path(self, tmp_path, monkeypatch, loadtxt_sources,
+                                                            no_path_floor):
         monkeypatch.setattr(temporal_graph, "_read_records", refuse)
         rng = random.Random(1313)
         path = tmp_path / "g.txt"
@@ -789,7 +797,7 @@ class TestLinesRoute:
     EXPECTED = [list(r) for r in parse_records_brute(STREAM.splitlines(True))]
 
     @pytest.fixture(autouse=True)
-    def no_second_open(self, loadtxt_sources):
+    def no_second_open(self, loadtxt_sources, no_path_floor):
         yield
         assert not [x for x in loadtxt_sources if isinstance(x, str)]
 
@@ -851,8 +859,29 @@ class TestLinesRoute:
         assert loadtxt_sources and all(isinstance(x, list) for x in loadtxt_sources)  # the lines read
 
 
+@pytest.mark.parametrize("length, route", [
+    (len(STREAM), list), (temporal_graph._PATH_FLOOR, list), (temporal_graph._PATH_FLOOR + 1, str),
+])
+def test_only_a_text_longer_than_the_floor_is_loaded_from_its_path(
+    tmp_path, monkeypatch, loadtxt_sources, length, route
+):
+    # below the floor numpy's opener costs more than the lines in hand
+    monkeypatch.setattr(temporal_graph, "_read_records", refuse)
+    rng = random.Random(length)
+    text = STREAM
+    while len(text) < length - 40:
+        text += f"{rng.randrange(100)} {rng.randrange(100)} {rng.randrange(50)}\n"
+    if len(text) < length:
+        text += "#" * (length - len(text) - 1) + "\n"
+    assert len(text) == length
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    assert graph_of(read_file(path)) == brute_graph(text.splitlines(True))
+    assert [type(x) for x in loadtxt_sources] == [route]
+
+
 @pytest.mark.parametrize("change", ["replace", "rewrite", "rewrite_same_size"])
-def test_a_file_changed_before_the_load_gives_the_text_first_read(tmp_path, monkeypatch, change):
+def test_a_file_changed_before_the_load_gives_the_text_first_read(tmp_path, monkeypatch, no_path_floor, change):
     path = tmp_path / "g.txt"
     path.write_text(STREAM)
     load = np.loadtxt

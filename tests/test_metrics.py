@@ -462,6 +462,53 @@ class TestKStars:
         assert len(ranked) < len(horizons) + 1  # a Python step at one point or more
         assert any(nv > max(ks) for nv in ranked)  # and a numpy step that ranks more than the set
 
+    @pytest.mark.parametrize("case", ["random_pairs", "ring_ties"])
+    def test_a_numpy_step_after_python_steps_ranks_only_possible_stars(self, monkeypatch, case):
+        # Every vertex is present from time 0, so a numpy step on a full
+        # set that ranks fewer than n vertices ranked its candidates.
+        # Single edges go to the Python step and bursts of 40 (80 events,
+        # over 64 + 120 // 16) to the numpy step, whose floor comes from
+        # the stars of the numpy step before the Python steps. On the ring
+        # of chords every degree stays at most 4, so many vertices tie
+        # at the floor degree.
+        rng = random.Random(case)
+        n = 120
+        if case == "random_pairs":
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            times = range(1, 61)
+        else:
+            pairs = [(v, (v + d) % n) for v in range(n) for d in (1, 2)]
+            times = range(1, 16)
+        rng.shuffle(pairs)
+        edges = []
+        for t in times:
+            edges += [(u, v, t) for u, v in pairs[len(edges) : len(edges) + (40 if t % 3 == 0 else 1)]]
+        g = TemporalGraph([0] * n, edges)
+        ranked = []  # the degrees each numpy step ranked
+        top_k = metrics._top_k
+        monkeypatch.setattr(metrics, "_top_k", lambda degrees, k: ranked.append(degrees.copy()) or top_k(degrees, k))
+        ks = (1, 3, 10)
+        horizons = list(times)
+        joins, edges = list(g.join_times), list(g.edges)
+        assert k_stars_vectors(g, horizons, ks) == [k_stars_vector_brute(joins, edges, horizons, k) for k in ks]
+        assert len(ranked) < len(horizons) + 1  # a Python step at one point or more
+        candidates = [d for d in ranked if len(d) < n]
+        assert len(candidates) >= len(times) // 3 - 1  # every burst after the first Python step
+        # the tenth highest degree is the floor, shared by a candidate that
+        # stays out: the position tie-break picked among them
+        assert any(len(d) > 10 and np.sort(d)[-10] == d.min() for d in candidates)
+
+    @pytest.mark.parametrize("listed", [1, 13])
+    def test_python_steps_read_their_events_from_successive_lists(self, monkeypatch, listed):
+        # ba m 3 brings 6 events a step: a list of 1 event is made anew at
+        # every Python step, one of 13 at every second
+        monkeypatch.setattr(metrics, "_STAR_EVENTS_LISTED", listed)
+        g = baseline_generate("ba", 300, seed=3, m=3)
+        horizons = list(range(1, g.t_end + 1))
+        joins, edges = list(g.join_times), list(g.edges)
+        ks = (1, 5)
+        assert k_stars_vectors(g, horizons, ks) == [k_stars_vector_brute(joins, edges, horizons, k) for k in ks]
+
     def test_vectors_match_oracle_on_random_graphs_and_sizes(self):
         # sizes unsorted, repeated and up to past the vertex count; sorted
         # random horizons from before the first join to past t_end

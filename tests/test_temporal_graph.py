@@ -362,6 +362,42 @@ class TestSortHelpers:
             for a, b in zip(got, np.unique(values, return_index=True, return_inverse=True)):
                 assert a.tolist() == b.tolist()
 
+    def test_first_seen_matches_a_per_record_loop(self, monkeypatch):
+        # ids that span at most the endpoint count are counted, wider
+        # ones sorted; self-loops and repeated pairs, in either order, in both
+        calls = []
+        stable_order = temporal_graph._stable_order
+        monkeypatch.setattr(temporal_graph, "_stable_order", lambda v: calls.append(1) or stable_order(v))
+        rng = random.Random(41)
+        routes = []
+        for _ in range(300):
+            e = rng.randint(1, 40)
+            low = rng.choice([0, -50, 10**15, 2**63 - 200])
+            span = rng.choice([1, rng.randint(1, 2 * e), rng.randint(2 * e + 1, 150)])
+            records = []
+            for _ in range(e):
+                u, v = low + rng.randrange(span), low + rng.randrange(span)
+                if records and rng.random() < 0.3:  # an earlier pair again
+                    u, v, _ = rng.choice(records)
+                    u, v = (v, u) if rng.random() < 0.5 else (u, v)
+                elif rng.random() < 0.15:
+                    v = u
+                records.append((u, v, rng.choice([rng.randrange(10), rng.randrange(2**63)])))
+            sequence = [x for u, v, _ in records for x in (u, v)]
+            ids = sorted(set(sequence))
+            first = {}
+            join = {}
+            for p, x in enumerate(sequence):
+                first.setdefault(x, p)
+                join[x] = min(join.get(x, records[p // 2][2]), records[p // 2][2])
+            calls.clear()
+            got = temporal_graph._first_seen(np.array(records, dtype=np.int64))
+            routes.append("sorted" if calls else "counted")
+            assert all(a.dtype == np.int64 for a in got)
+            assert [a.tolist() for a in got] == [
+                ids, [join[x] for x in ids], [first[x] for x in ids], [ids.index(x) for x in sequence]]
+        assert min(routes.count(r) for r in ("counted", "sorted")) > 50
+
     def test_first_links_on_times_past_the_packing_bound(self):
         # a span of 2**62 or more over two or more edges takes the run route
         rng = random.Random(17)
