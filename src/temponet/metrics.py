@@ -44,10 +44,6 @@ _SP_SPARSE = 0.4
 # neighbour slots per row that the dense BFS step ORs as contiguous slabs
 _SP_SLABS = 16
 _GAMMA_MIN_TAIL = 50
-# first-link events the star sweep's Python step lists at a time: one
-# tolist per step costs about 0.3 us, and a whole network's list about
-# 40 bytes an event, 1.5 MB on a stars-streams network
-_STAR_EVENTS_LISTED = 4096
 
 
 def density(g: TemporalGraph) -> float | None:
@@ -324,17 +320,14 @@ def k_stars_vectors(g: TemporalGraph, horizons: Iterable[int], ks: Sequence[int]
     full set takes the Python step: it adds the events to a degree list
     and admits each touched non-member that beats the weakest member,
     found on a heap of members that re-scores a member whose degree rose
-    when it surfaces. It reads the events from a list of the next
-    ``_STAR_EVENTS_LISTED`` or more, made when its events pass the end
-    of the last one, so a sweep of numpy steps makes none and a
-    network's list is never held whole. Every other horizon takes the
-    numpy step: the degree array catches up on the events since its
-    last sync and ``_top_k`` ranks the present vertices. On a full set
-    it ranks only those at or above the weakest degree among the last
-    numpy step's K stars: any K present vertices bound the K-th highest
-    degree from below, and the candidates rise by id, so their position
-    breaks ties as the id does. The degree list and heap are rebuilt
-    from the array when a Python step follows a numpy one.
+    when it surfaces. Every other horizon takes the numpy step: the
+    degree array catches up on the events since its last sync and
+    ``_top_k`` ranks the present vertices. On a full set it ranks only
+    those at or above the weakest degree among the last numpy step's K
+    stars: any K present vertices bound the K-th highest degree from
+    below, and the candidates rise by id, so their position breaks ties
+    as the id does. The degree list and heap are rebuilt from the array
+    when a Python step follows a numpy one.
 
     A smaller size's top-k is the k highest-scoring of the K members,
     by ``degree * n - id``. The numpy step ranks the members it picked.
@@ -363,7 +356,6 @@ def k_stars_vectors(g: TemporalGraph, horizons: Iterable[int], ks: Sequence[int]
     synced = done = 0
     full = False
     deg = None  # degree list, heap and member set of the Python step
-    events, base = [], 0  # the Python step's list of ev_v[base : base + len(events)]
     vector = []
     for i, (end, nv) in enumerate(zip(ends, present)):
         # horizons below 0 have nv = 0 and end = 0: the numpy step
@@ -376,10 +368,7 @@ def k_stars_vectors(g: TemporalGraph, horizons: Iterable[int], ks: Sequence[int]
                 members = set(stars.tolist())
                 heap = [(deg[v] * n - v, v) for v in members]  # orders as (-degree, id)
                 heapq.heapify(heap)
-            if end > base + len(events):
-                base = done
-                events = ev_v[base : max(end, base + _STAR_EVENTS_LISTED)].tolist()
-            touched = events[done - base : end - base]
+            touched = ev_v[done:end].tolist()
             for v in touched:
                 deg[v] += 1
             entered = []

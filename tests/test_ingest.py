@@ -524,7 +524,7 @@ def brute_graph(lines):
 
 
 class TestIngestOracle:
-    def test_graphs_and_errors_match_the_loop_reader(self, tmp_path):
+    def test_graphs_and_errors_match_the_loop_reader(self, tmp_path, monkeypatch, loadtxt_sources):
         rng = random.Random(909)
         seen = set()
         for case in range(2500):
@@ -556,8 +556,6 @@ class TestIngestOracle:
             path = tmp_path / f"g{case}.csv"
             path.write_text(text)
             (tmp_path / f"g{case}.csv.meta.json").write_text(json.dumps(meta))
-            # the file itself, as a raw stream: loaded from its path when clean
-            assert outcome(lambda: graph_of(read_file(path))) == expected, text
 
             def list_brute():
                 joins, edges = read_edge_list_brute(text.splitlines(True), explicit)
@@ -568,11 +566,19 @@ class TestIngestOracle:
                 g = read_edge_list(str(path))
                 return g.join_times, g.edges
 
-            assert outcome(list_columnar) == outcome(list_brute), (text, meta)
+            # the file itself, as a raw stream and with its sidecar, at the
+            # floor, where it is loaded from its lines, and with no floor,
+            # where it is loaded from its path when clean
+            for floor in (temporal_graph._PATH_FLOOR, 0):
+                with monkeypatch.context() as m:
+                    m.setattr(temporal_graph, "_PATH_FLOOR", floor)
+                    assert outcome(lambda: graph_of(read_file(path))) == expected, text
+                    assert outcome(list_columnar) == outcome(list_brute), (text, meta)
         # every outcome occurs: graphs, each parse fault, other refusals
         assert {"graph", EdgeStreamParseError, ValueError} <= seen
         assert {"expected 3 fields", "fields must be integers", "fields must lie in the int64 range",
                 "negative timestamp"} <= seen
+        assert any(isinstance(x, str) for x in loadtxt_sources)  # the path route ran
 
 
 def _clean_field(rng, x):
@@ -648,6 +654,13 @@ def refuse(*args):
     raise AssertionError("the line-by-line reader ran")
 
 
+def takes_the_path(text):
+    """Whether a file of ``text`` past the floor is handed to
+    ``np.loadtxt`` as its path: it holds no ``"\\r"`` and its records
+    are ones loadtxt reads as the line-by-line reader does, or refuses."""
+    return "\r" not in text and temporal_graph._first_record(text) is not None
+
+
 class TestParserPaths:
     def test_single_style_streams_take_the_bulk_path(self, monkeypatch):
         monkeypatch.setattr(temporal_graph, "_read_records", refuse)
@@ -700,7 +713,8 @@ class TestParserPaths:
         # the range is checked before the sign of the timestamp
         (f"0 1 5\n1 2 -{2**63 + 1}\n", f"line 2: fields must lie in the int64 range: '1 2 -{2**63 + 1}'"),
     ])
-    def test_faulty_streams_fall_back_to_the_loops_message(self, tmp_path, reader_calls, text, message):
+    def test_faulty_streams_fall_back_to_the_loops_message(self, tmp_path, reader_calls, loadtxt_sources,
+                                                            no_path_floor, text, message):
         with pytest.raises(EdgeStreamParseError) as err:
             read_edge_stream(stream(text))
         assert str(err.value) == message
@@ -708,10 +722,12 @@ class TestParserPaths:
         reader_calls.clear()
         path = tmp_path / "g.txt"
         path.write_text(text, encoding="utf-8")
+        loadtxt_sources.clear()
         with pytest.raises(EdgeStreamParseError) as err:
             read_file(path)
         assert str(err.value) == message
         assert reader_calls
+        assert (str(path) in loadtxt_sources) == takes_the_path(text)  # and the path route refused it
         with pytest.raises(EdgeStreamParseError) as err:
             read_edge_stream_brute(stream(text))
         assert str(err.value) == message
@@ -737,15 +753,18 @@ class TestParserPaths:
         "0 1 5\n1 2 1_0\n",
         "0 1 5\n1 2 3\u0968\n",  # int() reads 32, numpy 2390
     ])
-    def test_clean_streams_the_bulk_call_refuses_read_line_by_line(self, tmp_path, reader_calls, text):
+    def test_clean_streams_the_bulk_call_refuses_read_line_by_line(self, tmp_path, reader_calls, loadtxt_sources,
+                                                                    no_path_floor, text):
         g = read_edge_stream(stream(text))
         assert graph_of(g) == brute_graph(stream(text))
         assert reader_calls
         reader_calls.clear()
         path = tmp_path / "g.txt"
         path.write_text(text, encoding="utf-8")
+        loadtxt_sources.clear()
         assert graph_of(read_file(path)) == brute_graph(stream(text))
         assert reader_calls
+        assert (str(path) in loadtxt_sources) == takes_the_path(text)  # and the path route refused it
 
     @pytest.mark.parametrize("newline", [None, "", "\n"])
     @pytest.mark.parametrize("data", [
@@ -757,13 +776,15 @@ class TestParserPaths:
     ], ids=["nul_in_field", "nul_at_end", "nul_line", "vt_in_line", "ff_at_end", "ff_line",
             "vt_in_comma_field", "fs_in_comma_field", "fs_in_line", "gs_in_line", "rs_at_end",
             "us_at_start", "crlf", "lone_cr", "crlf_fault", "no_final_newline"])
-    def test_files_with_control_characters_or_other_line_ends(self, tmp_path, newline, data):
+    def test_files_with_control_characters_or_other_line_ends(self, tmp_path, loadtxt_sources, no_path_floor,
+                                                              newline, data):
         # a file read from its path gives what its lines give
         path = tmp_path / "g.txt"
         path.write_bytes(data)
         with open(path, newline=newline) as fh:
             lines = list(fh)
         assert outcome(lambda: graph_of(read_file(path, newline))) == outcome(lambda: brute_graph(lines))
+        assert (str(path) in loadtxt_sources) == takes_the_path("".join(lines))
 
     def test_lines_that_are_not_str_are_refused(self):
         with pytest.raises(TypeError):

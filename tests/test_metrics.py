@@ -498,17 +498,6 @@ class TestKStars:
         # stays out: the position tie-break picked among them
         assert any(len(d) > 10 and np.sort(d)[-10] == d.min() for d in candidates)
 
-    @pytest.mark.parametrize("listed", [1, 13])
-    def test_python_steps_read_their_events_from_successive_lists(self, monkeypatch, listed):
-        # ba m 3 brings 6 events a step: a list of 1 event is made anew at
-        # every Python step, one of 13 at every second
-        monkeypatch.setattr(metrics, "_STAR_EVENTS_LISTED", listed)
-        g = baseline_generate("ba", 300, seed=3, m=3)
-        horizons = list(range(1, g.t_end + 1))
-        joins, edges = list(g.join_times), list(g.edges)
-        ks = (1, 5)
-        assert k_stars_vectors(g, horizons, ks) == [k_stars_vector_brute(joins, edges, horizons, k) for k in ks]
-
     def test_vectors_match_oracle_on_random_graphs_and_sizes(self):
         # sizes unsorted, repeated and up to past the vertex count; sorted
         # random horizons from before the first join to past t_end
